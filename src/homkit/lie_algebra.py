@@ -201,11 +201,6 @@ def change_basis(algebra, p, labels=None):
     return LieAlgebra(new_labels, new_f)
 
 
-def basis_change_from_new_generators(new_in_old):
-    """Component map P for generators given as columns in the old basis."""
-    return mat_inverse([list(r) for r in new_in_old], EXACT)
-
-
 @dataclass(frozen=True)
 class ReductiveSplit:
     m_indices: tuple

@@ -19,10 +19,13 @@ convention is fixed once:
                         + Gamma^rho_{mu lam} Gamma^lam_{nu sigma}
                         - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}.
 
-The float path (numpy) serves the residual sweeps; a separate exact
-rational path evaluates the same connection data at chart points with
-z = 0, where the profile jet is rational, for bracket-table
-reconstruction tests.
+The connection chain (metric jet -> Christoffel -> Gamma - S ->
+curvature -> frame) is written once over numpy arrays and runs on two
+scalar backends.  The float backend uses float64 arrays at any z and
+serves the residual sweeps.  The exact backend uses dtype=object arrays
+of Fractions at z = 0, where the profile jet H, [H,F], [[H,F],F], ... is
+rational, and serves the bracket-table reconstruction.  The backends
+differ only in the profile jet and in the matrix inverse.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import EXACT, FLOAT, mat_commutator, mat_inverse
+from .exact import EXACT, FLOAT, mat_inverse
 from .hom_structure import CurvatureAtPoint, HomogeneousStructure
 from .lie_algebra import LieAlgebra
 from .tensor_core import DOWN, UP, FrameMetric, Tensor
@@ -138,6 +141,14 @@ def expm(a, tol=1e-16):
     return result
 
 
+def _commutator_jet(m0, f):
+    """M and its derivatives M^(k+1) = M^(k) F - F M^(k), in the scalars of m0."""
+    m1 = m0 @ f - f @ m0
+    m2 = m1 @ f - f @ m1
+    m3 = m2 @ f - f @ m2
+    return m0, m1, m2, m3
+
+
 def profile_jet(pw, z):
     """M(z) and its first three z-derivatives as float arrays.
 
@@ -151,16 +162,17 @@ def profile_jet(pw, z):
     f = np.array([[float(v) for v in row] for row in pw.F])
     h = np.array([[float(v) for v in row] for row in pw.H])
     e = expm(-z * f)
-    m0 = e @ h @ e.T  # exp(zF) = exp(-zF)^T for antisymmetric F
-    m1 = m0 @ f - f @ m0
-    m2 = m1 @ f - f @ m1
-    m3 = m2 @ f - f @ m2
-    return m0, m1, m2, m3
+    return _commutator_jet(e @ h @ e.T, f)  # exp(zF) = exp(-zF)^T for antisymmetric F
 
 
 # ---------------------------------------------------------------------------
-# metric jet and connection (float path)
+# metric jet and connection, generic in the scalar backend
 # ---------------------------------------------------------------------------
+#
+# The private builders take the profile jet, s and x as arrays plus the
+# backend's zero: 0.0 for float64 arrays, Fraction(0) for dtype=object
+# arrays that hold only Fractions.  Everything downstream is numpy
+# arithmetic and einsum, which keep the scalars they are given.
 
 
 @dataclass(frozen=True)
@@ -174,56 +186,50 @@ class GeometryJet:
     dddg: np.ndarray    # dddg[k, l, p, m, n]
 
 
+def _inverse(a):
+    # floats keep LAPACK's inverse: the float reports are compared bit for
+    # bit across versions, and a closed-form inverse moves their low bits
+    if a.dtype == object:
+        return np.array(mat_inverse(a.tolist(), EXACT), dtype=object)
+    return np.linalg.inv(a)
+
+
+def _metric_jet(prof, s, x, zero):
+    m0, m1, m2, m3 = prof
+    d = len(x) + 2
+    one, t = zero + 1, np.arange(2, d)
+
+    g = np.full((d, d), zero)
+    g[0, 0] = 2 * (x @ m0 @ x + s)
+    g[0, 1] = g[1, 0] = one
+    g[t, t] = one
+
+    dg = np.full((d,) * 3, zero)
+    dg[0, 0, 0] = 2 * (x @ m1 @ x)
+    dg[1, 0, 0] = 2 * one
+    dg[2:, 0, 0] = 4 * (m0 @ x)
+
+    ddg = np.full((d,) * 4, zero)
+    ddg[0, 0, 0, 0] = 2 * (x @ m2 @ x)
+    ddg[0, 2:, 0, 0] = ddg[2:, 0, 0, 0] = 4 * (m1 @ x)
+    ddg[2:, 2:, 0, 0] = 4 * m0
+
+    dddg = np.full((d,) * 5, zero)
+    dddg[0, 0, 0, 0, 0] = 2 * (x @ m3 @ x)
+    dddg[0, 0, 2:, 0, 0] = dddg[0, 2:, 0, 0, 0] = dddg[2:, 0, 0, 0, 0] = 4 * (m2 @ x)
+    dddg[0, 2:, 2:, 0, 0] = dddg[2:, 0, 2:, 0, 0] = dddg[2:, 2:, 0, 0, 0] = 4 * m1
+
+    return GeometryJet(g, _inverse(g), dg, ddg, dddg)
+
+
 def metric_jet(pw, pt):
-    n, d = pw.n, pw.dim
-    m0, m1, m2, m3 = profile_jet(pw, pt.z)
-    x = np.array(pt.x)
-    q = x @ m0 @ x
-
-    g = np.zeros((d, d))
-    g[0, 0] = 2.0 * (q + pt.s)
-    g[0, 1] = g[1, 0] = 1.0
-    for i in range(n):
-        g[2 + i, 2 + i] = 1.0
-
-    dg = np.zeros((d, d, d))
-    dg[0, 0, 0] = 2.0 * (x @ m1 @ x)
-    dg[1, 0, 0] = 2.0
-    for k in range(n):
-        dg[2 + k, 0, 0] = 4.0 * (m0 @ x)[k]
-
-    ddg = np.zeros((d, d, d, d))
-    ddg[0, 0, 0, 0] = 2.0 * (x @ m2 @ x)
-    for k in range(n):
-        v = 4.0 * (m1 @ x)[k]
-        ddg[0, 2 + k, 0, 0] = ddg[2 + k, 0, 0, 0] = v
-        for l in range(n):
-            ddg[2 + k, 2 + l, 0, 0] = 4.0 * m0[k, l]
-
-    dddg = np.zeros((d, d, d, d, d))
-    dddg[0, 0, 0, 0, 0] = 2.0 * (x @ m3 @ x)
-    for k in range(n):
-        v = 4.0 * (m2 @ x)[k]
-        dddg[0, 0, 2 + k, 0, 0] = dddg[0, 2 + k, 0, 0, 0] = dddg[2 + k, 0, 0, 0, 0] = v
-        for l in range(n):
-            w = 4.0 * m1[k, l]
-            dddg[0, 2 + k, 2 + l, 0, 0] = w
-            dddg[2 + k, 0, 2 + l, 0, 0] = w
-            dddg[2 + k, 2 + l, 0, 0, 0] = w
-
-    g_inv = np.linalg.inv(g)
-    return GeometryJet(g, g_inv, dg, ddg, dddg)
+    return _metric_jet(profile_jet(pw, pt.z), pt.s, np.array(pt.x), 0.0)
 
 
 def _gamma_lower(dg):
-    d = dg.shape[0]
-    low = np.zeros((d, d, d))
-    for m in range(d):
-        for n in range(d):
-            for s in range(d):
-                # Gamma_{mn,s} = (d_m g_{ns} + d_n g_{ms} - d_s g_{mn}) / 2
-                low[m, n, s] = 0.5 * (dg[m, n, s] + dg[n, m, s] - dg[s, m, n])
-    return low
+    # Gamma_{mn,s} = (d_m g_{ns} + d_n g_{ms} - d_s g_{mn}) / 2 on the last
+    # three axes, so it serves dg, ddg and dddg alike
+    return (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)) / 2
 
 
 def christoffel(jet):
@@ -231,37 +237,26 @@ def christoffel(jet):
     return np.einsum("rs,mns->rmn", jet.g_inv, _gamma_lower(jet.dg))
 
 
+def _connection(jet):
+    """Gamma and d Gamma, plus the pieces connection_jet differentiates again."""
+    ginv, dg = jet.g_inv, jet.dg
+    low, dlow = _gamma_lower(dg), _gamma_lower(jet.ddg)
+    gamma = np.einsum("rs,mns->rmn", ginv, low)
+    dginv = -np.einsum("ra,kab,bs->krs", ginv, dg, ginv)
+    dgamma = np.einsum("krs,mns->krmn", dginv, low) + np.einsum("rs,kmns->krmn", ginv, dlow)
+    return gamma, dgamma, dginv, low, dlow
+
+
 def connection_jet(jet):
     """Gamma, its first and its second coordinate derivatives."""
-    ginv, dg, ddg, dddg = jet.g_inv, jet.dg, jet.ddg, jet.dddg
-    d = dg.shape[0]
-
-    low = _gamma_lower(dg)
-    gamma = np.einsum("rs,mns->rmn", ginv, low)
-
-    dginv = -np.einsum("ra,kab,bs->krs", ginv, dg, ginv)
-    dlow = np.zeros((d, d, d, d))
-    for k in range(d):
-        for m in range(d):
-            for n in range(d):
-                for s in range(d):
-                    dlow[k, m, n, s] = 0.5 * (ddg[k, m, n, s] + ddg[k, n, m, s] - ddg[k, s, m, n])
-    dgamma = np.einsum("krs,mns->krmn", dginv, low) + np.einsum("rs,kmns->krmn", ginv, dlow)
-
+    gamma, dgamma, dginv, low, dlow = _connection(jet)
+    ginv, dg, ddg = jet.g_inv, jet.dg, jet.ddg
     ddginv = (
         -np.einsum("kra,lab,bs->klrs", dginv, dg, ginv)
         - np.einsum("ra,klab,bs->klrs", ginv, ddg, ginv)
         - np.einsum("ra,lab,kbs->klrs", ginv, dg, dginv)
     )
-    ddlow = np.zeros((d, d, d, d, d))
-    for k in range(d):
-        for l in range(d):
-            for m in range(d):
-                for n in range(d):
-                    for s in range(d):
-                        ddlow[k, l, m, n, s] = 0.5 * (
-                            dddg[k, l, m, n, s] + dddg[k, l, n, m, s] - dddg[k, l, s, m, n]
-                        )
+    ddlow = _gamma_lower(jet.dddg)
     ddgamma = (
         np.einsum("klrs,mns->klrmn", ddginv, low)
         + np.einsum("krs,lmns->klrmn", dginv, dlow)
@@ -282,16 +277,14 @@ def _riemann_from_connection(gamma, dgamma):
 
 def riemann(pw, pt):
     """Mixed Riemann tensor R[r, s, m, n] = R^r_{smn} at a chart point."""
-    jet = metric_jet(pw, pt)
-    gamma, dgamma, _ = connection_jet(jet)
+    gamma, dgamma, *_ = _connection(metric_jet(pw, pt))
     return _riemann_from_connection(gamma, dgamma)
 
 
 def riemann_lower(pw, pt):
     jet = metric_jet(pw, pt)
-    gamma, dgamma, _ = connection_jet(jet)
-    mixed = _riemann_from_connection(gamma, dgamma)
-    return np.einsum("rl,lsmn->rsmn", jet.g, mixed)
+    gamma, dgamma, *_ = _connection(jet)
+    return np.einsum("rl,lsmn->rsmn", jet.g, _riemann_from_connection(gamma, dgamma))
 
 
 # ---------------------------------------------------------------------------
@@ -328,50 +321,59 @@ def frame_structure(pw, tag=EXACT):
     return HomogeneousStructure(FrameMetric.from_matrix([[float(v) for v in row] for row in metric.g]), sf)
 
 
-def coframe_at(pw, pt):
-    """Coframe rows E[A, mu] and their derivatives dE[k, A, mu]."""
-    n, d = pw.n, pw.dim
-    m0, m1, _, _ = profile_jet(pw, pt.z)
-    x = np.array(pt.x)
-    q = x @ m0 @ x
-    e = np.zeros((d, d))
-    e[0, 0] = 1.0
-    e[1, 0] = q + pt.s
-    e[1, 1] = 1.0
-    for i in range(n):
-        e[2 + i, 2 + i] = 1.0
-    de = np.zeros((d, d, d))
+def _frame_array(s, zero):
+    """The components of a rank-3 frame tensor as an array in zero's backend."""
+    return np.array([type(zero)(v) for v in s.components]).reshape((s.dim,) * 3)
+
+
+def _coframe(prof, s, x, zero):
+    m0, m1 = prof[:2]
+    d = len(x) + 2
+    one, t = zero + 1, np.arange(2, d)
+    e = np.full((d, d), zero)
+    e[0, 0] = e[1, 1] = one
+    e[1, 0] = x @ m0 @ x + s
+    e[t, t] = one
+    de = np.full((d,) * 3, zero)
     de[0, 1, 0] = x @ m1 @ x
-    de[1, 1, 0] = 1.0
-    for k in range(n):
-        de[2 + k, 1, 0] = 2.0 * (m0 @ x)[k]
+    de[1, 1, 0] = one
+    de[2:, 1, 0] = 2 * (m0 @ x)
     return e, de
 
 
-def _coordinate_structure(pw, pt):
-    """Coordinate S_{mns}, its derivative, and the coframe used."""
-    d = pw.dim
-    hs = frame_structure(pw)
-    sf = np.zeros((d, d, d))
-    for idx in hs.S.indices():
-        v = hs.S[idx]
-        if v != 0:
-            sf[idx] = float(v)
-    e, de = coframe_at(pw, pt)
-    s_coord = np.einsum("abc,am,bn,cs->mns", sf, e, e, e)
+def coframe_at(pw, pt):
+    """Coframe rows E[A, mu] and their derivatives dE[k, A, mu]."""
+    return _coframe(profile_jet(pw, pt.z), pt.s, np.array(pt.x), 0.0)
+
+
+def _coordinate_structure(sf, e, de=None):
+    """Coordinate S_{mns} from frame S and the coframe; given dE, also d_k S_{mns}.
+
+    The 4-operand contractions take a greedy pairwise order: summed in
+    one pass, the Fraction backend pays for every index combination.
+    """
+    s_coord = np.einsum("abc,am,bn,cs->mns", sf, e, e, e, optimize="greedy")
+    if de is None:
+        return s_coord, None
     ds_coord = (
-        np.einsum("abc,kam,bn,cs->kmns", sf, de, e, e)
-        + np.einsum("abc,am,kbn,cs->kmns", sf, e, de, e)
-        + np.einsum("abc,am,bn,kcs->kmns", sf, e, e, de)
+        np.einsum("abc,kam,bn,cs->kmns", sf, de, e, e, optimize="greedy")
+        + np.einsum("abc,am,kbn,cs->kmns", sf, e, de, e, optimize="greedy")
+        + np.einsum("abc,am,bn,kcs->kmns", sf, e, e, de, optimize="greedy")
     )
-    return s_coord, ds_coord, e
+    return s_coord, ds_coord
+
+
+def _raised_structure(s_coord, ginv):
+    """S^r_{mn} as [r, m, n], the part the torsion connection subtracts."""
+    return np.einsum("mns,rs->mnr", s_coord, ginv).transpose(2, 0, 1)
 
 
 def structure_at(pw, pt):
     """Coordinate-component structure at a point plus the coframe matrix."""
     jet = metric_jet(pw, pt)
-    s_coord, _, e = _coordinate_structure(pw, pt)
-    metric = FrameMetric.from_matrix([[jet.g[i, j] for j in range(pw.dim)] for i in range(pw.dim)])
+    e, _ = coframe_at(pw, pt)
+    s_coord, _ = _coordinate_structure(_frame_array(frame_structure(pw).S, 0.0), e)
+    metric = FrameMetric.from_matrix(jet.g.tolist())
     s = Tensor(pw.dim, (DOWN, DOWN, DOWN), tuple(s_coord.reshape(-1).tolist()), FLOAT)
     return HomogeneousStructure(metric, s), e
 
@@ -382,25 +384,11 @@ def structure_at(pw, pt):
 
 
 def _point_residuals(pw, pt, sf_array):
-    d = pw.dim
     jet = metric_jet(pw, pt)
     gamma, dgamma, ddgamma = connection_jet(jet)
-
     e, de = coframe_at(pw, pt)
-    s_coord = np.einsum("abc,am,bn,cs->mns", sf_array, e, e, e)
-    ds_coord = (
-        np.einsum("abc,kam,bn,cs->kmns", sf_array, de, e, e)
-        + np.einsum("abc,am,kbn,cs->kmns", sf_array, e, de, e)
-        + np.einsum("abc,am,bn,kcs->kmns", sf_array, e, e, de)
-    )
-
-    ginv, dg = jet.g_inv, jet.dg
-    dginv = -np.einsum("ra,kab,bs->krs", ginv, dg, ginv)
-    s_up = np.einsum("mns,rs->mnr", s_coord, ginv)
-    ds_up = np.einsum("kmns,rs->kmnr", ds_coord, ginv) + np.einsum("mns,krs->kmnr", s_coord, dginv)
-
-    gbar = gamma - s_up.transpose(2, 0, 1)
-    dgbar = dgamma - ds_up.transpose(0, 3, 1, 2)
+    s_coord, ds_coord = _coordinate_structure(sf_array, e, de)
+    gbar = gamma - _raised_structure(s_coord, jet.g_inv)
 
     # metric parallelism
     nabla_g = jet.dg - np.einsum("lkm,ln->kmn", gbar, jet.g) - np.einsum("lkn,ml->kmn", gbar, jet.g)
@@ -449,17 +437,8 @@ def as_residuals(pw, pts, frame_s_override=None):
     """
     if not pts:
         raise ValueError("at least one chart point is required")
-    d = pw.dim
-    if frame_s_override is None:
-        hs = frame_structure(pw)
-        source = hs.S
-    else:
-        source = frame_s_override
-    sf = np.zeros((d, d, d))
-    for idx in source.indices():
-        v = source[idx]
-        if v != 0:
-            sf[idx] = float(v)
+    source = frame_structure(pw).S if frame_s_override is None else frame_s_override
+    sf = _frame_array(source, 0.0)
     worst = {"r_g": 0.0, "r_S": 0.0, "r_R": 0.0, "r_geo": 0.0}
     for pt in pts:
         res = _point_residuals(pw, pt, sf)
@@ -469,17 +448,26 @@ def as_residuals(pw, pts, frame_s_override=None):
 
 
 # ---------------------------------------------------------------------------
-# exact connection data at z = 0 and the bracket-table reconstruction
+# exact curvature at z = 0 and the bracket-table reconstruction
 # ---------------------------------------------------------------------------
 
 
-def _exact_profile_jet(pw):
-    # profile derivatives at z = 0, same orientation as profile_jet
-    f = [list(row) for row in pw.F]
-    m0 = [list(row) for row in pw.H]
-    m1 = mat_commutator(m0, f)
-    m2 = mat_commutator(m1, f)
-    return m0, m1, m2
+def _frame_curvature(pw, prof, s, x, zero):
+    """Frame components Rbar[a, b, c, d] of the curvature of nabla - S at (s, x)."""
+    jet = _metric_jet(prof, s, x, zero)
+    gamma, dgamma, dginv, _, _ = _connection(jet)
+    e, de = _coframe(prof, s, x, zero)
+    s_coord, ds_coord = _coordinate_structure(_frame_array(frame_structure(pw).S, zero), e, de)
+
+    gbar = gamma - _raised_structure(s_coord, jet.g_inv)
+    ds_up = np.einsum("kmns,rs->kmnr", ds_coord, jet.g_inv) + np.einsum("mns,krs->kmnr", s_coord, dginv)
+    dgbar = dgamma - ds_up.transpose(0, 3, 1, 2)
+    rbar = _riemann_from_connection(gbar, dgbar)
+
+    # form slots from frame vectors, the endomorphism conjugated by the
+    # coframe; theta[mu, A] holds the frame vectors as columns
+    theta = _inverse(e)
+    return np.einsum("cr,rtmn,td,ma,nb->abcd", e, rbar, theta, theta, theta, optimize="greedy")
 
 
 def exact_curvature(pw, s, x):
@@ -487,197 +475,17 @@ def exact_curvature(pw, s, x):
 
     Returns a CurvatureAtPoint whose operator tensor follows the sign
     convention fixed at the top of this module, together with the
-    null-boost action matrices spanning the reachable isotropy.
-    All arithmetic is rational, so the result is exact.
+    null-boost action matrices spanning the reachable isotropy.  The
+    chain is the float one run on Fraction arrays, where the profile jet
+    at z = 0 is H, [H,F], [[H,F],F], ..., so the result is exact.
     """
-    n, d = pw.n, pw.dim
-    s = Fraction(s)
-    x = [Fraction(v) for v in x]
-    if len(x) != n:
+    x = np.array([Fraction(v) for v in x], dtype=object)
+    if len(x) != pw.n:
         raise ValueError("x must have n components")
-    m0, m1, m2 = _exact_profile_jet(pw)
-
-    def quad(m):
-        return sum(x[i] * m[i][j] * x[j] for i in range(n) for j in range(n))
-
-    def mv(m):
-        return [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)]
-
-    q = quad(m0)
-    zero = Fraction(0)
-
-    g = [[zero] * d for _ in range(d)]
-    g[0][0] = 2 * (q + s)
-    g[0][1] = g[1][0] = Fraction(1)
-    for i in range(n):
-        g[2 + i][2 + i] = Fraction(1)
-    ginv = mat_inverse(g, EXACT)
-
-    dg = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    dg[0][0][0] = 2 * quad(m1)
-    dg[1][0][0] = Fraction(2)
-    v0 = mv(m0)
-    for k in range(n):
-        dg[2 + k][0][0] = 4 * v0[k]
-
-    ddg = [[[[zero] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    ddg[0][0][0][0] = 2 * quad(m2)
-    v1 = mv(m1)
-    for k in range(n):
-        ddg[0][2 + k][0][0] = ddg[2 + k][0][0][0] = 4 * v1[k]
-        for l in range(n):
-            ddg[2 + k][2 + l][0][0] = 4 * m0[k][l]
-
-    def gamma_low(dgm):
-        out = [[[zero] * d for _ in range(d)] for _ in range(d)]
-        for m in range(d):
-            for nn in range(d):
-                for t in range(d):
-                    out[m][nn][t] = (dgm[m][nn][t] + dgm[nn][m][t] - dgm[t][m][nn]) / 2
-        return out
-
-    low = gamma_low(dg)
-    gamma = [[[sum(ginv[r][t] * low[m][nn][t] for t in range(d)) for nn in range(d)] for m in range(d)] for r in range(d)]
-
-    dginv = [
-        [
-            [
-                -sum(ginv[r][a] * dg[k][a][b] * ginv[b][t] for a in range(d) for b in range(d))
-                for t in range(d)
-            ]
-            for r in range(d)
-        ]
-        for k in range(d)
-    ]
-    dlow = [
-        [
-            [
-                [(ddg[k][m][nn][t] + ddg[k][nn][m][t] - ddg[k][t][m][nn]) / 2 for t in range(d)]
-                for nn in range(d)
-            ]
-            for m in range(d)
-        ]
-        for k in range(d)
-    ]
-    dgamma = [
-        [
-            [
-                [
-                    sum(dginv[k][r][t] * low[m][nn][t] + ginv[r][t] * dlow[k][m][nn][t] for t in range(d))
-                    for nn in range(d)
-                ]
-                for m in range(d)
-            ]
-            for r in range(d)
-        ]
-        for k in range(d)
-    ]
-
-    # coordinate structure tensor and its derivative
-    hs = frame_structure(pw)
-    e = [[zero] * d for _ in range(d)]
-    e[0][0] = Fraction(1)
-    e[1][0] = q + s
-    e[1][1] = Fraction(1)
-    for i in range(n):
-        e[2 + i][2 + i] = Fraction(1)
-    de = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    de[0][1][0] = quad(m1)
-    de[1][1][0] = Fraction(1)
-    for k in range(n):
-        de[2 + k][1][0] = 2 * v0[k]
-
-    s_entries = [(idx, hs.S[idx]) for idx in hs.S.indices() if hs.S[idx] != 0]
-    s_coord = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    ds_coord = [[[[zero] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for (a, b, c), v in s_entries:
-        for m in range(d):
-            if e[a][m] == 0 and all(de[k][a][m] == 0 for k in range(d)):
-                continue
-            for nn in range(d):
-                for t in range(d):
-                    s_coord[m][nn][t] += v * e[a][m] * e[b][nn] * e[c][t]
-                    for k in range(d):
-                        ds_coord[k][m][nn][t] += v * (
-                            de[k][a][m] * e[b][nn] * e[c][t]
-                            + e[a][m] * de[k][b][nn] * e[c][t]
-                            + e[a][m] * e[b][nn] * de[k][c][t]
-                        )
-
-    s_up = [
-        [[sum(s_coord[m][nn][t] * ginv[r][t] for t in range(d)) for r in range(d)] for nn in range(d)]
-        for m in range(d)
-    ]
-    ds_up = [
-        [
-            [
-                [
-                    sum(
-                        ds_coord[k][m][nn][t] * ginv[r][t] + s_coord[m][nn][t] * dginv[k][r][t]
-                        for t in range(d)
-                    )
-                    for r in range(d)
-                ]
-                for nn in range(d)
-            ]
-            for m in range(d)
-        ]
-        for k in range(d)
-    ]
-
-    gbar = [
-        [[gamma[r][m][nn] - s_up[m][nn][r] for nn in range(d)] for m in range(d)]
-        for r in range(d)
-    ]
-    dgbar = [
-        [
-            [[dgamma[k][r][m][nn] - ds_up[k][m][nn][r] for nn in range(d)] for m in range(d)]
-            for r in range(d)
-        ]
-        for k in range(d)
-    ]
-
-    # curvature of the connection with torsion
-    rbar = [[[[zero] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for r in range(d):
-        for t in range(d):
-            for m in range(d):
-                for nn in range(d):
-                    val = dgbar[m][r][nn][t] - dgbar[nn][r][m][t]
-                    for l in range(d):
-                        val += gbar[r][m][l] * gbar[l][nn][t] - gbar[r][nn][l] * gbar[l][m][t]
-                    rbar[r][t][m][nn] = val
-
-    # convert to frame components: form slots from frame vectors, the
-    # endomorphism conjugated by the coframe
-    theta = mat_inverse(e, EXACT)  # theta[mu][A]: frame vectors as columns
-    entries = {}
-    for a in range(d):
-        for b in range(d):
-            for cc in range(d):
-                for dd in range(d):
-                    val = zero
-                    for r in range(d):
-                        for t in range(d):
-                            if e[cc][r] == 0:
-                                continue
-                            for m in range(d):
-                                if theta[m][a] == 0:
-                                    continue
-                                for nn in range(d):
-                                    val += (
-                                        e[cc][r]
-                                        * rbar[r][t][m][nn]
-                                        * theta[t][dd]
-                                        * theta[m][a]
-                                        * theta[nn][b]
-                                    )
-                    if val != 0:
-                        entries[(a, b, cc, dd)] = val
-    rbar_frame = Tensor.from_entries(d, (DOWN, DOWN, UP, DOWN), entries, EXACT)
-    metric = frame_metric(n, EXACT)
-    boosts = null_boost_basis(n)
-    return CurvatureAtPoint(rbar_frame, boosts, metric)
+    prof = _commutator_jet(np.array(pw.H, dtype=object), np.array(pw.F, dtype=object))
+    frame = _frame_curvature(pw, prof, Fraction(s), x, Fraction(0))
+    rbar = Tensor(pw.dim, (DOWN, DOWN, UP, DOWN), tuple(frame.reshape(-1)), EXACT)
+    return CurvatureAtPoint(rbar, null_boost_basis(pw.n), frame_metric(pw.n, EXACT))
 
 
 def null_boost_basis(n):

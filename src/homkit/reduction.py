@@ -714,21 +714,6 @@ def assemble_algebra(ansatz):
 # ---------------------------------------------------------------------------
 
 
-def _equivariance_residual(ansatz, tensors, rot_seeds, occ=None):
-    worst = ZERO
-    n = ansatz.n
-    rot = _span_closure(rot_seeds, n)
-    for omega in rot:
-        if occ is not None:
-            for a in occ:
-                for m in range(n):
-                    if m not in occ:
-                        worst = max(worst, abs(omega[m][a]))
-        for tensor, rank in tensors:
-            worst = max(worst, _deriv_action(omega, tensor, rank))
-    return worst
-
-
 def verify_constraints(ansatz):
     """Named residual table; all entries vanish exactly on a consistent
     ansatz and some entry is nonzero whenever the assembled table fails
@@ -1158,12 +1143,7 @@ def degenerate_reduce(ansatz):
 
     # the table with rotation images absorbed must be, on the nose, the
     # wave table restricted to the generators that are present
-    b3 = mat_identity(dim, EXACT)
-    for i in absent:
-        coeffs = _expand_in(rot, sigmas[i], n)
-        for p, cf in enumerate(coeffs):
-            b3[2 + n + nb + p][iz(i)] = cf
-    absorbed = _apply_new_generators(algebra, b3, labels=algebra.labels)
+    absorbed = _apply_new_generators(algebra, b2, labels=algebra.labels)
     wave = pw_isometry_algebra(pw)
     present = {0: 0, 1: 1}
     for i in range(n):

@@ -15,6 +15,8 @@ from homkit.lie_algebra import jacobi_residual
 from homkit.plane_wave import (
     ChartPoint,
     PlaneWaveData,
+    _commutator_jet,
+    _frame_curvature,
     as_residuals,
     boost_block,
     christoffel,
@@ -312,3 +314,39 @@ class TestClosingTheLoop:
         a = exact_curvature(GENERIC, Fraction(1, 3), (Fraction(1, 2), Fraction(-2, 5)))
         b = exact_curvature(GENERIC, Fraction(-2), (Fraction(0), Fraction(5, 7)))
         assert a.Rbar == b.Rbar
+
+
+def rational_point(rng, n):
+    s = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return s, tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+
+
+class TestScalarBackends:
+    """The one connection chain, on float64 arrays and on Fraction arrays."""
+
+    def test_float_chain_matches_exact_curvature(self):
+        rng = random.Random(31)
+        for n in (1, 2, 3):
+            for _ in range(3):
+                pw = random_wave(rng, n)
+                s, x = rational_point(rng, n)
+                got = _frame_curvature(
+                    pw, profile_jet(pw, 0.0), float(s), np.array([float(v) for v in x]), 0.0
+                )
+                assert got.dtype == np.float64
+                want = exact_curvature(pw, s, x).Rbar
+                want = np.array([float(v) for v in want.components]).reshape(got.shape)
+                assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_exact_backend_holds_only_fractions(self):
+        rng = random.Random(32)
+        for n in (1, 2, 3):
+            pw = random_wave(rng, n)
+            s, x = rational_point(rng, n)
+            prof = _commutator_jet(np.array(pw.H, dtype=object), np.array(pw.F, dtype=object))
+            frame = _frame_curvature(
+                pw, prof, s, np.array(x, dtype=object), Fraction(0)
+            )
+            assert all(type(v) is Fraction for v in frame.flat)
+            curv = exact_curvature(pw, s, x)
+            assert all(type(v) is Fraction for v in curv.Rbar.components)
