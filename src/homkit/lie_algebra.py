@@ -93,7 +93,7 @@ class LieAlgebra:
     def from_json(cls, data):
         dim = data["dim"]
         brackets = {}
-        tag = EXACT
+        tag = None
         for key, row in data.get("brackets", {}).items():
             a, b = (int(p) for p in key.split(","))
             if not a < b:
@@ -101,10 +101,12 @@ class LieAlgebra:
             parsed = {}
             for c, raw in row.items():
                 val, t = parse_scalar(raw)
+                if tag not in (None, t):
+                    raise ValueError(f"mixed exact and float entries (bracket {key!r})")
                 tag = t
                 parsed[int(c)] = val
             brackets[(a, b)] = parsed
-        return cls.from_brackets(dim, brackets, labels=data.get("labels"), tag=tag)
+        return cls.from_brackets(dim, brackets, labels=data.get("labels"), tag=tag or EXACT)
 
     def dumps(self):
         return json.dumps(self.to_json(), sort_keys=True)

@@ -9,23 +9,26 @@ causal type of the defining vector:
   boosts and whatever transverse rotations the curvature data reaches.
 
 Everything is exact rational: "forced to vanish" always means an exact
-zero, and a Jacobi residual of zero is a proof.  The two reduce
-operations mechanize the generator redefinitions that bring a
-consistent table to symmetric-space or plane-wave normal form, and
-verify the expected bracket pattern exactly after the change of basis.
+zero, and a Jacobi residual of zero is a proof.  The arithmetic runs on
+numpy dtype=object arrays that hold only Fractions; the ansatz fields
+are stored as nested tuples of Fractions.  The two reduce operations
+mechanize the generator redefinitions that bring a consistent table to
+symmetric-space or plane-wave normal form, and verify the expected
+bracket pattern exactly after the change of basis.
 """
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import (
     EXACT,
     format_scalar,
-    mat_commutator,
     mat_identity,
     mat_inverse,
     row_reduce,
@@ -37,67 +40,110 @@ from .plane_wave import PlaneWaveData, pw_isometry_algebra
 
 ZERO = Fraction(0)
 
-
-def _frac_rows(rows, n, name):
-    out = [[Fraction(x) for x in row] for row in rows]
-    if len(out) != n or any(len(r) != n for r in out):
-        raise ValueError(f"{name} must be {n} x {n}")
-    return out
-
-
-def _check_antisym(m, name):
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != -m[j][i]:
-                raise ValueError(f"{name} must be antisymmetric")
+# Levi-Civita symbol on three indices, as Python ints
+_LEVI_CIVITA = np.array(
+    [[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+     [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+     [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]],
+    dtype=object,
+)
 
 
-def _rank3(data, n, name):
-    out = [[[Fraction(x) for x in row] for row in plane] for plane in data]
-    if len(out) != n or any(len(p) != n for p in out) or any(
-        len(r) != n for p in out for r in p
-    ):
-        raise ValueError(f"{name} must be n x n x n")
-    return out
+# ---------------------------------------------------------------------------
+# Fraction arrays
+# ---------------------------------------------------------------------------
 
 
-def _rank4(data, n, name):
-    out = [[[[Fraction(x) for x in row] for row in p2] for p2 in p1] for p1 in data]
-    if len(out) != n or any(
-        len(p1) != n or any(len(p2) != n or any(len(r) != n for r in p2) for p2 in p1)
-        for p1 in out
-    ):
-        raise ValueError(f"{name} must be n x n x n x n")
-    return out
+def _rational(x, name):
+    if type(x) is Fraction:
+        return x
+    if not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"{name}: {x!r} is not a rational number")
 
 
-def _zeros2(n):
-    return [[ZERO] * n for _ in range(n)]
+def _array(data, shape, name):
+    """Fraction object array of the given shape (None: any length).
+
+    The nesting is checked before any entry is parsed, so a missing,
+    extra or ragged level is reported as a shape error of the field.
+    """
+
+    def fits(x, depth):
+        if depth == len(shape):
+            return not isinstance(x, (list, tuple, dict, np.ndarray))
+        return (
+            isinstance(x, (list, tuple, np.ndarray))
+            and shape[depth] in (None, len(x))
+            and all(fits(y, depth + 1) for y in x)
+        )
+
+    if not fits(data, 0):
+        dims = " x ".join("k" if s is None else str(s) for s in shape)
+        raise ValueError(f"{name} must be nested lists of shape {dims}")
+    flat = np.array(data, dtype=object).reshape([-1 if s is None else s for s in shape])
+    return np.frompyfunc(lambda x: _rational(x, name), 1, 1)(flat)
 
 
-def _zeros3(n):
-    return [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+def _zeros(shape):
+    return np.full(shape, ZERO, dtype=object)
 
 
-def _zeros4(n):
-    return [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+def _eye(n):
+    return np.array(mat_identity(n, EXACT), dtype=object)
 
 
-def _max_abs(values):
-    worst = ZERO
-    for v in values:
-        a = abs(v)
-        if a > worst:
-            worst = a
-    return worst
+def _arrays(ansatz, *names):
+    return [np.array(getattr(ansatz, k), dtype=object) for k in names]
+
+
+def _freeze(a):
+    """Nested tuples of Fractions, the stored form of an array field."""
+    return tuple(map(_freeze, a)) if a.ndim > 1 else tuple(a)
+
+
+def _fmt(t):
+    if isinstance(t, (tuple, list, np.ndarray)):
+        return [_fmt(x) for x in t]
+    return format_scalar(t)
+
+
+def _store(obj, **values):
+    """Set the fields of a frozen ansatz, arrays frozen to nested tuples."""
+    for name, v in values.items():
+        object.__setattr__(obj, name, _freeze(v) if isinstance(v, np.ndarray) else v)
+
+
+def _max_abs(*arrays):
+    """Largest magnitude among the entries; Fraction zero when there are none."""
+    return max([ZERO] + [abs(x) for a in arrays for x in np.ravel(a)])
+
+
+def _upper(t):
+    """The (i, j), i < j, slices of t's first two slots, in row order."""
+    return t[np.triu_indices(len(t), 1)]
+
+
+def _eta_diag(aleph, n):
+    return np.array([Fraction(-aleph)] + [Fraction(1)] * (n - 1), dtype=object)
 
 
 def eta_matrix(aleph, n):
     """Transverse metric diag(-aleph, 1, .., 1) of the non-degenerate split."""
-    m = mat_identity(n, EXACT)
-    m[0][0] = Fraction(-aleph)
-    return m
+    return (_eye(n) * _eta_diag(aleph, n)).tolist()
+
+
+def _derivation(m, t, slots=None):
+    """sum over slots s of m[i_s, l] t[.., l, ..] (default: every slot).
+
+    With m = omega^T this is the rotation omega acting on an all-lower
+    array, which vanishes exactly when the array is invariant.
+    """
+    slots = range(t.ndim) if slots is None else slots
+    return sum((t.swapaxes(s, -1) @ m.T).swapaxes(s, -1) for s in slots)
 
 
 def f_derivation(f, c):
@@ -106,38 +152,23 @@ def f_derivation(f, c):
     (delta_F C)_ijk = F_il C_ljk + F_jl C_ilk + F_kl C_ijl; total
     antisymmetry of C is preserved.
     """
-    n = len(f)
-    if len(c) != n:
+    f, c = np.array(f, dtype=object), np.array(c, dtype=object)
+    if len(f) != len(c):
         raise ValueError("F and C sizes differ")
-    out = _zeros3(n)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        v = ZERO
-        for l in range(n):
-            v += f[i][l] * c[l][j][k] + f[j][l] * c[i][l][k] + f[k][l] * c[i][j][l]
-        out[i][j][k] = v
-    return out
+    return _derivation(f, c).tolist()
 
 
-def _deriv_action(omega, tensor, rank):
-    """Rotation derivation on an all-lower r-index array; zero = invariant."""
-    n = len(omega)
-    def get(idx):
-        v = tensor
-        for i in idx:
-            v = v[i]
-        return v
+def _cyclic(t):
+    """t[i, j, k, ..] + t[j, k, i, ..] + t[k, i, j, ..]."""
+    rest = tuple(range(3, t.ndim))
+    return t + t.transpose(2, 0, 1, *rest) + t.transpose(1, 2, 0, *rest)
 
-    worst = ZERO
-    for idx in itertools.product(range(n), repeat=rank):
-        v = ZERO
-        for s in range(rank):
-            for m in range(n):
-                jdx = list(idx)
-                jdx[s] = m
-                v += omega[m][idx[s]] * get(jdx)
-        if abs(v) > worst:
-            worst = abs(v)
-    return worst
+
+def _occupied(t, absent):
+    """t with the all-absent block zeroed: the entries with an occupied index."""
+    t = t.copy()
+    t[np.ix_(*[absent] * t.ndim)] = ZERO
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +178,15 @@ def _deriv_action(omega, tensor, rank):
 
 def _span_closure(seeds, n):
     """Deterministic basis of the Lie closure of the seed rotation matrices."""
-    basis = []
-    reduced = []
-
-    def in_span(m):
-        flat = [m[i][j] for i in range(n) for j in range(n)]
-        if not reduced:
-            return all(x == 0 for x in flat)
-        rows, piv = reduced
-        return solve_in_span(rows, piv, flat) is not None
+    basis, rows, piv = [], [], []
 
     def add(m):
-        if in_span(m):
+        nonlocal rows, piv
+        flat = m.reshape(-1).tolist()
+        if solve_in_span(rows, piv, flat) is not None:
             return False
-        basis.append([list(r) for r in m])
-        flats = [[b[i][j] for i in range(n) for j in range(n)] for b in basis]
-        reduced[:] = []
-        rows, piv = row_reduce(flats)
-        reduced.append(rows)
-        reduced.append(piv)
+        basis.append(m)
+        rows, piv = row_reduce(rows + [flat])
         return True
 
     for s in seeds:
@@ -175,22 +196,87 @@ def _span_closure(seeds, n):
         changed = False
         for a in list(basis):
             for b in list(basis):
-                if add(mat_commutator(a, b)):
+                if add(a @ b - b @ a):
                     changed = True
-    return basis
+    return np.array(basis, dtype=object).reshape(len(basis), n, n)
 
 
-def _expand_in(basis, m, n):
-    """Exact coefficients of m against the rotation basis, or None."""
-    if not basis:
-        return [] if all(x == 0 for row in m for x in row) else None
-    cols = [[basis[p][i][j] for p in range(len(basis))] for i in range(n) for j in range(n)]
-    return solve_linear(cols, [m[i][j] for i in range(n) for j in range(n)])
+def _coords(rot, mats):
+    """Coefficients of each matrix against the span basis rot, one row each.
+
+    Only seeds of the span and commutators of its basis elements come
+    here, and the closure contains both, so every system is consistent.
+    """
+    k = len(rot)
+    if not k:
+        return _zeros((len(mats), 0))
+    cols = rot.reshape(k, -1).T.tolist()
+    rows = [solve_linear(cols, m.reshape(-1).tolist()) for m in mats]
+    return np.array(rows, dtype=object).reshape(len(mats), k)
+
+
+def _nondeg_rotations(ansatz):
+    """Rotation images sigma_i of the Z_i, s_hat_ij of the pairs, and their span."""
+    d = _eta_diag(ansatz.aleph, ansatz.n)
+    r, s = _arrays(ansatz, "R", "Scurv")
+    # action matrix of the element with coefficients R[i]: 2 R_i eta
+    sigmas, hats = 2 * r * d, 2 * s * d
+    extra = [np.array(m, dtype=object) for m in ansatz.h_basis]
+    return sigmas, hats, _span_closure([*sigmas, *_upper(hats), *extra], ansatz.n)
+
+
+def _deg_rotations(ansatz):
+    """Rotation images sigma_i = R_i, n_hat_ij = 2 N_ij and y_hat = 2 Y, and their span."""
+    r, nn, y = _arrays(ansatz, "R", "N", "Y")
+    hats = 2 * nn
+    return r, hats, _span_closure([*r, *_upper(hats), 2 * y], ansatz.n)
 
 
 # ---------------------------------------------------------------------------
 # ansatz types
 # ---------------------------------------------------------------------------
+
+
+# rank of each array field of the two ansatz types, then the slot pairs
+# under which it is antisymmetric
+_FIELDS = {
+    "W": (1,),
+    "F": (2, (0, 1)),
+    "aleph2": (2, (0, 1)),
+    "C": (3, (0, 1), (1, 2)),
+    "h": (2,),
+    "A": (2,),
+    "Y": (2, (0, 1)),
+    "R": (3, (1, 2)),
+    "S3": (3, (0, 1)),
+    "N": (4, (0, 1), (2, 3)),
+    "Scurv": (4, (0, 1), (2, 3)),
+}
+_NONDEG_ARRAYS = ("F", "C", "R", "Scurv")
+_DEG_ARRAYS = ("W", "F", "aleph2", "C", "h", "A", "Y", "R", "S3", "N")
+
+
+def _field(ansatz, name):
+    """The named field as an n x .. x n Fraction array, symmetries checked."""
+    rank, *pairs = _FIELDS[name]
+    a = _array(getattr(ansatz, name), (ansatz.n,) * rank, name)
+    for i, j in pairs:
+        if (a != -a.swapaxes(i, j)).any():
+            raise ValueError(f"{name} must be antisymmetric in slots {i} and {j}")
+    return a
+
+
+def _check_n(n):
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be a positive integer, not {n!r}")
+    return n
+
+
+def _nonzero_lam(lam):
+    lam = _rational(lam, "lambda")
+    if lam == 0:
+        raise ValueError("lam must be nonzero")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -215,38 +301,18 @@ class NondegenerateAnsatz:
     h_basis: tuple = ()
 
     def __post_init__(self):
-        n = self.n
-        lam = Fraction(self.lam)
-        if lam == 0:
-            raise ValueError("lam must be nonzero")
-        if self.aleph not in (1, -1):
+        n = _check_n(self.n)
+        lam = _nonzero_lam(self.lam)
+        if type(self.aleph) is not int or self.aleph not in (1, -1):
             raise ValueError("aleph must be +1 or -1")
         if (lam > 0) != (self.aleph > 0):
             raise ValueError("sign of lam must equal aleph")
-        f = _frac_rows(self.F, n, "F")
-        _check_antisym(f, "F")
-        c = _rank3(self.C, n, "C")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if c[i][j][k] != -c[j][i][k] or c[i][j][k] != -c[i][k][j]:
-                raise ValueError("C must be totally antisymmetric")
-        r = _rank3(self.R, n, "R")
-        for i, m, nn in itertools.product(range(n), repeat=3):
-            if r[i][m][nn] != -r[i][nn][m]:
-                raise ValueError("R must be antisymmetric in its last two slots")
-        s = _rank4(self.Scurv, n, "Scurv")
-        for i, j, m, nn in itertools.product(range(n), repeat=4):
-            if s[i][j][m][nn] != -s[j][i][m][nn] or s[i][j][m][nn] != -s[i][j][nn][m]:
-                raise ValueError("Scurv must be antisymmetric in both index pairs")
-        eta = eta_matrix(self.aleph, n)
-        hb = tuple(tuple(tuple(Fraction(x) for x in row) for row in m) for m in self.h_basis)
-        for m in hb:
-            _so_eta_check(m, eta)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "F", tuple(tuple(row) for row in f))
-        object.__setattr__(self, "C", _freeze3(c))
-        object.__setattr__(self, "R", _freeze3(r))
-        object.__setattr__(self, "Scurv", _freeze4(s))
-        object.__setattr__(self, "h_basis", hb)
+        fields = {k: _field(self, k) for k in _NONDEG_ARRAYS}
+        hb = _array(self.h_basis, (None, n, n), "h_basis")
+        eta_hb = _eta_diag(self.aleph, n)[:, None] * hb
+        if (eta_hb != -eta_hb.swapaxes(1, 2)).any():
+            raise ValueError("h_basis matrices must be eta-antisymmetric")
+        _store(self, lam=lam, h_basis=hb, **fields)
 
     @property
     def eta(self):
@@ -258,24 +324,15 @@ class NondegenerateAnsatz:
             "n": self.n,
             "lambda": str(self.lam),
             "aleph": self.aleph,
-            "F": _fmt2(self.F),
-            "C": _fmt3(self.C),
-            "R": _fmt3(self.R),
-            "Scurv": _fmt4(self.Scurv),
-            "h_basis": [_fmt2(m) for m in self.h_basis],
+            **{k: _fmt(getattr(self, k)) for k in _NONDEG_ARRAYS},
+            "h_basis": _fmt(self.h_basis),
         }
 
     @classmethod
     def from_json(cls, data):
         return cls(
-            n=data["n"],
-            lam=Fraction(data["lambda"]),
-            aleph=data["aleph"],
-            F=data["F"],
-            C=data["C"],
-            R=data["R"],
-            Scurv=data["Scurv"],
-            h_basis=tuple(data.get("h_basis", ())),
+            n=data["n"], lam=data["lambda"], aleph=data["aleph"],
+            h_basis=data.get("h_basis", ()), **{k: data[k] for k in _NONDEG_ARRAYS},
         )
 
 
@@ -307,92 +364,27 @@ class DegenerateAnsatz:
     N: tuple
 
     def __post_init__(self):
-        n = self.n
-        lam = Fraction(self.lam)
-        if lam == 0:
-            raise ValueError("lam must be nonzero")
-        occ = tuple(sorted(set(self.occupancy)))
-        if any(not 0 <= a < n for a in occ):
-            raise ValueError("occupancy indices out of range")
-        w = tuple(Fraction(x) for x in self.W)
-        if len(w) != n:
-            raise ValueError("W must have n components")
-        f = _frac_rows(self.F, n, "F")
-        _check_antisym(f, "F")
-        al = _frac_rows(self.aleph2, n, "aleph2")
-        _check_antisym(al, "aleph2")
-        c = _rank3(self.C, n, "C")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if c[i][j][k] != -c[j][i][k] or c[i][j][k] != -c[i][k][j]:
-                raise ValueError("C must be totally antisymmetric")
-        h = _frac_rows(self.h, n, "h")
-        a = _frac_rows(self.A, n, "A")
-        y = _frac_rows(self.Y, n, "Y")
-        _check_antisym(y, "Y")
-        r = _rank3(self.R, n, "R")
-        for i, m, nn in itertools.product(range(n), repeat=3):
-            if r[i][m][nn] != -r[i][nn][m]:
-                raise ValueError("R must be antisymmetric in its last two slots")
-        s3 = _rank3(self.S3, n, "S3")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if s3[i][j][k] != -s3[j][i][k]:
-                raise ValueError("S3 must be antisymmetric in its first two slots")
-        nn4 = _rank4(self.N, n, "N")
-        for i, j, k, l in itertools.product(range(n), repeat=4):
-            if nn4[i][j][k][l] != -nn4[j][i][k][l] or nn4[i][j][k][l] != -nn4[i][j][l][k]:
-                raise ValueError("N must be antisymmetric in both index pairs")
+        n = _check_n(self.n)
+        lam = _nonzero_lam(self.lam)
+        occ = self.occupancy
+        if not isinstance(occ, (list, tuple)) or any(
+            type(a) is not int or not 0 <= a < n for a in occ
+        ):
+            raise ValueError(f"occupancy must list null-boost indices in 0..{n - 1}")
+        occ = tuple(sorted(set(occ)))
+        fields = {k: _field(self, k) for k in _DEG_ARRAYS}
         absent = [i for i in range(n) if i not in occ]
-        for i in range(n):
-            for bad in absent:
-                if h[i][bad] != 0:
-                    raise ValueError(
-                        f"h[{i}][{bad}] references the absent null boost {bad}"
-                    )
-        for i, j in itertools.product(range(n), repeat=2):
-            for bad in absent:
-                if s3[i][j][bad] != 0:
-                    raise ValueError(
-                        f"S3[{i}][{j}][{bad}] references the absent null boost {bad}"
-                    )
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "occupancy", occ)
-        object.__setattr__(self, "W", w)
-        object.__setattr__(self, "F", tuple(tuple(row) for row in f))
-        object.__setattr__(self, "aleph2", tuple(tuple(row) for row in al))
-        object.__setattr__(self, "C", _freeze3(c))
-        object.__setattr__(self, "h", tuple(tuple(row) for row in h))
-        object.__setattr__(self, "A", tuple(tuple(row) for row in a))
-        object.__setattr__(self, "Y", tuple(tuple(row) for row in y))
-        object.__setattr__(self, "R", _freeze3(r))
-        object.__setattr__(self, "S3", _freeze3(s3))
-        object.__setattr__(self, "N", _freeze4(nn4))
+        for name in ("h", "S3"):
+            bad = np.argwhere(fields[name][..., absent] != 0)
+            if len(bad):
+                *idx, col = bad[0]
+                where = "".join(f"[{i}]" for i in (*idx, absent[col]))
+                raise ValueError(f"{name}{where} references the absent null boost {absent[col]}")
+        _store(self, lam=lam, occupancy=occ, **fields)
 
     def rescaled(self):
-        """The same data with the eigenvalue scaled to one.
-
-        Scaling U by 1/lam, V by lam and the null boosts by lam maps
-        (W, F, aleph2, C, h, A, Y, R, S3, N) to
-        (W, F/lam, lam*aleph2, C, h/lam^2, A/lam^2, Y, R/lam, S3/lam, N).
-        """
-        lam = self.lam
-        if lam == 1:
-            return self
-        n = self.n
-        return DegenerateAnsatz(
-            n=n,
-            lam=Fraction(1),
-            occupancy=self.occupancy,
-            W=self.W,
-            F=[[x / lam for x in row] for row in self.F],
-            aleph2=[[x * lam for x in row] for row in self.aleph2],
-            C=self.C,
-            h=[[x / lam ** 2 for x in row] for row in self.h],
-            A=[[x / lam ** 2 for x in row] for row in self.A],
-            Y=self.Y,
-            R=[[[x / lam for x in row] for row in p] for p in self.R],
-            S3=[[[x / lam for x in row] for row in p] for p in self.S3],
-            N=self.N,
-        )
+        """The same data with the eigenvalue scaled to one."""
+        return _at_scale(self, Fraction(1))
 
     def to_json(self):
         return {
@@ -400,66 +392,31 @@ class DegenerateAnsatz:
             "n": self.n,
             "lambda": str(self.lam),
             "occupancy": list(self.occupancy),
-            "W": [str(x) for x in self.W],
-            "F": _fmt2(self.F),
-            "aleph2": _fmt2(self.aleph2),
-            "C": _fmt3(self.C),
-            "h": _fmt2(self.h),
-            "A": _fmt2(self.A),
-            "Y": _fmt2(self.Y),
-            "R": _fmt3(self.R),
-            "S3": _fmt3(self.S3),
-            "N": _fmt4(self.N),
+            **{k: _fmt(getattr(self, k)) for k in _DEG_ARRAYS},
         }
 
     @classmethod
     def from_json(cls, data):
         return cls(
-            n=data["n"],
-            lam=Fraction(data["lambda"]),
-            occupancy=tuple(data["occupancy"]),
-            W=tuple(Fraction(x) for x in data["W"]),
-            F=data["F"],
-            aleph2=data["aleph2"],
-            C=data["C"],
-            h=data["h"],
-            A=data["A"],
-            Y=data["Y"],
-            R=data["R"],
-            S3=data["S3"],
-            N=data["N"],
+            n=data["n"], lam=data["lambda"], occupancy=data["occupancy"],
+            **{k: data[k] for k in _DEG_ARRAYS},
         )
 
 
-def _freeze3(t):
-    return tuple(tuple(tuple(row) for row in p) for p in t)
+def _at_scale(ansatz, lam):
+    """The same degenerate data presented at eigenvalue lam.
 
-
-def _freeze4(t):
-    return tuple(tuple(tuple(tuple(r) for r in p2) for p2 in p1) for p1 in t)
-
-
-def _fmt2(m):
-    return [[format_scalar(x) for x in row] for row in m]
-
-
-def _fmt3(t):
-    return [[[format_scalar(x) for x in row] for row in p] for p in t]
-
-
-def _fmt4(t):
-    return [[[[format_scalar(x) for x in r] for r in p2] for p2 in p1] for p1 in t]
-
-
-def _so_eta_check(m, eta):
-    n = len(eta)
-    for i in range(n):
-        for j in range(n):
-            s = ZERO
-            for k in range(n):
-                s += eta[i][k] * m[k][j] + eta[j][k] * m[k][i]
-            if s != 0:
-                raise ValueError("rotation matrix is not eta-antisymmetric")
+    Scaling U by 1/t, V by t and the null boosts by t, t = lam / ansatz.lam,
+    maps (W, F, aleph2, C, h, A, Y, R, S3, N) to
+    (W, t F, aleph2 / t, C, t^2 h, t^2 A, Y, t R, t S3, N).
+    """
+    t = _nonzero_lam(lam) / ansatz.lam
+    if t == 1:
+        return ansatz
+    f, al, h, a, r, s3 = _arrays(ansatz, "F", "aleph2", "h", "A", "R", "S3")
+    return dataclasses.replace(
+        ansatz, lam=lam, F=f * t, aleph2=al / t, h=h * t ** 2, A=a * t ** 2, R=r * t, S3=s3 * t
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -467,103 +424,104 @@ def _so_eta_check(m, eta):
 # ---------------------------------------------------------------------------
 
 
-def _rotation_seeds_nondeg(ansatz):
-    n = ansatz.n
-    eta = ansatz.eta
-    sigmas = []
-    for i in range(n):
-        # action matrix of the element with coefficients R[i]: 2 R_i eta
-        sigmas.append(
-            [[2 * sum(ansatz.R[i][m][k] * eta[k][j] for k in range(n)) for j in range(n)]
-             for m in range(n)]
-        )
-    s_hats = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            s_hats[(i, j)] = [
-                [2 * sum(ansatz.Scurv[i][j][m][k] * eta[k][l] for k in range(n))
-                 for l in range(n)]
-                for m in range(n)
-            ]
-    return sigmas, s_hats
+def _algebra(table, labels):
+    """The exact algebra with [e_a, e_b] = table[a, b], read off for a < b."""
+    dim = len(labels)
+    brackets = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            row = {c: v for c, v in enumerate(table[a, b]) if v != 0}
+            if row:
+                brackets[(a, b)] = row
+    return LieAlgebra.from_brackets(dim, brackets, labels=labels, tag=EXACT)
+
+
+def _rotation_brackets(table, rot, m0, acted):
+    """Fill [X, M_p] for each (positions in table, positions in rot) pair in
+    acted, and [M_p, M_q] in the span basis; M_p sits at m0 + p."""
+    ms = range(m0, m0 + len(rot))
+    for at, sub in acted:
+        # [X_i, M_p] = -rot[p][m][i] X_m, key order (X_i, M_p)
+        table[np.ix_(at, ms, at)] = -rot[:, sub][:, :, sub].transpose(2, 0, 1)
+    p, q = np.triu_indices(len(rot), 1)
+    table[m0 + p, m0 + q, m0:] = _coords(rot, rot[p] @ rot[q] - rot[q] @ rot[p])
+
+
+def _assemble_nondeg(ansatz, rotations):
+    sigmas, hats, rot = rotations
+    n, k = ansatz.n, len(rot)
+    f, c = _arrays(ansatz, "F", "C")
+    d = _eta_diag(ansatz.aleph, n)
+    labels = ["V"] + [f"Z{i+1}" for i in range(n)] + [f"M{p+1}" for p in range(k)]
+    z, iz, m0 = slice(1, 1 + n), np.arange(1, 1 + n), 1 + n
+    i, j = np.triu_indices(n, 1)
+    table = _zeros((len(labels),) * 3)
+    # [V, Z_i] = lam Z_i + (F eta)_ij Z_j + sigma_i
+    table[0, z, z] = f * d
+    table[0, iz, iz] += ansatz.lam
+    table[0, z, m0:] = _coords(rot, sigmas)
+    # [Z_i, Z_j] = aleph F_ij V + (C eta)_ijm Z_m + s_hat_ij
+    table[z, z, 0] = ansatz.aleph * f
+    table[z, z, z] = c * d
+    table[iz[i], iz[j], m0:] = _coords(rot, hats[i, j])
+    _rotation_brackets(table, rot, m0, [(iz, range(n))])
+    return _algebra(table, labels), rot
 
 
 def assemble_nondegenerate(ansatz):
     """The bracket table on (V, Z_i, rotations) read off the ansatz."""
-    n = ansatz.n
-    lam = ansatz.lam
-    eta = ansatz.eta
-    sigmas, s_hats = _rotation_seeds_nondeg(ansatz)
-    seeds = list(sigmas) + list(s_hats.values()) + [list(map(list, m)) for m in ansatz.h_basis]
-    rot = _span_closure(seeds, n)
-    k = len(rot)
-    dim = 1 + n + k
-    labels = ["V"] + [f"Z{i+1}" for i in range(n)] + [f"M{p+1}" for p in range(k)]
-
-    def rot_coeffs(m, where):
-        coeffs = _expand_in(rot, m, n)
-        if coeffs is None:
-            raise ValueError(f"rotation data outside the closed span at {where}")
-        return coeffs
-
-    brackets = {}
-    f_up = [[sum(ansatz.F[i][l] * eta[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
-    c_up = [
-        [[sum(ansatz.C[i][j][l] * eta[l][m] for l in range(n)) for m in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    for i in range(n):
-        row = {1 + i: lam}
-        for j in range(n):
-            if f_up[i][j] != 0:
-                row[1 + j] = row.get(1 + j, ZERO) + f_up[i][j]
-        for p, cf in enumerate(rot_coeffs(sigmas[i], f"[V,Z{i+1}]")):
-            if cf != 0:
-                row[1 + n + p] = cf
-        brackets[(0, 1 + i)] = {c: v for c, v in row.items() if v != 0}
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = {}
-            v = ansatz.aleph * ansatz.F[i][j]
-            if v != 0:
-                row[0] = v
-            for m in range(n):
-                if c_up[i][j][m] != 0:
-                    row[1 + m] = c_up[i][j][m]
-            for p, cf in enumerate(rot_coeffs(s_hats[(i, j)], f"[Z{i+1},Z{j+1}]")):
-                if cf != 0:
-                    row[1 + n + p] = cf
-            if row:
-                brackets[(1 + i, 1 + j)] = row
-    for p in range(k):
-        for i in range(n):
-            row = {}
-            for m in range(n):
-                if rot[p][m][i] != 0:
-                    row[1 + m] = -rot[p][m][i]  # key order (Z_i, M_p)
-            if row:
-                brackets[(1 + i, 1 + n + p)] = row
-        for q in range(p + 1, k):
-            comm = mat_commutator(rot[p], rot[q])
-            row = {}
-            for r, cf in enumerate(rot_coeffs(comm, f"[M{p+1},M{q+1}]")):
-                if cf != 0:
-                    row[1 + n + r] = cf
-            if row:
-                brackets[(1 + n + p, 1 + n + q)] = row
-    algebra = LieAlgebra.from_brackets(dim, brackets, labels=labels, tag=EXACT)
-    return algebra, rot
+    return _assemble_nondeg(ansatz, _nondeg_rotations(ansatz))
 
 
-def _rotation_seeds_deg(ansatz):
-    n = ansatz.n
-    sigmas = [[[ansatz.R[i][j][m] for m in range(n)] for j in range(n)] for i in range(n)]
-    n_hats = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            n_hats[(i, j)] = [[2 * ansatz.N[i][j][k][l] for l in range(n)] for k in range(n)]
-    y_hat = [[2 * ansatz.Y[k][l] for l in range(n)] for k in range(n)]
-    return sigmas, n_hats, y_hat
+def _assemble_deg(ansatz, rotations):
+    sigmas, hats, rot = rotations
+    n, lam = ansatz.n, ansatz.lam
+    occ = list(ansatz.occupancy)
+    absent = [i for i in range(n) if i not in occ]
+    for omega in rot:
+        moved = np.argwhere(omega[np.ix_(absent, occ)].T != 0)
+        if len(moved):
+            a, m = moved[0]
+            raise ValueError(
+                f"rotation span moves null boost {occ[a]} onto the absent direction {absent[m]}"
+            )
+    nb, k = len(occ), len(rot)
+    labels = (
+        ["U", "V"]
+        + [f"Z{i+1}" for i in range(n)]
+        + [f"Zb{a+1}" for a in occ]
+        + [f"M{p+1}" for p in range(k)]
+    )
+    w, f, al, c, h, y, s3 = _arrays(ansatz, "W", "F", "aleph2", "C", "h", "Y", "S3")
+    z, b, m0 = slice(2, 2 + n), slice(2 + n, 2 + n + nb), 2 + n + nb
+    iz, ib = np.arange(2, 2 + n), np.arange(2 + n, m0)
+    i, j = np.triu_indices(n, 1)
+    table = _zeros((len(labels),) * 3)
+    # [U, V] = lam V + W^k Z_k - 2 lam W_a Zb_a + Y-rotation
+    table[0, 1, 1] = lam
+    table[0, 1, z] = w
+    table[0, 1, b] = -2 * lam * w[occ]
+    table[0, 1, m0:] = _coords(rot, [2 * y])[0]
+    # [U, Z_i] = lam Z_i - W_i U + F_ij Z_j + h_ia Zb_a + sigma_i
+    table[0, z, 0] = -w
+    table[0, z, z] = f
+    table[0, iz, iz] += lam
+    table[0, z, b] = h[:, occ]
+    table[0, z, m0:] = _coords(rot, sigmas)
+    # [V, Z_i] = W_i V + aleph2_i^j Z_j
+    table[1, z, 1] = w
+    table[1, z, z] = al
+    # [Z_i, Z_j] = aleph2_ij U + F_ij V + C_ijm Z_m + S3_ija Zb_a + n_hat_ij
+    table[z, z, 0] = al
+    table[z, z, 1] = f
+    table[z, z, z] = c
+    table[z, z, b] = s3[:, :, occ]
+    table[iz[i], iz[j], m0:] = _coords(rot, hats[i, j])
+    # canonical boost relations [U, Zb_a] = Z_a, [Z_a, Zb_a] = -V
+    table[0, ib, iz[occ]] = Fraction(1)
+    table[iz[occ], ib, 1] = Fraction(-1)
+    _rotation_brackets(table, rot, m0, [(iz, range(n)), (ib, occ)])
+    return _algebra(table, labels), rot
 
 
 def assemble_degenerate(ansatz):
@@ -573,126 +531,7 @@ def assemble_degenerate(ansatz):
     occupied directions; unoccupied components of W survive only in the
     tangent part, which is what makes them inconsistent.
     """
-    n = ansatz.n
-    lam = ansatz.lam
-    occ = ansatz.occupancy
-    sigmas, n_hats, y_hat = _rotation_seeds_deg(ansatz)
-    seeds = list(sigmas) + list(n_hats.values()) + [y_hat]
-    rot = _span_closure(seeds, n)
-    k = len(rot)
-    for omega in rot:
-        for a in occ:
-            for m in range(n):
-                if m not in occ and omega[m][a] != 0:
-                    raise ValueError(
-                        f"rotation span moves null boost {a} onto the absent direction {m}"
-                    )
-    boosts = list(occ)
-    nb = len(boosts)
-    dim = 2 + n + nb + k
-    labels = (
-        ["U", "V"]
-        + [f"Z{i+1}" for i in range(n)]
-        + [f"Zb{a+1}" for a in boosts]
-        + [f"M{p+1}" for p in range(k)]
-    )
-    iz = lambda i: 2 + i
-    ib = {a: 2 + n + boosts.index(a) for a in boosts}
-    im = lambda p: 2 + n + nb + p
-
-    def rot_coeffs(m, where):
-        coeffs = _expand_in(rot, m, n)
-        if coeffs is None:
-            raise ValueError(f"rotation data outside the closed span at {where}")
-        return coeffs
-
-    brackets = {}
-    # [U, V] = lam V + W^k Z_k - 2 lam W_a Zb_a + Y-rotation
-    row = {1: lam}
-    for kk in range(n):
-        if ansatz.W[kk] != 0:
-            row[iz(kk)] = ansatz.W[kk]
-    for a in boosts:
-        if ansatz.W[a] != 0:
-            row[ib[a]] = -2 * lam * ansatz.W[a]
-    for p, cf in enumerate(rot_coeffs(y_hat, "[U,V]")):
-        if cf != 0:
-            row[im(p)] = cf
-    brackets[(0, 1)] = row
-    # [U, Z_i]
-    for i in range(n):
-        row = {iz(i): lam}
-        if ansatz.W[i] != 0:
-            row[0] = -ansatz.W[i]
-        for j in range(n):
-            if ansatz.F[i][j] != 0:
-                row[iz(j)] = row.get(iz(j), ZERO) + ansatz.F[i][j]
-        for a in boosts:
-            if ansatz.h[i][a] != 0:
-                row[ib[a]] = ansatz.h[i][a]
-        for p, cf in enumerate(rot_coeffs(sigmas[i], f"[U,Z{i+1}]")):
-            if cf != 0:
-                row[im(p)] = cf
-        brackets[(0, iz(i))] = {c: v for c, v in row.items() if v != 0}
-    # [V, Z_i] = W_i V + aleph2_i^j Z_j
-    for i in range(n):
-        row = {}
-        if ansatz.W[i] != 0:
-            row[1] = ansatz.W[i]
-        for j in range(n):
-            if ansatz.aleph2[i][j] != 0:
-                row[iz(j)] = ansatz.aleph2[i][j]
-        if row:
-            brackets[(1, iz(i))] = row
-    # [Z_i, Z_j]
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = {}
-            if ansatz.aleph2[i][j] != 0:
-                row[0] = ansatz.aleph2[i][j]
-            if ansatz.F[i][j] != 0:
-                row[1] = ansatz.F[i][j]
-            for m in range(n):
-                if ansatz.C[i][j][m] != 0:
-                    row[iz(m)] = ansatz.C[i][j][m]
-            for a in boosts:
-                if ansatz.S3[i][j][a] != 0:
-                    row[ib[a]] = ansatz.S3[i][j][a]
-            for p, cf in enumerate(rot_coeffs(n_hats[(i, j)], f"[Z{i+1},Z{j+1}]")):
-                if cf != 0:
-                    row[im(p)] = cf
-            if row:
-                brackets[(iz(i), iz(j))] = row
-    # canonical boost relations
-    for a in boosts:
-        brackets[(0, ib[a])] = {iz(a): Fraction(1)}
-        brackets[(iz(a), ib[a])] = {1: Fraction(-1)}
-    # rotations acting
-    for p in range(k):
-        for i in range(n):
-            row = {}
-            for m in range(n):
-                if rot[p][m][i] != 0:
-                    row[iz(m)] = -rot[p][m][i]
-            if row:
-                brackets[(iz(i), im(p))] = row
-        for a in boosts:
-            row = {}
-            for m in boosts:
-                if rot[p][m][a] != 0:
-                    row[ib[m]] = -rot[p][m][a]
-            if row:
-                brackets[(ib[a], im(p))] = row
-        for q in range(p + 1, k):
-            comm = mat_commutator(rot[p], rot[q])
-            row = {}
-            for r, cf in enumerate(rot_coeffs(comm, f"[M{p+1},M{q+1}]")):
-                if cf != 0:
-                    row[im(r)] = cf
-            if row:
-                brackets[(im(p), im(q))] = row
-    algebra = LieAlgebra.from_brackets(dim, brackets, labels=labels, tag=EXACT)
-    return algebra, rot
+    return _assemble_deg(ansatz, _deg_rotations(ansatz))
 
 
 def assemble_algebra(ansatz):
@@ -719,205 +558,73 @@ def verify_constraints(ansatz):
     ansatz and some entry is nonzero whenever the assembled table fails
     the Jacobi identity (cross-checked in the test-suite)."""
     if isinstance(ansatz, NondegenerateAnsatz):
-        return _verify_nondeg(ansatz)
+        return _verify_nondeg(ansatz, _nondeg_rotations(ansatz))
     if isinstance(ansatz, DegenerateAnsatz):
-        return _verify_deg(ansatz)
+        work = ansatz.rescaled()
+        return _verify_deg(work, _deg_rotations(work))
     raise TypeError("unknown ansatz type")
 
 
-def _verify_nondeg(ansatz):
-    n = ansatz.n
+def _equivariance(rot, sigmas, *invariants):
+    """Worst failure of the span to fix the invariant all-lower arrays and
+    to act equivariantly on the rotation-valued map i -> sigmas[i]."""
+    worst = ZERO
+    for omega in rot:
+        need = sigmas @ omega - omega @ sigmas + np.einsum("mi,mab->iab", omega, sigmas)
+        worst = max(worst, _max_abs(need, *(_derivation(omega.T, t) for t in invariants)))
+    return worst
+
+
+def _verify_nondeg(ansatz, rotations):
+    sigmas, _, rot = rotations
     lam = ansatz.lam
-    eta = ansatz.eta
-    res = {}
-    res["F"] = _max_abs(x for row in ansatz.F for x in row)
-
+    f, c, r, s = _arrays(ansatz, "F", "C", "R", "Scurv")
+    d = _eta_diag(ansatz.aleph, ansatz.n)
     # lowered rotation coefficients R_ijk = eta_jm eta_kn R[i][m][n]
-    r_low = [
-        [
-            [
-                sum(eta[j][m] * eta[k][nn] * ansatz.R[i][m][nn] for m in range(n) for nn in range(n))
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    worst = ZERO
-    for i, j, k in itertools.product(range(n), repeat=3):
-        v = lam / 2 * ansatz.C[i][j][k] - (r_low[i][j][k] - r_low[j][i][k])
-        worst = max(worst, abs(v))
-    res["C_from_R"] = worst
-
-    c_up = [
-        [[sum(ansatz.C[i][j][l] * eta[l][m] for l in range(n)) for m in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    worst = ZERO
-    for i, j, m, nn in itertools.product(range(n), repeat=4):
-        v = 2 * lam * ansatz.Scurv[i][j][m][nn]
-        for k in range(n):
-            v -= c_up[i][j][k] * ansatz.R[k][m][nn]
-        worst = max(worst, abs(v))
-    res["S_from_CR"] = worst
-
-    sigmas, s_hats = _rotation_seeds_nondeg(ansatz)
-    seeds = list(sigmas) + list(s_hats.values()) + [list(map(list, m)) for m in ansatz.h_basis]
-    rot = _span_closure(seeds, n)
-    worst = ZERO
-    for omega in rot:
-        worst = max(worst, _deriv_action(omega, ansatz.F, 2))
-        worst = max(worst, _deriv_action(omega, ansatz.C, 3))
-        # action equivariance of the rotation-valued maps
-        for i in range(n):
-            need = mat_commutator(sigmas[i], omega)
-            for m in range(n):
-                if omega[m][i] == 0:
-                    continue
-                for a in range(n):
-                    for b in range(n):
-                        need[a][b] += omega[m][i] * sigmas[m][a][b]
-            worst = max(worst, _max_abs(x for row in need for x in row))
-    res["rotation_equivariance"] = worst
-    return res
+    r_low = r * np.multiply.outer(d, d)
+    return {
+        "F": _max_abs(f),
+        "C_from_R": _max_abs(lam / 2 * c - (r_low - r_low.transpose(1, 0, 2))),
+        "S_from_CR": _max_abs(2 * lam * s - np.einsum("ijk,kmn->ijmn", c * d, r)),
+        "rotation_equivariance": _equivariance(rot, sigmas, f, c),
+    }
 
 
-def _verify_deg(ansatz):
-    work = ansatz.rescaled()
-    n = work.n
-    occ = set(work.occupancy)
-    res = {}
-    res["W"] = _max_abs(work.W)
-    res["aleph2"] = _max_abs(x for row in work.aleph2 for x in row)
-    res["uv_rotation"] = _max_abs(x for row in work.Y for x in row)
-
-    worst = ZERO
-    for i, j in itertools.product(range(n), repeat=2):
-        v = work.h[i][j] - ((work.A[i][j] + work.A[j][i]) / 2 - work.F[i][j] / 2)
-        worst = max(worst, abs(v))
-    res["h_split"] = worst
-
-    res["unoccupied_F"] = _max_abs(
-        work.F[i][j]
-        for i in range(n)
-        for j in range(n)
-        if i not in occ and j not in occ
-    )
-
-    res["occupied_C"] = _max_abs(
-        work.C[i][j][k]
-        for i, j, k in itertools.product(range(n), repeat=3)
-        if i in occ or j in occ or k in occ
-    )
-    res["occupied_S_R"] = _max_abs(
-        work.S3[i][a][j] - work.R[i][a][j]
-        for i in range(n)
-        for a in occ
-        for j in range(n)
-    )
-    res["occupied_N"] = _max_abs(
-        work.N[i][j][k][l]
-        for i, j, k, l in itertools.product(range(n), repeat=4)
-        if i in occ or j in occ or k in occ or l in occ
-    )
-    res["occupied_R"] = _max_abs(
-        work.R[i][j][k]
-        for i, j, k in itertools.product(range(n), repeat=3)
-        if i in occ or j in occ or k in occ
-    )
-
-    worst = ZERO
-    for a in occ:
-        for j, k in itertools.product(range(n), repeat=2):
-            v = sum(work.F[a][l] * work.C[l][j][k] for l in range(n))
-            worst = max(worst, abs(v))
-    res["F_C_kernel"] = worst
-
-    worst = ZERO
-    for i, j, k in itertools.product(range(n), repeat=3):
-        worst = max(worst, abs(work.S3[i][j][k] + work.S3[i][k][j]))
-    res["S3_total_antisymmetry"] = worst
-
-    dfc = f_derivation(work.F, work.C)
-    worst = ZERO
-    for i, j, k in itertools.product(range(n), repeat=3):
-        worst = max(worst, abs(3 * work.S3[i][j][k] - dfc[i][j][k]))
-    res["S3_from_FC"] = worst
-
-    fpd = [[work.F[i][j] + Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    worst = ZERO
-    for i, j, l in itertools.product(range(n), repeat=3):
-        v = sum(work.C[i][j][k] * work.h[k][l] for k in range(n))
-        v -= sum(fpd[i][k] * work.S3[k][j][l] for k in range(n))
-        v -= sum(fpd[j][k] * work.S3[i][k][l] for k in range(n))
-        worst = max(worst, abs(v))
-    res["zz_boost"] = worst
-
-    worst = ZERO
-    for i, j, m, nn in itertools.product(range(n), repeat=4):
-        v = sum(work.C[i][j][k] * work.R[k][m][nn] for k in range(n)) / 2
-        v -= sum(fpd[i][k] * work.N[k][j][m][nn] for k in range(n))
-        v -= sum(fpd[j][k] * work.N[i][k][m][nn] for k in range(n))
-        worst = max(worst, abs(v))
-    res["zz_rotation"] = worst
-
-    worst = ZERO
-    for i, j, k in itertools.product(range(n), repeat=3):
-        v = work.S3[i][j][k] + work.R[i][j][k] - work.R[j][i][k] - dfc[i][j][k] - work.C[i][j][k]
-        worst = max(worst, abs(v))
-    res["zz_vector"] = worst
-
-    def cyc(i, j, k):
-        return ((i, j, k), (j, k, i), (k, i, j))
-
-    worst1 = worst2 = worst3 = ZERO
-    for i, j, k in itertools.product(range(n), repeat=3):
-        for m in range(n):
-            v = ZERO
-            for (a, b, c) in cyc(i, j, k):
-                v += sum(work.C[b][c][l] * work.S3[a][l][m] for l in range(n))
-            worst1 = max(worst1, abs(v))
-        for m, nn in itertools.product(range(n), repeat=2):
-            v = ZERO
-            for (a, b, c) in cyc(i, j, k):
-                v += sum(work.C[b][c][l] * work.N[a][l][m][nn] for l in range(n))
-            worst2 = max(worst2, abs(v))
-        for m in range(n):
-            v = ZERO
-            for (a, b, c) in cyc(i, j, k):
-                v += sum(work.C[b][c][l] * work.C[a][l][m] for l in range(n))
-                v += 2 * work.N[b][c][a][m]
-            worst3 = max(worst3, abs(v))
-    res["cyclic_CS"] = worst1
-    res["cyclic_CN"] = worst2
-    res["cyclic_CC_N"] = worst3
-
-    sigmas, n_hats, y_hat = _rotation_seeds_deg(work)
-    seeds = list(sigmas) + list(n_hats.values()) + [y_hat]
-    rot = _span_closure(seeds, n)
-    worst = ZERO
-    for omega in rot:
-        for a in occ:
-            for m in range(n):
-                if m not in occ:
-                    worst = max(worst, abs(omega[m][a]))
-        worst = max(worst, _deriv_action(omega, work.F, 2))
-        worst = max(worst, _deriv_action(omega, work.h, 2))
-        worst = max(worst, _deriv_action(omega, work.C, 3))
-        worst = max(worst, _deriv_action(omega, work.S3, 3))
-        worst = max(worst, _deriv_action(omega, work.N, 4))
-        for i in range(n):
-            need = mat_commutator(sigmas[i], omega)
-            for m in range(n):
-                if omega[m][i] == 0:
-                    continue
-                for a in range(n):
-                    for b in range(n):
-                        need[a][b] += omega[m][i] * sigmas[m][a][b]
-            worst = max(worst, _max_abs(x for row in need for x in row))
-    res["rotation_equivariance"] = worst
-    return res
+def _verify_deg(work, rotations):
+    """Residual table of degenerate data already scaled to lam = 1."""
+    sigmas, _, rot = rotations
+    occ = list(work.occupancy)
+    absent = [i for i in range(work.n) if i not in occ]
+    w, f, al, c, h, a, y, r, s3, nn = _arrays(work, *_DEG_ARRAYS)
+    fpd = f + _eye(work.n)
+    dfc = _derivation(f, c)
+    return {
+        "W": _max_abs(w),
+        "aleph2": _max_abs(al),
+        "uv_rotation": _max_abs(y),
+        "h_split": _max_abs(h - ((a + a.T) / 2 - f / 2)),
+        "unoccupied_F": _max_abs(f[np.ix_(absent, absent)]),
+        "occupied_C": _max_abs(_occupied(c, absent)),
+        "occupied_S_R": _max_abs((s3 - r)[:, occ]),
+        "occupied_N": _max_abs(_occupied(nn, absent)),
+        "occupied_R": _max_abs(_occupied(r, absent)),
+        "F_C_kernel": _max_abs(np.einsum("al,ljk->ajk", f[occ], c)),
+        "S3_total_antisymmetry": _max_abs(s3 + s3.transpose(0, 2, 1)),
+        "S3_from_FC": _max_abs(3 * s3 - dfc),
+        "zz_boost": _max_abs(c @ h - _derivation(fpd, s3, (0, 1))),
+        "zz_rotation": _max_abs(
+            np.einsum("ijk,kmn->ijmn", c, r) / 2 - _derivation(fpd, nn, (0, 1))
+        ),
+        "zz_vector": _max_abs(s3 + r - r.transpose(1, 0, 2) - dfc - c),
+        "cyclic_CS": _max_abs(_cyclic(np.einsum("jkl,ilm->ijkm", c, s3))),
+        "cyclic_CN": _max_abs(_cyclic(np.einsum("jkl,ilmn->ijkmn", c, nn))),
+        "cyclic_CC_N": _max_abs(
+            _cyclic(np.einsum("jkl,ilm->ijkm", c, c) + 2 * nn.transpose(2, 0, 1, 3))
+        ),
+        "rotation_equivariance": max(
+            _max_abs(rot[:, absent][:, :, occ]), _equivariance(rot, sigmas, f, h, c, s3, nn)
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +648,7 @@ class ReductionReport:
             "residuals": {k: format_scalar(v) for k, v in self.residuals.items()},
             "lambda_scale": str(self.lambda_scale),
             "redefinitions": [
-                {"name": name, "matrix": _fmt2(mat)} for name, mat in self.redefinitions
+                {"name": name, "matrix": _fmt(mat)} for name, mat in self.redefinitions
             ],
             "checks": {k: (format_scalar(v) if isinstance(v, Fraction) else v)
                        for k, v in self.checks.items()},
@@ -952,7 +659,7 @@ class ReductionReport:
 
 
 def _apply_new_generators(algebra, new_in_old, labels=None):
-    p = mat_inverse([list(r) for r in new_in_old], EXACT)
+    p = mat_inverse(new_in_old.tolist(), EXACT)
     return change_basis(algebra, p, labels=labels)
 
 
@@ -965,8 +672,9 @@ def nondegenerate_reduce(ansatz):
     rotation span, which is the symmetric-space criterion at the
     structure-constant level.
     """
-    residuals = verify_constraints(ansatz)
-    algebra, rot = assemble_nondegenerate(ansatz)
+    rotations = _nondeg_rotations(ansatz)
+    residuals = _verify_nondeg(ansatz, rotations)
+    algebra, rot = _assemble_nondeg(ansatz, rotations)
     _, worst = jacobi_residual(algebra)
     if worst != 0:
         return ReductionReport(
@@ -977,7 +685,7 @@ def nondegenerate_reduce(ansatz):
             checks={"jacobi_residual": worst},
         )
     n = ansatz.n
-    if any(x != 0 for row in ansatz.F for x in row):
+    if residuals["F"] != 0:
         # unreachable once the Jacobi residual vanishes; kept as a guard
         return ReductionReport(
             verdict="inconsistent",
@@ -986,17 +694,11 @@ def nondegenerate_reduce(ansatz):
             failing_identity=("V", "Z1", "Z2"),
             checks={"F_nonzero": True},
         )
-    sigmas, _ = _rotation_seeds_nondeg(ansatz)
     k = len(rot)
-    dim = 1 + n + k
-    new_in_old = mat_identity(dim, EXACT)
-    for i in range(n):
-        coeffs = _expand_in(rot, sigmas[i], n)
-        for p, cf in enumerate(coeffs):
-            new_in_old[1 + n + p][1 + i] = cf / ansatz.lam
-    reduced = _apply_new_generators(
-        algebra, new_in_old, labels=["V"] + [f"Y{i+1}" for i in range(n)] + [f"M{p+1}" for p in range(k)]
-    )
+    new_in_old = _eye(1 + n + k)
+    new_in_old[1 + n:, 1:1 + n] = _coords(rot, rotations[0]).T / ansatz.lam
+    labels = ["V"] + [f"Y{i+1}" for i in range(n)] + [f"M{p+1}" for p in range(k)]
+    reduced = _apply_new_generators(algebra, new_in_old, labels=labels)
     eigen_ok = True
     for i in range(n):
         expected = {1 + i: ansatz.lam}
@@ -1016,7 +718,7 @@ def nondegenerate_reduce(ansatz):
         verdict=verdict,
         residuals=residuals,
         lambda_scale=Fraction(1),
-        redefinitions=(("Y_i = Z_i + R-element(i)/lam", tuple(map(tuple, new_in_old))),),
+        redefinitions=(("Y_i = Z_i + R-element(i)/lam", _freeze(new_in_old)),),
         checks={
             "eigen_brackets": eigen_ok,
             "yy_in_rotation_span": closes,
@@ -1037,9 +739,10 @@ def degenerate_reduce(ansatz):
     from the boost coefficients of ad(U) through 2H = bb + F/2 + (F/2)^2
     with bb the boost block, which must come out exactly symmetric.
     """
-    residuals = verify_constraints(ansatz)
     work = ansatz.rescaled()
-    algebra, rot = assemble_degenerate(work)
+    rotations = _deg_rotations(work)
+    residuals = _verify_deg(work, rotations)
+    algebra, rot = _assemble_deg(work, rotations)
     _, worst = jacobi_residual(algebra)
     if worst != 0:
         return ReductionReport(
@@ -1052,11 +755,7 @@ def degenerate_reduce(ansatz):
     n = work.n
     occ = list(work.occupancy)
     absent = [i for i in range(n) if i not in occ]
-    forced = {
-        "W": _max_abs(work.W),
-        "aleph2": _max_abs(x for row in work.aleph2 for x in row),
-        "uv_rotation": _max_abs(x for row in work.Y for x in row),
-    }
+    forced = {k: residuals[k] for k in ("W", "aleph2", "uv_rotation")}
     if any(v != 0 for v in forced.values()):
         # unreachable once the Jacobi residual vanishes; kept as a guard
         return ReductionReport(
@@ -1070,22 +769,17 @@ def degenerate_reduce(ansatz):
     dim = 2 + n + nb + k
     iz = lambda i: 2 + i
     ib = {a: 2 + n + occ.index(a) for a in occ}
-    sigmas, _, _ = _rotation_seeds_deg(work)
+    f, h = _arrays(work, "F", "h")
+    wz = [iz(i) for i in absent]
 
     # first redefinition: unhook unoccupied generators from the boosts
-    b1 = mat_identity(dim, EXACT)
-    for i in absent:
-        for a in occ:
-            if work.F[i][a] != 0:
-                b1[ib[a]][iz(i)] = -work.F[i][a]
+    b1 = _eye(dim)
+    b1[np.ix_(list(ib.values()), wz)] = -f[np.ix_(absent, occ)].T
     step1 = _apply_new_generators(algebra, b1, labels=algebra.labels)
 
     # second redefinition: absorb the rotation images
-    b2 = mat_identity(dim, EXACT)
-    for i in absent:
-        coeffs = _expand_in(rot, sigmas[i], n)
-        for p, cf in enumerate(coeffs):
-            b2[2 + n + nb + p][iz(i)] = cf
+    b2 = _eye(dim)
+    b2[np.ix_(range(2 + n + nb, dim), wz)] = _coords(rot, rotations[0][absent]).T
     labels = list(algebra.labels)
     for i in absent:
         labels[iz(i)] = f"W{i+1}"
@@ -1117,20 +811,11 @@ def degenerate_reduce(ansatz):
     checks["sectors_decouple"] = decouple
 
     # emitted wave data, from the presentation that keeps the original
-    # transverse generators with only the rotation images absorbed
-    f_pw = [[work.F[i][j] / 2 for j in range(n)] for i in range(n)]
-    boosts = _zeros2(n)
-    for i in range(n):
-        for a in occ:
-            boosts[i][a] = work.h[i][a]
-    f2 = [[sum(f_pw[i][l] * f_pw[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
-    h_pw = [
-        [(boosts[i][j] + f_pw[i][j] + f2[i][j]) / 2 for j in range(n)]
-        for i in range(n)
-    ]
-    profile_symmetric = all(
-        h_pw[i][j] == h_pw[j][i] for i in range(n) for j in range(n)
-    )
+    # transverse generators with only the rotation images absorbed; h is
+    # the boost block, zero on the absent boosts by construction
+    f_pw = f / 2
+    h_pw = (h + f_pw + f_pw @ f_pw) / 2
+    profile_symmetric = bool((h_pw == h_pw.T).all())
     checks["profile_symmetric"] = profile_symmetric
     if not profile_symmetric:
         return ReductionReport(
@@ -1139,7 +824,7 @@ def degenerate_reduce(ansatz):
             lambda_scale=ansatz.lam,
             checks=checks,
         )
-    pw = PlaneWaveData(n, tuple(map(tuple, f_pw)), tuple(map(tuple, h_pw)))
+    pw = PlaneWaveData(n, _freeze(f_pw), _freeze(h_pw))
 
     # the table with rotation images absorbed must be, on the nose, the
     # wave table restricted to the generators that are present
@@ -1182,8 +867,8 @@ def degenerate_reduce(ansatz):
         residuals=residuals,
         lambda_scale=ansatz.lam,
         redefinitions=(
-            ("Y_I = Z_I - F_Ia Zb_a", tuple(map(tuple, b1))),
-            ("W_I = Y_I + R-element(I)", tuple(map(tuple, b2))),
+            ("Y_I = Z_I - F_Ia Zb_a", _freeze(b1)),
+            ("W_I = Y_I + R-element(I)", _freeze(b2)),
         ),
         plane_wave=pw,
         checks=checks,
@@ -1211,104 +896,30 @@ def ansatz_from_plane_wave(pw, lam=Fraction(1)):
     identification the reduction inverts.
     """
     n = pw.n
-    f2 = [[2 * pw.F[i][j] for j in range(n)] for i in range(n)]
-    a_mat = [
-        [
-            2 * pw.H[i][j] - sum(pw.F[i][k] * pw.F[k][j] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    h = [[(a_mat[i][j] + a_mat[j][i]) / 2 - f2[i][j] / 2 for j in range(n)] for i in range(n)]
+    f, hh = np.array(pw.F, dtype=object), np.array(pw.H, dtype=object)
+    a_mat = 2 * hh - f @ f
     base = DegenerateAnsatz(
-        n=n,
-        lam=Fraction(1),
-        occupancy=tuple(range(n)),
-        W=(ZERO,) * n,
-        F=f2,
-        aleph2=_zeros2(n),
-        C=_zeros3(n),
-        h=h,
-        A=a_mat,
-        Y=_zeros2(n),
-        R=_zeros3(n),
-        S3=_zeros3(n),
-        N=_zeros4(n),
+        n=n, lam=Fraction(1), occupancy=tuple(range(n)), W=(ZERO,) * n, F=2 * f,
+        aleph2=_zeros((n, n)), C=_zeros((n,) * 3), h=(a_mat + a_mat.T) / 2 - f, A=a_mat,
+        Y=_zeros((n, n)), R=_zeros((n,) * 3), S3=_zeros((n,) * 3), N=_zeros((n,) * 4),
     )
-    if lam == 1:
-        return base
     # undo the unit-eigenvalue scaling to present the data at scale lam
-    return DegenerateAnsatz(
-        n=n,
-        lam=lam,
-        occupancy=base.occupancy,
-        W=base.W,
-        F=[[x * lam for x in row] for row in base.F],
-        aleph2=base.aleph2,
-        C=base.C,
-        h=[[x * lam ** 2 for x in row] for row in base.h],
-        A=[[x * lam ** 2 for x in row] for row in base.A],
-        Y=base.Y,
-        R=base.R,
-        S3=base.S3,
-        N=base.N,
-    )
+    return _at_scale(base, lam)
 
 
 def _rand_fraction(rng, bound=2, den=3):
     return Fraction(rng.randint(-bound * den, bound * den), rng.randint(1, den))
 
 
-def _rand_antisym(rng, n):
-    m = _zeros2(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _rand_fraction(rng)
-            m[i][j], m[j][i] = v, -v
-    return m
-
-
-def _rand_sym(rng, n):
-    m = _zeros2(n)
-    for i in range(n):
-        for j in range(i, n):
-            v = _rand_fraction(rng)
-            m[i][j] = m[j][i] = v
-    return m
-
-
-_EPS3 = (
-    ((0, 1, 2), 1),
-    ((1, 2, 0), 1),
-    ((2, 0, 1), 1),
-    ((0, 2, 1), -1),
-    ((2, 1, 0), -1),
-    ((1, 0, 2), -1),
-)
-
-
-def _epsilon_template(indices, kappa, n, eta=None):
+def _epsilon_template(indices, kappa, n):
     """Rotation-coefficient seed R[i][m][k] = kappa * eps on a 3-subset.
 
     The images are the standard rotation generators of the subset's
     metric block, the unique equivariant family available at desk
-    scale; eta twists the action for a Lorentzian block.
+    scale.
     """
-    r = _zeros3(n)
-    for (a, b, c), sign in _EPS3:
-        i, m, k = indices[a], indices[b], indices[c]
-        r[i][m][k] = sign * kappa
-    if eta is not None:
-        # raise the middle slot so the stored coefficients keep the
-        # upper-index convention R[i][m][n]
-        raised = _zeros3(n)
-        for i in range(n):
-            for m in range(n):
-                for k in range(n):
-                    raised[i][m][k] = sum(
-                        eta[m][mm] * eta[k][kk] * r[i][mm][kk] for mm in range(n) for kk in range(n)
-                    )
-        return raised
+    r = _zeros((n,) * 3)
+    r[np.ix_(indices, indices, indices)] = kappa * _LEVI_CIVITA
     return r
 
 
@@ -1338,46 +949,24 @@ def _generate_nondeg(rng, n):
     lam = Fraction(aleph) * abs(_rand_fraction(rng))
     while lam == 0:
         lam = Fraction(aleph) * abs(_rand_fraction(rng))
-    eta = eta_matrix(aleph, n)
-    r = _zeros3(n)
+    d = _eta_diag(aleph, n)
+    eta2 = np.multiply.outer(d, d)
+    r = _zeros((n,) * 3)
     if n >= 3 and rng.random() < 0.75:
         kappa = _rand_fraction(rng, bound=1, den=2)
         if n == 3:
-            indices = (0, 1, 2)
-            r = _epsilon_template(indices, kappa, n, eta=eta)
+            # eta twists the action for a Lorentzian block: raise the
+            # last two slots so R keeps the upper-index convention R[i][m][n]
+            r = _epsilon_template((0, 1, 2), kappa, n) * eta2
         else:
-            indices = (n - 3, n - 2, n - 1)  # a Euclidean block for either sign
-            r = _epsilon_template(indices, kappa, n)
+            # a Euclidean block for either sign
+            r = _epsilon_template((n - 3, n - 2, n - 1), kappa, n)
     # dependent fields from the constraint relations
-    r_low = [
-        [
-            [
-                sum(eta[j][m] * eta[k][nn] * r[i][m][nn] for m in range(n) for nn in range(n))
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    c = _zeros3(n)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        c[i][j][k] = 2 / lam * (r_low[i][j][k] - r_low[j][i][k])
-    c_up = [
-        [[sum(c[i][j][l] * eta[l][m] for l in range(n)) for m in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    s = _zeros4(n)
-    for i, j, m, nn in itertools.product(range(n), repeat=4):
-        s[i][j][m][nn] = sum(c_up[i][j][k] * r[k][m][nn] for k in range(n)) / (2 * lam)
-    probe = NondegenerateAnsatz(
-        n=n, lam=lam, aleph=aleph, F=_zeros2(n), C=c, R=r, Scurv=s, h_basis=()
-    )
-    sigmas, s_hats = _rotation_seeds_nondeg(probe)
-    rot = _span_closure(list(sigmas) + list(s_hats.values()), n)
-    return NondegenerateAnsatz(
-        n=n, lam=lam, aleph=aleph, F=_zeros2(n), C=c, R=r, Scurv=s,
-        h_basis=tuple(tuple(tuple(row) for row in m) for m in rot),
-    )
+    r_low = r * eta2
+    c = 2 / lam * (r_low - r_low.transpose(1, 0, 2))
+    s = np.einsum("ijk,kmn->ijmn", c * d, r) / (2 * lam)
+    probe = NondegenerateAnsatz(n=n, lam=lam, aleph=aleph, F=_zeros((n, n)), C=c, R=r, Scurv=s)
+    return dataclasses.replace(probe, h_basis=_nondeg_rotations(probe)[2])
 
 
 def _generate_deg(rng, n):
@@ -1390,57 +979,41 @@ def _generate_deg(rng, n):
     if rng.random() < 0.5:
         lam = Fraction(1)
 
-    f = _zeros2(n)
+    f = _zeros((n, n))
     for ai, a in enumerate(occ):
         for b in occ[ai + 1:]:
             v = _rand_fraction(rng)
-            f[a][b], f[b][a] = v, -v
+            f[a, b], f[b, a] = v, -v
 
-    r = _zeros3(n)
-    c = _zeros3(n)
-    nmat = _zeros4(n)
+    r, c, nmat = _zeros((n,) * 3), _zeros((n,) * 3), _zeros((n,) * 4)
     if len(absent) == 3 and rng.random() < 0.75:
         kappa = _rand_fraction(rng, bound=1, den=2)
-        r = _epsilon_template(tuple(absent), kappa, n)
-        for i, j, k in itertools.product(range(n), repeat=3):
-            c[i][j][k] = r[i][j][k] - r[j][i][k]
-        for i, j, m, nn in itertools.product(range(n), repeat=4):
-            nmat[i][j][m][nn] = sum(c[i][j][k] * r[k][m][nn] for k in range(n)) / 4
+        r = _epsilon_template(absent, kappa, n)
+        c = r - r.transpose(1, 0, 2)
+        nmat = np.einsum("ijk,kmn->ijmn", c, r) / 4
     else:
         # with no rotation data the boost couplings of the unoccupied
         # sector are unconstrained
         for i in absent:
             for a in occ:
                 v = _rand_fraction(rng)
-                f[i][a], f[a][i] = v, -v
+                f[i, a], f[a, i] = v, -v
 
-    a_mat = _zeros2(n)
+    a_mat = _zeros((n, n))
     for ai, a in enumerate(occ):
         for b in occ[ai:]:
             v = _rand_fraction(rng)
-            a_mat[a][b] = a_mat[b][a] = v
+            a_mat[a, b] = a_mat[b, a] = v
     for i in absent:
         for a in occ:
-            a_mat[i][a] = a_mat[a][i] = f[a][i] / 2
-    h = [[(a_mat[i][j] + a_mat[j][i]) / 2 - f[i][j] / 2 for j in range(n)] for i in range(n)]
+            a_mat[i, a] = a_mat[a, i] = f[a, i] / 2
 
     base = DegenerateAnsatz(
         n=n, lam=Fraction(1), occupancy=occ, W=(ZERO,) * n, F=f,
-        aleph2=_zeros2(n), C=c, h=h, A=a_mat, Y=_zeros2(n), R=r,
-        S3=_zeros3(n), N=nmat,
+        aleph2=_zeros((n, n)), C=c, h=(a_mat + a_mat.T) / 2 - f / 2, A=a_mat,
+        Y=_zeros((n, n)), R=r, S3=_zeros((n,) * 3), N=nmat,
     )
-    if lam == 1:
-        return base
-    return DegenerateAnsatz(
-        n=n, lam=lam, occupancy=occ, W=base.W,
-        F=[[x * lam for x in row] for row in base.F],
-        aleph2=base.aleph2, C=base.C,
-        h=[[x * lam ** 2 for x in row] for row in base.h],
-        A=[[x * lam ** 2 for x in row] for row in base.A],
-        Y=base.Y,
-        R=[[[x * lam for x in row] for row in p] for p in base.R],
-        S3=base.S3, N=base.N,
-    )
+    return _at_scale(base, lam)
 
 
 def ansatz_from_json(data):

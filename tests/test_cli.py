@@ -1,12 +1,14 @@
 """Exit codes, report shapes, and determinism of the command line."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import homkit
 from homkit.cli import main
 from homkit.lie_algebra import LieAlgebra
 from homkit.plane_wave import PlaneWaveData, frame_structure, pw_isometry_algebra
@@ -167,6 +169,23 @@ class TestReduceAndGen:
         code, _, err = run(capsys, "reduce", str(path), "--case", "nondeg")
         assert code == 2 and "case" in err
 
+    @pytest.mark.parametrize("field", ["F", "C", "n", "occupancy"])
+    def test_malformed_ansatz_is_input_error(self, field, tmp_path, capsys):
+        data = generate_instance("deg", 2, 1).to_json()
+        if field == "F":
+            data["F"][0][1] = None
+        elif field == "C":
+            data["C"][0][1] = [data["C"][0][1]]  # one nesting level too many
+        elif field == "n":
+            data["n"] = "2"
+        else:
+            data["occupancy"] = [0.5]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "reduce", str(path), "--case", "deg")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: {field}") and err.count("\n") == 1
+
     def test_nondeg_reduce(self, tmp_path, capsys):
         path = tmp_path / "a.json"
         path.write_text(json.dumps(generate_instance("nondeg", 3, 2).to_json()))
@@ -190,8 +209,12 @@ class TestDeterminism:
     def test_byte_stable_across_processes(self, tmp_path):
         cmd = [sys.executable, "-m", "homkit.cli", "gen", "--case", "deg", "--n", "3",
                "--seed", "13"]
-        a = subprocess.run(cmd, capture_output=True, text=True)
-        b = subprocess.run(cmd, capture_output=True, text=True)
+        # the child imports the same homkit as this process, installed or not
+        src = os.path.dirname(os.path.dirname(os.path.abspath(homkit.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        a = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        b = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 

@@ -169,6 +169,13 @@ class TestJson:
         with pytest.raises(ValueError, match="a < b"):
             LieAlgebra.from_json({"dim": 2, "brackets": {"1,0": {"0": "1"}}})
 
+    @pytest.mark.parametrize("first, second", [("1", 1.0), (1.0, "1")])
+    def test_mixed_exact_and_float_rejected(self, first, second):
+        # the same message whichever kind comes first, naming the bracket
+        data = {"dim": 3, "brackets": {"0,1": {"2": first}, "1,2": {"0": second}}}
+        with pytest.raises(ValueError, match=r"mixed exact and float entries \(bracket '1,2'\)"):
+            LieAlgebra.from_json(data)
+
     def test_antisymmetry_enforced_on_build(self):
         from homkit.tensor_core import DOWN, UP, Tensor
 

@@ -1,8 +1,11 @@
 """Constraint verification and the two bracket-table normalizations."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +22,24 @@ from homkit.reduction import (
     f_derivation,
     generate_instance,
     nondegenerate_reduce,
+    reduce_ansatz,
     verify_constraints,
 )
+
+# Residual tables of the perturbed and random variants below and sha256
+# digests of gen/reduce JSON, recorded from the nested-list implementation:
+# a sign or index slip in a rewritten contraction changes a value here
+# even when the verdict survives.
+PINNED = json.loads(Path(__file__).with_name("pinned_reduction.json").read_text())
+
+
+def pinned_table(residuals):
+    assert all(isinstance(v, Fraction) for v in residuals.values())
+    return {k: str(v) for k, v in residuals.items()}
+
+
+def json_digest(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 Z2 = [[Fraction(0)] * 2 for _ in range(2)]
 
@@ -106,6 +125,12 @@ class TestNondegenerate:
             NondegenerateAnsatz(n=2, lam=Fraction(1), aleph=-1, F=Z2,
                                 C=zeros3(2), R=zeros3(2), Scurv=zeros4(2))
 
+    @pytest.mark.parametrize("aleph", [True, 1.0, "1"])
+    def test_aleph_must_be_an_integer_sign(self, aleph):
+        with pytest.raises(ValueError, match="aleph"):
+            NondegenerateAnsatz(n=2, lam=Fraction(1), aleph=aleph, F=Z2,
+                                C=zeros3(2), R=zeros3(2), Scurv=zeros4(2))
+
     def test_rotation_coupling_makes_torsion_inconsistent(self):
         f = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
         a = NondegenerateAnsatz(n=2, lam=Fraction(1), aleph=1, F=f,
@@ -176,6 +201,7 @@ class TestNondegenerate:
                                      R=a.R, Scurv=a.Scurv, h_basis=a.h_basis)
         residuals = verify_constraints(broken)
         assert residuals["C_from_R"] != 0
+        assert pinned_table(residuals) == PINNED["residuals"]["nondeg3s1:C"]
         assert jacobi_residual(assemble_algebra(broken))[1] != 0
 
 
@@ -332,26 +358,27 @@ class TestCrossCheck:
             return DegenerateAnsatz(**fields)
 
         bump = Fraction(1, 7)
-        variants = []
+        variants = {}
         w = list(base.W)
         w[0] += bump
-        variants.append(rebuild(W=tuple(w)))
+        variants["W"] = rebuild(W=tuple(w))
         al = [list(r) for r in base.aleph2]
         al[0][1] += bump
         al[1][0] -= bump
-        variants.append(rebuild(aleph2=al))
+        variants["aleph2"] = rebuild(aleph2=al)
         y = [list(r) for r in base.Y]
         y[0][1] += bump
         y[1][0] -= bump
-        variants.append(rebuild(Y=y))
+        variants["Y"] = rebuild(Y=y)
         h = [list(r) for r in base.h]
         occ = base.occupancy[0] if base.occupancy else None
         if occ is not None:
             h[0][occ] += bump
-            variants.append(rebuild(h=h))
-        for variant in variants:
+            variants["h"] = rebuild(h=h)
+        for name, variant in variants.items():
             residuals = verify_constraints(variant)
             assert max(residuals.values()) != 0
+            assert pinned_table(residuals) == PINNED["residuals"][f"deg3s5:{name}"]
             assert jacobi_residual(assemble_algebra(variant.rescaled()))[1] != 0
 
     def test_dependent_field_bumps_break_both_sides(self):
@@ -373,34 +400,35 @@ class TestCrossCheck:
                 fields.update(overrides)
                 return DegenerateAnsatz(**fields)
 
-            variants = []
+            variants = {}
             c = [[[x for x in row] for row in p] for p in base.C]
             for (i, j, k), s in (
                 ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                 ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
             ):
                 c[i][j][k] += s * bump
-            variants.append(rebuild(C=c))
+            variants["C"] = rebuild(C=c)
             r = [[[x for x in row] for row in p] for p in base.R]
             r[0][1][2] += bump
             r[0][2][1] -= bump
-            variants.append(rebuild(R=r))
+            variants["R"] = rebuild(R=r)
             nmat = [[[[x for x in r_] for r_ in p2] for p2 in p1] for p1 in base.N]
             nmat[0][1][1][2] += bump
             nmat[0][1][2][1] -= bump
             nmat[1][0][1][2] -= bump
             nmat[1][0][2][1] += bump
-            variants.append(rebuild(N=nmat))
+            variants["N"] = rebuild(N=nmat)
             absent = [i for i in range(3) if i not in base.occupancy]
             if len(absent) >= 2:
                 f = [list(row) for row in base.F]
                 i, j = absent[0], absent[1]
                 f[i][j] += bump
                 f[j][i] -= bump
-                variants.append(rebuild(F=f))
-            for variant in variants:
+                variants["F"] = rebuild(F=f)
+            for name, variant in variants.items():
                 residuals = verify_constraints(variant)
                 assert max(residuals.values()) != 0
+                assert pinned_table(residuals) == PINNED["residuals"][f"deg3s{seed}:bump{name}"]
                 # the table side fails either by a nonzero Jacobi residual
                 # or by refusing to assemble (rotation data escaping the
                 # modeled boost set)
@@ -428,6 +456,102 @@ class TestCrossCheck:
         assert max(verify_constraints(variant).values()) == 0
         assert jacobi_residual(assemble_algebra(variant.rescaled()))[1] == 0
         assert degenerate_reduce(variant).verdict == "plane_wave"
+
+
+def random_fields(n, seed):
+    """Random rational arrays of every symmetry class the ansatz fields use."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    out = {}
+    out["v"] = tuple(q() for _ in range(n))
+    out["m"] = [[q() for _ in range(n)] for _ in range(n)]
+    a2 = zeros2(n)
+    for i, j in itertools.combinations(range(n), 2):
+        a2[i][j] = q()
+        a2[j][i] = -a2[i][j]
+    out["a2"] = a2
+    c = zeros3(n)
+    for idx in itertools.combinations(range(n), 3):
+        v = q()
+        for perm in itertools.permutations(range(3)):
+            sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
+            i, j, k = (idx[p] for p in perm)
+            c[i][j][k] = sign * v
+    out["c"] = c
+    r = zeros3(n)  # antisymmetric in the last two slots
+    for i in range(n):
+        for m, k in itertools.combinations(range(n), 2):
+            r[i][m][k] = q()
+            r[i][k][m] = -r[i][m][k]
+    out["r_last"] = r
+    s3 = zeros3(n)  # antisymmetric in the first two slots
+    for i, j in itertools.combinations(range(n), 2):
+        for k in range(n):
+            s3[i][j][k] = q()
+            s3[j][i][k] = -s3[i][j][k]
+    out["r_first"] = s3
+    nn = zeros4(n)  # antisymmetric in both pairs
+    for i, j in itertools.combinations(range(n), 2):
+        for m, k in itertools.combinations(range(n), 2):
+            v = q()
+            nn[i][j][m][k] = nn[j][i][k][m] = v
+            nn[j][i][m][k] = nn[i][j][k][m] = -v
+    out["pairs"] = nn
+    return out
+
+
+class TestPinnedResiduals:
+    """Random data in every field, so every residual entry is nonzero.
+
+    Each entry is a maximum, so several seeds are pinned: a slip in one
+    component of a contraction moves the maximum for some of them.
+    """
+
+    def test_random_nondegenerate_tables(self):
+        for seed in range(4):
+            d = random_fields(3, seed)
+            a = NondegenerateAnsatz(n=3, lam=Fraction(-2, 3), aleph=-1, F=d["a2"], C=d["c"],
+                                    R=d["r_last"], Scurv=d["pairs"])
+            residuals = verify_constraints(a)
+            assert all(v != 0 for v in residuals.values())
+            assert pinned_table(residuals) == PINNED["residuals"][f"nondeg3:random{seed}"]
+
+    def test_random_degenerate_tables(self):
+        # n = 4 with two absent directions: at n = 3 the cyclic sums of a
+        # totally antisymmetric C vanish identically
+        n, occ, absent = 4, (0, 2), (1, 3)
+        for seed in range(4):
+            d, e = random_fields(n, 2 * seed), random_fields(n, 2 * seed + 1)
+            h, s3 = d["m"], d["r_first"]
+            for i, j, b in itertools.product(range(n), range(n), absent):
+                h[i][b] = Fraction(0)
+                s3[i][j][b] = Fraction(0)
+            a = DegenerateAnsatz(
+                n=n, lam=Fraction(3, 2), occupancy=occ, W=d["v"], F=d["a2"], aleph2=e["a2"],
+                C=d["c"], h=h, A=e["m"], Y=e["a2"], R=d["r_last"], S3=s3, N=d["pairs"],
+            )
+            residuals = verify_constraints(a)
+            assert all(v != 0 for v in residuals.values())
+            assert pinned_table(residuals) == PINNED["residuals"][f"deg4:random{seed}"]
+
+
+class TestPinnedBytes:
+    def test_gen_reduce_bytes_pinned(self):
+        # n = 1 is covered here only; a full or empty occupancy sums over
+        # an empty selection, which must still give a Fraction, not int 0
+        digests = {}
+        for case in ("deg", "nondeg"):
+            for n in (1, 2, 3, 4):
+                for seed in (0, 1, 2):
+                    a = generate_instance(case, n, seed)
+                    assert all(isinstance(v, Fraction) for v in verify_constraints(a).values())
+                    key = f"{case}:{n}:{seed}"
+                    digests[f"{key}:gen"] = json_digest(a.to_json())
+                    digests[f"{key}:reduce"] = json_digest(reduce_ansatz(a).to_json())
+        assert digests == PINNED["digests"]
 
 
 class TestGenerateInstance:
