@@ -75,15 +75,6 @@ def mat_identity(n, tag=EXACT):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_zeros(rows, cols, tag=EXACT):
-    zero = scalar_zero(tag)
-    return [[zero for _ in range(cols)] for _ in range(rows)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     out = []
@@ -96,10 +87,6 @@ def mat_mul(a, b):
             row.append(s)
         out.append(row)
     return out
-
-
-def mat_commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def mat_inverse(a, tag=EXACT):

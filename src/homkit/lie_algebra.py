@@ -37,13 +37,22 @@ class LieAlgebra:
             raise ValueError("structure constants must have valence (d, d, u)")
         if len(self.labels) != self.f.dim:
             raise ValueError("label count does not match dimension")
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                for c in range(self.dim):
-                    if self.f[a, b, c] != -self.f[b, a, c]:
-                        raise ValueError(
-                            f"structure constants not antisymmetric at ({a},{b})^{c}"
-                        )
+        # nonzero brackets as {(a, b): {c: f_ab^c}}, in index order; not a
+        # dataclass field, so equality and repr still see only labels and f
+        rows = {}
+        for (a, b, c), v in self.f.entries().items():
+            rows.setdefault((a, b), {})[c] = v
+        zero = scalar_zero(self.tag)
+        bad = [
+            (min(a, b), max(a, b), c)
+            for (a, b), row in rows.items()
+            for c, v in row.items()
+            if v != -rows.get((b, a), {}).get(c, zero)
+        ]
+        if bad:
+            a, b, c = min(bad)
+            raise ValueError(f"structure constants not antisymmetric at ({a},{b})^{c}")
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def dim(self):
@@ -68,25 +77,18 @@ class LieAlgebra:
 
     def bracket(self, a, b):
         """Nonzero coefficients of [e_a, e_b] as {c: coeff}."""
-        out = {}
-        for c in range(self.dim):
-            v = self.f[a, b, c]
-            if v != 0:
-                out[c] = v
-        return out
-
-    def index_of(self, label):
-        return self.labels.index(label)
+        if not (0 <= a < self.dim and 0 <= b < self.dim):
+            raise ValueError(f"bracket ({a},{b}) out of range for dim {self.dim}")
+        return dict(self._rows.get((a, b), {}))
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
-        brackets = {}
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                row = self.bracket(a, b)
-                if row:
-                    brackets[f"{a},{b}"] = {str(c): format_scalar(v) for c, v in row.items()}
+        brackets = {
+            f"{a},{b}": {str(c): format_scalar(v) for c, v in row.items()}
+            for (a, b), row in self._rows.items()
+            if a < b
+        }
         return {"dim": self.dim, "labels": list(self.labels), "brackets": brackets}
 
     @classmethod
@@ -113,51 +115,39 @@ class LieAlgebra:
 
 
 def jacobi_residual(algebra):
-    """Cyclic double-bracket residual J_{abc}^d and its maximum magnitude.
+    """Nonzero components of the cyclic double-bracket residual J_{abc}^d.
 
     J_{abc}^d = sum_e f_{ab}^e f_{ec}^d + f_{bc}^e f_{ea}^d + f_{ca}^e f_{eb}^d,
-    identically zero exactly when the table is a Lie algebra.
+    identically zero exactly when the table is a Lie algebra.  Returns
+    ({(a, b, c, d): value}, max magnitude): the entries are in index
+    order, the form ``Tensor.from_entries`` takes, and the maximum is
+    zero for an empty map.
     """
     n = algebra.dim
-    f = algebra.f
-    tag = f.tag
-    zero = scalar_zero(tag)
-    # sparse pass: collect nonzero brackets once
-    rows = {}
-    for a in range(n):
-        for b in range(n):
-            row = {}
-            for c in range(n):
-                v = f[a, b, c]
-                if v != 0:
-                    row[c] = v
-            if row:
-                rows[(a, b)] = row
-    comps = [zero] * n ** 4
-    out = Tensor.zeros(n, (DOWN, DOWN, DOWN, UP), tag)
+    rows = algebra._rows
+    zero = scalar_zero(algebra.tag)
+    acc = {}
     for (a, b), row in rows.items():
         for e, fab in row.items():
             for c in range(n):
-                inner = rows.get((e, c))
-                if not inner:
-                    continue
-                for d, fec in inner.items():
+                for d, fec in rows.get((e, c), {}).items():
                     v = fab * fec
-                    comps[out.flat((a, b, c, d))] += v
-                    comps[out.flat((b, c, a, d))] += v
-                    comps[out.flat((c, a, b, d))] += v
-    residual = Tensor(n, (DOWN, DOWN, DOWN, UP), tuple(comps), tag)
-    return residual, residual.max_abs()
+                    for key in ((a, b, c, d), (b, c, a, d), (c, a, b, d)):
+                        acc[key] = acc.get(key, zero) + v
+    entries = {key: acc[key] for key in sorted(acc) if acc[key] != 0}
+    # zero first, as the dense scan met J_{000}^0 = 0 first; this keeps a
+    # float maximum bit-identical to it even when a residual is NaN
+    return entries, max([zero, *map(abs, entries.values())])
 
 
 def worst_jacobi_triple(algebra):
-    """Labels of the triple carrying the largest Jacobi violation, or None."""
-    residual, worst = jacobi_residual(algebra)
-    if worst == 0:
-        return None
-    for idx in residual.indices():
-        if abs(residual[idx]) == worst:
-            a, b, c, _ = idx
+    """Labels of the triple carrying the largest Jacobi violation, or None.
+
+    Ties go to the lexicographically first residual index.
+    """
+    entries, worst = jacobi_residual(algebra)
+    for (a, b, c, _), v in entries.items():
+        if abs(v) == worst:
             return (algebra.labels[a], algebra.labels[b], algebra.labels[c])
     return None
 
@@ -172,35 +162,37 @@ def change_basis(algebra, p, labels=None):
     n = algebra.dim
     if len(p) != n or any(len(row) != n for row in p):
         raise ValueError("P has the wrong shape")
-    tag = algebra.tag
-    p = [[coerce_scalar(x, tag) for x in row] for row in p]
-    p_inv = mat_inverse(p, tag)  # raises on singular P
-    f = algebra.f
-    # transform slot by slot to stay O(n^4) per slot
-    cur = {idx: f[idx] for idx in f.indices() if f[idx] != 0}
+    p = [[coerce_scalar(x, algebra.tag) for x in row] for row in p]
+    p_inv = mat_inverse(p, algebra.tag)  # raises on singular P
+    return _change_basis(algebra, p, p_inv, labels)
 
-    def apply(axis, matrix, by_column):
-        # by_column: weight src -> target with matrix[src][target],
-        # otherwise with matrix[target][src]
+
+def _change_basis(algebra, p, p_inv, labels):
+    """change_basis with P^{-1} supplied by a caller that already holds it."""
+    n = algebra.dim
+    zero = scalar_zero(algebra.tag)
+    cur = {(a, b, c): v for (a, b), row in algebra._rows.items() for c, v in row.items()}
+
+    def apply(axis, matrix):
+        # weight index src -> k in this slot by matrix[src][k]
         nxt = {}
         for idx, v in cur.items():
             for k in range(n):
-                m = matrix[idx[axis]][k] if by_column else matrix[k][idx[axis]]
+                m = matrix[idx[axis]][k]
                 if m == 0:
                     continue
                 jdx = list(idx)
                 jdx[axis] = k
                 key = tuple(jdx)
-                nxt[key] = nxt.get(key, scalar_zero(tag)) + m * v
+                nxt[key] = nxt.get(key, zero) + m * v
         return {k: v for k, v in nxt.items() if v != 0}
 
-    # f'_{ab}^c = sum P^{-1}_{ma} P^{-1}_{nb} P_{ck} f_{mn}^{k}
-    cur = apply(0, p_inv, True)
-    cur = apply(1, p_inv, True)
-    cur = apply(2, p, False)
-    new_f = Tensor.from_entries(n, (DOWN, DOWN, UP), cur, tag)
-    new_labels = tuple(labels) if labels else algebra.labels
-    return LieAlgebra(new_labels, new_f)
+    # f'_{ab}^c = sum P^{-1}_{ma} P^{-1}_{nb} P_{ck} f_{mn}^{k}, one slot at a time
+    cur = apply(0, p_inv)
+    cur = apply(1, p_inv)
+    cur = apply(2, list(zip(*p)))
+    new_f = Tensor.from_entries(n, (DOWN, DOWN, UP), cur, algebra.tag)
+    return LieAlgebra(tuple(labels) if labels else algebra.labels, new_f)
 
 
 @dataclass(frozen=True)
@@ -239,32 +231,22 @@ def check_reductive(algebra, split):
     """
     if not split.covers(algebra.dim):
         raise ValueError("split must cover every basis index exactly once")
-    m, h = split.m_indices, split.h_indices
-    hh, hm = [], []
-    for i, a in enumerate(h):
-        for b in h[i + 1 :]:
-            leak = {c: v for c, v in algebra.bracket(a, b).items() if c in m}
+    m, h = set(split.m_indices), set(split.h_indices)
+    labels, zero = algebra.labels, scalar_zero(algebra.tag)
+    hh, hm, images = [], [], []
+    # rows come in index order, so each list is ordered by (a, b)
+    for (a, b), row in algebra._rows.items():
+        if a in h and b in h and a < b:
+            leak = tuple(c for c in row if c in m)
             if leak:
-                hh.append((algebra.labels[a], algebra.labels[b], tuple(sorted(leak))))
-    for a in h:
-        for b in m:
-            leak = {c: v for c, v in algebra.bracket(a, b).items() if c in h}
+                hh.append((labels[a], labels[b], leak))
+        elif a in h and b in m:
+            leak = tuple(c for c in row if c in h)
             if leak:
-                hm.append((algebra.labels[a], algebra.labels[b], tuple(sorted(leak))))
-    images = []
-    zero = scalar_zero(algebra.tag)
-    for i, a in enumerate(m):
-        for b in m[i + 1 :]:
-            row = algebra.bracket(a, b)
-            vec = [row.get(c, zero) for c in range(algebra.dim)]
-            for c in m:
-                vec[c] = zero
-            if any(v != 0 for v in vec):
-                images.append(vec)
-    if images:
-        basis, _ = row_reduce(images)
-    else:
-        basis = []
+                hm.append((labels[a], labels[b], leak))
+        elif a in m and b in m and a < b:
+            images.append([zero if c in m else row.get(c, zero) for c in range(algebra.dim)])
+    basis, _ = row_reduce(images)
     return ReductiveReport(
         is_reductive=not hh and not hm,
         hh_violations=tuple(hh),

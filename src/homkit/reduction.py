@@ -35,7 +35,7 @@ from .exact import (
     solve_in_span,
     solve_linear,
 )
-from .lie_algebra import LieAlgebra, change_basis, jacobi_residual, worst_jacobi_triple
+from .lie_algebra import LieAlgebra, _change_basis, jacobi_residual, worst_jacobi_triple
 from .plane_wave import PlaneWaveData, pw_isometry_algebra
 
 ZERO = Fraction(0)
@@ -194,8 +194,10 @@ def _span_closure(seeds, n):
     changed = True
     while changed:
         changed = False
-        for a in list(basis):
-            for b in list(basis):
+        # [a, a] = 0, and [b, a] = -[a, b] is in the span once [a, b] is
+        snapshot = list(basis)
+        for i, a in enumerate(snapshot):
+            for b in snapshot[i + 1 :]:
                 if add(a @ b - b @ a):
                     changed = True
     return np.array(basis, dtype=object).reshape(len(basis), n, n)
@@ -659,8 +661,9 @@ class ReductionReport:
 
 
 def _apply_new_generators(algebra, new_in_old, labels=None):
+    # new_in_old is already P^{-1} of the component map, so invert once
     p = mat_inverse(new_in_old.tolist(), EXACT)
-    return change_basis(algebra, p, labels=labels)
+    return _change_basis(algebra, p, new_in_old.tolist(), labels)
 
 
 def nondegenerate_reduce(ansatz):

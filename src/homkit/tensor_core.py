@@ -30,6 +30,9 @@ from .exact import (
 UP = "u"
 DOWN = "d"
 
+# largest dim**rank a dense tensor may hold; checked before any allocation
+_MAX_COMPONENTS = 2**20
+
 
 def _perm_sign(perm):
     sign = 1
@@ -97,18 +100,30 @@ class Tensor:
     def indices(self):
         return itertools.product(range(self.dim), repeat=self.rank)
 
+    def entries(self):
+        """Nonzero components as {index tuple: value} in index order.
+
+        The inverse of ``from_entries``.
+        """
+        return {idx: v for idx, v in zip(self.indices(), self.components) if v != 0}
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zeros(cls, dim, valence, tag=EXACT):
-        z = scalar_zero(tag)
-        return cls(dim, tuple(valence), (z,) * dim ** len(tuple(valence)), tag)
+        valence = tuple(valence)
+        if dim ** len(valence) > _MAX_COMPONENTS:
+            raise ValueError(
+                f"tensor of dim {dim} and rank {len(valence)} exceeds "
+                f"{_MAX_COMPONENTS} components"
+            )
+        return cls(dim, valence, (scalar_zero(tag),) * dim ** len(valence), tag)
 
     @classmethod
     def from_entries(cls, dim, valence, entries, tag=EXACT):
         valence = tuple(valence)
-        comps = [scalar_zero(tag)] * dim ** len(valence)
         t = cls.zeros(dim, valence, tag)
+        comps = list(t.components)
         for idx, val in entries.items():
             comps[t.flat(tuple(idx))] = coerce_scalar(val, tag)
         return cls(dim, valence, tuple(comps), tag)
@@ -146,10 +161,6 @@ class Tensor:
         c = coerce_scalar(c, self.tag)
         return Tensor(self.dim, self.valence, tuple(c * a for a in self.components), self.tag)
 
-    def max_abs(self):
-        zero = scalar_zero(self.tag)
-        return max((abs(c) for c in self.components), default=zero)
-
     def is_zero(self, tol=None):
         if self.tag == EXACT:
             return all(c == 0 for c in self.components)
@@ -159,16 +170,13 @@ class Tensor:
     # -- JSON form --------------------------------------------------------
 
     def to_json(self):
-        entries = {}
-        for idx in self.indices():
-            v = self.components[self.flat(idx)]
-            if v != 0:
-                entries[",".join(map(str, idx))] = format_scalar(v)
         return {
             "dim": self.dim,
             "rank": self.rank,
             "valence": list(self.valence),
-            "entries": entries,
+            "entries": {
+                ",".join(map(str, idx)): format_scalar(v) for idx, v in self.entries().items()
+            },
         }
 
     @classmethod

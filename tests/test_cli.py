@@ -61,6 +61,14 @@ class TestClassify:
         code, _, err = run(capsys, "classify", str(path))
         assert code == 2 and "bad.json" in err
 
+    def test_oversized_structure_is_malformed_input(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        s = {"dim": 102, "rank": 3, "valence": ["d", "d", "d"], "entries": {"0,1,2": "1"}}
+        path.write_text(json.dumps({"metric": [[1, 0], [0, 1]], "S": s}))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "dim 102 and rank 3" in err
+
 
 class TestJacobi:
     def test_pass(self, tmp_path, capsys):
@@ -78,6 +86,14 @@ class TestJacobi:
         code, out, _ = run(capsys, "jacobi", str(path))
         assert code == 1
         assert json.loads(out)["failing_identity"] == ["e0", "e1", "e2"]
+
+    def test_oversized_table_is_malformed_input(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 102, "brackets": {"0,1": {"2": "1"}}}))
+        code, out, err = run(capsys, "jacobi", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "dim 102 and rank 3" in err
+        assert "Traceback" not in err
 
 
 class TestReductive:

@@ -1,5 +1,6 @@
 """Structure-constant tables: Jacobi residuals, basis changes, splits."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homkit.exact import EXACT, FLOAT, mat_inverse
 from homkit.lie_algebra import (
     LieAlgebra,
     ReductiveSplit,
@@ -16,6 +18,7 @@ from homkit.lie_algebra import (
     worst_jacobi_triple,
 )
 from homkit.plane_wave import PlaneWaveData, pw_isometry_algebra
+from homkit.tensor_core import DOWN, UP, Tensor
 
 SO3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}})
 HEISENBERG = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
@@ -182,3 +185,143 @@ class TestJson:
         f = Tensor.from_entries(2, (DOWN, DOWN, UP), {(0, 1, 0): 1})
         with pytest.raises(ValueError, match="antisymmetric"):
             LieAlgebra(("a", "b"), f)
+
+
+# -- dense references for the sparse readers ----------------------------------
+
+
+def dense_table(algebra):
+    n, f = algebra.dim, algebra.f
+    return [[[f[a, b, c] for c in range(n)] for b in range(n)] for a in range(n)]
+
+
+def dense_jacobi(algebra):
+    """Every nonzero J_{abc}^d by a loop over all four indices of f[a, b, c]."""
+    t, r = dense_table(algebra), range(algebra.dim)
+    # B_{abc}^d = sum_e f_{ab}^e f_{ec}^d, so J_{abc}^d = B_{abc}^d + B_{bca}^d + B_{cab}^d
+    nested = {}
+    for a, b, c, d in itertools.product(r, repeat=4):
+        nested[a, b, c, d] = sum(t[a][b][e] * t[e][c][d] for e in r if t[a][b][e])
+    out = {}
+    for a, b, c, d in itertools.product(r, repeat=4):
+        v = nested[a, b, c, d] + nested[b, c, a, d] + nested[c, a, b, d]
+        if v != 0:
+            out[(a, b, c, d)] = v
+    return out
+
+
+def dense_change_basis(t, p, p_inv):
+    """f'_{ab}^c = sum P^{-1}_{ma} P^{-1}_{nb} P_{ck} f_{mn}^k on a nested table."""
+    r = range(len(t))
+    t = [[[sum(p_inv[m][a] * t[m][b][c] for m in r) for c in r] for b in r] for a in r]
+    t = [[[sum(p_inv[m][b] * t[a][m][c] for m in r) for c in r] for b in r] for a in r]
+    return [[[sum(p[c][k] * t[a][b][k] for k in r) for c in r] for b in r] for a in r]
+
+
+def from_table(t, tag):
+    n = len(t)
+    entries = {(a, b, c): t[a][b][c] for a, b, c in itertools.product(range(n), repeat=3)
+               if t[a][b][c] != 0}
+    f = Tensor.from_entries(n, (DOWN, DOWN, UP), entries, tag)
+    return LieAlgebra(tuple(f"x{i}" for i in range(n)), f)
+
+
+def unimodular(rng, n):
+    """A product of n random shears: an integer P with an integer inverse."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        (i, j), s = rng.sample(range(n), 2), rng.choice((-1, 1))
+        p[i] = [x + s * y for x, y in zip(p[i], p[j])]
+    p_inv = mat_inverse(p)
+    assert all(x.denominator == 1 for row in p_inv for x in row)
+    return p, [[int(x) for x in row] for row in p_inv]
+
+
+def random_tables():
+    """48 tables at dims 2-9, half perturbed off a Lie algebra, every 12th float.
+
+    The unperturbed table is R x_A R^(n-1), [e0, ei] = sum_j A_ji e_j, which
+    is a Lie algebra for any A, written in a random unimodular basis.
+    Float tables use quarter-integers, so every float sum in them is exact.
+    """
+    rng = random.Random(31)
+
+    def draw(tag):
+        if tag == FLOAT:
+            return rng.randint(-8, 8) / 4
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    for k in range(48):
+        tag = FLOAT if k % 12 == 11 else EXACT
+        n = 5 if tag == FLOAT else 2 + k % 8
+        zero = 0.0 if tag == FLOAT else Fraction(0)
+        t = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for i, j in itertools.product(range(1, n), repeat=2):
+            if rng.random() < 0.5:
+                t[0][i][j] = draw(tag)
+                t[i][0][j] = -t[0][i][j]
+        p, p_inv = unimodular(rng, n)
+        t = dense_change_basis(t, p, p_inv)
+        if (k + k // 8) % 2:
+            for _ in range(2):
+                a, b = rng.sample(range(n), 2)
+                c = rng.randrange(n)
+                v = draw(tag) or 1
+                t[a][b][c] += v
+                t[b][a][c] -= v
+        yield from_table(t, tag)
+
+
+class TestSparseReaders:
+    def test_jacobi_entries_match_dense_reference(self):
+        failing = 0
+        for algebra in random_tables():
+            ref = dense_jacobi(algebra)
+            entries, worst = jacobi_residual(algebra)
+            assert entries == ref
+            assert list(entries) == sorted(entries)
+            ref_worst = max(map(abs, ref.values()), default=0)
+            assert worst == ref_worst
+            assert type(worst) is (float if algebra.tag == FLOAT else Fraction)
+            if ref:
+                first = min(k for k, v in ref.items() if abs(v) == ref_worst)
+                assert worst_jacobi_triple(algebra) == tuple(algebra.labels[i] for i in first[:3])
+                failing += 1
+            else:
+                assert worst_jacobi_triple(algebra) is None
+        assert failing >= 18  # the perturbed dim-2 tables cannot fail
+
+    def test_change_basis_matches_dense_formula(self):
+        rng = random.Random(5)
+        for algebra in itertools.islice(random_tables(), 0, None, 3):
+            if algebra.tag == FLOAT:
+                continue
+            n = algebra.dim
+            while True:
+                p = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+                     for _ in range(n)]
+                try:
+                    p_inv = mat_inverse(p)
+                    break
+                except ValueError:
+                    continue
+            expected = dense_change_basis(dense_table(algebra), p, p_inv)
+            assert change_basis(algebra, p).f == from_table(expected, EXACT).f
+
+    @pytest.mark.parametrize(
+        "dim, entries, where",
+        [
+            # messages recorded from the dense D^3 scan this check replaced
+            (3, {(1, 2, 0): 1, (0, 2, 1): 5, (0, 2, 0): 2, (2, 0, 0): -2}, "(0,2)^1"),
+            (3, {(2, 1, 0): 1, (2, 0, 1): 3}, "(0,2)^1"),
+            (4, {(3, 3, 1): 1, (1, 3, 2): 2, (3, 1, 2): -2, (2, 3, 0): 1}, "(2,3)^0"),
+            (3, {(0, 1, 2): 1, (1, 0, 2): 1, (1, 1, 0): 7}, "(0,1)^2"),
+            (3, {(1, 1, 0): 2, (1, 2, 0): 1}, "(1,1)^0"),
+        ],
+    )
+    def test_first_antisymmetry_violation_is_named(self, dim, entries, where):
+        f = Tensor.from_entries(dim, (DOWN, DOWN, UP), entries)
+        labels = tuple(f"x{i}" for i in range(dim))
+        with pytest.raises(ValueError) as exc:
+            LieAlgebra(labels, f)
+        assert str(exc.value) == f"structure constants not antisymmetric at {where}"

@@ -217,3 +217,36 @@ class TestJson:
         data = {"dim": 2, "rank": 1, "valence": ["d"], "entries": {"0": "1/2", "1": 0.5}}
         with pytest.raises(ValueError, match="mixed"):
             Tensor.from_json(data)
+
+
+class TestEntries:
+    @settings(max_examples=30, deadline=None)
+    @given(rank3_lower(3))
+    def test_inverse_of_from_entries(self, t):
+        entries = t.entries()
+        assert all(v != 0 for v in entries.values())
+        assert list(entries) == sorted(entries)
+        assert Tensor.from_entries(t.dim, t.valence, entries) == t
+
+    def test_float_zeros_are_skipped(self):
+        t = Tensor(2, (UP, DOWN), (0.0, -0.5, -0.0, 2.0), FLOAT)
+        assert t.entries() == {(0, 1): -0.5, (1, 1): 2.0}
+
+
+class TestSizeCap:
+    # 101**3 fits under the 2**20 component cap; 102**3 is the smallest rank-3 overflow
+    def test_zeros_names_dim_and_rank(self):
+        with pytest.raises(ValueError, match=r"dim 102 and rank 3"):
+            Tensor.zeros(102, (DOWN, DOWN, UP))
+
+    def test_from_entries_checks_before_filling(self):
+        with pytest.raises(ValueError, match=r"dim 102 and rank 3"):
+            Tensor.from_entries(102, (DOWN, DOWN, UP), {(0, 1, 2): 1})
+
+    def test_from_json_rejects_huge_dim(self):
+        data = {"dim": 100000, "rank": 4, "valence": ["d", "d", "d", "u"], "entries": {}}
+        with pytest.raises(ValueError, match=r"dim 100000 and rank 4"):
+            Tensor.from_json(data)
+
+    def test_largest_allowed_cube_builds(self):
+        assert Tensor.zeros(101, (DOWN, DOWN, UP)).dim == 101
