@@ -8,6 +8,7 @@ the package carries a tag, and operations reject mismatched tags.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 EXACT = "exact"
@@ -46,7 +47,7 @@ def scalar_one(tag):
 
 
 def parse_scalar(text):
-    """Parse a JSON entry: "p/q" strings are exact, numbers are floats."""
+    """Parse a JSON entry: "p/q" strings are exact, finite numbers are floats."""
     if isinstance(text, str):
         return Fraction(text), EXACT
     if isinstance(text, bool):
@@ -55,6 +56,8 @@ def parse_scalar(text):
         # bare JSON integers are treated as exact
         return Fraction(text), EXACT
     if isinstance(text, float):
+        if not math.isfinite(text):
+            raise ValueError(f"non-finite scalar {text!r}")
         return float(text), FLOAT
     raise ValueError(f"cannot parse scalar {text!r}")
 

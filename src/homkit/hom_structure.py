@@ -33,6 +33,7 @@ from .tensor_core import (
     UP,
     FrameMetric,
     Tensor,
+    _antisymmetry_violations,
     antisymmetrize,
     contract,
     raise_lower,
@@ -64,15 +65,11 @@ class HomogeneousStructure:
             raise ValueError("S and metric dimensions differ")
         if self.S.tag != self.metric.tag:
             raise ValueError("S and metric tags differ")
-        tol = 0.0 if self.tag == EXACT else 1e-12
-        for x, y, z in itertools.product(range(self.dim), repeat=3):
-            if y > z:
-                continue
-            err = self.S[x, y, z] + self.S[x, z, y]
-            if (err != 0) if self.tag == EXACT else (abs(err) > tol):
-                raise ValueError(
-                    f"S is not antisymmetric in its last two slots at ({x},{y},{z})"
-                )
+        tol = None if self.tag == EXACT else 1e-12
+        bad = _antisymmetry_violations(self.S.entries(), 1, 2, tol)
+        if bad:
+            x, y, z = bad[0]
+            raise ValueError(f"S is not antisymmetric in its last two slots at ({x},{y},{z})")
 
     @property
     def dim(self):
@@ -124,8 +121,8 @@ def trace_one_form(hs):
         alpha = c.scale(1.0 / (d - 1))
     xi = raise_lower(alpha, 0, hs.metric)
     norm = scalar_zero(hs.tag)
-    for a in range(d):
-        norm += alpha[a] * xi[a]
+    for a, x in zip(alpha.components, xi.components):
+        norm += a * x
     return alpha, xi, norm
 
 
@@ -134,8 +131,9 @@ def vectorial_part(metric, alpha):
     d = metric.dim
     comps = []
     g = metric.g
+    a = alpha.components
     for x, y, z in itertools.product(range(d), repeat=3):
-        comps.append(g[x][y] * alpha[z] - g[x][z] * alpha[y])
+        comps.append(g[x][y] * a[z] - g[x][z] * a[y])
     return Tensor(d, (DOWN, DOWN, DOWN), tuple(comps), metric.tag)
 
 
@@ -222,11 +220,11 @@ class CurvatureAtPoint:
             for m in self.h_basis
         )
         object.__setattr__(self, "h_basis", h_basis)
-        for a in range(d):
-            for b in range(a, d):
-                for c, e in itertools.product(range(d), repeat=2):
-                    if self.Rbar[a, b, c, e] != -self.Rbar[b, a, c, e]:
-                        raise ValueError("Rbar is not antisymmetric in its form slots")
+        entries = self.Rbar.entries()
+        if _antisymmetry_violations(entries, 0, 1):
+            raise ValueError("Rbar is not antisymmetric in its form slots")
+        # the nonzero components operator reads; not a dataclass field
+        object.__setattr__(self, "_entries", entries)
         for m in h_basis:
             if len(m) != d or any(len(row) != d for row in m):
                 raise ValueError("h_basis matrices must be D x D")
@@ -236,7 +234,10 @@ class CurvatureAtPoint:
     def operator(self, a, b):
         """Matrix of Rbar(E_a, E_b) as nested lists (row, column)."""
         d = self.metric.dim
-        return [[self.Rbar[a, b, r, c] for c in range(d)] for r in range(d)]
+        if not (0 <= a < d and 0 <= b < d):
+            raise ValueError(f"operator ({a},{b}) out of range for dim {d}")
+        zero = scalar_zero(self.Rbar.tag)
+        return [[self._entries.get((a, b, r, c), zero) for c in range(d)] for r in range(d)]
 
 
 class SpanError(ValueError):
@@ -294,7 +295,7 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
         return coeffs
 
     # raised S: (S_X Y)^C = g^{CZ} S_{XYZ}
-    s_up = raise_lower(hs.S, 2, hs.metric)
+    s_up = raise_lower(hs.S, 2, hs.metric).entries()
 
     brackets = {}
     zero = scalar_zero(tag)
@@ -303,7 +304,7 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
         for b in range(a + 1, d):
             row = {}
             for c in range(d):
-                v = s_up[a, b, c] - s_up[b, a, c]
+                v = s_up.get((a, b, c), zero) - s_up.get((b, a, c), zero)
                 if v != 0:
                     row[c] = v
             op = curv.operator(a, b)

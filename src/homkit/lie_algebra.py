@@ -20,7 +20,7 @@ from .exact import (
     row_reduce,
     scalar_zero,
 )
-from .tensor_core import DOWN, UP, Tensor
+from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations
 
 
 def _default_labels(n):
@@ -37,21 +37,16 @@ class LieAlgebra:
             raise ValueError("structure constants must have valence (d, d, u)")
         if len(self.labels) != self.f.dim:
             raise ValueError("label count does not match dimension")
+        entries = self.f.entries()
+        bad = _antisymmetry_violations(entries, 0, 1)
+        if bad:
+            a, b, c = bad[0]
+            raise ValueError(f"structure constants not antisymmetric at ({a},{b})^{c}")
         # nonzero brackets as {(a, b): {c: f_ab^c}}, in index order; not a
         # dataclass field, so equality and repr still see only labels and f
         rows = {}
-        for (a, b, c), v in self.f.entries().items():
+        for (a, b, c), v in entries.items():
             rows.setdefault((a, b), {})[c] = v
-        zero = scalar_zero(self.tag)
-        bad = [
-            (min(a, b), max(a, b), c)
-            for (a, b), row in rows.items()
-            for c, v in row.items()
-            if v != -rows.get((b, a), {}).get(c, zero)
-        ]
-        if bad:
-            a, b, c = min(bad)
-            raise ValueError(f"structure constants not antisymmetric at ({a},{b})^{c}")
         object.__setattr__(self, "_rows", rows)
 
     @property

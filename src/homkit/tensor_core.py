@@ -34,22 +34,6 @@ DOWN = "d"
 _MAX_COMPONENTS = 2**20
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @dataclass(frozen=True)
 class Tensor:
     """A dense rank-r tensor on a D-dimensional space.
@@ -83,6 +67,8 @@ class Tensor:
     # -- indexing ---------------------------------------------------------
 
     def flat(self, idx):
+        if len(idx) != self.rank:
+            raise ValueError(f"index {idx}: need {self.rank} indices, got {len(idx)}")
         f = 0
         for k in idx:
             if not 0 <= k < self.dim:
@@ -93,8 +79,6 @@ class Tensor:
     def __getitem__(self, idx):
         if isinstance(idx, int):
             idx = (idx,)
-        if len(idx) != self.rank:
-            raise ValueError(f"need {self.rank} indices, got {len(idx)}")
         return self.components[self.flat(idx)]
 
     def indices(self):
@@ -214,23 +198,16 @@ class FrameMetric:
         ginv = tuple(tuple(coerce_scalar(x, self.tag) for x in row) for row in self.g_inv)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "g_inv", ginv)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.tag == EXACT:
-                    if g[i][j] != g[j][i]:
-                        raise ValueError("metric is not symmetric")
-                elif abs(g[i][j] - g[j][i]) > 1e-13:
-                    raise ValueError("metric is not symmetric")
+        # exact entries must agree, float ones to within 1e-13; testing !=
+        # first spares an exact subtraction where they agree
+        tol = 0 if self.tag == EXACT else 1e-13
+        pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
+        if any(g[i][j] != g[j][i] and abs(g[i][j] - g[j][i]) > tol for i, j in pairs):
+            raise ValueError("metric is not symmetric")
         prod = mat_mul([list(r) for r in g], [list(r) for r in ginv])
         ident = mat_identity(self.dim, self.tag)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                err = prod[i][j] - ident[i][j]
-                if self.tag == EXACT:
-                    if err != 0:
-                        raise ValueError("g_inv is not the inverse of g")
-                elif abs(err) > 1e-13:
-                    raise ValueError("g_inv is not the inverse of g")
+        if any(prod[i][j] != ident[i][j] and abs(prod[i][j] - ident[i][j]) > tol for i, j in pairs):
+            raise ValueError("g_inv is not the inverse of g")
 
     @classmethod
     def from_matrix(cls, rows, tag=None):
@@ -291,6 +268,24 @@ def _check_slot(t, slot):
         raise ValueError(f"slot {slot} out of range for rank {t.rank}")
 
 
+def _antisymmetry_violations(entries, slot_a, slot_b, tol=None):
+    """Where t[..i..j..] = -t[..j..i..] fails, for slot_a < slot_b.
+
+    Reads a ``Tensor.entries()`` dict and returns, in index order, each
+    failing pair once by its member with i <= j.  The test is exact
+    unless tol bounds the magnitude of the pair's sum.
+    """
+    bad = set()
+    for idx, v in entries.items():
+        swapped = list(idx)
+        swapped[slot_a], swapped[slot_b] = idx[slot_b], idx[slot_a]
+        swapped = tuple(swapped)
+        w = entries.get(swapped, 0)
+        if (v != -w) if tol is None else (abs(v + w) > tol):
+            bad.add(min(idx, swapped))
+    return sorted(bad)
+
+
 def contract(t, slot_a, slot_b, metric=None):
     """Contract two slots, using the metric when they have equal valence.
 
@@ -303,7 +298,6 @@ def contract(t, slot_a, slot_b, metric=None):
         raise ValueError("contraction slots must be distinct")
     slot_a, slot_b = sorted((slot_a, slot_b))
     va, vb = t.valence[slot_a], t.valence[slot_b]
-    pairing = None
     if va == vb:
         if metric is None:
             raise ValueError("metric required to contract two slots of equal valence")
@@ -312,24 +306,19 @@ def contract(t, slot_a, slot_b, metric=None):
         if metric.dim != t.dim:
             raise ValueError("metric dimension mismatch")
         pairing = metric.g_inv if va == DOWN else metric.g
+    else:
+        pairing = mat_identity(t.dim, t.tag)
     new_valence = tuple(v for k, v in enumerate(t.valence) if k not in (slot_a, slot_b))
-    out = Tensor.zeros(t.dim, new_valence, t.tag)
-    comps = list(out.components)
-    for idx in itertools.product(range(t.dim), repeat=len(new_valence)):
-        total = scalar_zero(t.tag)
-        for p in range(t.dim):
-            for q in range(t.dim):
-                if pairing is None and p != q:
-                    continue
-                full = list(idx)
-                full.insert(slot_a, p)
-                full.insert(slot_b, q)
-                v = t.components[t.flat(tuple(full))]
-                if pairing is not None:
-                    v = pairing[p][q] * v
-                total += v
-        comps[out.flat(idx)] = total
-    return Tensor(t.dim, new_valence, tuple(comps), t.tag)
+    zero = scalar_zero(t.tag)
+    out = {}
+    # entries come in index order, so each output adds its terms in
+    # (p, q) order; zero terms leave a sum unchanged and are skipped
+    for idx, v in t.entries().items():
+        c = pairing[idx[slot_a]][idx[slot_b]]
+        if c != 0:
+            key = idx[:slot_a] + idx[slot_a + 1 : slot_b] + idx[slot_b + 1 :]
+            out[key] = out.get(key, zero) + c * v
+    return Tensor.from_entries(t.dim, new_valence, out, t.tag)
 
 
 def antisymmetrize(t, slots):
@@ -342,21 +331,29 @@ def antisymmetrize(t, slots):
     if len({t.valence[s] for s in slots}) > 1:
         raise ValueError("cannot antisymmetrize slots of mixed valence")
     perms = list(itertools.permutations(range(len(slots))))
-    if t.tag == EXACT:
-        weight = Fraction(1, len(perms))
-    else:
-        weight = 1.0 / len(perms)
-    comps = []
-    for idx in t.indices():
-        total = scalar_zero(t.tag)
-        for perm in perms:
-            full = list(idx)
-            for pos, s in enumerate(slots):
-                full[s] = idx[slots[perm[pos]]]
-            v = t.components[t.flat(tuple(full))]
-            total += v if _perm_sign(perm) > 0 else -v
-        comps.append(weight * total)
-    return Tensor(t.dim, t.valence, tuple(comps), t.tag)
+    weight = Fraction(1, len(perms)) if t.tag == EXACT else 1.0 / len(perms)
+    # per permutation: the slot each output slot reads, and its parity
+    signed = []
+    for perm in perms:
+        src = list(range(t.rank))
+        for pos, s in enumerate(slots):
+            src[s] = slots[perm[pos]]
+        even = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
+        signed.append((src, even))
+    entries = t.entries()
+    # the permutations form a group, so the outputs that read a nonzero
+    # entry are the orbit of the support
+    orbit = {tuple(map(idx.__getitem__, src)) for idx in entries for src, _ in signed}
+    zero = scalar_zero(t.tag)
+    out = {}
+    for idx in sorted(orbit):
+        total = zero
+        for src, even in signed:
+            v = entries.get(tuple(map(idx.__getitem__, src)))
+            if v is not None:
+                total = total + v if even else total - v
+        out[idx] = weight * total
+    return Tensor.from_entries(t.dim, t.valence, out, t.tag)
 
 
 def raise_lower(t, slot, metric):
@@ -374,13 +371,13 @@ def raise_lower(t, slot, metric):
     pairing = metric.g if lowering else metric.g_inv
     new_valence = list(t.valence)
     new_valence[slot] = DOWN if lowering else UP
-    out = Tensor.zeros(t.dim, tuple(new_valence), t.tag)
-    comps = list(out.components)
-    for idx in t.indices():
-        total = scalar_zero(t.tag)
-        for z in range(t.dim):
-            full = list(idx)
-            full[slot] = z
-            total += pairing[idx[slot]][z] * t.components[t.flat(tuple(full))]
-        comps[out.flat(idx)] = total
-    return Tensor(t.dim, tuple(new_valence), tuple(comps), t.tag)
+    # the nonzero pairing[i][z] for each z
+    columns = [[(i, row[z]) for i, row in enumerate(pairing) if row[z] != 0] for z in range(t.dim)]
+    zero = scalar_zero(t.tag)
+    out = {}
+    # entries come in index order, so each output adds its terms in z order
+    for idx, v in t.entries().items():
+        for i, c in columns[idx[slot]]:
+            key = idx[:slot] + (i,) + idx[slot + 1 :]
+            out[key] = out.get(key, zero) + c * v
+    return Tensor.from_entries(t.dim, tuple(new_valence), out, t.tag)

@@ -241,3 +241,38 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+class TestBoundaryChecks:
+    # Python's json module reads the non-standard literals Infinity and NaN
+    INFINITE_BRACKET = (
+        '{"dim": 3, "brackets": {"0,1": {"2": Infinity}, "0,2": {"1": 1.0}, "1,2": {"0": 1.0}}}'
+    )
+    INFINITE_STRUCTURE = (
+        '{"metric": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], '
+        '"S": {"dim": 3, "rank": 3, "valence": ["d", "d", "d"], '
+        '"entries": {"0,0,1": Infinity, "0,1,0": -Infinity}}}'
+    )
+
+    def assert_one_line_error(self, code, out, err, text):
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and text in err and "Traceback" not in err
+
+    def test_jacobi_rejects_infinite_bracket(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(self.INFINITE_BRACKET)
+        code, out, err = run(capsys, "jacobi", str(path))
+        self.assert_one_line_error(code, out, err, "non-finite scalar inf")
+
+    def test_classify_rejects_infinite_structure(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(self.INFINITE_STRUCTURE)
+        code, out, err = run(capsys, "classify", str(path))
+        self.assert_one_line_error(code, out, err, "non-finite scalar inf")
+
+    def test_classify_rejects_short_index(self, tmp_path, capsys):
+        s = {"dim": 3, "rank": 3, "valence": ["d", "d", "d"], "entries": {"0,1": "1"}}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "S": s}))
+        code, out, err = run(capsys, "classify", str(path))
+        self.assert_one_line_error(code, out, err, "index (0, 1): need 3 indices, got 2")

@@ -311,3 +311,35 @@ class TestJson:
     def test_classification_report_shape(self):
         report = classify(frame_structure(WAVE)).to_json()
         assert report == {"class": "T1+T3", "degeneracy": "null", "xi_norm": "0"}
+
+
+class TestAntisymmetryMessages:
+    # messages recorded from the dense index scans; each input has two violations
+    def test_exact_structure_names_first_violation(self):
+        s = Tensor.from_entries(
+            3, (DOWN, DOWN, DOWN), {(2, 0, 1): 3, (2, 1, 0): -3, (1, 2, 0): 1, (0, 2, 1): 5}
+        )
+        with pytest.raises(ValueError) as exc:
+            HomogeneousStructure(FrameMetric.euclidean(3), s)
+        assert str(exc.value) == "S is not antisymmetric in its last two slots at (0,1,2)"
+
+    def test_float_structure_keeps_tolerance(self):
+        # (0,0,1) is off by 1e-13, inside the 1e-12 tolerance, so it is not named
+        entries = {
+            (0, 0, 1): 1e-13, (2, 2, 1): 0.5, (2, 1, 2): -0.25,
+            (1, 1, 1): 2.0, (0, 1, 2): 0.5, (0, 2, 1): -0.5,
+        }
+        s = Tensor.from_entries(3, (DOWN, DOWN, DOWN), entries, tag=FLOAT)
+        with pytest.raises(ValueError) as exc:
+            HomogeneousStructure(FrameMetric.euclidean(3, tag=FLOAT), s)
+        assert str(exc.value) == "S is not antisymmetric in its last two slots at (1,1,1)"
+
+    def test_curvature_form_slots(self):
+        rbar = Tensor.from_entries(
+            3,
+            (DOWN, DOWN, UP, DOWN),
+            {(0, 1, 0, 1): 1, (1, 0, 0, 1): -1, (2, 1, 0, 0): 1, (1, 1, 2, 2): 1},
+        )
+        with pytest.raises(ValueError) as exc:
+            CurvatureAtPoint(rbar, (), FrameMetric.euclidean(3))
+        assert str(exc.value) == "Rbar is not antisymmetric in its form slots"

@@ -1,5 +1,7 @@
 """Exact tensor arithmetic: contraction, antisymmetrization, raising."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -250,3 +252,198 @@ class TestSizeCap:
 
     def test_largest_allowed_cube_builds(self):
         assert Tensor.zeros(101, (DOWN, DOWN, UP)).dim == 101
+
+
+class TestIndexLength:
+    def test_from_json_rejects_short_index(self):
+        data = {"dim": 3, "rank": 3, "valence": ["d", "d", "d"], "entries": {"0,1": "1"}}
+        with pytest.raises(ValueError, match=r"index \(0, 1\): need 3 indices, got 2"):
+            Tensor.from_json(data)
+
+    def test_from_entries_rejects_long_index(self):
+        with pytest.raises(ValueError, match=r"index \(0, 1, 1\): need 2 indices"):
+            Tensor.from_entries(2, (DOWN, DOWN), {(0, 1, 1): 1})
+
+    def test_getitem_rejects_short_index(self):
+        with pytest.raises(ValueError, match=r"index \(1,\): need 2 indices, got 1"):
+            Tensor.zeros(2, (UP, DOWN))[1]
+
+
+class TestNonFiniteJson:
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_tensor_entry_rejected(self, bad):
+        data = {"dim": 2, "rank": 1, "valence": ["d"], "entries": {"0": bad}}
+        with pytest.raises(ValueError, match="non-finite scalar"):
+            Tensor.from_json(data)
+
+    def test_metric_entry_rejected(self):
+        with pytest.raises(ValueError, match="non-finite scalar"):
+            FrameMetric.from_json([[1.0, 0.0], [0.0, float("nan")]])
+
+
+# ---------------------------------------------------------------------------
+# the dense index loops the sparse operations replaced, kept as references
+# ---------------------------------------------------------------------------
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, cycle = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            cycle += 1
+        if cycle % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def dense_contract(t, slot_a, slot_b, metric):
+    slot_a, slot_b = sorted((slot_a, slot_b))
+    va, vb = t.valence[slot_a], t.valence[slot_b]
+    pairing = None
+    if va == vb:
+        pairing = metric.g_inv if va == DOWN else metric.g
+    new_valence = tuple(v for k, v in enumerate(t.valence) if k not in (slot_a, slot_b))
+    out = Tensor.zeros(t.dim, new_valence, t.tag)
+    comps = list(out.components)
+    for idx in itertools.product(range(t.dim), repeat=len(new_valence)):
+        total = 0.0 if t.tag == FLOAT else Fraction(0)
+        for p in range(t.dim):
+            for q in range(t.dim):
+                if pairing is None and p != q:
+                    continue
+                full = list(idx)
+                full.insert(slot_a, p)
+                full.insert(slot_b, q)
+                v = t.components[t.flat(tuple(full))]
+                if pairing is not None:
+                    v = pairing[p][q] * v
+                total += v
+        comps[out.flat(idx)] = total
+    return Tensor(t.dim, new_valence, tuple(comps), t.tag)
+
+
+def dense_antisymmetrize(t, slots):
+    perms = list(itertools.permutations(range(len(slots))))
+    weight = 1.0 / len(perms) if t.tag == FLOAT else Fraction(1, len(perms))
+    comps = []
+    for idx in t.indices():
+        total = 0.0 if t.tag == FLOAT else Fraction(0)
+        for perm in perms:
+            full = list(idx)
+            for pos, s in enumerate(slots):
+                full[s] = idx[slots[perm[pos]]]
+            v = t.components[t.flat(tuple(full))]
+            total += v if _perm_sign(perm) > 0 else -v
+        comps.append(weight * total)
+    return Tensor(t.dim, t.valence, tuple(comps), t.tag)
+
+
+def dense_raise_lower(t, slot, metric):
+    lowering = t.valence[slot] == UP
+    pairing = metric.g if lowering else metric.g_inv
+    new_valence = list(t.valence)
+    new_valence[slot] = DOWN if lowering else UP
+    out = Tensor.zeros(t.dim, tuple(new_valence), t.tag)
+    comps = list(out.components)
+    for idx in t.indices():
+        total = 0.0 if t.tag == FLOAT else Fraction(0)
+        for z in range(t.dim):
+            full = list(idx)
+            full[slot] = z
+            total += pairing[idx[slot]][z] * t.components[t.flat(tuple(full))]
+        comps[out.flat(idx)] = total
+    return Tensor(t.dim, tuple(new_valence), tuple(comps), t.tag)
+
+
+def random_tensor(rng, dim, valence, tag, fill):
+    """Fixed-seed tensor; float values span six decades, so sums depend on order."""
+    comps = []
+    for _ in range(dim ** len(valence)):
+        if rng.random() >= fill:
+            comps.append(rng.choice((0.0, -0.0)) if tag == FLOAT else Fraction(0))
+        elif tag == FLOAT:
+            comps.append(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 3))
+        else:
+            comps.append(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+    return Tensor(dim, tuple(valence), tuple(comps), tag)
+
+
+def lorentzian_metrics(dim, tag):
+    """A diagonal, a light-cone (dim >= 2) and a dense Lorentzian metric."""
+    metrics = [FrameMetric.diagonal([-1] + [1] * (dim - 1), tag)]
+    if dim >= 2:
+        metrics.append(FrameMetric.light_cone(dim - 2, tag))
+    rows = [[(-3 if i == j == 0 else 3) if i == j else 1 for j in range(dim)] for i in range(dim)]
+    if tag == FLOAT:
+        rows = [[float(x) for x in row] for row in rows]
+    metrics.append(FrameMetric.from_matrix(rows, tag))
+    return metrics
+
+
+def valence_patterns(rank):
+    """All-lower, all-upper and alternating valences, without repeats, in a fixed order."""
+    return list(dict.fromkeys(
+        [(DOWN,) * rank, (UP,) * rank, tuple(UP if k % 2 else DOWN for k in range(rank))]
+    ))
+
+
+def assert_same(got, want):
+    assert (got.dim, got.valence, got.tag) == (want.dim, want.valence, want.tag)
+    assert got.components == want.components
+    # repr also tells -0.0 from 0.0, so float components match bit for bit
+    assert list(map(repr, got.components)) == list(map(repr, want.components))
+
+
+CASES = [
+    (tag, dim, rank, fill)
+    for tag in (EXACT, FLOAT)
+    for dim in range(1, 6)
+    for rank in range(1, 5)
+    for fill in (0.3, 1.0)
+]
+
+
+def case_id(case):
+    tag, dim, rank, fill = case
+    return f"{tag}-D{dim}-r{rank}-{'dense' if fill == 1.0 else 'sparse'}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+class TestAgainstDenseLoops:
+    def test_contract_every_slot_pair(self, case):
+        tag, dim, rank, fill = case
+        rng = random.Random(f"contract-{case_id(case)}")
+        metrics = lorentzian_metrics(dim, tag)
+        for valence in valence_patterns(rank):
+            t = random_tensor(rng, dim, valence, tag, fill)
+            for a, b in itertools.permutations(range(rank), 2):
+                for metric in metrics:
+                    assert_same(contract(t, a, b, metric), dense_contract(t, a, b, metric))
+
+    def test_raise_lower_every_slot(self, case):
+        tag, dim, rank, fill = case
+        rng = random.Random(f"raise-{case_id(case)}")
+        metrics = lorentzian_metrics(dim, tag)
+        for valence in valence_patterns(rank):
+            t = random_tensor(rng, dim, valence, tag, fill)
+            for slot in range(rank):
+                for metric in metrics:
+                    assert_same(raise_lower(t, slot, metric), dense_raise_lower(t, slot, metric))
+
+    def test_antisymmetrize_slot_tuples(self, case):
+        tag, dim, rank, fill = case
+        rng = random.Random(f"antisym-{case_id(case)}")
+        t = random_tensor(rng, dim, (DOWN,) * rank, tag, fill)
+        # every sorted subset, its reverse (e.g. (2, 0)), and (0,) alone
+        tuples = [(0,)]
+        for size in range(2, rank + 1):
+            for subset in itertools.combinations(range(rank), size):
+                tuples += [subset, subset[::-1]]
+        for slots in tuples:
+            assert_same(antisymmetrize(t, slots), dense_antisymmetrize(t, slots))
