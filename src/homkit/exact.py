@@ -68,6 +68,18 @@ def format_scalar(value):
     return value
 
 
+def integer_numerators(values):
+    """([L * v for v in values], L) with L the lcm of the denominators.
+
+    For ints and Fractions.  A sum of products of k such values is then
+    summed on Python ints and divided by L**k once, instead of building
+    a normalized Fraction (one gcd) per multiply-add.
+    """
+    pairs = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*{d for _, d in pairs})
+    return [p * (scale // d) for p, d in pairs], scale
+
+
 # ---------------------------------------------------------------------------
 # dense matrix helpers (lists of lists, single tag)
 # ---------------------------------------------------------------------------

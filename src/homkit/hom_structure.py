@@ -143,7 +143,11 @@ def decompose(hs):
     The sum reconstructs S exactly, S3 is the total antisymmetrization,
     and S2 is trace-free with vanishing 3-form part.
     """
-    alpha, _, _ = trace_one_form(hs)
+    return _split(hs, trace_one_form(hs)[0])
+
+
+def _split(hs, alpha):
+    """decompose with the trace one-form supplied by a caller that holds it."""
     s1 = vectorial_part(hs.metric, alpha)
     s3 = antisymmetrize(hs.S, (0, 1, 2))
     s2 = hs.S - s1 - s3
@@ -156,7 +160,8 @@ def classify(hs):
     Exact scalars use exact zero tests; floats use the documented
     absolute tolerance on the largest component.
     """
-    s1, s2, s3 = decompose(hs)
+    alpha, _, norm = trace_one_form(hs)
+    s1, s2, s3 = _split(hs, alpha)
     parts = set()
     if not _is_zero(s1, hs.tag):
         parts.add(1)
@@ -165,7 +170,6 @@ def classify(hs):
     if not _is_zero(s3, hs.tag):
         parts.add(3)
     label = CLASS_NAMES[frozenset(parts)]
-    _, _, norm = trace_one_form(hs)
     if 1 not in parts:
         degeneracy = "none"
     else:

@@ -15,6 +15,7 @@ from .exact import (
     EXACT,
     coerce_scalar,
     format_scalar,
+    integer_numerators,
     mat_inverse,
     parse_scalar,
     row_reduce,
@@ -117,10 +118,19 @@ def jacobi_residual(algebra):
     ({(a, b, c, d): value}, max magnitude): the entries are in index
     order, the form ``Tensor.from_entries`` takes, and the maximum is
     zero for an empty map.
+
+    An exact table is summed on integer numerators: with L the lcm of
+    its denominators, J(L f) = L^2 J(f), so each nonzero entry of J(L f)
+    is divided by L^2 once.
     """
     n = algebra.dim
     rows = algebra._rows
-    zero = scalar_zero(algebra.tag)
+    exact = algebra.tag == EXACT
+    if exact:
+        nums, scale = integer_numerators(v for row in rows.values() for v in row.values())
+        nums = iter(nums)
+        rows = {ab: {c: next(nums) for c in row} for ab, row in rows.items()}
+    # an int zero leaves every float sum bit-identical to one from 0.0
     acc = {}
     for (a, b), row in rows.items():
         for e, fab in row.items():
@@ -128,11 +138,15 @@ def jacobi_residual(algebra):
                 for d, fec in rows.get((e, c), {}).items():
                     v = fab * fec
                     for key in ((a, b, c, d), (b, c, a, d), (c, a, b, d)):
-                        acc[key] = acc.get(key, zero) + v
-    entries = {key: acc[key] for key in sorted(acc) if acc[key] != 0}
+                        acc[key] = acc.get(key, 0) + v
+    entries = {
+        key: Fraction(acc[key], scale * scale) if exact else acc[key]
+        for key in sorted(acc)
+        if acc[key] != 0
+    }
     # zero first, as the dense scan met J_{000}^0 = 0 first; this keeps a
     # float maximum bit-identical to it even when a residual is NaN
-    return entries, max([zero, *map(abs, entries.values())])
+    return entries, max([scalar_zero(algebra.tag), *map(abs, entries.values())])
 
 
 def worst_jacobi_triple(algebra):

@@ -25,7 +25,10 @@ scalar backends.  The float backend uses float64 arrays at any z and
 serves the residual sweeps.  The exact backend uses dtype=object arrays
 of Fractions at z = 0, where the profile jet H, [H,F], [[H,F],F], ... is
 rational, and serves the bracket-table reconstruction.  The backends
-differ only in the profile jet and in the matrix inverse.
+differ in the profile jet, in the matrix inverse and in how a
+contraction is summed: float64 einsums go straight to numpy, while
+exact ones run on integer numerators (each operand scaled by the lcm
+of its denominators) and return one Fraction per entry.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact_array import einsum
 from .exact import EXACT, FLOAT, mat_inverse
 from .hom_structure import CurvatureAtPoint, HomogeneousStructure
 from .lie_algebra import LieAlgebra
@@ -172,7 +176,8 @@ def profile_jet(pw, z):
 # The private builders take the profile jet, s and x as arrays plus the
 # backend's zero: 0.0 for float64 arrays, Fraction(0) for dtype=object
 # arrays that hold only Fractions.  Everything downstream is numpy
-# arithmetic and einsum, which keep the scalars they are given.
+# arithmetic and the einsum of _exact_array, which keep the scalars they
+# are given.
 
 
 @dataclass(frozen=True)
@@ -234,16 +239,16 @@ def _gamma_lower(dg):
 
 def christoffel(jet):
     """Levi-Civita symbols Gamma[r, m, n] = Gamma^r_{mn}."""
-    return np.einsum("rs,mns->rmn", jet.g_inv, _gamma_lower(jet.dg))
+    return einsum("rs,mns->rmn", jet.g_inv, _gamma_lower(jet.dg))
 
 
 def _connection(jet):
     """Gamma and d Gamma, plus the pieces connection_jet differentiates again."""
     ginv, dg = jet.g_inv, jet.dg
     low, dlow = _gamma_lower(dg), _gamma_lower(jet.ddg)
-    gamma = np.einsum("rs,mns->rmn", ginv, low)
-    dginv = -np.einsum("ra,kab,bs->krs", ginv, dg, ginv)
-    dgamma = np.einsum("krs,mns->krmn", dginv, low) + np.einsum("rs,kmns->krmn", ginv, dlow)
+    gamma = einsum("rs,mns->rmn", ginv, low)
+    dginv = -einsum("ra,kab,bs->krs", ginv, dg, ginv)
+    dgamma = einsum("krs,mns->krmn", dginv, low) + einsum("rs,kmns->krmn", ginv, dlow)
     return gamma, dgamma, dginv, low, dlow
 
 
@@ -252,23 +257,23 @@ def connection_jet(jet):
     gamma, dgamma, dginv, low, dlow = _connection(jet)
     ginv, dg, ddg = jet.g_inv, jet.dg, jet.ddg
     ddginv = (
-        -np.einsum("kra,lab,bs->klrs", dginv, dg, ginv)
-        - np.einsum("ra,klab,bs->klrs", ginv, ddg, ginv)
-        - np.einsum("ra,lab,kbs->klrs", ginv, dg, dginv)
+        -einsum("kra,lab,bs->klrs", dginv, dg, ginv)
+        - einsum("ra,klab,bs->klrs", ginv, ddg, ginv)
+        - einsum("ra,lab,kbs->klrs", ginv, dg, dginv)
     )
     ddlow = _gamma_lower(jet.dddg)
     ddgamma = (
-        np.einsum("klrs,mns->klrmn", ddginv, low)
-        + np.einsum("krs,lmns->klrmn", dginv, dlow)
-        + np.einsum("lrs,kmns->klrmn", dginv, dlow)
-        + np.einsum("rs,klmns->klrmn", ginv, ddlow)
+        einsum("klrs,mns->klrmn", ddginv, low)
+        + einsum("krs,lmns->klrmn", dginv, dlow)
+        + einsum("lrs,kmns->klrmn", dginv, dlow)
+        + einsum("rs,klmns->klrmn", ginv, ddlow)
     )
     return gamma, dgamma, ddgamma
 
 
 def _riemann_from_connection(gamma, dgamma):
     # R[r, s, m, n] = d_m G^r_{ns} - d_n G^r_{ms} + G^r_{ml} G^l_{ns} - G^r_{nl} G^l_{ms}
-    term = np.einsum("rml,lns->rsmn", gamma, gamma)
+    term = einsum("rml,lns->rsmn", gamma, gamma)
     return (
         dgamma.transpose(1, 3, 0, 2) - dgamma.transpose(1, 3, 2, 0)
         + term - term.transpose(0, 1, 3, 2)
@@ -284,7 +289,7 @@ def riemann(pw, pt):
 def riemann_lower(pw, pt):
     jet = metric_jet(pw, pt)
     gamma, dgamma, *_ = _connection(jet)
-    return np.einsum("rl,lsmn->rsmn", jet.g, _riemann_from_connection(gamma, dgamma))
+    return einsum("rl,lsmn->rsmn", jet.g, _riemann_from_connection(gamma, dgamma))
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +357,20 @@ def _coordinate_structure(sf, e, de=None):
     The 4-operand contractions take a greedy pairwise order: summed in
     one pass, the Fraction backend pays for every index combination.
     """
-    s_coord = np.einsum("abc,am,bn,cs->mns", sf, e, e, e, optimize="greedy")
+    s_coord = einsum("abc,am,bn,cs->mns", sf, e, e, e, optimize="greedy")
     if de is None:
         return s_coord, None
     ds_coord = (
-        np.einsum("abc,kam,bn,cs->kmns", sf, de, e, e, optimize="greedy")
-        + np.einsum("abc,am,kbn,cs->kmns", sf, e, de, e, optimize="greedy")
-        + np.einsum("abc,am,bn,kcs->kmns", sf, e, e, de, optimize="greedy")
+        einsum("abc,kam,bn,cs->kmns", sf, de, e, e, optimize="greedy")
+        + einsum("abc,am,kbn,cs->kmns", sf, e, de, e, optimize="greedy")
+        + einsum("abc,am,bn,kcs->kmns", sf, e, e, de, optimize="greedy")
     )
     return s_coord, ds_coord
 
 
 def _raised_structure(s_coord, ginv):
     """S^r_{mn} as [r, m, n], the part the torsion connection subtracts."""
-    return np.einsum("mns,rs->mnr", s_coord, ginv).transpose(2, 0, 1)
+    return einsum("mns,rs->mnr", s_coord, ginv).transpose(2, 0, 1)
 
 
 def structure_at(pw, pt):
@@ -391,15 +396,15 @@ def _point_residuals(pw, pt, sf_array):
     gbar = gamma - _raised_structure(s_coord, jet.g_inv)
 
     # metric parallelism
-    nabla_g = jet.dg - np.einsum("lkm,ln->kmn", gbar, jet.g) - np.einsum("lkn,ml->kmn", gbar, jet.g)
+    nabla_g = jet.dg - einsum("lkm,ln->kmn", gbar, jet.g) - einsum("lkn,ml->kmn", gbar, jet.g)
     r_g = float(np.max(np.abs(nabla_g)))
 
     # torsion-tensor parallelism
     nabla_s = (
         ds_coord
-        - np.einsum("lkm,lns->kmns", gbar, s_coord)
-        - np.einsum("lkn,mls->kmns", gbar, s_coord)
-        - np.einsum("lks,mnl->kmns", gbar, s_coord)
+        - einsum("lkm,lns->kmns", gbar, s_coord)
+        - einsum("lkn,mls->kmns", gbar, s_coord)
+        - einsum("lks,mnl->kmns", gbar, s_coord)
     )
     r_s = float(np.max(np.abs(nabla_s)))
 
@@ -407,19 +412,19 @@ def _point_residuals(pw, pt, sf_array):
     mixed = _riemann_from_connection(gamma, dgamma)
     dmixed = (
         ddgamma.transpose(0, 2, 4, 1, 3) - ddgamma.transpose(0, 2, 4, 3, 1)
-        + np.einsum("krml,lns->krsmn", dgamma, gamma)
-        + np.einsum("rml,klns->krsmn", gamma, dgamma)
-        - np.einsum("krnl,lms->krsmn", dgamma, gamma)
-        - np.einsum("rnl,klms->krsmn", gamma, dgamma)
+        + einsum("krml,lns->krsmn", dgamma, gamma)
+        + einsum("rml,klns->krsmn", gamma, dgamma)
+        - einsum("krnl,lms->krsmn", dgamma, gamma)
+        - einsum("rnl,klms->krsmn", gamma, dgamma)
     )
-    r_low = np.einsum("rl,lsmn->rsmn", jet.g, mixed)
-    dr_low = np.einsum("krl,lsmn->krsmn", jet.dg, mixed) + np.einsum("rl,klsmn->krsmn", jet.g, dmixed)
+    r_low = einsum("rl,lsmn->rsmn", jet.g, mixed)
+    dr_low = einsum("krl,lsmn->krsmn", jet.dg, mixed) + einsum("rl,klsmn->krsmn", jet.g, dmixed)
     nabla_r = (
         dr_low
-        - np.einsum("lkr,lsmn->krsmn", gbar, r_low)
-        - np.einsum("lks,rlmn->krsmn", gbar, r_low)
-        - np.einsum("lkm,rsln->krsmn", gbar, r_low)
-        - np.einsum("lkn,rsml->krsmn", gbar, r_low)
+        - einsum("lkr,lsmn->krsmn", gbar, r_low)
+        - einsum("lks,rlmn->krsmn", gbar, r_low)
+        - einsum("lkm,rsln->krsmn", gbar, r_low)
+        - einsum("lkn,rsml->krsmn", gbar, r_low)
     )
     r_r = float(np.max(np.abs(nabla_r)))
 
@@ -460,14 +465,14 @@ def _frame_curvature(pw, prof, s, x, zero):
     s_coord, ds_coord = _coordinate_structure(_frame_array(frame_structure(pw).S, zero), e, de)
 
     gbar = gamma - _raised_structure(s_coord, jet.g_inv)
-    ds_up = np.einsum("kmns,rs->kmnr", ds_coord, jet.g_inv) + np.einsum("mns,krs->kmnr", s_coord, dginv)
+    ds_up = einsum("kmns,rs->kmnr", ds_coord, jet.g_inv) + einsum("mns,krs->kmnr", s_coord, dginv)
     dgbar = dgamma - ds_up.transpose(0, 3, 1, 2)
     rbar = _riemann_from_connection(gbar, dgbar)
 
     # form slots from frame vectors, the endomorphism conjugated by the
     # coframe; theta[mu, A] holds the frame vectors as columns
     theta = _inverse(e)
-    return np.einsum("cr,rtmn,td,ma,nb->abcd", e, rbar, theta, theta, theta, optimize="greedy")
+    return einsum("cr,rtmn,td,ma,nb->abcd", e, rbar, theta, theta, theta, optimize="greedy")
 
 
 def exact_curvature(pw, s, x):

@@ -19,6 +19,7 @@ bracket pattern exactly after the change of basis.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact_array import einsum, matmul
 from .exact import (
     EXACT,
     format_scalar,
@@ -143,7 +145,7 @@ def _derivation(m, t, slots=None):
     array, which vanishes exactly when the array is invariant.
     """
     slots = range(t.ndim) if slots is None else slots
-    return sum((t.swapaxes(s, -1) @ m.T).swapaxes(s, -1) for s in slots)
+    return sum(matmul(t.swapaxes(s, -1), m.T).swapaxes(s, -1) for s in slots)
 
 
 def f_derivation(f, c):
@@ -412,13 +414,16 @@ def _at_scale(ansatz, lam):
     maps (W, F, aleph2, C, h, A, Y, R, S3, N) to
     (W, t F, aleph2 / t, C, t^2 h, t^2 A, Y, t R, t S3, N).
     """
-    t = _nonzero_lam(lam) / ansatz.lam
+    lam = _nonzero_lam(lam)
+    t = lam / ansatz.lam
     if t == 1:
         return ansatz
     f, al, h, a, r, s3 = _arrays(ansatz, "F", "aleph2", "h", "A", "R", "S3")
-    return dataclasses.replace(
-        ansatz, lam=lam, F=f * t, aleph2=al / t, h=h * t ** 2, A=a * t ** 2, R=r * t, S3=s3 * t
-    )
+    # the fields are validated already and scaling keeps their symmetries,
+    # so the copy is filled in directly instead of parsed again
+    scaled = copy.copy(ansatz)
+    _store(scaled, lam=lam, F=f * t, aleph2=al / t, h=h * t ** 2, A=a * t ** 2, R=r * t, S3=s3 * t)
+    return scaled
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +577,7 @@ def _equivariance(rot, sigmas, *invariants):
     to act equivariantly on the rotation-valued map i -> sigmas[i]."""
     worst = ZERO
     for omega in rot:
-        need = sigmas @ omega - omega @ sigmas + np.einsum("mi,mab->iab", omega, sigmas)
+        need = matmul(sigmas, omega) - matmul(omega, sigmas) + einsum("mi,mab->iab", omega, sigmas)
         worst = max(worst, _max_abs(need, *(_derivation(omega.T, t) for t in invariants)))
     return worst
 
@@ -587,7 +592,7 @@ def _verify_nondeg(ansatz, rotations):
     return {
         "F": _max_abs(f),
         "C_from_R": _max_abs(lam / 2 * c - (r_low - r_low.transpose(1, 0, 2))),
-        "S_from_CR": _max_abs(2 * lam * s - np.einsum("ijk,kmn->ijmn", c * d, r)),
+        "S_from_CR": _max_abs(2 * lam * s - einsum("ijk,kmn->ijmn", c * d, r)),
         "rotation_equivariance": _equivariance(rot, sigmas, f, c),
     }
 
@@ -610,18 +615,18 @@ def _verify_deg(work, rotations):
         "occupied_S_R": _max_abs((s3 - r)[:, occ]),
         "occupied_N": _max_abs(_occupied(nn, absent)),
         "occupied_R": _max_abs(_occupied(r, absent)),
-        "F_C_kernel": _max_abs(np.einsum("al,ljk->ajk", f[occ], c)),
+        "F_C_kernel": _max_abs(einsum("al,ljk->ajk", f[occ], c)),
         "S3_total_antisymmetry": _max_abs(s3 + s3.transpose(0, 2, 1)),
         "S3_from_FC": _max_abs(3 * s3 - dfc),
         "zz_boost": _max_abs(c @ h - _derivation(fpd, s3, (0, 1))),
         "zz_rotation": _max_abs(
-            np.einsum("ijk,kmn->ijmn", c, r) / 2 - _derivation(fpd, nn, (0, 1))
+            einsum("ijk,kmn->ijmn", c, r) / 2 - _derivation(fpd, nn, (0, 1))
         ),
         "zz_vector": _max_abs(s3 + r - r.transpose(1, 0, 2) - dfc - c),
-        "cyclic_CS": _max_abs(_cyclic(np.einsum("jkl,ilm->ijkm", c, s3))),
-        "cyclic_CN": _max_abs(_cyclic(np.einsum("jkl,ilmn->ijkmn", c, nn))),
+        "cyclic_CS": _max_abs(_cyclic(einsum("jkl,ilm->ijkm", c, s3))),
+        "cyclic_CN": _max_abs(_cyclic(einsum("jkl,ilmn->ijkmn", c, nn))),
         "cyclic_CC_N": _max_abs(
-            _cyclic(np.einsum("jkl,ilm->ijkm", c, c) + 2 * nn.transpose(2, 0, 1, 3))
+            _cyclic(einsum("jkl,ilm->ijkm", c, c) + 2 * nn.transpose(2, 0, 1, 3))
         ),
         "rotation_equivariance": max(
             _max_abs(rot[:, absent][:, :, occ]), _equivariance(rot, sigmas, f, h, c, s3, nn)
@@ -967,7 +972,7 @@ def _generate_nondeg(rng, n):
     # dependent fields from the constraint relations
     r_low = r * eta2
     c = 2 / lam * (r_low - r_low.transpose(1, 0, 2))
-    s = np.einsum("ijk,kmn->ijmn", c * d, r) / (2 * lam)
+    s = einsum("ijk,kmn->ijmn", c * d, r) / (2 * lam)
     probe = NondegenerateAnsatz(n=n, lam=lam, aleph=aleph, F=_zeros((n, n)), C=c, R=r, Scurv=s)
     return dataclasses.replace(probe, h_basis=_nondeg_rotations(probe)[2])
 
@@ -993,7 +998,7 @@ def _generate_deg(rng, n):
         kappa = _rand_fraction(rng, bound=1, den=2)
         r = _epsilon_template(absent, kappa, n)
         c = r - r.transpose(1, 0, 2)
-        nmat = np.einsum("ijk,kmn->ijmn", c, r) / 4
+        nmat = einsum("ijk,kmn->ijmn", c, r) / 4
     else:
         # with no rotation data the boost couplings of the unoccupied
         # sector are unconstrained

@@ -19,6 +19,7 @@ from .exact import (
     check_tag,
     coerce_scalar,
     format_scalar,
+    integer_numerators,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -331,7 +332,7 @@ def antisymmetrize(t, slots):
     if len({t.valence[s] for s in slots}) > 1:
         raise ValueError("cannot antisymmetrize slots of mixed valence")
     perms = list(itertools.permutations(range(len(slots))))
-    weight = Fraction(1, len(perms)) if t.tag == EXACT else 1.0 / len(perms)
+    weight = 1.0 / len(perms)
     # per permutation: the slot each output slot reads, and its parity
     signed = []
     for perm in perms:
@@ -341,18 +342,23 @@ def antisymmetrize(t, slots):
         even = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
         signed.append((src, even))
     entries = t.entries()
+    exact = t.tag == EXACT
+    if exact:
+        # sum integer numerators, divided once by the scale and len(perms)
+        nums, scale = integer_numerators(entries.values())
+        entries = dict(zip(entries, nums))
     # the permutations form a group, so the outputs that read a nonzero
     # entry are the orbit of the support
     orbit = {tuple(map(idx.__getitem__, src)) for idx in entries for src, _ in signed}
-    zero = scalar_zero(t.tag)
     out = {}
     for idx in sorted(orbit):
-        total = zero
+        # an int zero leaves every float sum bit-identical to one from 0.0
+        total = 0
         for src, even in signed:
             v = entries.get(tuple(map(idx.__getitem__, src)))
             if v is not None:
                 total = total + v if even else total - v
-        out[idx] = weight * total
+        out[idx] = Fraction(total, scale * len(perms)) if exact else weight * total
     return Tensor.from_entries(t.dim, t.valence, out, t.tag)
 
 

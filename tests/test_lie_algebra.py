@@ -272,7 +272,62 @@ def random_tables():
         yield from_table(t, tag)
 
 
+P1, P2 = 1_000_000_007, 999_999_937
+
+
+def large_denominator_tables():
+    """12 exact wave tables at dims 4-8 with large-denominator data, two
+    thirds of them perturbed off a Lie algebra.
+
+    Profile entries, rotation entries and perturbations have denominators
+    1_000_000_007, 999_999_937, their product and small ones, so the lcm
+    of a table's denominators is large and its entries differ in it.
+    """
+    rng = random.Random(43)
+    dens = (1, 2, 3, P1, P2, P1 * P2)
+
+    def draw():
+        return Fraction(rng.randint(-6, 6) * rng.choice((1, P2)), rng.choice(dens))
+
+    for k in range(12):
+        n = 1 + k % 3
+        f = [[Fraction(0)] * n for _ in range(n)]
+        h = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                h[i][j] = h[j][i] = draw()
+                if i != j:
+                    w = draw()
+                    f[i][j], f[j][i] = w, -w
+        t = dense_table(pw_isometry_algebra(PlaneWaveData(n, f, h)))
+        for _ in range(k % 3):
+            a, b = rng.sample(range(2 * n + 2), 2)
+            c = rng.randrange(2 * n + 2)
+            v = Fraction(rng.randint(1, 999), rng.choice((P1, P2, P1 * P2)))
+            t[a][b][c] += v
+            t[b][a][c] -= v
+        yield from_table(t, EXACT)
+
+
 class TestSparseReaders:
+    def test_large_denominator_jacobi_matches_dense_reference(self):
+        failing = 0
+        for algebra in large_denominator_tables():
+            ref = dense_jacobi(algebra)
+            entries, worst = jacobi_residual(algebra)
+            assert entries == ref
+            assert list(entries) == sorted(entries)
+            assert all(type(v) is Fraction for v in entries.values())
+            assert type(worst) is Fraction
+            assert worst == max(map(abs, ref.values()), default=0)
+            if ref:
+                first = min(k for k, v in ref.items() if abs(v) == worst)
+                assert worst_jacobi_triple(algebra) == tuple(algebra.labels[i] for i in first[:3])
+                failing += 1
+            else:
+                assert worst_jacobi_triple(algebra) is None
+        assert failing >= 6
+
     def test_jacobi_entries_match_dense_reference(self):
         failing = 0
         for algebra in random_tables():
