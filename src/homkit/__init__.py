@@ -7,6 +7,9 @@ that take consistent bracket tables to symmetric-space or plane-wave
 form.
 """
 
+import importlib.util
+import sys
+
 from .exact import EXACT, FLOAT
 from .tensor_core import FrameMetric, Tensor, antisymmetrize, contract, raise_lower
 from .lie_algebra import (
@@ -26,30 +29,70 @@ from .hom_structure import (
     decompose,
     trace_one_form,
 )
-from .plane_wave import (
-    ChartPoint,
-    PlaneWaveData,
-    as_residuals,
-    christoffel,
-    exact_curvature,
-    frame_structure,
-    metric_jet,
-    pw_isometry_algebra,
-    riemann,
-    sample_points,
-    structure_at,
-)
-from .reduction import (
-    DegenerateAnsatz,
-    NondegenerateAnsatz,
-    ReductionReport,
-    ansatz_from_plane_wave,
-    assemble_algebra,
-    degenerate_reduce,
-    f_derivation,
-    generate_instance,
-    nondegenerate_reduce,
-    verify_constraints,
-)
+
+
+def _lazy(name):
+    """Register ``homkit.<name>`` so that it runs on first attribute access.
+
+    The module is in ``sys.modules`` from the start, so ``import`` and
+    ``sys.modules`` lookups find it, but numpy loads only when one of
+    its names is read.
+    """
+    fullname = f"{__name__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the numpy-backed modules; the exact core above never imports them
+plane_wave = _lazy("plane_wave")
+reduction = _lazy("reduction")
+
+_LAZY_NAMES = {
+    **dict.fromkeys(
+        (
+            "ChartPoint",
+            "PlaneWaveData",
+            "as_residuals",
+            "christoffel",
+            "exact_curvature",
+            "frame_structure",
+            "metric_jet",
+            "pw_isometry_algebra",
+            "riemann",
+            "sample_points",
+            "structure_at",
+        ),
+        plane_wave,
+    ),
+    **dict.fromkeys(
+        (
+            "DegenerateAnsatz",
+            "NondegenerateAnsatz",
+            "ReductionReport",
+            "ansatz_from_plane_wave",
+            "assemble_algebra",
+            "degenerate_reduce",
+            "f_derivation",
+            "generate_instance",
+            "nondegenerate_reduce",
+            "verify_constraints",
+        ),
+        reduction,
+    ),
+}
+
+
+def __getattr__(name):
+    # looked up on every access, not cached, so a name rebound in its
+    # defining module (a wrapper, a mock) is seen here too
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
 
 __version__ = "0.1.0"

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from .hom_structure import HomogeneousStructure, classify
 from .lie_algebra import LieAlgebra, ReductiveSplit, check_reductive, jacobi_residual, worst_jacobi_triple
-from .plane_wave import PlaneWaveData, as_residuals, pw_isometry_algebra, sample_points
-from .reduction import ansatz_from_json, generate_instance, reduce_ansatz
+from . import plane_wave, reduction
 
 
 class InputError(Exception):
@@ -128,15 +127,15 @@ def _load_wave(args):
     f = _load_matrix(args.F, args.n, "F")
     h = _load_matrix(args.H, args.n, "H")
     try:
-        return PlaneWaveData(args.n, f, h)
+        return plane_wave.PlaneWaveData(args.n, f, h)
     except ValueError as exc:
         raise InputError(str(exc))
 
 
 def _cmd_planewave_verify(args):
     pw = _load_wave(args)
-    pts = sample_points(pw.n, args.points, _seed(args))
-    res = as_residuals(pw, pts)
+    pts = plane_wave.sample_points(pw.n, args.points, _seed(args))
+    res = plane_wave.as_residuals(pw, pts)
     tolerances = {
         "r_g": args.tol_g,
         "r_S": args.tol_s,
@@ -158,7 +157,7 @@ def _cmd_planewave_verify(args):
 
 def _cmd_planewave_algebra(args):
     pw = _load_wave(args)
-    algebra = pw_isometry_algebra(pw)
+    algebra = plane_wave.pw_isometry_algebra(pw)
     _emit(algebra.to_json(), out=args.out, quiet=args.quiet, verdict="done")
     return 0
 
@@ -169,10 +168,10 @@ def _cmd_reduce(args):
         raise InputError(f"{args.ansatz}: ansatz case does not match --case {args.case}")
     data.setdefault("case", args.case)
     try:
-        ansatz = ansatz_from_json(data)
+        ansatz = reduction.ansatz_from_json(data)
     except (KeyError, ValueError) as exc:
         raise InputError(f"{args.ansatz}: {exc}")
-    report_obj = reduce_ansatz(ansatz)
+    report_obj = reduction.reduce_ansatz(ansatz)
     report = report_obj.to_json()
     _emit(report, out=args.out, quiet=args.quiet, verdict=report_obj.verdict)
     return 0 if report_obj.verdict != "inconsistent" else 1
@@ -180,7 +179,7 @@ def _cmd_reduce(args):
 
 def _cmd_gen(args):
     try:
-        ansatz = generate_instance(args.case, args.n, _seed(args))
+        ansatz = reduction.generate_instance(args.case, args.n, _seed(args))
     except ValueError as exc:
         raise InputError(str(exc))
     _emit(ansatz.to_json(), out=args.out, quiet=args.quiet, verdict="done")

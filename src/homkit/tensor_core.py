@@ -35,6 +35,18 @@ DOWN = "d"
 _MAX_COMPONENTS = 2**20
 
 
+def _flat(idx, dim, rank):
+    """Offset of ``idx`` in a dense component tuple of the given shape."""
+    if len(idx) != rank:
+        raise ValueError(f"index {idx}: need {rank} indices, got {len(idx)}")
+    f = 0
+    for k in idx:
+        if not 0 <= k < dim:
+            raise ValueError(f"index {idx} out of range for dim {dim}")
+        f = f * dim + k
+    return f
+
+
 @dataclass(frozen=True)
 class Tensor:
     """A dense rank-r tensor on a D-dimensional space.
@@ -68,14 +80,7 @@ class Tensor:
     # -- indexing ---------------------------------------------------------
 
     def flat(self, idx):
-        if len(idx) != self.rank:
-            raise ValueError(f"index {idx}: need {self.rank} indices, got {len(idx)}")
-        f = 0
-        for k in idx:
-            if not 0 <= k < self.dim:
-                raise ValueError(f"index {idx} out of range for dim {self.dim}")
-            f = f * self.dim + k
-        return f
+        return _flat(idx, self.dim, self.rank)
 
     def __getitem__(self, idx):
         if isinstance(idx, int):
@@ -96,21 +101,19 @@ class Tensor:
 
     @classmethod
     def zeros(cls, dim, valence, tag=EXACT):
-        valence = tuple(valence)
-        if dim ** len(valence) > _MAX_COMPONENTS:
-            raise ValueError(
-                f"tensor of dim {dim} and rank {len(valence)} exceeds "
-                f"{_MAX_COMPONENTS} components"
-            )
-        return cls(dim, valence, (scalar_zero(tag),) * dim ** len(valence), tag)
+        return cls.from_entries(dim, valence, {}, tag)
 
     @classmethod
     def from_entries(cls, dim, valence, entries, tag=EXACT):
         valence = tuple(valence)
-        t = cls.zeros(dim, valence, tag)
-        comps = list(t.components)
+        rank = len(valence)
+        if dim ** rank > _MAX_COMPONENTS:
+            raise ValueError(
+                f"tensor of dim {dim} and rank {rank} exceeds {_MAX_COMPONENTS} components"
+            )
+        comps = [scalar_zero(tag)] * dim ** rank
         for idx, val in entries.items():
-            comps[t.flat(tuple(idx))] = coerce_scalar(val, tag)
+            comps[_flat(tuple(idx), dim, rank)] = val
         return cls(dim, valence, tuple(comps), tag)
 
     @classmethod

@@ -1,7 +1,8 @@
 """Static guard: the exact core imports neither numpy nor the numpy-backed modules.
 
-The files are parsed, not imported, because importing any homkit
-module runs ``homkit/__init__.py``, which loads numpy.
+The files are parsed, not imported, so the guard holds for every
+import path in the source, not only the ones a given run happens to
+execute (``tests/test_lazy_import.py`` checks the runtime side).
 """
 
 import ast
