@@ -90,16 +90,17 @@ def mat_identity(n, tag=EXACT):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+def mat_mul(a, b, tag=EXACT):
+    """a @ b over the nonzero entries; each output adds its terms in inner-index order."""
+    b_rows = [[(j, y) for j, y in enumerate(row) if y != 0] for row in b]
+    zero = scalar_zero(tag)
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = a[i][0] * b[0][j]
-            for l in range(1, k):
-                s += a[i][l] * b[l][j]
-            row.append(s)
+    for a_row in a:
+        row = [zero] * len(b[0])
+        for l, x in enumerate(a_row):
+            if x != 0:
+                for j, y in b_rows[l]:
+                    row[j] += x * y
         out.append(row)
     return out
 

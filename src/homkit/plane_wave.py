@@ -322,7 +322,7 @@ def frame_structure(pw, tag=EXACT):
     metric = frame_metric(n, EXACT)
     if tag == EXACT:
         return HomogeneousStructure(metric, s)
-    sf = Tensor(pw.dim, (DOWN, DOWN, DOWN), tuple(float(c) for c in s.components), FLOAT)
+    sf = Tensor.from_entries(pw.dim, s.valence, {idx: float(v) for idx, v in s.items}, FLOAT)
     return HomogeneousStructure(FrameMetric.from_matrix([[float(v) for v in row] for row in metric.g]), sf)
 
 

@@ -1,9 +1,10 @@
-"""Dense multi-index tensors over exact rationals or binary64 floats.
+"""Multi-index tensors over exact rationals or binary64 floats.
 
-Components are stored flat in lexicographic index order with slot 0 the
-leftmost (slowest) index.  All values are immutable after construction
-and every operation is a pure function, so tensors are safe to share
-between threads.
+A tensor stores its nonzero components as (index, value) pairs sorted
+in lexicographic index order, slot 0 the leftmost (slowest) index.  The
+dense component tuple is a view derived from them on first use.  All
+values are immutable after construction and every operation is a pure
+function, so tensors are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import (
     EXACT,
@@ -31,7 +33,7 @@ from .exact import (
 UP = "u"
 DOWN = "d"
 
-# largest dim**rank a dense tensor may hold; checked before any allocation
+# largest dim**rank a tensor may span; checked before any allocation
 _MAX_COMPONENTS = 2**20
 
 
@@ -47,35 +49,60 @@ def _flat(idx, dim, rank):
     return f
 
 
-@dataclass(frozen=True)
-class Tensor:
-    """A dense rank-r tensor on a D-dimensional space.
+def _check_shape(dim, valence, tag):
+    check_tag(tag)
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    if any(v not in (UP, DOWN) for v in valence):
+        raise ValueError(f"bad valence {valence!r}")
 
-    valence holds one "u"/"d" flag per slot; components has length D**r.
+
+@dataclass(frozen=True, init=False)
+class Tensor:
+    """A rank-r tensor on a D-dimensional space, stored by its nonzero entries.
+
+    valence holds one "u"/"d" flag per slot; items holds the nonzero
+    components as sorted (index tuple, value) pairs.  A zero is never
+    stored, a float -0.0 included, so the dense view reads every absent
+    component as Fraction(0) or +0.0, and equal tensors have equal items.
     """
 
     dim: int
     valence: tuple
-    components: tuple
+    items: tuple
     tag: str = EXACT
 
-    def __post_init__(self):
-        check_tag(self.tag)
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if any(v not in (UP, DOWN) for v in self.valence):
-            raise ValueError(f"bad valence {self.valence!r}")
-        if len(self.components) != self.dim ** self.rank:
-            raise ValueError(
-                f"expected {self.dim ** self.rank} components, got {len(self.components)}"
-            )
-        object.__setattr__(
-            self, "components", tuple(coerce_scalar(c, self.tag) for c in self.components)
-        )
+    def __init__(self, dim, valence, components, tag=EXACT):
+        """Build from all D**r components in index order; zeros are dropped."""
+        valence = tuple(valence)
+        _check_shape(dim, valence, tag)
+        if len(components) != dim ** len(valence):
+            raise ValueError(f"expected {dim ** len(valence)} components, got {len(components)}")
+        indices = itertools.product(range(dim), repeat=len(valence))
+        pairs = zip(indices, (coerce_scalar(c, tag) for c in components))
+        items = tuple(p for p in pairs if p[1] != 0)
+        # frozen, so the fields go straight into the instance dict
+        vars(self).update(dim=dim, valence=valence, items=items, tag=tag)
+
+    @classmethod
+    def _sparse(cls, dim, valence, entries, tag):
+        """A tensor from checked, coerced {index: value}; zero values are dropped."""
+        t = cls.__new__(cls)
+        items = tuple(sorted(p for p in entries.items() if p[1] != 0))
+        vars(t).update(dim=dim, valence=valence, items=items, tag=tag)
+        return t
 
     @property
     def rank(self):
         return len(self.valence)
+
+    @cached_property
+    def components(self):
+        """The dense view: all D**r components in index order."""
+        comps = [scalar_zero(self.tag)] * self.dim ** self.rank
+        for idx, v in self.items:
+            comps[self.flat(idx)] = v
+        return tuple(comps)
 
     # -- indexing ---------------------------------------------------------
 
@@ -95,7 +122,7 @@ class Tensor:
 
         The inverse of ``from_entries``.
         """
-        return {idx: v for idx, v in zip(self.indices(), self.components) if v != 0}
+        return dict(self.items)
 
     # -- constructors -----------------------------------------------------
 
@@ -105,16 +132,18 @@ class Tensor:
 
     @classmethod
     def from_entries(cls, dim, valence, entries, tag=EXACT):
+        """Build from {index: value}; absent indices and zero values are zero."""
         valence = tuple(valence)
         rank = len(valence)
         if dim ** rank > _MAX_COMPONENTS:
             raise ValueError(
                 f"tensor of dim {dim} and rank {rank} exceeds {_MAX_COMPONENTS} components"
             )
-        comps = [scalar_zero(tag)] * dim ** rank
-        for idx, val in entries.items():
-            comps[_flat(tuple(idx), dim, rank)] = val
-        return cls(dim, valence, tuple(comps), tag)
+        pairs = sorted((tuple(idx), v) for idx, v in entries.items())
+        for idx, _ in pairs:
+            _flat(idx, dim, rank)
+        _check_shape(dim, valence, tag)
+        return cls._sparse(dim, valence, {idx: coerce_scalar(v, tag) for idx, v in pairs}, tag)
 
     @classmethod
     def delta(cls, dim, tag=EXACT):
@@ -134,26 +163,32 @@ class Tensor:
 
     def __add__(self, other):
         self._check_compatible(other)
-        comps = tuple(a + b for a, b in zip(self.components, other.components))
-        return Tensor(self.dim, self.valence, comps, self.tag)
+        return self._plus(other.items)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        comps = tuple(a - b for a, b in zip(self.components, other.components))
-        return Tensor(self.dim, self.valence, comps, self.tag)
+        # x - v is x + (-v) bit for bit, so subtracting adds the negated entries
+        return self._plus((idx, -v) for idx, v in other.items)
+
+    def _plus(self, pairs):
+        """self plus the (index, value) pairs; an absent entry takes the value as is."""
+        out = dict(self.items)
+        for idx, v in pairs:
+            out[idx] = out[idx] + v if idx in out else v
+        return self._sparse(self.dim, self.valence, out, self.tag)
 
     def __neg__(self):
-        return Tensor(self.dim, self.valence, tuple(-a for a in self.components), self.tag)
+        return self._sparse(self.dim, self.valence, {idx: -v for idx, v in self.items}, self.tag)
 
     def scale(self, c):
         c = coerce_scalar(c, self.tag)
-        return Tensor(self.dim, self.valence, tuple(c * a for a in self.components), self.tag)
+        return self._sparse(self.dim, self.valence, {idx: c * v for idx, v in self.items}, self.tag)
 
     def is_zero(self, tol=None):
         if self.tag == EXACT:
-            return all(c == 0 for c in self.components)
+            return not self.items
         tol = 0.0 if tol is None else tol
-        return all(abs(c) <= tol for c in self.components)
+        return all(abs(v) <= tol for _, v in self.items)
 
     # -- JSON form --------------------------------------------------------
 
@@ -162,9 +197,7 @@ class Tensor:
             "dim": self.dim,
             "rank": self.rank,
             "valence": list(self.valence),
-            "entries": {
-                ",".join(map(str, idx)): format_scalar(v) for idx, v in self.entries().items()
-            },
+            "entries": {",".join(map(str, idx)): format_scalar(v) for idx, v in self.items},
         }
 
     @classmethod
@@ -208,7 +241,7 @@ class FrameMetric:
         pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
         if any(g[i][j] != g[j][i] and abs(g[i][j] - g[j][i]) > tol for i, j in pairs):
             raise ValueError("metric is not symmetric")
-        prod = mat_mul([list(r) for r in g], [list(r) for r in ginv])
+        prod = mat_mul(g, ginv, self.tag)
         ident = mat_identity(self.dim, self.tag)
         if any(prod[i][j] != ident[i][j] and abs(prod[i][j] - ident[i][j]) > tol for i, j in pairs):
             raise ValueError("g_inv is not the inverse of g")
@@ -317,12 +350,12 @@ def contract(t, slot_a, slot_b, metric=None):
     out = {}
     # entries come in index order, so each output adds its terms in
     # (p, q) order; zero terms leave a sum unchanged and are skipped
-    for idx, v in t.entries().items():
+    for idx, v in t.items:
         c = pairing[idx[slot_a]][idx[slot_b]]
         if c != 0:
             key = idx[:slot_a] + idx[slot_a + 1 : slot_b] + idx[slot_b + 1 :]
             out[key] = out.get(key, zero) + c * v
-    return Tensor.from_entries(t.dim, new_valence, out, t.tag)
+    return Tensor._sparse(t.dim, new_valence, out, t.tag)
 
 
 def antisymmetrize(t, slots):
@@ -350,19 +383,33 @@ def antisymmetrize(t, slots):
         # sum integer numerators, divided once by the scale and len(perms)
         nums, scale = integer_numerators(entries.values())
         entries = dict(zip(entries, nums))
-    # the permutations form a group, so the outputs that read a nonzero
-    # entry are the orbit of the support
-    orbit = {tuple(map(idx.__getitem__, src)) for idx in entries for src, _ in signed}
-    out = {}
-    for idx in sorted(orbit):
+
+    def signed_sum(idx):
         # an int zero leaves every float sum bit-identical to one from 0.0
         total = 0
         for src, even in signed:
-            v = entries.get(tuple(map(idx.__getitem__, src)))
-            if v is not None:
-                total = total + v if even else total - v
-        out[idx] = Fraction(total, scale * len(perms)) if exact else weight * total
-    return Tensor.from_entries(t.dim, t.valence, out, t.tag)
+            v = entries.get(tuple(map(idx.__getitem__, src)), 0)
+            total = total + v if even else total - v
+        return total
+
+    # the permutations form a group, so the outputs that read a nonzero
+    # entry are the orbits of the support
+    out = {}
+    for idx in entries:
+        if idx in out:
+            continue
+        members = [tuple(map(idx.__getitem__, src)) for src, _ in signed]
+        if exact:
+            # integer sums do not depend on order, so the orbit is summed
+            # once and each member takes that sum times its parity; a
+            # repeated slot value, so a repeated member, makes it zero
+            total = signed_sum(idx) if len(set(members)) == len(members) else 0
+            value = Fraction(total, scale * len(perms))
+            out.update((m, value if even else -value) for m, (_, even) in zip(members, signed))
+        else:
+            # floats sum per output in permutation order
+            out.update((m, weight * signed_sum(m)) for m in members)
+    return Tensor._sparse(t.dim, t.valence, out, t.tag)
 
 
 def raise_lower(t, slot, metric):
@@ -385,8 +432,8 @@ def raise_lower(t, slot, metric):
     zero = scalar_zero(t.tag)
     out = {}
     # entries come in index order, so each output adds its terms in z order
-    for idx, v in t.entries().items():
+    for idx, v in t.items:
         for i, c in columns[idx[slot]]:
             key = idx[:slot] + (i,) + idx[slot + 1 :]
             out[key] = out.get(key, zero) + c * v
-    return Tensor.from_entries(t.dim, tuple(new_valence), out, t.tag)
+    return Tensor._sparse(t.dim, tuple(new_valence), out, t.tag)

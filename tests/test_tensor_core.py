@@ -447,3 +447,105 @@ class TestAgainstDenseLoops:
                 tuples += [subset, subset[::-1]]
         for slots in tuples:
             assert_same(antisymmetrize(t, slots), dense_antisymmetrize(t, slots))
+
+
+@pytest.mark.parametrize("dim", [6, 7, 8])
+def test_exact_rank3_antisymmetrize_past_the_dense_cases(dim):
+    # the orbit sums of the exact path, at sizes TestAgainstDenseLoops skips
+    rng = random.Random(f"antisym3-D{dim}")
+    tensors = [random_tensor(rng, dim, (DOWN,) * 3, EXACT, fill) for fill in (0.05, 0.3)]
+    big = {
+        idx: Fraction(rng.randint(-9, 9), rng.choice((3, 998_244_353, 1_000_000_007)))
+        for idx in itertools.product(range(dim), repeat=3)
+        if rng.random() < 0.2
+    }
+    tensors.append(Tensor.from_entries(dim, (DOWN,) * 3, big))
+    for t in tensors:
+        for slots in [(0, 1, 2), (2, 0, 1), (1, 2), (2, 0)]:
+            assert_same(antisymmetrize(t, slots), dense_antisymmetrize(t, slots))
+
+
+# ---------------------------------------------------------------------------
+# sparse storage: the nonzero entries are the tensor, components a view
+# ---------------------------------------------------------------------------
+
+
+class TestSparseStorage:
+    @pytest.mark.parametrize(
+        "tag, dense",
+        [
+            (EXACT, (Fraction(0), Fraction(1, 3), 0, Fraction(-2))),
+            (FLOAT, (0.0, 0.25, -0.0, -2.0)),
+        ],
+    )
+    def test_dense_and_entries_builds_are_equal_and_hash_equal(self, tag, dense):
+        a = Tensor(2, (UP, DOWN), dense, tag)
+        b = Tensor.from_entries(2, (UP, DOWN), {(1, 1): dense[3], (0, 1): dense[1]}, tag)
+        assert a == b and hash(a) == hash(b)
+        assert a.items == b.items == (((0, 1), dense[1]), ((1, 1), dense[3]))
+
+    def test_explicit_zeros_are_not_stored(self):
+        assert Tensor.from_entries(2, (DOWN,), {(0,): 0, (1,): Fraction(0)}).items == ()
+        t = Tensor.from_entries(2, (DOWN,), {(0,): -0.0, (1,): 0.0}, FLOAT)
+        assert t.items == () and t == Tensor.zeros(2, (DOWN,), FLOAT)
+
+    def test_negative_zero_reads_as_positive_zero(self):
+        t = Tensor(2, (DOWN, DOWN), (-0.0, 1.5, 0.0, -0.0), FLOAT)
+        assert t.items == (((0, 1), 1.5),)
+        assert list(map(repr, t.components)) == ["0.0", "1.5", "0.0", "0.0"]
+        assert repr(t[1, 1]) == "0.0"
+
+    @settings(max_examples=30, deadline=None)
+    @given(rank3_lower(2))
+    def test_components_round_trip(self, t):
+        assert len(t.components) == 8
+        assert all(type(v) is Fraction for v in t.components)
+        assert Tensor(t.dim, t.valence, t.components, t.tag) == t
+        assert Tensor.from_entries(t.dim, t.valence, t.entries(), t.tag).components == t.components
+
+    def test_getitem_reads_absent_entries_as_zero(self):
+        t = Tensor.from_entries(3, (DOWN, UP), {(1, 2): Fraction(5)})
+        assert t[1, 2] == 5
+        assert t[2, 1] == 0 and type(t[2, 1]) is Fraction
+        f = Tensor.from_entries(3, (DOWN,), {(1,): 2.0}, FLOAT)
+        assert repr(f[0]) == "0.0" and f[1] == 2.0
+
+    def test_arithmetic_that_cancels_stores_nothing(self):
+        t = Tensor.from_entries(2, (DOWN, DOWN), {(0, 1): Fraction(1, 3), (1, 0): -1}, EXACT)
+        assert (t - t).items == () and (t + (-t)).items == () and t.scale(0).items == ()
+        f = Tensor.from_entries(2, (DOWN,), {(0,): 0.1, (1,): -0.2}, FLOAT)
+        assert (f - f).items == () and f.scale(0.0).items == ()
+
+    def test_merge_keeps_float_bits(self):
+        a = Tensor.from_entries(3, (DOWN,), {(0,): 0.1, (1,): 0.7}, FLOAT)
+        b = Tensor.from_entries(3, (DOWN,), {(1,): 0.2, (2,): 0.3}, FLOAT)
+        assert (a + b).items == (((0,), 0.1), ((1,), 0.7 + 0.2), ((2,), 0.3))
+        assert (a - b).items == (((0,), 0.1), ((1,), 0.7 - 0.2), ((2,), 0.0 - 0.3))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Tensor(2, (DOWN,), (1, 2, 3)), "expected 2 components, got 3"),
+            (lambda: Tensor(0, (DOWN,), ()), "dim must be positive"),
+            (lambda: Tensor(2, ("x",), (1, 2)), "bad valence ('x',)"),
+            (
+                lambda: Tensor.from_entries(2, (DOWN,), {(2,): 1}),
+                "index (2,) out of range for dim 2",
+            ),
+            (
+                lambda: Tensor.from_entries(2, (DOWN,), {(0, 1): 1}),
+                "index (0, 1): need 1 indices, got 2",
+            ),
+            (lambda: Tensor.from_entries(2, ("x",), {}), "bad valence ('x',)"),
+            (
+                lambda: Tensor.from_entries(1025, (DOWN, DOWN), {(0, 0): 1}),
+                "tensor of dim 1025 and rank 2 exceeds 1048576 components",
+            ),
+            (lambda: Tensor.zeros(2, (DOWN,))[(1, 1)], "index (1, 1): need 1 indices, got 2"),
+            (lambda: Tensor.zeros(2, (DOWN,))[2], "index (2,) out of range for dim 2"),
+        ],
+    )
+    def test_error_texts(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
