@@ -194,20 +194,26 @@ def solve_in_span(basis_rows, pivots, target):
     return coeffs
 
 
-def solve_linear(a, b):
-    """One exact solution x of a x = b, or None if inconsistent.
+def span_coordinates(vectors, targets):
+    """Coefficients of each target in the independent vectors, or None.
 
-    Free variables are set to zero, which keeps generation code
-    deterministic.
+    The vectors are row-reduced once, each tagged with a unit tail, so
+    every echelon row carries the combination of vectors it holds; each
+    target is then read with one solve_in_span pass.  Raises ValueError
+    when the vectors are dependent.
     """
-    nrows, ncols = len(a), len(a[0])
-    aug = [list(a[i]) + [b[i]] for i in range(nrows)]
-    basis, pivots = row_reduce(aug)
-    x = [Fraction(0)] * ncols
-    # in reduced echelon form each pivot row reads off one component once
-    # the free variables are pinned to zero
-    for row, p in zip(basis, pivots):
-        if p == ncols:
-            return None
-        x[p] = row[ncols]
-    return x
+    k = len(vectors)
+    tagged = [list(v) + [Fraction(int(p == q)) for q in range(k)] for p, v in enumerate(vectors)]
+    rows, pivots = row_reduce(tagged)
+    n = len(rows[0]) - k if rows else 0
+    if any(p >= n for p in pivots):
+        raise ValueError("vectors are linearly dependent")
+    heads = [row[:n] for row in rows]
+    tails = [row[n:] for row in rows]
+    out = []
+    for target in targets:
+        a = solve_in_span(heads, pivots, target)
+        if a is not None:
+            a = [sum(x * t[p] for x, t in zip(a, tails)) for p in range(k)]
+        out.append(a)
+    return out

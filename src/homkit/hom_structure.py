@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import EXACT, format_scalar, row_reduce, scalar_zero, solve_linear
+from .exact import EXACT, format_scalar, mat_mul, scalar_zero, span_coordinates
 from .lie_algebra import LieAlgebra, jacobi_residual
 from .tensor_core import (
     DOWN,
@@ -271,14 +271,16 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
 
     Brackets: tangent-tangent m-part S_X Y - S_Y X, isotropy part minus
     the curvature operator expanded in h_basis; [A, X] = A X for
-    isotropy A; [A, B] the matrix commutator.  Returns the algebra and
-    its exact (or float) Jacobi residual magnitude.
+    isotropy A; [A, B] the matrix commutator.  h_basis must be linearly
+    independent.  Returns the algebra and its exact (or float) Jacobi
+    residual magnitude.
     """
     if hs.metric != curv.metric:
         raise ValueError("structure and curvature use different metrics")
     d = hs.dim
     tag = hs.tag
-    k = len(curv.h_basis)
+    h = curv.h_basis
+    k = len(h)
     n_total = d + k
     if m_labels is None:
         m_labels = [f"E{i}" for i in range(d)]
@@ -287,26 +289,21 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
     if len(m_labels) != d or len(h_labels) != k:
         raise ValueError("label counts do not match basis sizes")
 
-    if k:
-        if tag != EXACT:
-            raise ValueError("float-mode reconstruction is not supported; rationalize first")
-        rows = [_flatten(m) for m in curv.h_basis]
-        basis, _ = row_reduce(rows)
-        if len(basis) != k:
-            raise ValueError("h_basis matrices are linearly dependent")
-        # columns of this system are the flattened h_basis matrices
-        a_cols = [[rows[p][i] for p in range(k)] for i in range(len(rows[0]))]
-
-    def expand(matrix, bracket):
-        flat = _flatten(matrix)
-        if k == 0:
-            if any(x != 0 for x in flat):
-                raise SpanError("curvature value outside empty isotropy span", bracket)
-            return []
-        coeffs = solve_linear(a_cols, flat)
-        if coeffs is None:
-            raise SpanError("value outside span(h_basis)", bracket)
-        return coeffs
+    if k and tag != EXACT:
+        raise ValueError("float-mode reconstruction is not supported; rationalize first")
+    # every tangent-pair value -Rbar(a, b), then every isotropy
+    # commutator, expanded in h_basis against one elimination
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    h_pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
+    targets = [[-x for x in _flatten(curv.operator(a, b))] for a, b in pairs]
+    for p, q in h_pairs:
+        pq, qp = _flatten(mat_mul(h[p], h[q], tag)), _flatten(mat_mul(h[q], h[p], tag))
+        targets.append([x - y for x, y in zip(pq, qp)])
+    try:
+        coords = span_coordinates([_flatten(m) for m in h], targets)
+    except ValueError:
+        raise ValueError("h_basis matrices are linearly dependent") from None
+    outside = "value outside span(h_basis)" if k else "curvature value outside empty isotropy span"
 
     # raised S: (S_X Y)^C = g^{CZ} S_{XYZ}
     s_up = raise_lower(hs.S, 2, hs.metric).entries()
@@ -314,22 +311,21 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
     brackets = {}
     zero = scalar_zero(tag)
     # m x m
-    for a in range(d):
-        for b in range(a + 1, d):
-            row = {}
-            for c in range(d):
-                v = s_up.get((a, b, c), zero) - s_up.get((b, a, c), zero)
-                if v != 0:
-                    row[c] = v
-            op = curv.operator(a, b)
-            neg_op = [[-x for x in rrow] for rrow in op]
-            for p, coeff in enumerate(expand(neg_op, (m_labels[a], m_labels[b]))):
-                if coeff != 0:
-                    row[d + p] = coeff
-            if row:
-                brackets[(a, b)] = row
+    for (a, b), coeffs in zip(pairs, coords):
+        if coeffs is None:
+            raise SpanError(outside, (m_labels[a], m_labels[b]))
+        row = {}
+        for c in range(d):
+            v = s_up.get((a, b, c), zero) - s_up.get((b, a, c), zero)
+            if v != 0:
+                row[c] = v
+        for p, coeff in enumerate(coeffs):
+            if coeff != 0:
+                row[d + p] = coeff
+        if row:
+            brackets[(a, b)] = row
     # h x m: [A, X] = A X
-    for p, m in enumerate(curv.h_basis):
+    for p, m in enumerate(h):
         for b in range(d):
             row = {}
             for c in range(d):
@@ -338,23 +334,12 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
             if row:
                 brackets[(b, d + p)] = row
     # h x h: matrix commutators
-    for p in range(k):
-        for q in range(p + 1, k):
-            mp, mq = curv.h_basis[p], curv.h_basis[q]
-            comm = [
-                [
-                    sum((mp[i][l] * mq[l][j] - mq[i][l] * mp[l][j] for l in range(d)), zero)
-                    for j in range(d)
-                ]
-                for i in range(d)
-            ]
-            try:
-                coeffs = expand(comm, (h_labels[p], h_labels[q]))
-            except SpanError:
-                raise SpanError("h_basis not closed under commutators", (h_labels[p], h_labels[q]))
-            row = {d + r: c for r, c in enumerate(coeffs) if c != 0}
-            if row:
-                brackets[(d + p, d + q)] = row
+    for (p, q), coeffs in zip(h_pairs, coords[len(pairs):]):
+        if coeffs is None:
+            raise SpanError("h_basis not closed under commutators", (h_labels[p], h_labels[q]))
+        row = {d + r: c for r, c in enumerate(coeffs) if c != 0}
+        if row:
+            brackets[(d + p, d + q)] = row
     algebra = LieAlgebra.from_brackets(
         n_total, brackets, labels=list(m_labels) + list(h_labels), tag=tag
     )

@@ -7,7 +7,6 @@ residual of zero is then a proof, not a small number.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,9 +104,6 @@ class LieAlgebra:
                 parsed[int(c)] = val
             brackets[(a, b)] = parsed
         return cls.from_brackets(dim, brackets, labels=data.get("labels"), tag=tag or EXACT)
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def jacobi_residual(algebra):

@@ -35,7 +35,7 @@ from .exact import (
     mat_inverse,
     row_reduce,
     solve_in_span,
-    solve_linear,
+    span_coordinates,
 )
 from .lie_algebra import LieAlgebra, _change_basis, jacobi_residual, worst_jacobi_triple
 from .plane_wave import PlaneWaveData, pw_isometry_algebra
@@ -133,11 +133,6 @@ def _eta_diag(aleph, n):
     return np.array([Fraction(-aleph)] + [Fraction(1)] * (n - 1), dtype=object)
 
 
-def eta_matrix(aleph, n):
-    """Transverse metric diag(-aleph, 1, .., 1) of the non-degenerate split."""
-    return (_eye(n) * _eta_diag(aleph, n)).tolist()
-
-
 def _derivation(m, t, slots=None):
     """sum over slots s of m[i_s, l] t[.., l, ..] (default: every slot).
 
@@ -214,8 +209,7 @@ def _coords(rot, mats):
     k = len(rot)
     if not k:
         return _zeros((len(mats), 0))
-    cols = rot.reshape(k, -1).T.tolist()
-    rows = [solve_linear(cols, m.reshape(-1).tolist()) for m in mats]
+    rows = span_coordinates(rot.reshape(k, -1).tolist(), [m.reshape(-1).tolist() for m in mats])
     return np.array(rows, dtype=object).reshape(len(mats), k)
 
 
@@ -317,10 +311,6 @@ class NondegenerateAnsatz:
         if (eta_hb != -eta_hb.swapaxes(1, 2)).any():
             raise ValueError("h_basis matrices must be eta-antisymmetric")
         _store(self, lam=lam, h_basis=hb, **fields)
-
-    @property
-    def eta(self):
-        return eta_matrix(self.aleph, self.n)
 
     def to_json(self):
         return {
@@ -783,15 +773,15 @@ def degenerate_reduce(ansatz):
     # first redefinition: unhook unoccupied generators from the boosts
     b1 = _eye(dim)
     b1[np.ix_(list(ib.values()), wz)] = -f[np.ix_(absent, occ)].T
-    step1 = _apply_new_generators(algebra, b1, labels=algebra.labels)
 
-    # second redefinition: absorb the rotation images
+    # second redefinition: absorb the rotation images; both in one change
+    # of basis, the new generators being the columns of b1 @ b2
     b2 = _eye(dim)
     b2[np.ix_(range(2 + n + nb, dim), wz)] = _coords(rot, rotations[0][absent]).T
     labels = list(algebra.labels)
     for i in absent:
         labels[iz(i)] = f"W{i+1}"
-    step2 = _apply_new_generators(step1, b2, labels=labels)
+    step2 = _apply_new_generators(algebra, b1 @ b2, labels=labels)
 
     checks = {}
     ok = True

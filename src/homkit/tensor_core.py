@@ -10,7 +10,6 @@ function, so tensors are safe to share between threads.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -135,6 +134,8 @@ class Tensor:
         """Build from {index: value}; absent indices and zero values are zero."""
         valence = tuple(valence)
         rank = len(valence)
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         if dim ** rank > _MAX_COMPONENTS:
             raise ValueError(
                 f"tensor of dim {dim} and rank {rank} exceeds {_MAX_COMPONENTS} components"
@@ -216,9 +217,6 @@ class Tensor:
         tag = tags.pop() if tags else EXACT
         return cls.from_entries(data["dim"], valence, entries, tag)
 
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class FrameMetric:
@@ -287,6 +285,10 @@ class FrameMetric:
 
     @classmethod
     def from_json(cls, rows):
+        if not isinstance(rows, list) or any(
+            not isinstance(row, list) or len(row) != len(rows) for row in rows
+        ):
+            raise ValueError("metric must be a square array")
         parsed = [[parse_scalar(x) for x in row] for row in rows]
         tags = {t for row in parsed for _, t in row}
         if len(tags) > 1:

@@ -276,3 +276,32 @@ class TestBoundaryChecks:
         path.write_text(json.dumps({"metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "S": s}))
         code, out, err = run(capsys, "classify", str(path))
         self.assert_one_line_error(code, out, err, "index (0, 1): need 3 indices, got 2")
+
+    S_EMPTY = {"rank": 3, "valence": ["d", "d", "d"], "entries": {}}
+
+    @pytest.mark.parametrize("dim", ["3", 2.0, True])
+    @pytest.mark.parametrize("form", ["jacobi", "reductive"])
+    def test_bracket_table_rejects_non_integer_dim(self, tmp_path, capsys, form, dim):
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps({"dim": dim, "brackets": {"0,1": {"1": "1"}}}))
+        argv = [form, str(path)] + (["--m", "0", "--h", "1"] if form == "reductive" else [])
+        code, out, err = run(capsys, *argv)
+        self.assert_one_line_error(code, out, err, f"dim must be an integer, got {dim!r}")
+
+    @pytest.mark.parametrize("dim", ["2", 2.0, True])
+    def test_classify_rejects_non_integer_dim(self, tmp_path, capsys, dim):
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps({"metric": [[1, 0], [0, 1]], "S": dict(self.S_EMPTY, dim=dim)}))
+        code, out, err = run(capsys, "classify", str(path))
+        self.assert_one_line_error(code, out, err, f"dim must be an integer, got {dim!r}")
+
+    @pytest.mark.parametrize(
+        "metric",
+        [[1, 2], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], {"0": [1]}],
+        ids=["flat", "ragged", "wide", "tall", "object"],
+    )
+    def test_classify_rejects_non_square_metric(self, tmp_path, capsys, metric):
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps({"metric": metric, "S": dict(self.S_EMPTY, dim=2)}))
+        code, out, err = run(capsys, "classify", str(path))
+        self.assert_one_line_error(code, out, err, "metric must be a square array")

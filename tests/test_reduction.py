@@ -18,7 +18,6 @@ from homkit.reduction import (
     ansatz_from_plane_wave,
     assemble_algebra,
     degenerate_reduce,
-    eta_matrix,
     f_derivation,
     generate_instance,
     nondegenerate_reduce,

@@ -1,0 +1,62 @@
+"""Static guard: every function the benchmark tracer patches still exists.
+
+``perfbench/tracer.py`` wraps the functions named in its ``LAYERS``
+table by name.  A deleted or renamed one would only show up as an
+``AttributeError`` deep inside the traced benchmark self-check, so both
+files are parsed here, not imported, and each listed name must be a
+module-level ``def`` in ``src/homkit/<module>.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "homkit"
+
+
+def traced_layers(source):
+    """The literal ``LAYERS`` mapping of a tracer source file."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no module-level LAYERS assignment")
+
+
+def module_defs(source):
+    return {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
+def missing_names(layers, read_module):
+    missing = []
+    for module, names in layers.items():
+        defs = module_defs(read_module(module))
+        missing += [f"{module}.{name}" for name in names if name not in defs]
+    return missing
+
+
+def read_src(module):
+    return (SRC / f"{module}.py").read_text(encoding="utf-8")
+
+
+def test_every_traced_function_is_a_module_level_def():
+    layers = traced_layers((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    assert layers
+    assert missing_names(layers, read_src) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def kept():\n    pass\n",
+        "class C:\n    def gone(self):\n        pass\n\ndef kept():\n    pass\n",
+        "def kept():\n    def gone():\n        pass\n",
+        "gone = None\n\ndef kept():\n    pass\n",
+    ],
+)
+def test_guard_names_a_missing_helper(source):
+    layers = traced_layers('LAYERS = {"m": ("kept", "gone")}\n')
+    assert missing_names(layers, lambda module: source) == ["m.gone"]
