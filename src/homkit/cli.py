@@ -2,15 +2,13 @@
 
 Reports are JSON with sorted keys on standard output.  Exit codes:
 0 all checks pass, 1 a verification failed (the report names the
-failing check), 2 malformed input.  HOMKIT_SEED overrides --seed when
-set.
+failing check), 2 malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -54,16 +52,6 @@ def _emit(report, out=None, quiet=False, verdict=None):
         print(verdict if verdict is not None else report.get("verdict", "done"))
     elif not out:
         print(text)
-
-
-def _seed(args):
-    env = os.environ.get("HOMKIT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError("HOMKIT_SEED must be an integer")
-    return args.seed
 
 
 def _cmd_classify(args):
@@ -134,7 +122,7 @@ def _load_wave(args):
 
 def _cmd_planewave_verify(args):
     pw = _load_wave(args)
-    pts = plane_wave.sample_points(pw.n, args.points, _seed(args))
+    pts = plane_wave.sample_points(pw.n, args.points, args.seed)
     res = plane_wave.as_residuals(pw, pts)
     tolerances = {
         "r_g": args.tol_g,
@@ -147,7 +135,7 @@ def _cmd_planewave_verify(args):
         "residuals": {k: repr(v) for k, v in res.items()},
         "tolerances": {k: repr(v) for k, v in tolerances.items()},
         "points": args.points,
-        "seed": _seed(args),
+        "seed": args.seed,
         "failures": failures,
         "verdict": "pass" if not failures else "fail",
     }
@@ -179,7 +167,7 @@ def _cmd_reduce(args):
 
 def _cmd_gen(args):
     try:
-        ansatz = reduction.generate_instance(args.case, args.n, _seed(args))
+        ansatz = reduction.generate_instance(args.case, args.n, args.seed)
     except ValueError as exc:
         raise InputError(str(exc))
     _emit(ansatz.to_json(), out=args.out, quiet=args.quiet, verdict="done")

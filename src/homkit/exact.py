@@ -49,7 +49,10 @@ def scalar_one(tag):
 def parse_scalar(text):
     """Parse a JSON entry: "p/q" strings are exact, finite numbers are floats."""
     if isinstance(text, str):
-        return Fraction(text), EXACT
+        try:
+            return Fraction(text), EXACT
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {text!r}") from None
     if isinstance(text, bool):
         raise ValueError("booleans are not scalars")
     if isinstance(text, int):
@@ -108,6 +111,8 @@ def mat_mul(a, b, tag=EXACT):
 def mat_inverse(a, tag=EXACT):
     """Gauss-Jordan inverse; raises ValueError on a singular matrix."""
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     work = [[coerce_scalar(x, tag) for x in row] for row in a]
     inv = mat_identity(n, tag)
     for col in range(n):

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,7 +61,8 @@ _LEVI_CIVITA = np.array(
 def _rational(x, name):
     if type(x) is Fraction:
         return x
-    if not isinstance(x, bool):
+    # floats are refused: 0.1 would be read as its binary value, not 1/10
+    if not isinstance(x, (bool, float)):
         try:
             return Fraction(x)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -312,6 +315,9 @@ class NondegenerateAnsatz:
             raise ValueError("h_basis matrices must be eta-antisymmetric")
         _store(self, lam=lam, h_basis=hb, **fields)
 
+    # (sigmas, hats, span basis), computed on first read; not a field
+    _rotations = functools.cached_property(_nondeg_rotations)
+
     def to_json(self):
         return {
             "case": "nondeg",
@@ -376,6 +382,9 @@ class DegenerateAnsatz:
                 raise ValueError(f"{name}{where} references the absent null boost {absent[col]}")
         _store(self, lam=lam, occupancy=occ, **fields)
 
+    # (sigmas, hats, span basis), computed on first read; not a field
+    _rotations = functools.cached_property(_deg_rotations)
+
     def rescaled(self):
         """The same data with the eigenvalue scaled to one."""
         return _at_scale(self, Fraction(1))
@@ -412,6 +421,8 @@ def _at_scale(ansatz, lam):
     # the fields are validated already and scaling keeps their symmetries,
     # so the copy is filled in directly instead of parsed again
     scaled = copy.copy(ansatz)
+    # the copy carries the instance dict along, so drop any span cached at ansatz.lam
+    vars(scaled).pop("_rotations", None)
     _store(scaled, lam=lam, F=f * t, aleph2=al / t, h=h * t ** 2, A=a * t ** 2, R=r * t, S3=s3 * t)
     return scaled
 
@@ -444,8 +455,9 @@ def _rotation_brackets(table, rot, m0, acted):
     table[m0 + p, m0 + q, m0:] = _coords(rot, rot[p] @ rot[q] - rot[q] @ rot[p])
 
 
-def _assemble_nondeg(ansatz, rotations):
-    sigmas, hats, rot = rotations
+def assemble_nondegenerate(ansatz):
+    """The bracket table on (V, Z_i, rotations) read off the ansatz."""
+    sigmas, hats, rot = ansatz._rotations
     n, k = ansatz.n, len(rot)
     f, c = _arrays(ansatz, "F", "C")
     d = _eta_diag(ansatz.aleph, n)
@@ -462,16 +474,17 @@ def _assemble_nondeg(ansatz, rotations):
     table[z, z, z] = c * d
     table[iz[i], iz[j], m0:] = _coords(rot, hats[i, j])
     _rotation_brackets(table, rot, m0, [(iz, range(n))])
-    return _algebra(table, labels), rot
+    return _algebra(table, labels)
 
 
-def assemble_nondegenerate(ansatz):
-    """The bracket table on (V, Z_i, rotations) read off the ansatz."""
-    return _assemble_nondeg(ansatz, _nondeg_rotations(ansatz))
+def assemble_degenerate(ansatz):
+    """The bracket table on (U, V, Z_i, boosts, rotations).
 
-
-def _assemble_deg(ansatz, rotations):
-    sigmas, hats, rot = rotations
+    The boost part of the U-V curvature is pinned to -2 lam W on the
+    occupied directions; unoccupied components of W survive only in the
+    tangent part, which is what makes them inconsistent.
+    """
+    sigmas, hats, rot = ansatz._rotations
     n, lam = ansatz.n, ansatz.lam
     occ = list(ansatz.occupancy)
     absent = [i for i in range(n) if i not in occ]
@@ -518,17 +531,7 @@ def _assemble_deg(ansatz, rotations):
     table[0, ib, iz[occ]] = Fraction(1)
     table[iz[occ], ib, 1] = Fraction(-1)
     _rotation_brackets(table, rot, m0, [(iz, range(n)), (ib, occ)])
-    return _algebra(table, labels), rot
-
-
-def assemble_degenerate(ansatz):
-    """The bracket table on (U, V, Z_i, boosts, rotations).
-
-    The boost part of the U-V curvature is pinned to -2 lam W on the
-    occupied directions; unoccupied components of W survive only in the
-    tangent part, which is what makes them inconsistent.
-    """
-    return _assemble_deg(ansatz, _deg_rotations(ansatz))
+    return _algebra(table, labels)
 
 
 def assemble_algebra(ansatz):
@@ -539,9 +542,9 @@ def assemble_algebra(ansatz):
     span in deterministic closure order.
     """
     if isinstance(ansatz, NondegenerateAnsatz):
-        return assemble_nondegenerate(ansatz)[0]
+        return assemble_nondegenerate(ansatz)
     if isinstance(ansatz, DegenerateAnsatz):
-        return assemble_degenerate(ansatz)[0]
+        return assemble_degenerate(ansatz)
     raise TypeError("unknown ansatz type")
 
 
@@ -555,10 +558,9 @@ def verify_constraints(ansatz):
     ansatz and some entry is nonzero whenever the assembled table fails
     the Jacobi identity (cross-checked in the test-suite)."""
     if isinstance(ansatz, NondegenerateAnsatz):
-        return _verify_nondeg(ansatz, _nondeg_rotations(ansatz))
+        return _verify_nondeg(ansatz)
     if isinstance(ansatz, DegenerateAnsatz):
-        work = ansatz.rescaled()
-        return _verify_deg(work, _deg_rotations(work))
+        return _verify_deg(ansatz.rescaled())
     raise TypeError("unknown ansatz type")
 
 
@@ -572,8 +574,8 @@ def _equivariance(rot, sigmas, *invariants):
     return worst
 
 
-def _verify_nondeg(ansatz, rotations):
-    sigmas, _, rot = rotations
+def _verify_nondeg(ansatz):
+    sigmas, _, rot = ansatz._rotations
     lam = ansatz.lam
     f, c, r, s = _arrays(ansatz, "F", "C", "R", "Scurv")
     d = _eta_diag(ansatz.aleph, ansatz.n)
@@ -587,9 +589,9 @@ def _verify_nondeg(ansatz, rotations):
     }
 
 
-def _verify_deg(work, rotations):
+def _verify_deg(work):
     """Residual table of degenerate data already scaled to lam = 1."""
-    sigmas, _, rot = rotations
+    sigmas, _, rot = work._rotations
     occ = list(work.occupancy)
     absent = [i for i in range(work.n) if i not in occ]
     w, f, al, c, h, a, y, r, s3, nn = _arrays(work, *_DEG_ARRAYS)
@@ -661,6 +663,29 @@ def _apply_new_generators(algebra, new_in_old, labels=None):
     return _change_basis(algebra, p, new_in_old.tolist(), labels)
 
 
+def _jacobi_failure(algebra, residuals, lambda_scale):
+    """The inconsistent report naming the worst Jacobi triple of the
+    assembled table, or None when its residual vanishes exactly."""
+    _, worst = jacobi_residual(algebra)
+    if worst == 0:
+        return None
+    return ReductionReport(
+        verdict="inconsistent",
+        residuals=residuals,
+        lambda_scale=lambda_scale,
+        failing_identity=worst_jacobi_triple(algebra),
+        checks={"jacobi_residual": worst},
+    )
+
+
+def _bracket_pattern(algebra, gens, lam, m0):
+    """Whether, over the generators gens, every [e_0, X] = lam X, every
+    [X, Y] lies in the span of e_m0, e_m0+1, .., and every [X, Y] = 0."""
+    eigen = all(algebra.bracket(0, x) == {x: lam} for x in gens)
+    rows = [algebra.bracket(x, y) for x, y in itertools.combinations(gens, 2)]
+    return eigen, all(min(row, default=m0) >= m0 for row in rows), not any(rows)
+
+
 def nondegenerate_reduce(ansatz):
     """Normalize a consistent non-degenerate table to symmetric-space form.
 
@@ -670,18 +695,11 @@ def nondegenerate_reduce(ansatz):
     rotation span, which is the symmetric-space criterion at the
     structure-constant level.
     """
-    rotations = _nondeg_rotations(ansatz)
-    residuals = _verify_nondeg(ansatz, rotations)
-    algebra, rot = _assemble_nondeg(ansatz, rotations)
-    _, worst = jacobi_residual(algebra)
-    if worst != 0:
-        return ReductionReport(
-            verdict="inconsistent",
-            residuals=residuals,
-            lambda_scale=Fraction(1),
-            failing_identity=worst_jacobi_triple(algebra),
-            checks={"jacobi_residual": worst},
-        )
+    residuals = verify_constraints(ansatz)
+    algebra = assemble_nondegenerate(ansatz)
+    failure = _jacobi_failure(algebra, residuals, Fraction(1))
+    if failure:
+        return failure
     n = ansatz.n
     if residuals["F"] != 0:
         # unreachable once the Jacobi residual vanishes; kept as a guard
@@ -692,25 +710,13 @@ def nondegenerate_reduce(ansatz):
             failing_identity=("V", "Z1", "Z2"),
             checks={"F_nonzero": True},
         )
+    sigmas, _, rot = ansatz._rotations
     k = len(rot)
     new_in_old = _eye(1 + n + k)
-    new_in_old[1 + n:, 1:1 + n] = _coords(rot, rotations[0]).T / ansatz.lam
+    new_in_old[1 + n:, 1:1 + n] = _coords(rot, sigmas).T / ansatz.lam
     labels = ["V"] + [f"Y{i+1}" for i in range(n)] + [f"M{p+1}" for p in range(k)]
     reduced = _apply_new_generators(algebra, new_in_old, labels=labels)
-    eigen_ok = True
-    for i in range(n):
-        expected = {1 + i: ansatz.lam}
-        if reduced.bracket(0, 1 + i) != expected:
-            eigen_ok = False
-    closes = True
-    yy_vanishes = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = reduced.bracket(1 + i, 1 + j)
-            if any(c <= n for c in row):
-                closes = False
-            if row:
-                yy_vanishes = False
+    eigen_ok, closes, yy_vanishes = _bracket_pattern(reduced, range(1, 1 + n), ansatz.lam, 1 + n)
     verdict = "symmetric_space" if eigen_ok and closes else "inconsistent"
     return ReductionReport(
         verdict=verdict,
@@ -737,19 +743,13 @@ def degenerate_reduce(ansatz):
     from the boost coefficients of ad(U) through 2H = bb + F/2 + (F/2)^2
     with bb the boost block, which must come out exactly symmetric.
     """
+    # work.rescaled() is work, so both stages read one cached span
     work = ansatz.rescaled()
-    rotations = _deg_rotations(work)
-    residuals = _verify_deg(work, rotations)
-    algebra, rot = _assemble_deg(work, rotations)
-    _, worst = jacobi_residual(algebra)
-    if worst != 0:
-        return ReductionReport(
-            verdict="inconsistent",
-            residuals=residuals,
-            lambda_scale=ansatz.lam,
-            failing_identity=worst_jacobi_triple(algebra),
-            checks={"jacobi_residual": worst},
-        )
+    residuals = verify_constraints(work)
+    algebra = assemble_degenerate(work)
+    failure = _jacobi_failure(algebra, residuals, ansatz.lam)
+    if failure:
+        return failure
     n = work.n
     occ = list(work.occupancy)
     absent = [i for i in range(n) if i not in occ]
@@ -762,6 +762,7 @@ def degenerate_reduce(ansatz):
             lambda_scale=ansatz.lam,
             checks={"forced_vanishings": {k: format_scalar(v) for k, v in forced.items()}},
         )
+    sigmas, _, rot = work._rotations
     k = len(rot)
     nb = len(occ)
     dim = 2 + n + nb + k
@@ -777,29 +778,18 @@ def degenerate_reduce(ansatz):
     # second redefinition: absorb the rotation images; both in one change
     # of basis, the new generators being the columns of b1 @ b2
     b2 = _eye(dim)
-    b2[np.ix_(range(2 + n + nb, dim), wz)] = _coords(rot, rotations[0][absent]).T
+    b2[np.ix_(range(2 + n + nb, dim), wz)] = _coords(rot, sigmas[absent]).T
     labels = list(algebra.labels)
     for i in absent:
         labels[iz(i)] = f"W{i+1}"
     step2 = _apply_new_generators(algebra, b1 @ b2, labels=labels)
 
-    checks = {}
-    ok = True
-    for i in absent:
-        ok &= step2.bracket(0, iz(i)) == {iz(i): Fraction(1)}
-    checks["unoccupied_eigen_brackets"] = ok
-    ww_zero = True
-    ww_closes = True
-    for i in absent:
-        for j in absent:
-            if i < j:
-                row = step2.bracket(iz(i), iz(j))
-                if row:
-                    ww_zero = False
-                if any(c < 2 + n + nb for c in row):
-                    ww_closes = False
-    checks["unoccupied_brackets_vanish"] = ww_zero
-    checks["unoccupied_brackets_in_rotation_span"] = ww_closes
+    ok, ww_closes, ww_zero = _bracket_pattern(step2, wz, work.lam, 2 + n + nb)
+    checks = {
+        "unoccupied_eigen_brackets": ok,
+        "unoccupied_brackets_vanish": ww_zero,
+        "unoccupied_brackets_in_rotation_span": ww_closes,
+    }
     decouple = True
     for a in occ:
         for i in absent:
@@ -834,22 +824,15 @@ def degenerate_reduce(ansatz):
     for a in occ:
         present[2 + n + a] = ib[a]
     table_ok = True
-    for wa, la in present.items():
-        for wb, lb in present.items():
-            if wa >= wb:
-                continue
-            expected = {}
-            for wc, v in wave.bracket(wa, wb).items():
-                if wc not in present:
-                    table_ok = False
-                    break
-                expected[present[wc]] = v
-            lo, hi = (la, lb) if la < lb else (lb, la)
-            got = absorbed.bracket(lo, hi)
-            if la > lb:
-                got = {c: -v for c, v in got.items()}
-            if got != expected:
+    for (wa, la), (wb, lb) in itertools.combinations(present.items(), 2):
+        expected = {}
+        for wc, v in wave.bracket(wa, wb).items():
+            if wc not in present:
                 table_ok = False
+                break
+            expected[present[wc]] = v
+        if absorbed.bracket(la, lb) != expected:
+            table_ok = False
     checks["matches_wave_table"] = table_ok
 
     rebuilt_worst = jacobi_residual(wave)[1]
@@ -964,7 +947,7 @@ def _generate_nondeg(rng, n):
     c = 2 / lam * (r_low - r_low.transpose(1, 0, 2))
     s = einsum("ijk,kmn->ijmn", c * d, r) / (2 * lam)
     probe = NondegenerateAnsatz(n=n, lam=lam, aleph=aleph, F=_zeros((n, n)), C=c, R=r, Scurv=s)
-    return dataclasses.replace(probe, h_basis=_nondeg_rotations(probe)[2])
+    return dataclasses.replace(probe, h_basis=probe._rotations[2])
 
 
 def _generate_deg(rng, n):

@@ -233,6 +233,8 @@ class FrameMetric:
         ginv = tuple(tuple(coerce_scalar(x, self.tag) for x in row) for row in self.g_inv)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "g_inv", ginv)
+        if any(len(m) != self.dim or any(len(row) != self.dim for row in m) for m in (g, ginv)):
+            raise ValueError(f"g and g_inv must be {self.dim} x {self.dim}")
         # exact entries must agree, float ones to within 1e-13; testing !=
         # first spares an exact subtraction where they agree
         tol = 0 if self.tag == EXACT else 1e-13

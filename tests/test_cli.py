@@ -185,7 +185,7 @@ class TestReduceAndGen:
         code, _, err = run(capsys, "reduce", str(path), "--case", "nondeg")
         assert code == 2 and "case" in err
 
-    @pytest.mark.parametrize("field", ["F", "C", "n", "occupancy"])
+    @pytest.mark.parametrize("field", ["F", "C", "n", "occupancy", "A"])
     def test_malformed_ansatz_is_input_error(self, field, tmp_path, capsys):
         data = generate_instance("deg", 2, 1).to_json()
         if field == "F":
@@ -194,6 +194,8 @@ class TestReduceAndGen:
             data["C"][0][1] = [data["C"][0][1]]  # one nesting level too many
         elif field == "n":
             data["n"] = "2"
+        elif field == "A":
+            data["A"][0][0] = 0.1  # a float, not the exact "1/10"
         else:
             data["occupancy"] = [0.5]
         path = tmp_path / "bad.json"
@@ -208,13 +210,14 @@ class TestReduceAndGen:
         code, out, _ = run(capsys, "reduce", str(path), "--case", "nondeg", "--quiet")
         assert code == 0 and out == "symmetric_space\n"
 
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
+    def test_seed_env_is_ignored(self, capsys, monkeypatch):
+        argv = ("gen", "--case", "deg", "--n", "2", "--seed", "5")
+        monkeypatch.delenv("HOMKIT_SEED", raising=False)
+        code1, out1, _ = run(capsys, *argv)
         monkeypatch.setenv("HOMKIT_SEED", "11")
-        code1, out1, _ = run(capsys, "gen", "--case", "deg", "--n", "2", "--seed", "5")
-        monkeypatch.delenv("HOMKIT_SEED")
-        code2, out2, _ = run(capsys, "gen", "--case", "deg", "--n", "2", "--seed", "11")
+        code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
-        assert out1 == out2
+        assert out1 == out2 != run(capsys, "gen", "--case", "deg", "--n", "2", "--seed", "11")[1]
 
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run(capsys, "gen", "--case", "deg", "--n", "2", "--frobnicate")
@@ -305,3 +308,17 @@ class TestBoundaryChecks:
         path.write_text(json.dumps({"metric": metric, "S": dict(self.S_EMPTY, dim=2)}))
         code, out, err = run(capsys, "classify", str(path))
         self.assert_one_line_error(code, out, err, "metric must be a square array")
+
+    @pytest.mark.parametrize("where", ["entry", "metric", "jacobi", "reductive"])
+    def test_zero_denominator_is_malformed(self, tmp_path, capsys, where):
+        path = tmp_path / "zero.json"
+        if where in ("entry", "metric"):
+            metric = [[1, 0], [0, "1/0" if where == "metric" else 1]]
+            s = dict(self.S_EMPTY, dim=2, entries={"0,0,1": "1/0" if where == "entry" else "1"})
+            path.write_text(json.dumps({"metric": metric, "S": s}))
+            argv = ["classify", str(path)]
+        else:
+            path.write_text(json.dumps({"dim": 2, "brackets": {"0,1": {"1": "1/0"}}}))
+            argv = [where, str(path)] + (["--m", "0", "--h", "1"] if where == "reductive" else [])
+        code, out, err = run(capsys, *argv)
+        self.assert_one_line_error(code, out, err, "zero denominator in scalar '1/0'")

@@ -1,0 +1,159 @@
+"""The reductions run through their public stages and share their checks.
+
+Both reductions read one cached rotation span per ansatz, call
+``verify_constraints`` and ``assemble_*`` by name (so the benchmark
+tracer, which patches those names, sees each stage), and share one
+helper for the bracket-pattern flags.
+"""
+
+import collections
+import importlib.util
+import itertools
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+import homkit.reduction as reduction
+from homkit.exact import EXACT
+from homkit.lie_algebra import LieAlgebra
+from homkit.reduction import (
+    _bracket_pattern,
+    ansatz_from_json,
+    assemble_algebra,
+    generate_instance,
+    verify_constraints,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def strings(a):
+    return np.vectorize(str, otypes=[object])(a).tolist()
+
+
+class TestRotationCache:
+    def test_rescaled_copy_drops_the_span_cached_at_lambda(self):
+        # deg n = 3, seed 33: lam = 3 and epsilon rotation data, so the
+        # span basis at lam differs from the one at lam = 1
+        a = generate_instance("deg", 3, 33)
+        assert a.lam != 1 and any(np.ravel(np.array(a.R, dtype=object)))
+        at_lam = a._rotations
+        fresh = ansatz_from_json(json.loads(json.dumps(a.to_json())))
+        work, ref = a.rescaled(), fresh.rescaled()
+        assert strings(at_lam[2]) != strings(ref._rotations[2])
+        for got, want in zip(work._rotations, ref._rotations):
+            assert strings(got) == strings(want)
+        assert verify_constraints(a) == verify_constraints(fresh)
+        assert assemble_algebra(work) == assemble_algebra(ref)
+
+    def test_span_is_not_a_field(self):
+        a = generate_instance("nondeg", 3, 2)
+        b = ansatz_from_json(a.to_json())
+        a._rotations
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.to_json() == b.to_json()
+
+    def test_span_closure_runs_once_per_reduce(self, monkeypatch):
+        calls = []
+        closure = reduction._span_closure
+        monkeypatch.setattr(
+            reduction, "_span_closure", lambda *args: calls.append(1) or closure(*args)
+        )
+        for case in ("deg", "nondeg"):
+            a = generate_instance(case, 3, 33)
+            calls.clear()
+            reduction.reduce_ansatz(a)
+            assert len(calls) == 1
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "homkit_bench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_each_stage_once_per_reduce():
+    deg, nondeg = generate_instance("deg", 2, 1), generate_instance("nondeg", 2, 1)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        # through the module, whose names the tracer patches
+        assert reduction.degenerate_reduce(deg).verdict == "plane_wave"
+        assert reduction.nondegenerate_reduce(nondeg).verdict == "symmetric_space"
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    children = collections.defaultdict(list)
+    for span in tracer.spans:
+        children[names[span[3]] if span[3] >= 0 else None].append(span[0])
+    stages = ("reduction.verify_constraints", "reduction.assemble_degenerate",
+              "reduction.assemble_nondegenerate")
+    assert {s: names.count(s) for s in stages} == dict(zip(stages, (2, 1, 1)))
+    deg_stages = [s for s in children["reduction.degenerate_reduce"] if s in stages]
+    nondeg_stages = [s for s in children["reduction.nondegenerate_reduce"] if s in stages]
+    assert deg_stages == ["reduction.verify_constraints", "reduction.assemble_degenerate"]
+    assert nondeg_stages == ["reduction.verify_constraints", "reduction.assemble_nondegenerate"]
+
+
+def reference_pattern(algebra, gens, lam, m0):
+    """The flag loops both reductions ran before sharing a helper."""
+    eigen_ok = True
+    for x in gens:
+        if algebra.bracket(0, x) != {x: lam}:
+            eigen_ok = False
+    closes = True
+    vanishes = True
+    for i, x in enumerate(gens):
+        for y in gens[i + 1:]:
+            row = algebra.bracket(x, y)
+            if any(c < m0 for c in row):
+                closes = False
+            if row:
+                vanishes = False
+    return eigen_ok, closes, vanishes
+
+
+def random_row(rng, dim, lo=0):
+    cols = rng.sample(range(lo, dim), rng.randint(0, min(2, dim - lo)))
+    return {c: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for c in cols}
+
+
+def random_case(rng):
+    """A random exact table with generators, eigenvalue and span start.
+
+    The brackets the flags read are biased towards passing, so every
+    flag comes out both true and false over a few hundred cases.
+    """
+    dim = rng.randint(2, 7)
+    gens = sorted(rng.sample(range(1, dim), rng.randint(0, min(4, dim - 1))))
+    lam, m0 = Fraction(rng.randint(1, 4), rng.randint(1, 3)), rng.randint(1, dim)
+    brackets = {}
+    for a, b in itertools.combinations(range(dim), 2):
+        roll = rng.random()
+        if a == 0 and b in gens and roll < 0.7:
+            row = {b: lam}
+        elif a in gens and b in gens and roll < 0.6:
+            row = {} if roll < 0.3 or m0 == dim else random_row(rng, dim, m0)
+        else:
+            row = random_row(rng, dim)
+        if row:
+            brackets[(a, b)] = row
+    return LieAlgebra.from_brackets(dim, brackets, tag=EXACT), gens, lam, m0
+
+
+def test_bracket_pattern_matches_reference_loops():
+    rng = random.Random("bracket-pattern")
+    seen = collections.Counter()
+    for _ in range(400):
+        algebra, gens, lam, m0 = random_case(rng)
+        flags = _bracket_pattern(algebra, gens, lam, m0)
+        assert flags == reference_pattern(algebra, gens, lam, m0)
+        assert all(type(flag) is bool for flag in flags)
+        seen.update(enumerate(flags))
+    assert all(seen[(i, value)] >= 20 for i in range(3) for value in (True, False))

@@ -199,6 +199,19 @@ class TestFrameMetric:
         g = FrameMetric.from_matrix([[2.0, 0.5], [0.5, 1.0]])
         assert g.tag == FLOAT
 
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]],
+                             ids=["wide", "tall"])
+    def test_non_square_matrix_rejected(self, rows):
+        with pytest.raises(ValueError, match="not square"):
+            FrameMetric.from_matrix(rows)
+
+    @pytest.mark.parametrize("which", ["g", "g_inv"])
+    def test_constructor_checks_both_shapes(self, which):
+        square, wide = ((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0))
+        rows = {"g": square, "g_inv": square, which: wide}
+        with pytest.raises(ValueError, match="must be 2 x 2"):
+            FrameMetric(2, rows["g"], rows["g_inv"])
+
 
 class TestJson:
     def test_round_trip_skips_zeros(self):
