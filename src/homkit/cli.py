@@ -121,6 +121,8 @@ def _load_wave(args):
 
 
 def _cmd_planewave_verify(args):
+    if args.points < 1:
+        raise InputError(f"--points must be at least 1, got {args.points}")
     pw = _load_wave(args)
     pts = plane_wave.sample_points(pw.n, args.points, args.seed)
     res = plane_wave.as_residuals(pw, pts)

@@ -20,7 +20,7 @@ from .exact import (
     row_reduce,
     scalar_zero,
 )
-from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations
+from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations, _map_slot
 
 
 def _default_labels(n):
@@ -89,9 +89,19 @@ class LieAlgebra:
     @classmethod
     def from_json(cls, data):
         dim = data["dim"]
+        labels = data.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        ):
+            raise ValueError("labels must be a list of strings")
+        rows = data.get("brackets", {})
+        if not isinstance(rows, dict):
+            raise ValueError("brackets must be an object")
         brackets = {}
         tag = None
-        for key, row in data.get("brackets", {}).items():
+        for key, row in rows.items():
+            if not isinstance(row, dict):
+                raise ValueError(f"bracket {key!r} must be an object")
             a, b = (int(p) for p in key.split(","))
             if not a < b:
                 raise ValueError(f"bracket key {key!r} must satisfy a < b")
@@ -103,7 +113,7 @@ class LieAlgebra:
                 tag = t
                 parsed[int(c)] = val
             brackets[(a, b)] = parsed
-        return cls.from_brackets(dim, brackets, labels=data.get("labels"), tag=tag or EXACT)
+        return cls.from_brackets(dim, brackets, labels=labels, tag=tag or EXACT)
 
 
 def jacobi_residual(algebra):
@@ -168,36 +178,12 @@ def change_basis(algebra, p, labels=None):
     if len(p) != n or any(len(row) != n for row in p):
         raise ValueError("P has the wrong shape")
     p = [[coerce_scalar(x, algebra.tag) for x in row] for row in p]
-    p_inv = mat_inverse(p, algebra.tag)  # raises on singular P
-    return _change_basis(algebra, p, p_inv, labels)
-
-
-def _change_basis(algebra, p, p_inv, labels):
-    """change_basis with P^{-1} supplied by a caller that already holds it."""
-    n = algebra.dim
-    zero = scalar_zero(algebra.tag)
-    cur = {(a, b, c): v for (a, b), row in algebra._rows.items() for c, v in row.items()}
-
-    def apply(axis, matrix):
-        # weight index src -> k in this slot by matrix[src][k]
-        nxt = {}
-        for idx, v in cur.items():
-            for k in range(n):
-                m = matrix[idx[axis]][k]
-                if m == 0:
-                    continue
-                jdx = list(idx)
-                jdx[axis] = k
-                key = tuple(jdx)
-                nxt[key] = nxt.get(key, zero) + m * v
-        return {k: v for k, v in nxt.items() if v != 0}
-
+    p_inv_t = list(zip(*mat_inverse(p, algebra.tag)))  # raises on singular P
     # f'_{ab}^c = sum P^{-1}_{ma} P^{-1}_{nb} P_{ck} f_{mn}^{k}, one slot at a time
-    cur = apply(0, p_inv)
-    cur = apply(1, p_inv)
-    cur = apply(2, list(zip(*p)))
-    new_f = Tensor.from_entries(n, (DOWN, DOWN, UP), cur, algebra.tag)
-    return LieAlgebra(tuple(labels) if labels else algebra.labels, new_f)
+    f = algebra.f
+    for slot, m in ((0, p_inv_t), (1, p_inv_t), (2, p)):
+        f = _map_slot(f, slot, m, f.valence)
+    return LieAlgebra(tuple(labels) if labels else algebra.labels, f)
 
 
 @dataclass(frozen=True)

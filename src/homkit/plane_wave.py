@@ -286,12 +286,6 @@ def riemann(pw, pt):
     return _riemann_from_connection(gamma, dgamma)
 
 
-def riemann_lower(pw, pt):
-    jet = metric_jet(pw, pt)
-    gamma, dgamma, *_ = _connection(jet)
-    return einsum("rl,lsmn->rsmn", jet.g, _riemann_from_connection(gamma, dgamma))
-
-
 # ---------------------------------------------------------------------------
 # the homogeneous structure, in frame and in coordinates
 # ---------------------------------------------------------------------------

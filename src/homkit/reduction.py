@@ -34,12 +34,11 @@ from .exact import (
     EXACT,
     format_scalar,
     mat_identity,
-    mat_inverse,
     row_reduce,
     solve_in_span,
     span_coordinates,
 )
-from .lie_algebra import LieAlgebra, _change_basis, jacobi_residual, worst_jacobi_triple
+from .lie_algebra import LieAlgebra, change_basis, jacobi_residual, worst_jacobi_triple
 from .plane_wave import PlaneWaveData, pw_isometry_algebra
 
 ZERO = Fraction(0)
@@ -657,10 +656,12 @@ class ReductionReport:
         return out
 
 
-def _apply_new_generators(algebra, new_in_old, labels=None):
-    # new_in_old is already P^{-1} of the component map, so invert once
-    p = mat_inverse(new_in_old.tolist(), EXACT)
-    return _change_basis(algebra, p, new_in_old.tolist(), labels)
+def _component_map(new_in_old):
+    """The map P that change_basis takes when the new generators are the
+    columns of new_in_old = I + N.  Each redefinition shifts one block of
+    generators by a disjoint block, so N @ N = 0 and P = I - N: its exact
+    inverse is new_in_old again."""
+    return (2 * _eye(len(new_in_old)) - new_in_old).tolist()
 
 
 def _jacobi_failure(algebra, residuals, lambda_scale):
@@ -715,7 +716,7 @@ def nondegenerate_reduce(ansatz):
     new_in_old = _eye(1 + n + k)
     new_in_old[1 + n:, 1:1 + n] = _coords(rot, sigmas).T / ansatz.lam
     labels = ["V"] + [f"Y{i+1}" for i in range(n)] + [f"M{p+1}" for p in range(k)]
-    reduced = _apply_new_generators(algebra, new_in_old, labels=labels)
+    reduced = change_basis(algebra, _component_map(new_in_old), labels)
     eigen_ok, closes, yy_vanishes = _bracket_pattern(reduced, range(1, 1 + n), ansatz.lam, 1 + n)
     verdict = "symmetric_space" if eigen_ok and closes else "inconsistent"
     return ReductionReport(
@@ -782,7 +783,7 @@ def degenerate_reduce(ansatz):
     labels = list(algebra.labels)
     for i in absent:
         labels[iz(i)] = f"W{i+1}"
-    step2 = _apply_new_generators(algebra, b1 @ b2, labels=labels)
+    step2 = change_basis(algebra, _component_map(b1 @ b2), labels)
 
     ok, ww_closes, ww_zero = _bracket_pattern(step2, wz, work.lam, 2 + n + nb)
     checks = {
@@ -816,7 +817,7 @@ def degenerate_reduce(ansatz):
 
     # the table with rotation images absorbed must be, on the nose, the
     # wave table restricted to the generators that are present
-    absorbed = _apply_new_generators(algebra, b2, labels=algebra.labels)
+    absorbed = change_basis(algebra, _component_map(b2))
     wave = pw_isometry_algebra(pw)
     present = {0: 0, 1: 1}
     for i in range(n):

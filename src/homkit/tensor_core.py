@@ -431,8 +431,13 @@ def raise_lower(t, slot, metric):
     pairing = metric.g if lowering else metric.g_inv
     new_valence = list(t.valence)
     new_valence[slot] = DOWN if lowering else UP
-    # the nonzero pairing[i][z] for each z
-    columns = [[(i, row[z]) for i, row in enumerate(pairing) if row[z] != 0] for z in range(t.dim)]
+    return _map_slot(t, slot, pairing, tuple(new_valence))
+
+
+def _map_slot(t, slot, m, valence):
+    """t with slot index z sent to sum_i m[i][z] e_i, under the given valence."""
+    # the nonzero m[i][z] for each z
+    columns = [[(i, row[z]) for i, row in enumerate(m) if row[z] != 0] for z in range(t.dim)]
     zero = scalar_zero(t.tag)
     out = {}
     # entries come in index order, so each output adds its terms in z order
@@ -440,4 +445,4 @@ def raise_lower(t, slot, metric):
         for i, c in columns[idx[slot]]:
             key = idx[:slot] + (i,) + idx[slot + 1 :]
             out[key] = out.get(key, zero) + c * v
-    return Tensor._sparse(t.dim, tuple(new_valence), out, t.tag)
+    return Tensor._sparse(t.dim, valence, out, t.tag)

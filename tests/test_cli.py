@@ -135,6 +135,16 @@ class TestPlanewave:
         assert code == 1
         assert "r_R" in json.loads(out)["failures"]
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_verify_without_points_is_malformed(self, wave_files, capsys, points):
+        f, h = wave_files
+        code, out, err = run(
+            capsys, "planewave", "--n", "2", "--F", f, "--H", h, "verify", "--points", points,
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--points must be at least 1" in err
+        assert "Traceback" not in err
+
     def test_algebra_output_matches_library(self, wave_files, tmp_path, capsys):
         f, h = wave_files
         out_path = tmp_path / "alg.json"
@@ -290,6 +300,24 @@ class TestBoundaryChecks:
         argv = [form, str(path)] + (["--m", "0", "--h", "1"] if form == "reductive" else [])
         code, out, err = run(capsys, *argv)
         self.assert_one_line_error(code, out, err, f"dim must be an integer, got {dim!r}")
+
+    @pytest.mark.parametrize(
+        "fields, text",
+        [
+            ({"labels": "abc"}, "labels must be a list of strings"),
+            ({"labels": ["a", 1, "c"]}, "labels must be a list of strings"),
+            ({"brackets": []}, "brackets must be an object"),
+            ({"brackets": {"0,1": []}}, "bracket '0,1' must be an object"),
+        ],
+        ids=["labels-string", "labels-non-string", "brackets-list", "row-list"],
+    )
+    @pytest.mark.parametrize("form", ["jacobi", "reductive"])
+    def test_bracket_table_rejects_wrong_field_type(self, tmp_path, capsys, form, fields, text):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(dict({"dim": 3, "brackets": {"0,1": {"2": "1"}}}, **fields)))
+        argv = [form, str(path)] + (["--m", "0,1", "--h", "2"] if form == "reductive" else [])
+        code, out, err = run(capsys, *argv)
+        self.assert_one_line_error(code, out, err, text)
 
     @pytest.mark.parametrize("dim", ["2", 2.0, True])
     def test_classify_rejects_non_integer_dim(self, tmp_path, capsys, dim):

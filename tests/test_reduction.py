@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from homkit.exact import mat_identity, mat_inverse, mat_mul
 from homkit.lie_algebra import jacobi_residual
 from homkit.plane_wave import PlaneWaveData, pw_isometry_algebra
 from homkit.reduction import (
@@ -35,6 +36,14 @@ PINNED = json.loads(Path(__file__).with_name("pinned_reduction.json").read_text(
 def pinned_table(residuals):
     assert all(isinstance(v, Fraction) for v in residuals.values())
     return {k: str(v) for k, v in residuals.items()}
+
+
+def assert_unipotent(p):
+    """(P - I)^2 = 0, so the exact inverse of P is 2I - P."""
+    eye = mat_identity(len(p))
+    nil = [[x - e for x, e in zip(row, erow)] for row, erow in zip(p, eye)]
+    assert not any(x for row in mat_mul(nil, nil) for x in row)
+    assert mat_inverse(p) == [[2 * e - x for x, e in zip(row, erow)] for row, erow in zip(p, eye)]
 
 
 def json_digest(data):
@@ -149,6 +158,8 @@ class TestNondegenerate:
                 assert report.verdict == "symmetric_space"
                 assert report.checks["eigen_brackets"]
                 assert report.checks["yy_in_rotation_span"]
+                for _, p in report.redefinitions:
+                    assert_unipotent(p)
 
     def test_nontrivial_oracle_instance_exists(self):
         # at n = 3 the rotation template produces curvature-coupled data
@@ -283,6 +294,9 @@ class TestDegenerateReduce:
                 assert report.verdict == "plane_wave"
                 rebuilt = pw_isometry_algebra(report.plane_wave)
                 assert jacobi_residual(rebuilt)[1] == 0
+                (_, b1), (_, b2) = report.redefinitions
+                for p in (b1, b2, mat_mul(b1, b2)):
+                    assert_unipotent(p)
 
     def test_rotation_rich_instance_trivializes(self):
         # an unoccupied 3-block with rotation data: nonzero C, R, N all

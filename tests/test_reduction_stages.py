@@ -99,6 +99,9 @@ def test_tracer_sees_each_stage_once_per_reduce():
     nondeg_stages = [s for s in children["reduction.nondegenerate_reduce"] if s in stages]
     assert deg_stages == ["reduction.verify_constraints", "reduction.assemble_degenerate"]
     assert nondeg_stages == ["reduction.verify_constraints", "reduction.assemble_nondegenerate"]
+    # every redefinition goes through the public change of basis
+    assert children["reduction.degenerate_reduce"].count("lie_algebra.change_basis") == 2
+    assert children["reduction.nondegenerate_reduce"].count("lie_algebra.change_basis") == 1
 
 
 def reference_pattern(algebra, gens, lam, m0):
