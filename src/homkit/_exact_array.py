@@ -1,12 +1,15 @@
-"""Exact contractions of Fraction object arrays on integer numerators.
+"""Exact arrays on integer numerators.
 
 A multiply-add of two Fractions normalizes its result with a gcd, so
-an einsum over dtype=object Fraction arrays pays one gcd per term.
-Here each operand is scaled by the lcm L of its entries' denominators
-into an array of Python ints, numpy contracts the ints, and each output
-entry is divided by the product of the scales once:
-sum(prod(a_k)) = sum(prod(L_k a_k)) / prod(L_k).  Python ints do not
-overflow, so the result is exact and every entry is a Fraction.
+Fraction object arrays pay one gcd per term.  A QArray holds an exact
+array as an object array of Python ints over one positive int
+denominator instead: sums rescale both operands to the lcm of their
+denominators, products multiply numerators and denominators, a zero
+test reads only the numerators, and a gcd is taken only when the
+denominator grows past _GCD_BOUND.  Python ints do not overflow, so
+every result is exact; Fractions are built only by fractions(), at the
+boundary.  einsum and matmul of Fraction object arrays scale each
+operand to its numerators the same way and divide once per output entry.
 
 float64 operands go straight to numpy with the same arguments, so float
 results are bit-identical to a plain np.einsum or @.
@@ -23,6 +26,8 @@ from .exact import integer_numerators
 
 _EXACT_TYPES = {int, Fraction}
 _ZERO = Fraction(0)
+# a larger denominator is reduced by the gcd of all entries first
+_GCD_BOUND = 1 << 64
 
 
 def _numerators(a):
@@ -51,17 +56,114 @@ def _exact(ops):
     return any(isinstance(op, np.ndarray) and op.dtype == object for op in ops)
 
 
+def _ratio(x):
+    """(numerators, denominator) of a QArray, an int object array or an int or Fraction."""
+    if isinstance(x, QArray):
+        return x.num, x.den
+    return (x, 1) if isinstance(x, np.ndarray) else x.as_integer_ratio()
+
+
+def _on_numerators(name):
+    """A QArray method that applies the ndarray method name to num alone."""
+    return lambda self, *args: QArray(getattr(self.num, name)(*args), self.den)
+
+
+class QArray:
+    """An exact array: object array num of Python ints over one positive int den."""
+
+    __slots__ = ("num", "den")
+    # numpy defers to the reflected operators instead of broadcasting a QArray as a scalar
+    __array_ufunc__ = None
+
+    def __init__(self, num, den=1):
+        if den > _GCD_BOUND:
+            g = math.gcd(den, *np.ravel(num).tolist())
+            num, den = num // g, den // g
+        self.num, self.den = num, den
+
+    @classmethod
+    def of(cls, a):
+        """The QArray of an int/Fraction array or nested list; a QArray is returned as is."""
+        return a if isinstance(a, cls) else cls(*_numerators(np.array(a, dtype=object)))
+
+    shape = property(lambda self: self.num.shape)
+    ndim = property(lambda self: self.num.ndim)
+    T = property(lambda self: QArray(self.num.T, self.den))
+    __len__ = lambda self: len(self.num)
+    __getitem__ = _on_numerators("__getitem__")
+    transpose = _on_numerators("transpose")
+    swapaxes = _on_numerators("swapaxes")
+    copy = _on_numerators("copy")
+    __neg__ = _on_numerators("__neg__")
+
+    def __setitem__(self, idx, value):
+        num, den = _ratio(value)
+        lcm = math.lcm(self.den, den)
+        if lcm != self.den:
+            self.num, self.den = self.num * (lcm // self.den), lcm
+        self.num[idx] = num * (lcm // den)
+
+    def __add__(self, other):
+        num, den = _ratio(other)
+        if den == self.den:
+            return QArray(self.num + num, den)
+        lcm = math.lcm(self.den, den)
+        return QArray(self.num * (lcm // self.den) + num * (lcm // den), lcm)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        num, den = _ratio(other)
+        return QArray(self.num * num, self.den * den)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, x):
+        p, q = x.as_integer_ratio()
+        if not p:
+            raise ZeroDivisionError("QArray division by zero")
+        return QArray(self.num * (q if p > 0 else -q), self.den * abs(p))
+
+    def __matmul__(self, other):
+        return QArray(self.num @ other.num, self.den * other.den)
+
+    def any(self):
+        """Whether some entry is nonzero: a test on the numerators alone."""
+        return bool(self.num.any())
+
+    def fractions(self, dtype=None, copy=None):
+        """The entries as an object array of Fractions."""
+        return _fractions(self.num, self.den)
+
+    __array__ = fractions
+    tolist = lambda self: self.fractions().tolist()
+
+
+def max_abs(*arrays):
+    """Largest entry magnitude of the QArrays as one Fraction; zero when there are no entries."""
+    best = 0, 1
+    for a in arrays:
+        num = max(map(abs, a.num.ravel().tolist()), default=0)
+        if num * best[1] > best[0] * a.den:
+            best = num, a.den
+    return Fraction(*best)
+
+
 def einsum(spec, *ops, **kw):
-    """np.einsum, on integer numerators when any operand is an object array."""
+    """np.einsum, on integer numerators when any operand is exact.
+
+    QArray operands give a QArray; object arrays give Fractions."""
+    if all(isinstance(op, QArray) for op in ops):
+        nums, dens = zip(*((op.num, op.den) for op in ops))
+        return QArray(np.einsum(spec, *nums, **kw), math.prod(dens))
     if not _exact(ops):
         return np.einsum(spec, *ops, **kw)
-    ints, scales = zip(*(_numerators(np.asarray(op)) for op in ops))
-    return _fractions(np.einsum(spec, *ints, **kw), math.prod(scales))
+    return einsum(spec, *(QArray(*_numerators(np.asarray(op))) for op in ops), **kw).fractions()
 
 
 def matmul(a, b):
     """a @ b, on integer numerators when either operand is an object array."""
     if not _exact((a, b)):
         return a @ b
-    (ia, la), (ib, lb) = _numerators(np.asarray(a)), _numerators(np.asarray(b))
-    return _fractions(ia @ ib, la * lb)
+    return (QArray(*_numerators(np.asarray(a))) @ QArray(*_numerators(np.asarray(b)))).fractions()

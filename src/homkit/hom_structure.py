@@ -83,6 +83,10 @@ class HomogeneousStructure:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError("structure must be a JSON object")
+        if not isinstance(data.get("S", {}), dict):
+            raise ValueError("S must be a JSON object")
         return cls(FrameMetric.from_json(data["metric"]), Tensor.from_json(data["S"]))
 
 

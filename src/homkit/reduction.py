@@ -9,9 +9,12 @@ causal type of the defining vector:
   boosts and whatever transverse rotations the curvature data reaches.
 
 Everything is exact rational: "forced to vanish" always means an exact
-zero, and a Jacobi residual of zero is a proof.  The arithmetic runs on
-numpy dtype=object arrays that hold only Fractions; the ansatz fields
-are stored as nested tuples of Fractions.  The two reduce operations
+zero, and a Jacobi residual of zero is a proof.  The ansatz fields are
+stored as nested tuples of Fractions.  The arithmetic runs on QArrays
+(integer numerators over one denominator, see _exact_array), which each
+ansatz builds once from its fields; Fractions are built again only for
+what leaves the module: stored fields, residual values, bracket rows,
+redefinition matrices and wave data.  The two reduce operations
 mechanize the generator redefinitions that bring a consistent table to
 symmetric-space or plane-wave normal form, and verify the expected
 bracket pattern exactly after the change of basis.
@@ -29,15 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact_array import einsum, matmul
-from .exact import (
-    EXACT,
-    format_scalar,
-    mat_identity,
-    row_reduce,
-    solve_in_span,
-    span_coordinates,
-)
+from ._exact_array import QArray, einsum, max_abs
+from .exact import EXACT, format_scalar, row_reduce, solve_in_span, span_coordinates
 from .lie_algebra import LieAlgebra, change_basis, jacobi_residual, worst_jacobi_triple
 from .plane_wave import PlaneWaveData, pw_isometry_algebra
 
@@ -97,15 +93,12 @@ def _zeros(shape):
 
 
 def _eye(n):
-    return np.array(mat_identity(n, EXACT), dtype=object)
-
-
-def _arrays(ansatz, *names):
-    return [np.array(getattr(ansatz, k), dtype=object) for k in names]
+    return QArray(np.eye(n, dtype=object))
 
 
 def _freeze(a):
     """Nested tuples of Fractions, the stored form of an array field."""
+    a = np.asarray(a)
     return tuple(map(_freeze, a)) if a.ndim > 1 else tuple(a)
 
 
@@ -118,12 +111,7 @@ def _fmt(t):
 def _store(obj, **values):
     """Set the fields of a frozen ansatz, arrays frozen to nested tuples."""
     for name, v in values.items():
-        object.__setattr__(obj, name, _freeze(v) if isinstance(v, np.ndarray) else v)
-
-
-def _max_abs(*arrays):
-    """Largest magnitude among the entries; Fraction zero when there are none."""
-    return max([ZERO] + [abs(x) for a in arrays for x in np.ravel(a)])
+        object.__setattr__(obj, name, _freeze(v) if isinstance(v, (np.ndarray, QArray)) else v)
 
 
 def _upper(t):
@@ -132,7 +120,7 @@ def _upper(t):
 
 
 def _eta_diag(aleph, n):
-    return np.array([Fraction(-aleph)] + [Fraction(1)] * (n - 1), dtype=object)
+    return np.array([-aleph] + [1] * (n - 1), dtype=object)
 
 
 def _derivation(m, t, slots=None):
@@ -141,8 +129,8 @@ def _derivation(m, t, slots=None):
     With m = omega^T this is the rotation omega acting on an all-lower
     array, which vanishes exactly when the array is invariant.
     """
-    slots = range(t.ndim) if slots is None else slots
-    return sum(matmul(t.swapaxes(s, -1), m.T).swapaxes(s, -1) for s in slots)
+    first, *rest = [(t.swapaxes(s, -1) @ m.T).swapaxes(s, -1) for s in slots or range(t.ndim)]
+    return sum(rest, first)
 
 
 def f_derivation(f, c):
@@ -151,7 +139,7 @@ def f_derivation(f, c):
     (delta_F C)_ijk = F_il C_ljk + F_jl C_ilk + F_kl C_ijl; total
     antisymmetry of C is preserved.
     """
-    f, c = np.array(f, dtype=object), np.array(c, dtype=object)
+    f, c = QArray.of(f), QArray.of(c)
     if len(f) != len(c):
         raise ValueError("F and C sizes differ")
     return _derivation(f, c).tolist()
@@ -166,7 +154,7 @@ def _cyclic(t):
 def _occupied(t, absent):
     """t with the all-absent block zeroed: the entries with an occupied index."""
     t = t.copy()
-    t[np.ix_(*[absent] * t.ndim)] = ZERO
+    t[np.ix_(*[absent] * t.ndim)] = 0
     return t
 
 
@@ -181,7 +169,8 @@ def _span_closure(seeds, n):
 
     def add(m):
         nonlocal rows, piv
-        flat = m.reshape(-1).tolist()
+        # membership and the echelon rows do not change when m is scaled
+        flat = [Fraction(x) for x in m.num.ravel().tolist()]
         if solve_in_span(rows, piv, flat) is not None:
             return False
         basis.append(m)
@@ -199,7 +188,7 @@ def _span_closure(seeds, n):
             for b in snapshot[i + 1 :]:
                 if add(a @ b - b @ a):
                     changed = True
-    return np.array(basis, dtype=object).reshape(len(basis), n, n)
+    return QArray.of(np.reshape([m.fractions() for m in basis], (len(basis), n, n)))
 
 
 def _coords(rot, mats):
@@ -207,29 +196,32 @@ def _coords(rot, mats):
 
     Only seeds of the span and commutators of its basis elements come
     here, and the closure contains both, so every system is consistent.
+    Both sides are solved on their numerators and the scales put back.
     """
+    rot, mats = QArray.of(rot), QArray.of(mats)
     k = len(rot)
     if not k:
-        return _zeros((len(mats), 0))
-    rows = span_coordinates(rot.reshape(k, -1).tolist(), [m.reshape(-1).tolist() for m in mats])
-    return np.array(rows, dtype=object).reshape(len(mats), k)
+        return QArray(np.zeros((len(mats), 0), dtype=object))
+    vectors = [[Fraction(x) for x in row] for row in rot.num.reshape(k, -1).tolist()]
+    rows = span_coordinates(vectors, [m.ravel().tolist() for m in mats.num])
+    return QArray.of(np.reshape(rows, (len(mats), k))) * Fraction(rot.den, mats.den)
 
 
 def _nondeg_rotations(ansatz):
     """Rotation images sigma_i of the Z_i, s_hat_ij of the pairs, and their span."""
     d = _eta_diag(ansatz.aleph, ansatz.n)
-    r, s = _arrays(ansatz, "R", "Scurv")
+    q = ansatz._carriers
     # action matrix of the element with coefficients R[i]: 2 R_i eta
-    sigmas, hats = 2 * r * d, 2 * s * d
-    extra = [np.array(m, dtype=object) for m in ansatz.h_basis]
+    sigmas, hats = 2 * q["R"] * d, 2 * q["Scurv"] * d
+    extra = [QArray.of(m) for m in ansatz.h_basis]
     return sigmas, hats, _span_closure([*sigmas, *_upper(hats), *extra], ansatz.n)
 
 
 def _deg_rotations(ansatz):
     """Rotation images sigma_i = R_i, n_hat_ij = 2 N_ij and y_hat = 2 Y, and their span."""
-    r, nn, y = _arrays(ansatz, "R", "N", "Y")
-    hats = 2 * nn
-    return r, hats, _span_closure([*r, *_upper(hats), 2 * y], ansatz.n)
+    q = ansatz._carriers
+    hats = 2 * q["N"]
+    return q["R"], hats, _span_closure([*q["R"], *_upper(hats), 2 * q["Y"]], ansatz.n)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +252,9 @@ def _field(ansatz, name):
     """The named field as an n x .. x n Fraction array, symmetries checked."""
     rank, *pairs = _FIELDS[name]
     a = _array(getattr(ansatz, name), (ansatz.n,) * rank, name)
+    q = QArray.of(a)
     for i, j in pairs:
-        if (a != -a.swapaxes(i, j)).any():
+        if (q + q.swapaxes(i, j)).any():
             raise ValueError(f"{name} must be antisymmetric in slots {i} and {j}")
     return a
 
@@ -309,12 +302,14 @@ class NondegenerateAnsatz:
             raise ValueError("sign of lam must equal aleph")
         fields = {k: _field(self, k) for k in _NONDEG_ARRAYS}
         hb = _array(self.h_basis, (None, n, n), "h_basis")
-        eta_hb = _eta_diag(self.aleph, n)[:, None] * hb
-        if (eta_hb != -eta_hb.swapaxes(1, 2)).any():
+        eta_hb = QArray.of(hb) * _eta_diag(self.aleph, n)[:, None]
+        if (eta_hb + eta_hb.swapaxes(1, 2)).any():
             raise ValueError("h_basis matrices must be eta-antisymmetric")
         _store(self, lam=lam, h_basis=hb, **fields)
 
-    # (sigmas, hats, span basis), computed on first read; not a field
+    # QArrays of the fields, and (sigmas, hats, span basis); cached, not fields
+    _carriers = functools.cached_property(
+        lambda self: {k: QArray.of(getattr(self, k)) for k in _NONDEG_ARRAYS})
     _rotations = functools.cached_property(_nondeg_rotations)
 
     def to_json(self):
@@ -381,7 +376,9 @@ class DegenerateAnsatz:
                 raise ValueError(f"{name}{where} references the absent null boost {absent[col]}")
         _store(self, lam=lam, occupancy=occ, **fields)
 
-    # (sigmas, hats, span basis), computed on first read; not a field
+    # QArrays of the fields, and (sigmas, hats, span basis); cached, not fields
+    _carriers = functools.cached_property(
+        lambda self: {k: QArray.of(getattr(self, k)) for k in _DEG_ARRAYS})
     _rotations = functools.cached_property(_deg_rotations)
 
     def rescaled(self):
@@ -416,13 +413,15 @@ def _at_scale(ansatz, lam):
     t = lam / ansatz.lam
     if t == 1:
         return ansatz
-    f, al, h, a, r, s3 = _arrays(ansatz, "F", "aleph2", "h", "A", "R", "S3")
+    q = ansatz._carriers
     # the fields are validated already and scaling keeps their symmetries,
     # so the copy is filled in directly instead of parsed again
     scaled = copy.copy(ansatz)
-    # the copy carries the instance dict along, so drop any span cached at ansatz.lam
-    vars(scaled).pop("_rotations", None)
-    _store(scaled, lam=lam, F=f * t, aleph2=al / t, h=h * t ** 2, A=a * t ** 2, R=r * t, S3=s3 * t)
+    # the copy carries the instance dict along, so drop what was cached at ansatz.lam
+    for cached in ("_carriers", "_rotations"):
+        vars(scaled).pop(cached, None)
+    _store(scaled, lam=lam, F=q["F"] * t, aleph2=q["aleph2"] / t, h=q["h"] * t ** 2,
+           A=q["A"] * t ** 2, R=q["R"] * t, S3=q["S3"] * t)
     return scaled
 
 
@@ -433,11 +432,11 @@ def _at_scale(ansatz, lam):
 
 def _algebra(table, labels):
     """The exact algebra with [e_a, e_b] = table[a, b], read off for a < b."""
-    dim = len(labels)
+    dim, num = len(labels), table.num
     brackets = {}
     for a in range(dim):
         for b in range(a + 1, dim):
-            row = {c: v for c, v in enumerate(table[a, b]) if v != 0}
+            row = {c: Fraction(v, table.den) for c, v in enumerate(num[a, b].tolist()) if v}
             if row:
                 brackets[(a, b)] = row
     return LieAlgebra.from_brackets(dim, brackets, labels=labels, tag=EXACT)
@@ -458,12 +457,12 @@ def assemble_nondegenerate(ansatz):
     """The bracket table on (V, Z_i, rotations) read off the ansatz."""
     sigmas, hats, rot = ansatz._rotations
     n, k = ansatz.n, len(rot)
-    f, c = _arrays(ansatz, "F", "C")
+    f, c = (ansatz._carriers[name] for name in ("F", "C"))
     d = _eta_diag(ansatz.aleph, n)
     labels = ["V"] + [f"Z{i+1}" for i in range(n)] + [f"M{p+1}" for p in range(k)]
     z, iz, m0 = slice(1, 1 + n), np.arange(1, 1 + n), 1 + n
     i, j = np.triu_indices(n, 1)
-    table = _zeros((len(labels),) * 3)
+    table = QArray(np.zeros((len(labels),) * 3, dtype=object))
     # [V, Z_i] = lam Z_i + (F eta)_ij Z_j + sigma_i
     table[0, z, z] = f * d
     table[0, iz, iz] += ansatz.lam
@@ -487,13 +486,10 @@ def assemble_degenerate(ansatz):
     n, lam = ansatz.n, ansatz.lam
     occ = list(ansatz.occupancy)
     absent = [i for i in range(n) if i not in occ]
-    for omega in rot:
-        moved = np.argwhere(omega[np.ix_(absent, occ)].T != 0)
-        if len(moved):
-            a, m = moved[0]
-            raise ValueError(
-                f"rotation span moves null boost {occ[a]} onto the absent direction {absent[m]}"
-            )
+    if moved := _moved_boost(rot, occ, absent):
+        raise ValueError(
+            "rotation span moves null boost {} onto the absent direction {}".format(*moved)
+        )
     nb, k = len(occ), len(rot)
     labels = (
         ["U", "V"]
@@ -501,16 +497,17 @@ def assemble_degenerate(ansatz):
         + [f"Zb{a+1}" for a in occ]
         + [f"M{p+1}" for p in range(k)]
     )
-    w, f, al, c, h, y, s3 = _arrays(ansatz, "W", "F", "aleph2", "C", "h", "Y", "S3")
+    q = ansatz._carriers
+    w, f, al, c, h, y, s3 = (q[name] for name in ("W", "F", "aleph2", "C", "h", "Y", "S3"))
     z, b, m0 = slice(2, 2 + n), slice(2 + n, 2 + n + nb), 2 + n + nb
     iz, ib = np.arange(2, 2 + n), np.arange(2 + n, m0)
     i, j = np.triu_indices(n, 1)
-    table = _zeros((len(labels),) * 3)
+    table = QArray(np.zeros((len(labels),) * 3, dtype=object))
     # [U, V] = lam V + W^k Z_k - 2 lam W_a Zb_a + Y-rotation
     table[0, 1, 1] = lam
     table[0, 1, z] = w
     table[0, 1, b] = -2 * lam * w[occ]
-    table[0, 1, m0:] = _coords(rot, [2 * y])[0]
+    table[0, 1, m0:] = _coords(rot, 2 * y[None])[0]
     # [U, Z_i] = lam Z_i - W_i U + F_ij Z_j + h_ia Zb_a + sigma_i
     table[0, z, 0] = -w
     table[0, z, z] = f
@@ -527,8 +524,8 @@ def assemble_degenerate(ansatz):
     table[z, z, b] = s3[:, :, occ]
     table[iz[i], iz[j], m0:] = _coords(rot, hats[i, j])
     # canonical boost relations [U, Zb_a] = Z_a, [Z_a, Zb_a] = -V
-    table[0, ib, iz[occ]] = Fraction(1)
-    table[iz[occ], ib, 1] = Fraction(-1)
+    table[0, ib, iz[occ]] = 1
+    table[iz[occ], ib, 1] = -1
     _rotation_brackets(table, rot, m0, [(iz, range(n)), (ib, occ)])
     return _algebra(table, labels)
 
@@ -563,28 +560,33 @@ def verify_constraints(ansatz):
     raise TypeError("unknown ansatz type")
 
 
+def _moved_boost(rot, occ, absent):
+    """(occupied boost, absent direction) of the first span element that
+    rotates the one onto the other, or None."""
+    moved = np.argwhere(rot.num[:, absent][:, :, occ].transpose(0, 2, 1) != 0)
+    return (occ[moved[0][1]], absent[moved[0][2]]) if len(moved) else None
+
+
 def _equivariance(rot, sigmas, *invariants):
-    """Worst failure of the span to fix the invariant all-lower arrays and
-    to act equivariantly on the rotation-valued map i -> sigmas[i]."""
-    worst = ZERO
+    """The arrays that vanish when the span fixes the invariant all-lower
+    arrays and acts equivariantly on the rotation-valued map i -> sigmas[i]."""
     for omega in rot:
-        need = matmul(sigmas, omega) - matmul(omega, sigmas) + einsum("mi,mab->iab", omega, sigmas)
-        worst = max(worst, _max_abs(need, *(_derivation(omega.T, t) for t in invariants)))
-    return worst
+        yield sigmas @ omega - omega @ sigmas + einsum("mi,mab->iab", omega, sigmas)
+        yield from (_derivation(omega.T, t) for t in invariants)
 
 
 def _verify_nondeg(ansatz):
     sigmas, _, rot = ansatz._rotations
     lam = ansatz.lam
-    f, c, r, s = _arrays(ansatz, "F", "C", "R", "Scurv")
+    f, c, r, s = (ansatz._carriers[k] for k in _NONDEG_ARRAYS)
     d = _eta_diag(ansatz.aleph, ansatz.n)
     # lowered rotation coefficients R_ijk = eta_jm eta_kn R[i][m][n]
     r_low = r * np.multiply.outer(d, d)
     return {
-        "F": _max_abs(f),
-        "C_from_R": _max_abs(lam / 2 * c - (r_low - r_low.transpose(1, 0, 2))),
-        "S_from_CR": _max_abs(2 * lam * s - einsum("ijk,kmn->ijmn", c * d, r)),
-        "rotation_equivariance": _equivariance(rot, sigmas, f, c),
+        "F": max_abs(f),
+        "C_from_R": max_abs(lam / 2 * c - (r_low - r_low.transpose(1, 0, 2))),
+        "S_from_CR": max_abs(2 * lam * s - einsum("ijk,kmn->ijmn", c * d, r)),
+        "rotation_equivariance": max_abs(*_equivariance(rot, sigmas, f, c)),
     }
 
 
@@ -593,34 +595,32 @@ def _verify_deg(work):
     sigmas, _, rot = work._rotations
     occ = list(work.occupancy)
     absent = [i for i in range(work.n) if i not in occ]
-    w, f, al, c, h, a, y, r, s3, nn = _arrays(work, *_DEG_ARRAYS)
+    w, f, al, c, h, a, y, r, s3, nn = (work._carriers[k] for k in _DEG_ARRAYS)
     fpd = f + _eye(work.n)
     dfc = _derivation(f, c)
     return {
-        "W": _max_abs(w),
-        "aleph2": _max_abs(al),
-        "uv_rotation": _max_abs(y),
-        "h_split": _max_abs(h - ((a + a.T) / 2 - f / 2)),
-        "unoccupied_F": _max_abs(f[np.ix_(absent, absent)]),
-        "occupied_C": _max_abs(_occupied(c, absent)),
-        "occupied_S_R": _max_abs((s3 - r)[:, occ]),
-        "occupied_N": _max_abs(_occupied(nn, absent)),
-        "occupied_R": _max_abs(_occupied(r, absent)),
-        "F_C_kernel": _max_abs(einsum("al,ljk->ajk", f[occ], c)),
-        "S3_total_antisymmetry": _max_abs(s3 + s3.transpose(0, 2, 1)),
-        "S3_from_FC": _max_abs(3 * s3 - dfc),
-        "zz_boost": _max_abs(c @ h - _derivation(fpd, s3, (0, 1))),
-        "zz_rotation": _max_abs(
-            einsum("ijk,kmn->ijmn", c, r) / 2 - _derivation(fpd, nn, (0, 1))
-        ),
-        "zz_vector": _max_abs(s3 + r - r.transpose(1, 0, 2) - dfc - c),
-        "cyclic_CS": _max_abs(_cyclic(einsum("jkl,ilm->ijkm", c, s3))),
-        "cyclic_CN": _max_abs(_cyclic(einsum("jkl,ilmn->ijkmn", c, nn))),
-        "cyclic_CC_N": _max_abs(
+        "W": max_abs(w),
+        "aleph2": max_abs(al),
+        "uv_rotation": max_abs(y),
+        "h_split": max_abs(h - ((a + a.T) / 2 - f / 2)),
+        "unoccupied_F": max_abs(f[np.ix_(absent, absent)]),
+        "occupied_C": max_abs(_occupied(c, absent)),
+        "occupied_S_R": max_abs((s3 - r)[:, occ]),
+        "occupied_N": max_abs(_occupied(nn, absent)),
+        "occupied_R": max_abs(_occupied(r, absent)),
+        "F_C_kernel": max_abs(einsum("al,ljk->ajk", f[occ], c)),
+        "S3_total_antisymmetry": max_abs(s3 + s3.transpose(0, 2, 1)),
+        "S3_from_FC": max_abs(3 * s3 - dfc),
+        "zz_boost": max_abs(c @ h - _derivation(fpd, s3, (0, 1))),
+        "zz_rotation": max_abs(einsum("ijk,kmn->ijmn", c, r) / 2 - _derivation(fpd, nn, (0, 1))),
+        "zz_vector": max_abs(s3 + r - r.transpose(1, 0, 2) - dfc - c),
+        "cyclic_CS": max_abs(_cyclic(einsum("jkl,ilm->ijkm", c, s3))),
+        "cyclic_CN": max_abs(_cyclic(einsum("jkl,ilmn->ijkmn", c, nn))),
+        "cyclic_CC_N": max_abs(
             _cyclic(einsum("jkl,ilm->ijkm", c, c) + 2 * nn.transpose(2, 0, 1, 3))
         ),
-        "rotation_equivariance": max(
-            _max_abs(rot[:, absent][:, :, occ]), _equivariance(rot, sigmas, f, h, c, s3, nn)
+        "rotation_equivariance": max_abs(
+            rot[:, absent][:, :, occ], *_equivariance(rot, sigmas, f, h, c, s3, nn)
         ),
     }
 
@@ -747,13 +747,19 @@ def degenerate_reduce(ansatz):
     # work.rescaled() is work, so both stages read one cached span
     work = ansatz.rescaled()
     residuals = verify_constraints(work)
+    n = work.n
+    occ = list(work.occupancy)
+    absent = [i for i in range(n) if i not in occ]
+    if moved := _moved_boost(work._rotations[2], occ, absent):
+        # no table exists: the span would rotate a boost onto a missing one
+        checks = {"rotation_span_keeps_boosts": False, "moved_boost": moved[0],
+                  "absent_direction": moved[1],
+                  "rotation_equivariance": residuals["rotation_equivariance"]}
+        return ReductionReport("inconsistent", residuals, ansatz.lam, checks=checks)
     algebra = assemble_degenerate(work)
     failure = _jacobi_failure(algebra, residuals, ansatz.lam)
     if failure:
         return failure
-    n = work.n
-    occ = list(work.occupancy)
-    absent = [i for i in range(n) if i not in occ]
     forced = {k: residuals[k] for k in ("W", "aleph2", "uv_rotation")}
     if any(v != 0 for v in forced.values()):
         # unreachable once the Jacobi residual vanishes; kept as a guard
@@ -769,7 +775,7 @@ def degenerate_reduce(ansatz):
     dim = 2 + n + nb + k
     iz = lambda i: 2 + i
     ib = {a: 2 + n + occ.index(a) for a in occ}
-    f, h = _arrays(work, "F", "h")
+    f, h = work._carriers["F"], work._carriers["h"]
     wz = [iz(i) for i in absent]
 
     # first redefinition: unhook unoccupied generators from the boosts
@@ -804,7 +810,7 @@ def degenerate_reduce(ansatz):
     # the boost block, zero on the absent boosts by construction
     f_pw = f / 2
     h_pw = (h + f_pw + f_pw @ f_pw) / 2
-    profile_symmetric = bool((h_pw == h_pw.T).all())
+    profile_symmetric = not (h_pw - h_pw.T).any()
     checks["profile_symmetric"] = profile_symmetric
     if not profile_symmetric:
         return ReductionReport(
@@ -948,7 +954,7 @@ def _generate_nondeg(rng, n):
     c = 2 / lam * (r_low - r_low.transpose(1, 0, 2))
     s = einsum("ijk,kmn->ijmn", c * d, r) / (2 * lam)
     probe = NondegenerateAnsatz(n=n, lam=lam, aleph=aleph, F=_zeros((n, n)), C=c, R=r, Scurv=s)
-    return dataclasses.replace(probe, h_basis=probe._rotations[2])
+    return dataclasses.replace(probe, h_basis=probe._rotations[2].fractions())
 
 
 def _generate_deg(rng, n):

@@ -189,6 +189,24 @@ class TestReduceAndGen:
         assert code == 1
         assert json.loads(out)["verdict"] == "inconsistent"
 
+    def test_span_moving_a_boost_exits_one(self, tmp_path, capsys):
+        # R[0] rotates the occupied boost 0 onto the absent direction 1
+        def zero(*shape):
+            return [zero(*shape[1:]) for _ in range(shape[0])] if shape else 0
+
+        data = {"case": "deg", "n": 2, "lambda": "1", "occupancy": [0], "W": zero(2),
+                "F": zero(2, 2), "aleph2": zero(2, 2), "C": zero(2, 2, 2), "h": zero(2, 2),
+                "A": zero(2, 2), "Y": zero(2, 2), "R": [[[0, 1], [-1, 0]], zero(2, 2)],
+                "S3": zero(2, 2, 2), "N": zero(2, 2, 2, 2)}
+        path = tmp_path / "moved.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "reduce", str(path), "--case", "deg")
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["verdict"] == "inconsistent"
+        assert report["checks"] == {"rotation_span_keeps_boosts": False, "moved_boost": 0,
+                                    "absent_direction": 1, "rotation_equivariance": "1"}
+
     def test_case_mismatch_is_malformed(self, tmp_path, capsys):
         path = tmp_path / "a.json"
         path.write_text(json.dumps(generate_instance("deg", 2, 1).to_json()))
@@ -325,6 +343,19 @@ class TestBoundaryChecks:
         path.write_text(json.dumps({"metric": [[1, 0], [0, 1]], "S": dict(self.S_EMPTY, dim=dim)}))
         code, out, err = run(capsys, "classify", str(path))
         self.assert_one_line_error(code, out, err, f"dim must be an integer, got {dim!r}")
+
+    @pytest.mark.parametrize(
+        "data,text",
+        [([1, 2], "structure must be a JSON object"),
+         ("S", "structure must be a JSON object"),
+         ({"metric": [[1, 0], [0, 1]], "S": []}, "S must be a JSON object")],
+        ids=["list", "string", "S-list"],
+    )
+    def test_classify_rejects_non_object(self, tmp_path, capsys, data, text):
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "classify", str(path))
+        self.assert_one_line_error(code, out, err, text)
 
     @pytest.mark.parametrize(
         "metric",

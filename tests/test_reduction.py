@@ -240,6 +240,20 @@ class TestDegenerateAssembly:
         with pytest.raises(ValueError, match="absent null boost"):
             trivial_deg(2, occupancy=(0,), S3=s3)
 
+    def test_span_moving_a_boost_is_inconsistent(self):
+        # R[0] rotates the occupied boost 0 onto the absent direction 1,
+        # so no bracket table exists to assemble
+        r = zeros3(2)
+        r[0][0][1], r[0][1][0] = Fraction(1), Fraction(-1)
+        a = trivial_deg(2, occupancy=(0,), R=r)
+        with pytest.raises(ValueError, match="moves null boost 0 onto the absent direction 1"):
+            assemble_algebra(a)
+        report = degenerate_reduce(a)
+        assert report.verdict == "inconsistent"
+        assert report.checks == {"rotation_span_keeps_boosts": False, "moved_boost": 0,
+                                 "absent_direction": 1, "rotation_equivariance": 1}
+        assert report.residuals["rotation_equivariance"] == 1
+
     def test_unsupported_vector_with_no_boosts_fails_uvz(self):
         a = trivial_deg(2, W=(Fraction(1), Fraction(0)))
         report = degenerate_reduce(a)
