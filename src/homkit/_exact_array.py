@@ -8,11 +8,12 @@ denominators, products multiply numerators and denominators, a zero
 test reads only the numerators, and a gcd is taken only when the
 denominator grows past _GCD_BOUND.  Python ints do not overflow, so
 every result is exact; Fractions are built only by fractions(), at the
-boundary.  einsum and matmul of Fraction object arrays scale each
-operand to its numerators the same way and divide once per output entry.
+boundary.  einsum contracts QArrays on their numerators and multiplies
+their denominators; it refuses Fraction object arrays, which would pay
+the gcd per term again.
 
 float64 operands go straight to numpy with the same arguments, so float
-results are bit-identical to a plain np.einsum or @.
+results are bit-identical to a plain np.einsum.
 """
 
 from __future__ import annotations
@@ -32,28 +33,12 @@ _GCD_BOUND = 1 << 64
 
 def _numerators(a):
     """(Python-int object array L * a, L) for an object array of ints and Fractions."""
-    if a.dtype != object:
-        # tolist would turn int64 and float64 entries into Python scalars
-        raise TypeError(f"exact operand has dtype {a.dtype}, not object")
     flat = a.ravel().tolist()
     if not set(map(type, flat)) <= _EXACT_TYPES:
         bad = next(v for v in flat if type(v) not in _EXACT_TYPES)
         raise TypeError(f"exact array entry {bad!r} is not an int or a Fraction")
     ints, scale = integer_numerators(flat)
     return np.array(ints, dtype=object).reshape(a.shape), scale
-
-
-def _fractions(out, scale):
-    """np.einsum's int result divided by scale, as Fractions of the same shape."""
-    if not isinstance(out, np.ndarray):
-        return Fraction(out, scale)
-    # contractions of sparse tensors are mostly zero: share one Fraction for them
-    fracs = [Fraction(v, scale) if v else _ZERO for v in out.ravel().tolist()]
-    return np.array(fracs, dtype=object).reshape(out.shape)
-
-
-def _exact(ops):
-    return any(isinstance(op, np.ndarray) and op.dtype == object for op in ops)
 
 
 def _ratio(x):
@@ -133,8 +118,13 @@ class QArray:
         return bool(self.num.any())
 
     def fractions(self, dtype=None, copy=None):
-        """The entries as an object array of Fractions."""
-        return _fractions(self.num, self.den)
+        """The entries as an object array of Fractions (one Fraction for a scalar num)."""
+        num, den = self.num, self.den
+        if not isinstance(num, np.ndarray):
+            return Fraction(num, den)
+        # contractions of sparse tensors are mostly zero: share one Fraction for them
+        fracs = [Fraction(v, den) if v else _ZERO for v in num.ravel().tolist()]
+        return np.array(fracs, dtype=object).reshape(num.shape)
 
     __array__ = fractions
     tolist = lambda self: self.fractions().tolist()
@@ -151,19 +141,14 @@ def max_abs(*arrays):
 
 
 def einsum(spec, *ops, **kw):
-    """np.einsum, on integer numerators when any operand is exact.
+    """np.einsum; on integer numerators, giving a QArray, when every operand is a QArray.
 
-    QArray operands give a QArray; object arrays give Fractions."""
-    if all(isinstance(op, QArray) for op in ops):
+    QArrays do not mix with numeric arrays, and object arrays are refused."""
+    exact = [isinstance(op, QArray) for op in ops]
+    if all(exact):
         nums, dens = zip(*((op.num, op.den) for op in ops))
         return QArray(np.einsum(spec, *nums, **kw), math.prod(dens))
-    if not _exact(ops):
-        return np.einsum(spec, *ops, **kw)
-    return einsum(spec, *(QArray(*_numerators(np.asarray(op))) for op in ops), **kw).fractions()
-
-
-def matmul(a, b):
-    """a @ b, on integer numerators when either operand is an object array."""
-    if not _exact((a, b)):
-        return a @ b
-    return (QArray(*_numerators(np.asarray(a))) @ QArray(*_numerators(np.asarray(b)))).fractions()
+    if any(exact) or any(op.dtype == object for op in ops):
+        kinds = ", ".join("QArray" if q else f"dtype {op.dtype}" for q, op in zip(exact, ops))
+        raise TypeError(f"einsum operands must be all QArrays or all numeric, not {kinds}")
+    return np.einsum(spec, *ops, **kw)

@@ -20,26 +20,26 @@ convention is fixed once:
                         - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}.
 
 The connection chain (metric jet -> Christoffel -> Gamma - S ->
-curvature -> frame) is written once over numpy arrays and runs on two
-scalar backends.  The float backend uses float64 arrays at any z and
-serves the residual sweeps.  The exact backend uses dtype=object arrays
-of Fractions at z = 0, where the profile jet H, [H,F], [[H,F],F], ... is
-rational, and serves the bracket-table reconstruction.  The backends
-differ in the profile jet, in the matrix inverse and in how a
-contraction is summed: float64 einsums go straight to numpy, while
-exact ones run on integer numerators (each operand scaled by the lcm
-of its denominators) and return one Fraction per entry.
+curvature -> frame) is written once and runs on two scalar backends.
+The float backend uses float64 arrays at any z and serves the residual
+sweeps.  The exact backend uses QArrays (Python int numerators over one
+denominator, see _exact_array) at z = 0, where the profile jet H, [H,F],
+[[H,F],F], ... is rational, and serves the bracket-table reconstruction.
+The backends differ only in the profile jet, the zero-filled arrays and
+the matrix inverse; every exact sum, product and contraction runs on
+integer numerators, and Fractions are built once, for the result.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._exact_array import einsum
+from ._exact_array import QArray, einsum
 from .exact import EXACT, FLOAT, mat_inverse
 from .hom_structure import CurvatureAtPoint, HomogeneousStructure
 from .lie_algebra import LieAlgebra
@@ -174,10 +174,9 @@ def profile_jet(pw, z):
 # ---------------------------------------------------------------------------
 #
 # The private builders take the profile jet, s and x as arrays plus the
-# backend's zero: 0.0 for float64 arrays, Fraction(0) for dtype=object
-# arrays that hold only Fractions.  Everything downstream is numpy
-# arithmetic and the einsum of _exact_array, which keep the scalars they
-# are given.
+# backend's zero: 0.0 for float64 arrays, or a 0-d QArray for exact
+# arrays.  Everything downstream is array arithmetic and the einsum of
+# _exact_array, which keep the backend they are given.
 
 
 @dataclass(frozen=True)
@@ -191,11 +190,16 @@ class GeometryJet:
     dddg: np.ndarray    # dddg[k, l, p, m, n]
 
 
+def _full(shape, zero):
+    """A zero-filled array in zero's backend."""
+    return QArray(np.zeros(shape, object)) if isinstance(zero, QArray) else np.full(shape, zero)
+
+
 def _inverse(a):
     # floats keep LAPACK's inverse: the float reports are compared bit for
     # bit across versions, and a closed-form inverse moves their low bits
-    if a.dtype == object:
-        return np.array(mat_inverse(a.tolist(), EXACT), dtype=object)
+    if isinstance(a, QArray):
+        return QArray.of(mat_inverse(a.tolist(), EXACT))
     return np.linalg.inv(a)
 
 
@@ -204,22 +208,22 @@ def _metric_jet(prof, s, x, zero):
     d = len(x) + 2
     one, t = zero + 1, np.arange(2, d)
 
-    g = np.full((d, d), zero)
+    g = _full((d, d), zero)
     g[0, 0] = 2 * (x @ m0 @ x + s)
     g[0, 1] = g[1, 0] = one
     g[t, t] = one
 
-    dg = np.full((d,) * 3, zero)
+    dg = _full((d,) * 3, zero)
     dg[0, 0, 0] = 2 * (x @ m1 @ x)
     dg[1, 0, 0] = 2 * one
     dg[2:, 0, 0] = 4 * (m0 @ x)
 
-    ddg = np.full((d,) * 4, zero)
+    ddg = _full((d,) * 4, zero)
     ddg[0, 0, 0, 0] = 2 * (x @ m2 @ x)
     ddg[0, 2:, 0, 0] = ddg[2:, 0, 0, 0] = 4 * (m1 @ x)
     ddg[2:, 2:, 0, 0] = 4 * m0
 
-    dddg = np.full((d,) * 5, zero)
+    dddg = _full((d,) * 5, zero)
     dddg[0, 0, 0, 0, 0] = 2 * (x @ m3 @ x)
     dddg[0, 0, 2:, 0, 0] = dddg[0, 2:, 0, 0, 0] = dddg[2:, 0, 0, 0, 0] = 4 * (m2 @ x)
     dddg[0, 2:, 2:, 0, 0] = dddg[2:, 0, 2:, 0, 0] = dddg[2:, 2:, 0, 0, 0] = 4 * m1
@@ -291,7 +295,9 @@ def riemann(pw, pt):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def frame_metric(n, tag=EXACT):
+    # FrameMetric is frozen and holds only tuples, so one instance serves every caller
     return FrameMetric.light_cone(n, tag)
 
 
@@ -322,6 +328,8 @@ def frame_structure(pw, tag=EXACT):
 
 def _frame_array(s, zero):
     """The components of a rank-3 frame tensor as an array in zero's backend."""
+    if isinstance(zero, QArray):
+        return QArray.of(np.reshape(s.components, (s.dim,) * 3))
     return np.array([type(zero)(v) for v in s.components]).reshape((s.dim,) * 3)
 
 
@@ -329,11 +337,11 @@ def _coframe(prof, s, x, zero):
     m0, m1 = prof[:2]
     d = len(x) + 2
     one, t = zero + 1, np.arange(2, d)
-    e = np.full((d, d), zero)
+    e = _full((d, d), zero)
     e[0, 0] = e[1, 1] = one
     e[1, 0] = x @ m0 @ x + s
     e[t, t] = one
-    de = np.full((d,) * 3, zero)
+    de = _full((d,) * 3, zero)
     de[0, 1, 0] = x @ m1 @ x
     de[1, 1, 0] = one
     de[2:, 1, 0] = 2 * (m0 @ x)
@@ -349,7 +357,7 @@ def _coordinate_structure(sf, e, de=None):
     """Coordinate S_{mns} from frame S and the coframe; given dE, also d_k S_{mns}.
 
     The 4-operand contractions take a greedy pairwise order: summed in
-    one pass, the Fraction backend pays for every index combination.
+    one pass, the exact backend pays for every index combination.
     """
     s_coord = einsum("abc,am,bn,cs->mns", sf, e, e, e, optimize="greedy")
     if de is None:
@@ -475,15 +483,15 @@ def exact_curvature(pw, s, x):
     Returns a CurvatureAtPoint whose operator tensor follows the sign
     convention fixed at the top of this module, together with the
     null-boost action matrices spanning the reachable isotropy.  The
-    chain is the float one run on Fraction arrays, where the profile jet
-    at z = 0 is H, [H,F], [[H,F],F], ..., so the result is exact.
+    chain is the float one run on QArrays, where the profile jet at
+    z = 0 is H, [H,F], [[H,F],F], ..., so the result is exact.
     """
-    x = np.array([Fraction(v) for v in x], dtype=object)
+    x = [Fraction(v) for v in x]
     if len(x) != pw.n:
         raise ValueError("x must have n components")
-    prof = _commutator_jet(np.array(pw.H, dtype=object), np.array(pw.F, dtype=object))
-    frame = _frame_curvature(pw, prof, Fraction(s), x, Fraction(0))
-    rbar = Tensor(pw.dim, (DOWN, DOWN, UP, DOWN), tuple(frame.reshape(-1)), EXACT)
+    prof = _commutator_jet(QArray.of(pw.H), QArray.of(pw.F))
+    frame = _frame_curvature(pw, prof, QArray.of(Fraction(s)), QArray.of(x), QArray.of(0))
+    rbar = Tensor(pw.dim, (DOWN, DOWN, UP, DOWN), tuple(frame.fractions().reshape(-1)), EXACT)
     return CurvatureAtPoint(rbar, null_boost_basis(pw.n), frame_metric(pw.n, EXACT))
 
 

@@ -26,6 +26,7 @@ import copy
 import dataclasses
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -442,15 +443,24 @@ def _algebra(table, labels):
     return LieAlgebra.from_brackets(dim, brackets, labels=labels, tag=EXACT)
 
 
-def _rotation_brackets(table, rot, m0, acted):
+def _rotation_brackets(table, rot, m0, acted, *targets):
     """Fill [X, M_p] for each (positions in table, positions in rot) pair in
-    acted, and [M_p, M_q] in the span basis; M_p sits at m0 + p."""
+    acted, and [M_p, M_q] in the span basis; M_p sits at m0 + p.
+
+    The commutators share one _coords call with the targets (stacks of
+    matrices), and the span coordinates of each target are returned.
+    """
     ms = range(m0, m0 + len(rot))
     for at, sub in acted:
         # [X_i, M_p] = -rot[p][m][i] X_m, key order (X_i, M_p)
         table[np.ix_(at, ms, at)] = -rot[:, sub][:, :, sub].transpose(2, 0, 1)
     p, q = np.triu_indices(len(rot), 1)
-    table[m0 + p, m0 + q, m0:] = _coords(rot, rot[p] @ rot[q] - rot[q] @ rot[p])
+    groups = [*targets, rot[p] @ rot[q] - rot[q] @ rot[p]]
+    den = math.lcm(*(g.den for g in groups))
+    rows = _coords(rot, QArray(np.concatenate([g.num * (den // g.den) for g in groups]), den))
+    *out, table[m0 + p, m0 + q, m0:] = (
+        QArray(part, rows.den) for part in np.split(rows.num, np.cumsum([len(g) for g in targets])))
+    return out
 
 
 def assemble_nondegenerate(ansatz):
@@ -463,15 +473,14 @@ def assemble_nondegenerate(ansatz):
     z, iz, m0 = slice(1, 1 + n), np.arange(1, 1 + n), 1 + n
     i, j = np.triu_indices(n, 1)
     table = QArray(np.zeros((len(labels),) * 3, dtype=object))
-    # [V, Z_i] = lam Z_i + (F eta)_ij Z_j + sigma_i
+    # [V, Z_i] = lam Z_i + (F eta)_ij Z_j + sigma_i (rotation parts last)
     table[0, z, z] = f * d
     table[0, iz, iz] += ansatz.lam
-    table[0, z, m0:] = _coords(rot, sigmas)
     # [Z_i, Z_j] = aleph F_ij V + (C eta)_ijm Z_m + s_hat_ij
     table[z, z, 0] = ansatz.aleph * f
     table[z, z, z] = c * d
-    table[iz[i], iz[j], m0:] = _coords(rot, hats[i, j])
-    _rotation_brackets(table, rot, m0, [(iz, range(n))])
+    table[0, z, m0:], table[iz[i], iz[j], m0:] = _rotation_brackets(
+        table, rot, m0, [(iz, range(n))], sigmas, hats[i, j])
     return _algebra(table, labels)
 
 
@@ -503,17 +512,15 @@ def assemble_degenerate(ansatz):
     iz, ib = np.arange(2, 2 + n), np.arange(2 + n, m0)
     i, j = np.triu_indices(n, 1)
     table = QArray(np.zeros((len(labels),) * 3, dtype=object))
-    # [U, V] = lam V + W^k Z_k - 2 lam W_a Zb_a + Y-rotation
+    # [U, V] = lam V + W^k Z_k - 2 lam W_a Zb_a + Y-rotation (rotation parts last)
     table[0, 1, 1] = lam
     table[0, 1, z] = w
     table[0, 1, b] = -2 * lam * w[occ]
-    table[0, 1, m0:] = _coords(rot, 2 * y[None])[0]
     # [U, Z_i] = lam Z_i - W_i U + F_ij Z_j + h_ia Zb_a + sigma_i
     table[0, z, 0] = -w
     table[0, z, z] = f
     table[0, iz, iz] += lam
     table[0, z, b] = h[:, occ]
-    table[0, z, m0:] = _coords(rot, sigmas)
     # [V, Z_i] = W_i V + aleph2_i^j Z_j
     table[1, z, 1] = w
     table[1, z, z] = al
@@ -522,11 +529,11 @@ def assemble_degenerate(ansatz):
     table[z, z, 1] = f
     table[z, z, z] = c
     table[z, z, b] = s3[:, :, occ]
-    table[iz[i], iz[j], m0:] = _coords(rot, hats[i, j])
     # canonical boost relations [U, Zb_a] = Z_a, [Z_a, Zb_a] = -V
     table[0, ib, iz[occ]] = 1
     table[iz[occ], ib, 1] = -1
-    _rotation_brackets(table, rot, m0, [(iz, range(n)), (ib, occ)])
+    table[0, 1:2, m0:], table[0, z, m0:], table[iz[i], iz[j], m0:] = _rotation_brackets(
+        table, rot, m0, [(iz, range(n)), (ib, occ)], 2 * y[None], sigmas, hats[i, j])
     return _algebra(table, labels)
 
 
@@ -952,7 +959,7 @@ def _generate_nondeg(rng, n):
     # dependent fields from the constraint relations
     r_low = r * eta2
     c = 2 / lam * (r_low - r_low.transpose(1, 0, 2))
-    s = einsum("ijk,kmn->ijmn", c * d, r) / (2 * lam)
+    s = (einsum("ijk,kmn->ijmn", QArray.of(c * d), QArray.of(r)) / (2 * lam)).fractions()
     probe = NondegenerateAnsatz(n=n, lam=lam, aleph=aleph, F=_zeros((n, n)), C=c, R=r, Scurv=s)
     return dataclasses.replace(probe, h_basis=probe._rotations[2].fractions())
 
@@ -978,7 +985,7 @@ def _generate_deg(rng, n):
         kappa = _rand_fraction(rng, bound=1, den=2)
         r = _epsilon_template(absent, kappa, n)
         c = r - r.transpose(1, 0, 2)
-        nmat = einsum("ijk,kmn->ijmn", c, r) / 4
+        nmat = (einsum("ijk,kmn->ijmn", QArray.of(c), QArray.of(r)) / 4).fractions()
     else:
         # with no rotation data the boost couplings of the unoccupied
         # sector are unconstrained

@@ -1,10 +1,11 @@
 """The integer-numerator contraction kernel against plain Fraction numpy.
 
 Every einsum spec that plane_wave and reduction contract is run on
-fixed-seed Fraction arrays, through the kernel and through np.einsum on
-the Fractions themselves; the two must agree entry for entry, and the
-kernel must return only Fractions.  float64 input must come back with
-the bytes np.einsum gives.
+fixed-seed Fraction arrays, as QArrays through the kernel and through
+np.einsum on the Fractions themselves; the two must agree entry for
+entry, and the kernel's result must convert to Fractions only.  float64
+input must come back with the bytes np.einsum gives, and a Fraction
+object array is refused.
 """
 
 import ast
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import homkit
-from homkit._exact_array import einsum, matmul
+from homkit._exact_array import QArray, einsum
 
 P1, P2 = 1_000_000_007, 999_999_937
 SMALL = (1, 2, 3, 4, 6)
@@ -107,6 +108,11 @@ def fraction_array(rng, shape, dens, fill=0.6):
     return np.array(out, dtype=object).reshape(shape)
 
 
+def qeinsum(spec, *ops, **kw):
+    """The kernel on the QArrays of Fraction operands, converted back to Fractions."""
+    return einsum(spec, *map(QArray.of, ops), **kw).fractions()
+
+
 def assert_same(got, want):
     assert np.shape(got) == np.shape(want)
     assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
@@ -123,7 +129,7 @@ def test_einsum_matches_fraction_einsum(spec, kw, dens):
     # over every index combination, so they stay small
     size = 2 if kw else 3
     ops = [fraction_array(rng, shape, dens) for shape in operand_shapes(spec, size)]
-    assert_same(einsum(spec, *ops, **kw), np.einsum(spec, *ops, **kw))
+    assert_same(qeinsum(spec, *ops, **kw), np.einsum(spec, *ops, **kw))
 
 
 @pytest.mark.parametrize("dens", [SMALL, LARGE])
@@ -137,52 +143,52 @@ def test_einsum_matches_fraction_einsum(spec, kw, dens):
 def test_matmul_matches_fraction_matmul(a_shape, b_shape, dens):
     rng = random.Random(f"{a_shape}{b_shape}:{dens[-1]}")
     a, b = fraction_array(rng, a_shape, dens), fraction_array(rng, b_shape, dens)
-    assert_same(matmul(a, b), a @ b)
+    assert_same((QArray.of(a) @ QArray.of(b)).fractions(), a @ b)
 
 
 def test_all_zero_and_all_int_operands():
     zero = np.full((3, 3), Fraction(0), dtype=object)
     ints = np.array([[-4, -3, -2], [-1, 0, 1], [2, 3, 4]], dtype=object)
     for a, b in ((zero, zero), (ints, ints), (zero, ints)):
-        assert_same(einsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b))
-        assert_same(matmul(a, b), a @ b)
+        assert_same(qeinsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b))
+        assert_same((QArray.of(a) @ QArray.of(b)).fractions(), a @ b)
 
 
 def test_size_zero_axis():
     rng = random.Random(1)
     a = fraction_array(rng, (3, 0), LARGE)
     b = fraction_array(rng, (0, 2), LARGE)
-    assert_same(einsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b))
-    assert_same(matmul(a, b), a @ b)
-    assert_same(einsum("ij,jk->ik", b.T, a.T), np.einsum("ij,jk->ik", b.T, a.T))
+    assert_same(qeinsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b))
+    assert_same((QArray.of(a) @ QArray.of(b)).fractions(), a @ b)
+    assert_same(qeinsum("ij,jk->ik", b.T, a.T), np.einsum("ij,jk->ik", b.T, a.T))
     # an empty output
-    assert_same(einsum("ij,ik->jk", a, a), np.einsum("ij,ik->jk", a, a))
+    assert_same(qeinsum("ij,ik->jk", a, a), np.einsum("ij,ik->jk", a, a))
 
 
 def test_full_contraction_keeps_numpy_return_kind():
     rng = random.Random(2)
     v = fraction_array(rng, (4,), LARGE, fill=1.0)
     for kw in ({}, {"optimize": "greedy"}):
-        assert_same(einsum("i,i->", v, v, **kw), np.einsum("i,i->", v, v, **kw))
+        assert_same(qeinsum("i,i->", v, v, **kw), np.einsum("i,i->", v, v, **kw))
 
 
 @pytest.mark.parametrize("bad", [0.5, np.float64(0.5), True, np.int64(3), "1/2", None])
 def test_entry_that_is_not_int_or_fraction_raises(bad):
     a = np.array([[Fraction(1, 3), bad], [1, Fraction(2)]], dtype=object)
-    b = np.full((2, 2), Fraction(1, 2), dtype=object)
-    for call in (lambda: einsum("ij,jk->ik", a, b), lambda: matmul(b, a)):
-        with pytest.raises(TypeError, match="not an int or a Fraction"):
-            call()
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        QArray.of(a)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
 def test_numeric_operand_beside_an_exact_one_raises(dtype):
-    exact = np.full((2, 2), Fraction(1, 3), dtype=object)
+    fractions = np.full((2, 2), Fraction(1, 3), dtype=object)
     numeric = np.ones((2, 2), dtype=dtype)
-    with pytest.raises(TypeError, match="not object"):
-        einsum("ij,jk->ik", exact, numeric)
-    with pytest.raises(TypeError, match="not object"):
-        matmul(numeric, exact)
+    with pytest.raises(TypeError, match=f"QArray, dtype {np.dtype(dtype)}"):
+        einsum("ij,jk->ik", QArray.of(fractions), numeric)
+    # a Fraction object array is refused outright, beside anything
+    for ops in ((fractions, numeric), (numeric, fractions), (fractions, fractions)):
+        with pytest.raises(TypeError, match="dtype object"):
+            einsum("ij,jk->ik", *ops)
 
 
 def test_float_input_is_bit_identical_to_numpy():
@@ -193,5 +199,3 @@ def test_float_input_is_bit_identical_to_numpy():
         got, want = einsum(spec, *ops, **kw), np.einsum(spec, *ops, **kw)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
-    a, b = rng.standard_normal((3, 4, 4)), rng.standard_normal((4, 4))
-    assert matmul(a, b).tobytes() == (a @ b).tobytes()

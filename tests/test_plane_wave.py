@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from homkit._exact_array import QArray
+from homkit.exact import EXACT, mat_inverse
 from homkit.hom_structure import build_isometry_algebra, classify
 from homkit.lie_algebra import jacobi_residual
 from homkit.plane_wave import (
@@ -17,6 +19,7 @@ from homkit.plane_wave import (
     PlaneWaveData,
     _commutator_jet,
     _frame_curvature,
+    _metric_jet,
     as_residuals,
     boost_block,
     christoffel,
@@ -33,7 +36,7 @@ from homkit.plane_wave import (
     sample_points,
     structure_at,
 )
-from homkit.tensor_core import DOWN, Tensor
+from homkit.tensor_core import DOWN, FrameMetric, Tensor
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -309,6 +312,19 @@ class TestClosingTheLoop:
             assert residual == 0
             assert algebra.f == pw_isometry_algebra(pw).f
 
+    def test_frame_metric_is_built_once_per_dimension(self, monkeypatch):
+        builds = []
+        light_cone = FrameMetric.light_cone.__func__
+        monkeypatch.setattr(FrameMetric, "light_cone", classmethod(
+            lambda cls, n, tag: builds.append((n, tag)) or light_cone(cls, n, tag)))
+        frame_metric.cache_clear()
+        for _ in range(2):
+            for pw in (GENERIC, FLAT):
+                hs = frame_structure(pw)
+                curv = exact_curvature(pw, Fraction(1, 3), (Fraction(1, 2),) * pw.n)
+                assert curv.metric is hs.metric is frame_metric(pw.n, EXACT)
+        assert builds == [(2, EXACT), (1, EXACT)]
+
     def test_frame_curvature_is_point_independent(self):
         a = exact_curvature(GENERIC, Fraction(1, 3), (Fraction(1, 2), Fraction(-2, 5)))
         b = exact_curvature(GENERIC, Fraction(-2), (Fraction(0), Fraction(5, 7)))
@@ -320,8 +336,79 @@ def rational_point(rng, n):
     return s, tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
 
 
+def fraction_curvature(pw, s, x):
+    """Rbar[a, b, c, d] from the connection chain on Fraction object arrays.
+
+    The exact backend before it moved to QArrays: every sum and product
+    on Fractions, every contraction a plain np.einsum of Fractions.
+    """
+    d, t = pw.n + 2, np.arange(2, pw.n + 2)
+    x = np.array(x, dtype=object)
+    m0, m1, m2, _ = _commutator_jet(np.array(pw.H, dtype=object), np.array(pw.F, dtype=object))
+
+    def zeros(rank):
+        return np.full((d,) * rank, Fraction(0), dtype=object)
+
+    def einsum(spec, *ops):
+        return np.einsum(spec, *ops, optimize="greedy")
+
+    def lower(dg):
+        return (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)) / 2
+
+    g, dg, ddg = zeros(2), zeros(3), zeros(4)
+    g[0, 0] = 2 * (x @ m0 @ x + s)
+    g[0, 1] = g[1, 0] = g[t, t] = Fraction(1)
+    dg[0, 0, 0] = 2 * (x @ m1 @ x)
+    dg[1, 0, 0] = Fraction(2)
+    dg[2:, 0, 0] = 4 * (m0 @ x)
+    ddg[0, 0, 0, 0] = 2 * (x @ m2 @ x)
+    ddg[0, 2:, 0, 0] = ddg[2:, 0, 0, 0] = 4 * (m1 @ x)
+    ddg[2:, 2:, 0, 0] = 4 * m0
+    ginv = np.array(mat_inverse(g.tolist(), EXACT), dtype=object)
+    low = lower(dg)
+    gamma = einsum("rs,mns->rmn", ginv, low)
+    dginv = -einsum("ra,kab,bs->krs", ginv, dg, ginv)
+    dgamma = einsum("krs,mns->krmn", dginv, low) + einsum("rs,kmns->krmn", ginv, lower(ddg))
+
+    e, de = zeros(2), zeros(3)
+    e[0, 0] = e[1, 1] = e[t, t] = Fraction(1)
+    e[1, 0] = x @ m0 @ x + s
+    de[0, 1, 0] = x @ m1 @ x
+    de[1, 1, 0] = Fraction(1)
+    de[2:, 1, 0] = 2 * (m0 @ x)
+    sf = np.reshape(frame_structure(pw).S.components, (d,) * 3)
+    s_coord = einsum("abc,am,bn,cs->mns", sf, e, e, e)
+    ds_coord = (
+        einsum("abc,kam,bn,cs->kmns", sf, de, e, e)
+        + einsum("abc,am,kbn,cs->kmns", sf, e, de, e)
+        + einsum("abc,am,bn,kcs->kmns", sf, e, e, de)
+    )
+    gbar = gamma - einsum("mns,rs->rmn", s_coord, ginv)
+    ds_up = einsum("kmns,rs->kmnr", ds_coord, ginv) + einsum("mns,krs->kmnr", s_coord, dginv)
+    dgbar = dgamma - ds_up.transpose(0, 3, 1, 2)
+    term = einsum("rml,lns->rsmn", gbar, gbar)
+    rbar = (
+        dgbar.transpose(1, 3, 0, 2) - dgbar.transpose(1, 3, 2, 0)
+        + term - term.transpose(0, 1, 3, 2)
+    )
+    theta = np.array(mat_inverse(e.tolist(), EXACT), dtype=object)
+    return einsum("cr,rtmn,td,ma,nb->abcd", e, rbar, theta, theta, theta)
+
+
+def exact_inputs(pw, s, x):
+    """(profile jet, s, x, zero) as exact_curvature hands them to the chain."""
+    prof = _commutator_jet(QArray.of(pw.H), QArray.of(pw.F))
+    return prof, QArray.of(s), QArray.of(x), QArray.of(0)
+
+
+def assert_python_int_numerators(q):
+    assert isinstance(q, QArray)
+    assert type(q.den) is int and q.den > 0
+    assert all(type(v) is int for v in np.ravel(q.num).tolist())
+
+
 class TestScalarBackends:
-    """The one connection chain, on float64 arrays and on Fraction arrays."""
+    """The one connection chain, on float64 arrays and on QArrays."""
 
     def test_float_chain_matches_exact_curvature(self):
         rng = random.Random(31)
@@ -337,15 +424,34 @@ class TestScalarBackends:
                 want = np.array([float(v) for v in want.components]).reshape(got.shape)
                 assert np.max(np.abs(got - want)) < 1e-10
 
-    def test_exact_backend_holds_only_fractions(self):
+    def test_exact_backend_holds_python_int_numerators(self):
         rng = random.Random(32)
         for n in (1, 2, 3):
             pw = random_wave(rng, n)
             s, x = rational_point(rng, n)
-            prof = _commutator_jet(np.array(pw.H, dtype=object), np.array(pw.F, dtype=object))
-            frame = _frame_curvature(
-                pw, prof, s, np.array(x, dtype=object), Fraction(0)
-            )
-            assert all(type(v) is Fraction for v in frame.flat)
+            args = exact_inputs(pw, s, x)
+            jet = _metric_jet(*args)
+            for q in (*args[0], jet.g, jet.g_inv, jet.dg, jet.ddg, jet.dddg,
+                      _frame_curvature(pw, *args)):
+                assert_python_int_numerators(q)
             curv = exact_curvature(pw, s, x)
             assert all(type(v) is Fraction for v in curv.Rbar.components)
+
+    def test_exact_curvature_matches_fraction_chain(self):
+        # the Fraction chain takes about 0.5 s at n = 4, so each n runs once
+        rng = random.Random(33)
+        for n in (1, 2, 3, 4):
+            pw = random_wave(rng, n)
+            # shift the diagonal and about half the other profile entries by
+            # fractions with denominators near 1e9+7
+            h = [list(row) for row in pw.H]
+            for i, j in zip(*np.triu_indices(n)):
+                if i == j or rng.random() < 0.5:
+                    den = 1_000_000_007 + 2 * rng.randint(0, 5)
+                    h[i][j] = h[j][i] = h[i][j] + Fraction(rng.randint(1, 9), den)
+            pw = PlaneWaveData(n, pw.F, tuple(map(tuple, h)))
+            s, x = rational_point(rng, n)
+            want = fraction_curvature(pw, s, x)
+            got = exact_curvature(pw, s, x).Rbar.components
+            assert any(v.denominator > 10**9 for v in got)
+            assert got == tuple(want.reshape(-1))
