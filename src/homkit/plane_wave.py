@@ -105,12 +105,12 @@ class ChartPoint:
                 raise ValueError("chart point must be finite")
 
 
-def sample_points(n, count, seed, low=-2.0, high=2.0):
-    """Seeded chart points with every coordinate drawn from [low, high]."""
+def sample_points(n, count, seed):
+    """Seeded chart points with every coordinate drawn from [-2, 2]."""
     rng = random.Random(seed)
     return [
-        ChartPoint(rng.uniform(low, high), rng.uniform(low, high),
-                   tuple(rng.uniform(low, high) for _ in range(n)))
+        ChartPoint(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+                   tuple(rng.uniform(-2.0, 2.0) for _ in range(n)))
         for _ in range(count)
     ]
 
@@ -120,7 +120,7 @@ def sample_points(n, count, seed, low=-2.0, high=2.0):
 # ---------------------------------------------------------------------------
 
 
-def expm(a, tol=1e-16):
+def expm(a):
     """Scaling-and-squaring truncated Taylor exponential.
 
     Adequate for the bounded antisymmetric arguments used here (n <= 8,
@@ -138,7 +138,7 @@ def expm(a, tol=1e-16):
     for k in range(1, 40):
         term = term @ a / k
         result = result + term
-        if np.linalg.norm(term, 1) <= tol * np.linalg.norm(result, 1):
+        if np.linalg.norm(term, 1) <= 1e-16 * np.linalg.norm(result, 1):
             break
     for _ in range(squarings):
         result = result @ result
@@ -301,7 +301,7 @@ def frame_metric(n, tag=EXACT):
     return FrameMetric.light_cone(n, tag)
 
 
-def frame_structure(pw, tag=EXACT):
+def frame_structure(pw):
     """The constant frame components of S, as an exact structure.
 
     Nonzero values (frame order +, -, 1..n, antisymmetry in the last
@@ -319,11 +319,7 @@ def frame_structure(pw, tag=EXACT):
                 entries[(2 + i, 0, 2 + j)] = v
                 entries[(2 + i, 2 + j, 0)] = -v
     s = Tensor.from_entries(pw.dim, (DOWN, DOWN, DOWN), entries, EXACT)
-    metric = frame_metric(n, EXACT)
-    if tag == EXACT:
-        return HomogeneousStructure(metric, s)
-    sf = Tensor.from_entries(pw.dim, s.valence, {idx: float(v) for idx, v in s.items}, FLOAT)
-    return HomogeneousStructure(FrameMetric.from_matrix([[float(v) for v in row] for row in metric.g]), sf)
+    return HomogeneousStructure(frame_metric(n, EXACT), s)
 
 
 def _frame_array(s, zero):
@@ -391,9 +387,11 @@ def structure_at(pw, pt):
 
 
 def _point_residuals(pw, pt, sf_array):
-    jet = metric_jet(pw, pt)
+    # one profile jet serves the metric jet and the coframe
+    prof, x = profile_jet(pw, pt.z), np.array(pt.x)
+    jet = _metric_jet(prof, pt.s, x, 0.0)
     gamma, dgamma, ddgamma = connection_jet(jet)
-    e, de = coframe_at(pw, pt)
+    e, de = _coframe(prof, pt.s, x, 0.0)
     s_coord, ds_coord = _coordinate_structure(sf_array, e, de)
     gbar = gamma - _raised_structure(s_coord, jet.g_inv)
 

@@ -8,7 +8,9 @@ equal algebras on randomized ansatze: large denominators, bumped fields
 whose residuals are nonzero, and an empty rotation span.  The QArray
 operations themselves are checked against Fraction arithmetic, and a
 count of Fraction constructions keeps the residual table from going
-back to one Fraction per array entry.
+back to one Fraction per array entry.  However an ansatz is built
+(parsed, generated, rescaled, from wave data), each array field has one
+carrier: a QArray of Python ints equal to the stored field.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from homkit import reduction
 from homkit._exact_array import _GCD_BOUND, QArray, einsum, max_abs
 from homkit.exact import row_reduce, solve_in_span, span_coordinates
 from homkit.lie_algebra import LieAlgebra
+from homkit.plane_wave import PlaneWaveData
 from homkit.reduction import (
     DegenerateAnsatz,
     NondegenerateAnsatz,
@@ -451,3 +454,62 @@ def test_residual_table_builds_few_fractions(monkeypatch, case):
     assert len(work._rotations[2]) > 0
     keys = len(verify_constraints(work))
     assert count_fractions(monkeypatch, lambda: verify_constraints(work)) <= 2 * keys
+
+
+# ---------------------------------------------------------------------------
+# one carrier per array field
+# ---------------------------------------------------------------------------
+
+
+def carrier_cases():
+    """(id, ansatz) pairs built every way an ansatz comes about."""
+    out = list(CASES)  # generated, bumped, large-denominator and empty-span
+    for case, n in itertools.product(("deg", "nondeg"), (1, 2, 3, 4)):
+        a = generate_instance(case, n, 5)
+        out.append((f"{case}-n{n}-parsed", reduction.ansatz_from_json(a.to_json())))
+        if case == "deg":
+            out.append((f"deg-n{n}-rescaled", a.rescaled()))
+            out.append((f"deg-n{n}-at-5/3", reduction._at_scale(a, Fraction(5, 3))))
+    f = ((0, Fraction(1, 2), 0), (Fraction(-1, 2), 0, 0), (0, 0, 0))
+    h = ((1, Fraction(1, 3), 0), (Fraction(1, 3), -2, 0), (0, 0, Fraction(3, 4)))
+    wave = PlaneWaveData(3, f, h)
+    for lam in (Fraction(1), Fraction(7, 3)):
+        out.append((f"wave-lam{lam}", reduction.ansatz_from_plane_wave(wave, lam)))
+    return out
+
+
+CARRIER_CASES = carrier_cases()
+
+
+@pytest.mark.parametrize("ansatz", [a for _, a in CARRIER_CASES],
+                         ids=[i for i, _ in CARRIER_CASES])
+def test_each_array_field_has_one_integer_carrier(ansatz):
+    if isinstance(ansatz, NondegenerateAnsatz):
+        names = (*reduction._NONDEG_ARRAYS, "h_basis")
+    else:
+        names = reduction._DEG_ARRAYS
+    assert sorted(ansatz._carriers) == sorted(names)
+    for name in names:
+        q = ansatz._carriers[name]
+        assert type(q.den) is int and q.den > 0
+        assert q.num.dtype == object
+        assert all(type(v) is int for v in q.num.ravel().tolist())
+        assert fractions_of(q) == fractions_of(QArray.of(getattr(ansatz, name)))
+
+
+def test_a_qarray_field_is_taken_as_is_and_still_checked():
+    n = 2
+    fields = dict(
+        n=n, lam=Fraction(3), aleph=1, C=QArray(np.zeros((n,) * 3, dtype=object)),
+        R=QArray(np.zeros((n,) * 3, dtype=object)), Scurv=QArray(np.zeros((n,) * 4, dtype=object)),
+    )
+    f = QArray(np.array([[0, 1], [-1, 0]], dtype=object), 3)
+    a = NondegenerateAnsatz(F=f, **fields)
+    assert a._carriers["F"] is f
+    assert a.F == ((0, Fraction(1, 3)), (Fraction(-1, 3), 0))
+    with pytest.raises(ValueError, match="F must be nested lists of shape 2 x 2"):
+        NondegenerateAnsatz(F=QArray(np.zeros((2, 3), dtype=object)), **fields)
+    with pytest.raises(ValueError, match="F must be antisymmetric in slots 0 and 1"):
+        NondegenerateAnsatz(F=QArray(np.array([[0, 1], [1, 0]], dtype=object)), **fields)
+    with pytest.raises(ValueError, match="h_basis matrices must be eta-antisymmetric"):
+        NondegenerateAnsatz(F=f, h_basis=QArray(np.ones((1, n, n), dtype=object)), **fields)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from homkit import plane_wave
 from homkit._exact_array import QArray
 from homkit.exact import EXACT, mat_inverse
 from homkit.hom_structure import build_isometry_algebra, classify
@@ -259,6 +260,15 @@ class TestResiduals:
     def test_requires_points(self):
         with pytest.raises(ValueError, match="at least one"):
             as_residuals(FLAT, [])
+
+    def test_one_profile_jet_per_point(self, monkeypatch):
+        calls = []
+        jet = plane_wave.profile_jet
+        monkeypatch.setattr(plane_wave, "profile_jet", lambda *args: calls.append(1) or jet(*args))
+        for k in (1, 5):
+            calls.clear()
+            as_residuals(GENERIC, sample_points(2, k, seed=k))
+            assert len(calls) == k
 
 
 class TestIsometryAlgebra:

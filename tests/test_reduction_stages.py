@@ -1,9 +1,9 @@
 """The reductions run through their public stages and share their checks.
 
-Both reductions read one cached rotation span per ansatz, call
-``verify_constraints`` and ``assemble_*`` by name (so the benchmark
-tracer, which patches those names, sees each stage), and share one
-helper for the bracket-pattern flags.
+Both reductions read one cached rotation span per ansatz, solve its
+span coordinates once, call ``verify_constraints`` and ``assemble_*`` by
+name (so the benchmark tracer, which patches those names, sees each
+stage), and share one helper for the bracket-pattern flags.
 """
 
 import collections
@@ -57,16 +57,34 @@ class TestRotationCache:
         assert a.to_json() == b.to_json()
 
     def test_span_closure_runs_once_per_reduce(self, monkeypatch):
-        calls = []
-        closure = reduction._span_closure
-        monkeypatch.setattr(
-            reduction, "_span_closure", lambda *args: calls.append(1) or closure(*args)
-        )
+        calls = counter(monkeypatch, "_span_closure")
         for case in ("deg", "nondeg"):
-            a = generate_instance(case, 3, 33)
+            parsed = ansatz_from_json(generate_instance(case, 3, 5).to_json())
             calls.clear()
-            reduction.reduce_ansatz(a)
+            reduction.reduce_ansatz(parsed)
             assert len(calls) == 1
+        # a generated nondeg instance keeps the span it computed for h_basis
+        calls.clear()
+        reduction.reduce_ansatz(generate_instance("nondeg", 3, 5))
+        assert len(calls) == 1
+
+    def test_span_coordinates_are_solved_once_per_reduce(self, monkeypatch):
+        calls = counter(monkeypatch, "span_coordinates")
+        for case in ("deg", "nondeg"):
+            parsed = ansatz_from_json(generate_instance(case, 3, 5).to_json())
+            work = parsed.rescaled() if case == "deg" else parsed
+            assert len(work._rotations[2]) > 0
+            calls.clear()
+            reduction.reduce_ansatz(parsed)
+            assert len(calls) == 1
+
+
+def counter(monkeypatch, name):
+    """A list that grows by one on each call to the named reduction function."""
+    calls = []
+    fn = getattr(reduction, name)
+    monkeypatch.setattr(reduction, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
 
 
 def load_tracer():
