@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .hom_structure import HomogeneousStructure, classify
 from .lie_algebra import LieAlgebra, ReductiveSplit, check_reductive, jacobi_residual, worst_jacobi_triple
+from .tensor_core import _MAX_COMPONENTS
 from . import plane_wave, reduction
 
 
@@ -112,6 +113,10 @@ def _cmd_reductive(args):
 
 
 def _load_wave(args):
+    # the chart jets of a plane wave hold (n + 2)**5 entries
+    if (args.n + 2) ** 5 > _MAX_COMPONENTS:
+        raise InputError(f"--n {args.n} is too large: the chart jets would hold "
+                         f"{(args.n + 2) ** 5} entries, over {_MAX_COMPONENTS}")
     f = _load_matrix(args.F, args.n, "F")
     h = _load_matrix(args.H, args.n, "H")
     try:

@@ -373,8 +373,10 @@ def _raised_structure(s_coord, ginv):
 
 def structure_at(pw, pt):
     """Coordinate-component structure at a point plus the coframe matrix."""
-    jet = metric_jet(pw, pt)
-    e, _ = coframe_at(pw, pt)
+    # one profile jet serves the metric jet and the coframe
+    prof, x = profile_jet(pw, pt.z), np.array(pt.x)
+    jet = _metric_jet(prof, pt.s, x, 0.0)
+    e, _ = _coframe(prof, pt.s, x, 0.0)
     s_coord, _ = _coordinate_structure(_frame_array(frame_structure(pw).S, 0.0), e)
     metric = FrameMetric.from_matrix(jet.g.tolist())
     s = Tensor(pw.dim, (DOWN, DOWN, DOWN), tuple(s_coord.reshape(-1).tolist()), FLOAT)

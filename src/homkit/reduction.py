@@ -20,14 +20,14 @@ residual values, bracket rows, redefinition matrices, wave data) and
 for the rows handed to exact's linear algebra.  The two reduce
 operations mechanize the generator redefinitions that bring a
 consistent table to symmetric-space or plane-wave normal form, and
-verify the expected bracket pattern exactly after the change of basis.
+verify the expected bracket pattern exactly on the brackets of the
+redefined generators, read off the assembled table in the old basis.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -37,7 +37,7 @@ import numpy as np
 
 from ._exact_array import QArray, einsum, max_abs
 from .exact import EXACT, format_scalar, integer_numerators, row_reduce, solve_in_span, span_coordinates
-from .lie_algebra import LieAlgebra, change_basis, jacobi_residual, worst_jacobi_triple
+from .lie_algebra import LieAlgebra, jacobi_residual, worst_jacobi_triple
 from .plane_wave import PlaneWaveData, pw_isometry_algebra
 
 ZERO = Fraction(0)
@@ -460,6 +460,16 @@ def _algebra(table, labels):
     return LieAlgebra.from_brackets(dim, brackets, labels=labels, tag=EXACT)
 
 
+def _table(algebra):
+    """The QArray t[a, b, c] = f_ab^c of an exact algebra, _algebra read backwards."""
+    rows = algebra._rows
+    idx = [(a, b, c) for (a, b), row in rows.items() for c in row]
+    nums, den = integer_numerators(v for row in rows.values() for v in row.values())
+    num = np.zeros((algebra.dim,) * 3, dtype=object)
+    num[tuple(np.array(idx, dtype=int).reshape(-1, 3).T)] = nums
+    return QArray(num, den)
+
+
 def _rotation_brackets(table, rot, m0, acted, *targets):
     """Fill [X, M_p] for each (positions in table, positions in rot) pair in
     acted, and [M_p, M_q] in the span basis; M_p sits at m0 + p.
@@ -680,14 +690,6 @@ class ReductionReport:
         return out
 
 
-def _component_map(new_in_old):
-    """The map P that change_basis takes when the new generators are the
-    columns of new_in_old = I + N.  Each redefinition shifts one block of
-    generators by a disjoint block, so N @ N = 0 and P = I - N: its exact
-    inverse is new_in_old again."""
-    return _freeze(2 * _eye(len(new_in_old)) - new_in_old)
-
-
 def _jacobi_failure(algebra, residuals, lambda_scale):
     """The inconsistent report naming the worst Jacobi triple of the
     assembled table, or None when its residual vanishes exactly."""
@@ -703,19 +705,26 @@ def _jacobi_failure(algebra, residuals, lambda_scale):
     )
 
 
-def _span_part(algebra, gens, m0):
-    """The coefficients of e_m0, e_m0+1, .. in [e_0, X], one row per X in
-    gens: the span coordinates the assembly solved for rotation images."""
-    rows, k = [algebra.bracket(0, x) for x in gens], algebra.dim - m0
-    return _qarray([row.get(m0 + p, ZERO) for row in rows for p in range(k)], (len(rows), k))
+def _brackets(t, new_in_old, left, right):
+    """[X_a, X_b] in old coordinates for a in left and b in right, where t
+    holds f_ab^c and the new generators X_a are the columns of new_in_old."""
+    # the greedy pairwise order keeps the exact sum off the full index product
+    return einsum("ma,nb,mnk->abk", new_in_old[:, left], new_in_old[:, right], t, optimize="greedy")
 
 
-def _bracket_pattern(algebra, gens, lam, m0):
-    """Whether, over the generators gens, every [e_0, X] = lam X, every
-    [X, Y] lies in the span of e_m0, e_m0+1, .., and every [X, Y] = 0."""
-    eigen = all(algebra.bracket(0, x) == {x: lam} for x in gens)
-    rows = [algebra.bracket(x, y) for x, y in itertools.combinations(gens, 2)]
-    return eigen, all(min(row, default=m0) >= m0 for row in rows), not any(rows)
+def _bracket_pattern(t, new_in_old, gens, lam, m0):
+    """Whether, over the new generators X_x for x in gens, every
+    [e_0, X] = lam X, every [X, Y] lies in the span of e_m0, e_m0+1, ..,
+    and every [X, Y] = 0, read on the brackets in old coordinates.
+
+    new_in_old = I + N with N @ N = 0 and N zero on the columns 0 and
+    m0.., so new coordinates are (I - N) times old ones, and a vector on
+    e_m0.. has the same coordinates in both bases.
+    """
+    cols = [0, *gens]
+    u = _brackets(t, new_in_old, cols, cols)
+    eigen = not (u[0, 1:] - new_in_old[:, cols[1:]].T * lam).any()
+    return eigen, not u[1:, 1:, :m0].any(), not u[1:, 1:].any()
 
 
 def nondegenerate_reduce(ansatz):
@@ -737,12 +746,11 @@ def nondegenerate_reduce(ansatz):
         # unreachable once the Jacobi residual vanishes; kept as a guard
         return ReductionReport("inconsistent", residuals, Fraction(1),
                                failing_identity=("V", "Z1", "Z2"), checks={"F_nonzero": True})
-    k = algebra.dim - 1 - n
-    new_in_old = _eye(1 + n + k)
-    new_in_old[1 + n:, 1:1 + n] = _span_part(algebra, range(1, 1 + n), 1 + n).T / ansatz.lam
-    labels = ["V"] + [f"Y{i+1}" for i in range(n)] + [f"M{p+1}" for p in range(k)]
-    reduced = change_basis(algebra, _component_map(new_in_old), labels)
-    eigen_ok, closes, yy_vanishes = _bracket_pattern(reduced, range(1, 1 + n), ansatz.lam, 1 + n)
+    t, m0 = _table(algebra), 1 + n
+    new_in_old = _eye(algebra.dim)
+    # the rotation parts of [V, Z_i], which the assembly solved in the span
+    new_in_old[m0:, 1:m0] = t[0, 1:m0, m0:].T / ansatz.lam
+    eigen_ok, closes, yy_vanishes = _bracket_pattern(t, new_in_old, range(1, m0), ansatz.lam, m0)
     verdict = "symmetric_space" if eigen_ok and closes else "inconsistent"
     return ReductionReport(
         verdict=verdict,
@@ -790,33 +798,27 @@ def degenerate_reduce(ansatz):
         # unreachable once the Jacobi residual vanishes; kept as a guard
         checks = {"forced_vanishings": {k: format_scalar(v) for k, v in forced.items()}}
         return ReductionReport("inconsistent", residuals, ansatz.lam, checks=checks)
-    nb, dim = len(occ), algebra.dim
-    iz = lambda i: 2 + i
-    ib = {a: 2 + n + occ.index(a) for a in occ}
+    t, m0 = _table(algebra), 2 + n + len(occ)
     f, h = work._carriers["F"], work._carriers["h"]
-    wz = [iz(i) for i in absent]
+    wz = [2 + i for i in absent]
 
     # first redefinition: unhook unoccupied generators from the boosts
-    b1 = _eye(dim)
-    b1[np.ix_(list(ib.values()), wz)] = -f[np.ix_(absent, occ)].T
+    b1 = _eye(algebra.dim)
+    b1[np.ix_(range(2 + n, m0), wz)] = -f[np.ix_(absent, occ)].T
 
-    # second redefinition: absorb the rotation images; both in one change
-    # of basis, the new generators being the columns of b1 @ b2
-    b2 = _eye(dim)
-    b2[np.ix_(range(2 + n + nb, dim), wz)] = _span_part(algebra, wz, 2 + n + nb).T
-    labels = list(algebra.labels)
-    for i in absent:
-        labels[iz(i)] = f"W{i+1}"
-    step2 = change_basis(algebra, _component_map(b1 @ b2), labels)
+    # second redefinition: absorb the rotation images, the rotation parts
+    # of [U, Z_I]; the new generators of both are the columns of b1 @ b2
+    b2 = _eye(algebra.dim)
+    b2[m0:, wz] = t[0, wz, m0:].T
+    b12 = b1 @ b2
 
-    ok, ww_closes, ww_zero = _bracket_pattern(step2, wz, work.lam, 2 + n + nb)
+    ok, ww_closes, ww_zero = _bracket_pattern(t, b12, wz, work.lam, m0)
     checks = {
         "unoccupied_eigen_brackets": ok,
         "unoccupied_brackets_vanish": ww_zero,
         "unoccupied_brackets_in_rotation_span": ww_closes,
     }
-    checks["sectors_decouple"] = decouple = not any(
-        step2.bracket(*sorted((iz(a), iz(i)))) for a in occ for i in absent)
+    checks["sectors_decouple"] = decouple = not _brackets(t, b12, [2 + a for a in occ], wz).any()
 
     # emitted wave data, from the presentation that keeps the original
     # transverse generators with only the rotation images absorbed; h is
@@ -829,19 +831,16 @@ def degenerate_reduce(ansatz):
         return ReductionReport("inconsistent", residuals, ansatz.lam, checks=checks)
     pw = PlaneWaveData(n, _freeze(f_pw), _freeze(h_pw))
 
-    # the table with rotation images absorbed must be, on the nose, the
-    # wave table restricted to the generators that are present
-    absorbed = change_basis(algebra, _component_map(b2))
+    # with the rotation images absorbed the table must be, on the nose, the
+    # wave table on the generators present (U, V, X_i and the occupied Xb_a,
+    # at 0..m0-1 here), both in old coordinates: the wave side carried by b2
     wave = pw_isometry_algebra(pw)
-    present = {0: 0, 1: 1, **{2 + i: iz(i) for i in range(n)}, **{2 + n + a: ib[a] for a in occ}}
-    table_ok = True
-    for (wa, la), (wb, lb) in itertools.combinations(present.items(), 2):
-        want = wave.bracket(wa, wb)
-        if not want.keys() <= present.keys():
-            table_ok = False
-        elif absorbed.bracket(la, lb) != {present[c]: v for c, v in want.items()}:
-            table_ok = False
-    checks["matches_wave_table"] = table_ok
+    wt = _table(wave)
+    present = [*range(2 + n), *(2 + n + a for a in occ)]
+    leaks = wt[np.ix_(present, present, [2 + n + i for i in absent])].any()
+    want = wt[np.ix_(present, present, present)] @ b2[:, :m0].T
+    checks["matches_wave_table"] = table_ok = not (
+        leaks or (_brackets(t, b2, range(m0), range(m0)) - want).any())
 
     rebuilt_worst = jacobi_residual(wave)[1]
     checks["rebuilt_wave_jacobi"] = rebuilt_worst

@@ -156,6 +156,20 @@ class TestPlanewave:
         written = LieAlgebra.from_json(json.loads(out_path.read_text()))
         assert written.f == pw_isometry_algebra(WAVE).f
 
+    @pytest.mark.parametrize("command", ["algebra", "verify"])
+    def test_oversized_wave_is_malformed_input(self, tmp_path, capsys, command):
+        # at n = 15 the chart jets would hold 17**5 > 2**20 entries; the
+        # size is refused before any matrix is read
+        zero = tmp_path / "z.json"
+        zero.write_text(json.dumps([["0"] * 15] * 15))
+        code, out, err = run(capsys, "planewave", "--n", "15", "--F", str(zero),
+                             "--H", str(zero), command)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --n 15 is too large")
+        assert "Traceback" not in err
+        assert run(capsys, "planewave", "--n", "15", "--F", "missing.json", "--H",
+                   "missing.json", command)[2] == err
+
     def test_asymmetric_profile_rejected(self, tmp_path, capsys):
         f = tmp_path / "f.json"
         h = tmp_path / "h.json"

@@ -66,6 +66,7 @@ SPECS = [
     ("ijk,kmn->ijmn", {}),
     ("jkl,ilm->ijkm", {}),
     ("jkl,ilmn->ijkmn", {}),
+    ("ma,nb,mnk->abk", {"optimize": "greedy"}),
 ]
 
 

@@ -269,6 +269,10 @@ class TestResiduals:
             calls.clear()
             as_residuals(GENERIC, sample_points(2, k, seed=k))
             assert len(calls) == k
+        for pt in sample_points(2, 3, seed=2):
+            calls.clear()
+            plane_wave.structure_at(GENERIC, pt)
+            assert len(calls) == 1
 
 
 class TestIsometryAlgebra:

@@ -3,7 +3,10 @@
 Both reductions read one cached rotation span per ansatz, solve its
 span coordinates once, call ``verify_constraints`` and ``assemble_*`` by
 name (so the benchmark tracer, which patches those names, sees each
-stage), and share one helper for the bracket-pattern flags.
+stage), and share one helper for the bracket-pattern flags.  That helper
+reads the flags of the redefined generators off the assembled table in
+the old basis; the reference rewrites the algebra through the public
+``change_basis`` and runs the old flag loops on the result.
 """
 
 import collections
@@ -15,12 +18,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import homkit.reduction as reduction
 from homkit.exact import EXACT
-from homkit.lie_algebra import LieAlgebra
+from homkit.lie_algebra import LieAlgebra, change_basis
 from homkit.reduction import (
     _bracket_pattern,
+    _eye,
+    _table,
     ansatz_from_json,
     assemble_algebra,
     generate_instance,
@@ -117,9 +123,23 @@ def test_tracer_sees_each_stage_once_per_reduce():
     nondeg_stages = [s for s in children["reduction.nondegenerate_reduce"] if s in stages]
     assert deg_stages == ["reduction.verify_constraints", "reduction.assemble_degenerate"]
     assert nondeg_stages == ["reduction.verify_constraints", "reduction.assemble_nondegenerate"]
-    # every redefinition goes through the public change of basis
-    assert children["reduction.degenerate_reduce"].count("lie_algebra.change_basis") == 2
-    assert children["reduction.nondegenerate_reduce"].count("lie_algebra.change_basis") == 1
+    # the flags are read off the assembled table: no change of basis, no inverse
+    assert children["reduction.degenerate_reduce"].count("lie_algebra.change_basis") == 0
+    assert children["reduction.nondegenerate_reduce"].count("lie_algebra.change_basis") == 0
+    assert names.count("exact.mat_inverse") == 0
+
+
+@pytest.mark.parametrize("flags", [
+    (True, False, False), (False, True, False), (False, False, True)])
+def test_each_flag_is_reported_under_its_own_key(monkeypatch, flags):
+    monkeypatch.setattr(reduction, "_bracket_pattern", lambda *args: flags)
+    deg = reduction.degenerate_reduce(generate_instance("deg", 3, 1)).checks
+    keys = ("unoccupied_eigen_brackets", "unoccupied_brackets_in_rotation_span",
+            "unoccupied_brackets_vanish")
+    assert tuple(deg[k] for k in keys) == flags
+    nondeg = reduction.nondegenerate_reduce(generate_instance("nondeg", 3, 1)).checks
+    keys = ("eigen_brackets", "yy_in_rotation_span", "yy_vanishes")
+    assert tuple(nondeg[k] for k in keys) == flags
 
 
 def reference_pattern(algebra, gens, lam, m0):
@@ -173,8 +193,40 @@ def test_bracket_pattern_matches_reference_loops():
     seen = collections.Counter()
     for _ in range(400):
         algebra, gens, lam, m0 = random_case(rng)
-        flags = _bracket_pattern(algebra, gens, lam, m0)
+        flags = _bracket_pattern(_table(algebra), _eye(algebra.dim), gens, lam, m0)
         assert flags == reference_pattern(algebra, gens, lam, m0)
+        assert all(type(flag) is bool for flag in flags)
+        seen.update(enumerate(flags))
+    assert all(seen[(i, value)] >= 20 for i in range(3) for value in (True, False))
+
+
+def random_redefinition(rng, dim, m0):
+    """new_in_old = I + N as the reductions build it: N is zero on the
+    columns 0 and m0.., and its rows avoid its columns, so N @ N = 0."""
+    cols = [c for c in range(1, m0) if rng.random() < 0.7]
+    rows = [r for r in range(dim) if r not in cols and rng.random() < 0.7]
+    b = _eye(dim)
+    for r, c in itertools.product(rows, cols):
+        b[r, c] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+    nil = b - _eye(dim)
+    assert not (nil[:, 0].any() or nil[:, m0:].any() or (nil @ nil).any())
+    return b
+
+
+def test_bracket_pattern_reads_redefined_generators_in_the_old_basis():
+    rng = random.Random("redefined-pattern")
+    seen = collections.Counter()
+    for _ in range(200):
+        # the random table is biased towards passing in the new basis, and
+        # carried back to the old basis, whose generators are the columns
+        # of the inverse 2I - B
+        reduced, gens, lam, m0 = random_case(rng)
+        b = random_redefinition(rng, reduced.dim, m0)
+        algebra = change_basis(reduced, b.tolist())
+        want = reference_pattern(change_basis(algebra, (2 * _eye(algebra.dim) - b).tolist()),
+                                 gens, lam, m0)
+        flags = _bracket_pattern(_table(algebra), b, gens, lam, m0)
+        assert flags == want
         assert all(type(flag) is bool for flag in flags)
         seen.update(enumerate(flags))
     assert all(seen[(i, value)] >= 20 for i in range(3) for value in (True, False))
