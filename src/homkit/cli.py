@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .hom_structure import HomogeneousStructure, classify
-from .lie_algebra import LieAlgebra, ReductiveSplit, check_reductive, jacobi_residual, worst_jacobi_triple
+from .lie_algebra import LieAlgebra, ReductiveSplit, _first_worst_triple, check_reductive, jacobi_residual
 from .tensor_core import _MAX_COMPONENTS
 from . import plane_wave, reduction
 
@@ -44,6 +44,16 @@ def _load_matrix(path, n, name):
         raise InputError(f"{path}: bad rational entry in {name} ({exc})")
 
 
+def _parse(path, build, *args):
+    """build(*args), with a malformed-input error naming the file."""
+    try:
+        return build(*args)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing field {exc}")
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}")
+
+
 def _emit(report, out=None, quiet=False, verdict=None):
     text = json.dumps(report, sort_keys=True, indent=2)
     if out:
@@ -56,30 +66,22 @@ def _emit(report, out=None, quiet=False, verdict=None):
 
 
 def _cmd_classify(args):
-    data = _load_json(args.structure)
-    try:
-        hs = HomogeneousStructure.from_json(data)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{args.structure}: {exc}")
+    hs = _parse(args.structure, HomogeneousStructure.from_json, _load_json(args.structure))
     report = classify(hs).to_json()
     _emit(report, quiet=args.quiet, verdict=report["class"])
     return 0
 
 
 def _cmd_jacobi(args):
-    data = _load_json(args.algebra)
-    try:
-        algebra = LieAlgebra.from_json(data)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{args.algebra}: {exc}")
-    _, worst = jacobi_residual(algebra)
+    algebra = _parse(args.algebra, LieAlgebra.from_json, _load_json(args.algebra))
+    entries, worst = jacobi_residual(algebra)
     ok = worst == 0
     report = {
         "max_abs_residual": str(worst),
         "is_lie_algebra": ok,
     }
     if not ok:
-        report["failing_identity"] = list(worst_jacobi_triple(algebra))
+        report["failing_identity"] = list(_first_worst_triple(algebra, entries, worst))
     _emit(report, quiet=args.quiet, verdict="pass" if ok else "fail")
     return 0 if ok else 1
 
@@ -92,15 +94,10 @@ def _parse_indices(text, what):
 
 
 def _cmd_reductive(args):
-    data = _load_json(args.algebra)
-    try:
-        algebra = LieAlgebra.from_json(data)
-        split = ReductiveSplit(
-            _parse_indices(args.m_indices, "m"), _parse_indices(args.h_indices, "h")
-        )
-        report_obj = check_reductive(algebra, split)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{args.algebra}: {exc}")
+    algebra = _parse(args.algebra, LieAlgebra.from_json, _load_json(args.algebra))
+    split = _parse(args.algebra, ReductiveSplit, _parse_indices(args.m_indices, "m"),
+                   _parse_indices(args.h_indices, "h"))
+    report_obj = _parse(args.algebra, check_reductive, algebra, split)
     report = {
         "reductive": report_obj.is_reductive,
         "hh_violations": [list(v[:2]) for v in report_obj.hh_violations],
@@ -162,10 +159,7 @@ def _cmd_reduce(args):
     if data.get("case", args.case) != args.case:
         raise InputError(f"{args.ansatz}: ansatz case does not match --case {args.case}")
     data.setdefault("case", args.case)
-    try:
-        ansatz = reduction.ansatz_from_json(data)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{args.ansatz}: {exc}")
+    ansatz = _parse(args.ansatz, reduction.ansatz_from_json, data)
     report_obj = reduction.reduce_ansatz(ansatz)
     report = report_obj.to_json()
     _emit(report, out=args.out, quiet=args.quiet, verdict=report_obj.verdict)

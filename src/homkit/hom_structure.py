@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import EXACT, format_scalar, mat_mul, scalar_zero, span_coordinates
+from .exact import EXACT, format_scalar, integer_numerators, mat_mul, scalar_zero, span_coordinates
 from .lie_algebra import LieAlgebra, jacobi_residual
 from .tensor_core import (
     DOWN,
@@ -104,10 +104,6 @@ class StructureClass:
         }
 
 
-def _is_zero(t, tag):
-    return t.is_zero() if tag == EXACT else t.is_zero(FLOAT_ZERO_TOL)
-
-
 def trace_one_form(hs):
     """The defining one-form, its metric dual, and the dual's norm.
 
@@ -155,38 +151,71 @@ def decompose(hs):
 
 
 def _split(hs, alpha):
-    """decompose with the trace one-form supplied by a caller that holds it."""
-    s1 = vectorial_part(hs.metric, alpha)
-    s3 = antisymmetrize(hs.S, (0, 1, 2))
-    s2 = hs.S - s1 - s3
-    return s1, s2, s3
+    """decompose with the trace one-form supplied by a caller that holds it.
+
+    An exact S is split on integer numerators.  With L the lcm of the
+    denominators of S, g and alpha, and N, G, A their numerators over L,
+    S1 = (G_xy A_z - G_xz A_y) / L^2, and as S is antisymmetric in its
+    last two slots, its signed average over six permutations is
+    S3 = (N_xyz + N_yzx + N_zxy) / (3 L).  Over the common denominator
+    3 L^2 the numerators are 3 (G A - G A) for S1, L (N + N + N) for S3
+    and S2 = 3 L N - 3 (G A - G A) - L (N + N + N).
+    """
+    if hs.tag != EXACT:
+        s1 = vectorial_part(hs.metric, alpha)
+        s3 = antisymmetrize(hs.S, (0, 1, 2))
+        return s1, hs.S - s1 - s3, s3
+    *parts, den = _split_numerators(hs, alpha)
+    frac = ({k: Fraction(v, den) for k, v in part.items()} for part in parts)
+    return tuple(Tensor._sparse(hs.dim, hs.S.valence, part, EXACT) for part in frac)
+
+
+def _split_numerators(hs, alpha):
+    """({index: nonzero numerator} of exact S1, S2, S3, and 3 L^2), as in _split."""
+    s = hs.S.entries()
+    g = [(x, y, v) for x, row in enumerate(hs.metric.g) for y, v in enumerate(row) if v != 0]
+    values = [*s.values(), *(v for *_, v in g), *(v for _, v in alpha.items)]
+    nums, scale = integer_numerators(values)
+    nums = iter(nums)
+    s = {k: next(nums) for k in s}
+    g = [(x, y, 3 * next(nums)) for x, y, _ in g]
+    a = [(z, next(nums)) for (z,), _ in alpha.items]
+    s1 = {}
+    for x, y, gv in g:
+        for z, av in a:
+            s1[x, y, z] = s1.get((x, y, z), 0) + gv * av
+            s1[x, z, y] = s1.get((x, z, y), 0) - gv * av
+    s3 = {}
+    for key in s:
+        x, y, z = sorted(key)
+        # a repeated index makes the 3-form zero; each orbit is summed once
+        if x < y < z and (x, y, z) not in s3:
+            v = scale * (s.get((x, y, z), 0) + s.get((y, z, x), 0) + s.get((z, x, y), 0))
+            s3.update({(x, y, z): v, (y, z, x): v, (z, x, y): v,
+                       (y, x, z): -v, (x, z, y): -v, (z, y, x): -v})
+    s2 = {k: 3 * scale * v for k, v in s.items()}
+    for part in (s1, s3):
+        for k, v in part.items():
+            s2[k] = s2.get(k, 0) - v
+    return *({k: v for k, v in p.items() if v} for p in (s1, s2, s3)), 3 * scale * scale
 
 
 def classify(hs):
     """Class label from the nonzero projections, plus causal degeneracy.
 
-    Exact scalars use exact zero tests; floats use the documented
-    absolute tolerance on the largest component.
+    Exact scalars use exact zero tests and build no part; floats use the
+    documented absolute tolerance on the largest component.
     """
     alpha, _, norm = trace_one_form(hs)
-    s1, s2, s3 = _split(hs, alpha)
-    parts = set()
-    if not _is_zero(s1, hs.tag):
-        parts.add(1)
-    if not _is_zero(s2, hs.tag):
-        parts.add(2)
-    if not _is_zero(s3, hs.tag):
-        parts.add(3)
-    label = CLASS_NAMES[frozenset(parts)]
-    if 1 not in parts:
-        degeneracy = "none"
+    if hs.tag == EXACT:
+        nonzero = map(bool, _split_numerators(hs, alpha)[:3])
+        sign = (norm > 0) - (norm < 0)
     else:
-        if hs.tag == EXACT:
-            sign = (norm > 0) - (norm < 0)
-        else:
-            sign = 0 if abs(norm) <= FLOAT_ZERO_TOL else (1 if norm > 0 else -1)
-        degeneracy = {1: "spacelike", -1: "timelike", 0: "null"}[sign]
-    return StructureClass(label, degeneracy, norm)
+        nonzero = (not p.is_zero(FLOAT_ZERO_TOL) for p in _split(hs, alpha))
+        sign = 0 if abs(norm) <= FLOAT_ZERO_TOL else (1 if norm > 0 else -1)
+    parts = frozenset(k for k, nz in enumerate(nonzero, start=1) if nz)
+    degeneracy = {1: "spacelike", -1: "timelike", 0: "null"}[sign] if 1 in parts else "none"
+    return StructureClass(CLASS_NAMES[parts], degeneracy, norm)
 
 
 # ---------------------------------------------------------------------------

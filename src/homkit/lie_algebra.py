@@ -127,32 +127,73 @@ def jacobi_residual(algebra):
 
     An exact table is summed on integer numerators: with L the lcm of
     its denominators, J(L f) = L^2 J(f), so each nonzero entry of J(L f)
-    is divided by L^2 once.
+    is divided by L^2 once.  J is totally antisymmetric in a, b, c, so
+    it vanishes when two of them are equal and is summed only at sorted
+    triples x < y < z.  With B_{pqr}^d = sum_e f_{pq}^e f_{er}^d and
+    B_{qpr} = -B_{pqr}, J_{xyz} = B_{xyz} + B_{yzx} - B_{xzy}: each
+    product of a row p < q with a third index r enters once, as
+    +J_{pqr} when r > q, +J_{rpq} when r < p and -J_{prq} when
+    p < r < q.  Each sorted value is then copied, by the sign of the
+    permutation, to its six orderings.  A float table keeps the sum over
+    every ordered row into three keys, whose order fixes its bits.
     """
-    n = algebra.dim
     rows = algebra._rows
-    exact = algebra.tag == EXACT
-    if exact:
-        nums, scale = integer_numerators(v for row in rows.values() for v in row.values())
-        nums = iter(nums)
-        rows = {ab: {c: next(nums) for c in row} for ab, row in rows.items()}
-    # an int zero leaves every float sum bit-identical to one from 0.0
     acc = {}
-    for (a, b), row in rows.items():
-        for e, fab in row.items():
-            for c in range(n):
-                for d, fec in rows.get((e, c), {}).items():
-                    v = fab * fec
-                    for key in ((a, b, c, d), (b, c, a, d), (c, a, b, d)):
-                        acc[key] = acc.get(key, 0) + v
-    entries = {
-        key: Fraction(acc[key], scale * scale) if exact else acc[key]
-        for key in sorted(acc)
-        if acc[key] != 0
-    }
-    # zero first, as the dense scan met J_{000}^0 = 0 first; this keeps a
-    # float maximum bit-identical to it even when a residual is NaN
-    return entries, max([scalar_zero(algebra.tag), *map(abs, entries.values())])
+    if algebra.tag != EXACT:
+        # an int zero leaves every float sum bit-identical to one from 0.0
+        for (a, b), row in rows.items():
+            for e, fab in row.items():
+                for c in range(algebra.dim):
+                    for d, fec in rows.get((e, c), {}).items():
+                        v = fab * fec
+                        for key in ((a, b, c, d), (b, c, a, d), (c, a, b, d)):
+                            acc[key] = acc.get(key, 0) + v
+        entries = {key: acc[key] for key in sorted(acc) if acc[key] != 0}
+        # zero first, as the dense scan met J_{000}^0 = 0 first; this keeps
+        # the maximum bit-identical to it even when a residual is NaN
+        return entries, max([0.0, *map(abs, entries.values())])
+    nums, scale = integer_numerators(v for row in rows.values() for v in row.values())
+    nums = iter(nums)
+    rows = {ab: [(c, next(nums)) for c in row] for ab, row in rows.items()}
+    by_first = {}
+    for (e, r), row in rows.items():
+        by_first.setdefault(e, []).append((r, row))
+    for (p, q), row in rows.items():
+        if p > q:
+            continue
+        for e, fpq in row:
+            for r, erow in by_first.get(e, ()):
+                if r > q:
+                    key, w = (p, q, r), fpq
+                elif r < p:
+                    key, w = (r, p, q), fpq
+                elif p < r < q:
+                    key, w = (p, r, q), -fpq
+                else:
+                    continue
+                for d, fer in erow:
+                    k = (*key, d)
+                    acc[k] = acc.get(k, 0) + w * fer
+    entries, worst = {}, Fraction(0)
+    for (x, y, z, d), v in acc.items():
+        if v:
+            pos = Fraction(v, scale * scale)
+            neg, worst = -pos, max(worst, abs(pos))
+            entries.update({(x, y, z, d): pos, (y, z, x, d): pos, (z, x, y, d): pos,
+                            (y, x, z, d): neg, (x, z, y, d): neg, (z, y, x, d): neg})
+    return {key: entries[key] for key in sorted(entries)}, worst
+
+
+def _first_worst_triple(algebra, entries, worst):
+    """worst_jacobi_triple from the (entries, worst) pair it would compute.
+
+    For an exact table the first maximal key is a sorted triple a < b < c:
+    its six orderings share one magnitude and it comes first among them.
+    """
+    for (a, b, c, _), v in entries.items():
+        if abs(v) == worst:
+            return (algebra.labels[a], algebra.labels[b], algebra.labels[c])
+    return None
 
 
 def worst_jacobi_triple(algebra):
@@ -160,11 +201,7 @@ def worst_jacobi_triple(algebra):
 
     Ties go to the lexicographically first residual index.
     """
-    entries, worst = jacobi_residual(algebra)
-    for (a, b, c, _), v in entries.items():
-        if abs(v) == worst:
-            return (algebra.labels[a], algebra.labels[b], algebra.labels[c])
-    return None
+    return _first_worst_triple(algebra, *jacobi_residual(algebra))
 
 
 def change_basis(algebra, p, labels=None):

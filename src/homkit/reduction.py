@@ -37,7 +37,7 @@ import numpy as np
 
 from ._exact_array import QArray, einsum, max_abs
 from .exact import EXACT, format_scalar, integer_numerators, row_reduce, solve_in_span, span_coordinates
-from .lie_algebra import LieAlgebra, jacobi_residual, worst_jacobi_triple
+from .lie_algebra import LieAlgebra, _first_worst_triple, jacobi_residual
 from .plane_wave import PlaneWaveData, pw_isometry_algebra
 
 ZERO = Fraction(0)
@@ -693,14 +693,14 @@ class ReductionReport:
 def _jacobi_failure(algebra, residuals, lambda_scale):
     """The inconsistent report naming the worst Jacobi triple of the
     assembled table, or None when its residual vanishes exactly."""
-    _, worst = jacobi_residual(algebra)
+    entries, worst = jacobi_residual(algebra)
     if worst == 0:
         return None
     return ReductionReport(
         verdict="inconsistent",
         residuals=residuals,
         lambda_scale=lambda_scale,
-        failing_identity=worst_jacobi_triple(algebra),
+        failing_identity=_first_worst_triple(algebra, entries, worst),
         checks={"jacobi_residual": worst},
     )
 

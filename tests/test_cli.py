@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 import homkit
+import homkit.cli
 from homkit.cli import main
-from homkit.lie_algebra import LieAlgebra
+from homkit.lie_algebra import LieAlgebra, jacobi_residual
 from homkit.plane_wave import PlaneWaveData, frame_structure, pw_isometry_algebra
 from homkit.reduction import generate_instance
 
@@ -86,6 +87,22 @@ class TestJacobi:
         code, out, _ = run(capsys, "jacobi", str(path))
         assert code == 1
         assert json.loads(out)["failing_identity"] == ["e0", "e1", "e2"]
+
+    def test_failure_computes_the_residual_once(self, tmp_path, capsys, monkeypatch):
+        bad = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad.to_json()))
+        calls = []
+
+        def counted(algebra):
+            calls.append(algebra)
+            return jacobi_residual(algebra)
+
+        # the command's own name and the one a second reader would call
+        monkeypatch.setattr(homkit.cli, "jacobi_residual", counted)
+        monkeypatch.setattr(homkit.lie_algebra, "jacobi_residual", counted)
+        assert run(capsys, "jacobi", str(path))[0] == 1
+        assert len(calls) == 1
 
     def test_oversized_table_is_malformed_input(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -381,6 +398,25 @@ class TestBoundaryChecks:
         path.write_text(json.dumps({"metric": metric, "S": dict(self.S_EMPTY, dim=2)}))
         code, out, err = run(capsys, "classify", str(path))
         self.assert_one_line_error(code, out, err, "metric must be a square array")
+
+    @pytest.mark.parametrize("form, field", [("classify", "S"), ("jacobi", "dim"),
+                                             ("reductive", "dim"), ("reduce", "n")])
+    def test_missing_field_is_named(self, tmp_path, capsys, form, field):
+        if form == "reduce":
+            data = generate_instance("deg", 2, 1).to_json()
+            argv = ["--case", "deg"]
+        elif form == "classify":
+            data = {"metric": [[1, 0], [0, 1]], "S": dict(self.S_EMPTY, dim=2)}
+            argv = []
+        else:
+            data = {"dim": 3, "brackets": {"0,1": {"2": "1"}}}
+            argv = ["--m", "0,1", "--h", "2"] if form == "reductive" else []
+        del data[field]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, form, str(path), *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: missing field '{field}'\n"
 
     @pytest.mark.parametrize("where", ["entry", "metric", "jacobi", "reductive"])
     def test_zero_denominator_is_malformed(self, tmp_path, capsys, where):

@@ -309,10 +309,68 @@ def large_denominator_tables():
         yield from_table(t, EXACT)
 
 
+def dense_prime_tables():
+    """4 exact tables at dims 10-14 over large prime denominators.
+
+    At dims 10 and 12: the R x_A R^(n-1) of ``random_tables`` in a random
+    unimodular basis, a Lie algebra whose residual cancels across many
+    products.  At dims 11 and 14: random antisymmetric tables, which
+    fail at many entries.
+    """
+    rng = random.Random(47)
+    dens = (1, 3, P1, P2, P1 * P2)
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+
+    for n in (10, 11, 12, 14):
+        t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        if n in (11, 14):
+            for a, b, c in itertools.product(range(n), repeat=3):
+                if a < b and rng.random() < 0.1:
+                    t[a][b][c] = draw()
+                    t[b][a][c] = -t[a][b][c]
+        else:
+            for i, j in itertools.product(range(1, n), repeat=2):
+                if rng.random() < 0.25:
+                    t[0][i][j] = draw()
+                    t[i][0][j] = -t[0][i][j]
+            t = dense_change_basis(t, *unimodular(rng, n))
+        yield from_table(t, EXACT)
+
+
+def float_tables():
+    """6 random float tables at dims 3-8 with non-dyadic entries, so
+    the order of each residual's sum shows in its last bits."""
+    rng = random.Random(53)
+    for k in range(6):
+        n = 3 + k
+        rows = {}
+        for a, b in itertools.combinations(range(n), 2):
+            if rng.random() < 0.6:
+                rows[(a, b)] = {c: rng.uniform(-1, 1) / 3 for c in range(n) if rng.random() < 0.5}
+        yield LieAlgebra.from_brackets(n, rows, tag=FLOAT)
+
+
+def accumulated_jacobi(algebra):
+    """The float sum every bracket table used before the sorted-triple
+    kernel: each product of ordered rows added to three keys in turn."""
+    rows, acc = algebra._rows, {}
+    for (a, b), row in rows.items():
+        for e, fab in row.items():
+            for c in range(algebra.dim):
+                for d, fec in rows.get((e, c), {}).items():
+                    v = fab * fec
+                    for key in ((a, b, c, d), (b, c, a, d), (c, a, b, d)):
+                        acc[key] = acc.get(key, 0) + v
+    entries = {key: acc[key] for key in sorted(acc) if acc[key] != 0}
+    return entries, max([0.0, *map(abs, entries.values())])
+
+
 class TestSparseReaders:
     def test_large_denominator_jacobi_matches_dense_reference(self):
         failing = 0
-        for algebra in large_denominator_tables():
+        for algebra in itertools.chain(large_denominator_tables(), dense_prime_tables()):
             ref = dense_jacobi(algebra)
             entries, worst = jacobi_residual(algebra)
             assert entries == ref
@@ -326,7 +384,17 @@ class TestSparseReaders:
                 failing += 1
             else:
                 assert worst_jacobi_triple(algebra) is None
-        assert failing >= 6
+        assert failing >= 8
+
+    def test_float_jacobi_is_bit_identical_to_accumulation(self):
+        failing = 0
+        for algebra in float_tables():
+            entries, worst = jacobi_residual(algebra)
+            ref, ref_worst = accumulated_jacobi(algebra)
+            assert [(k, repr(v)) for k, v in entries.items()] == [(k, repr(v)) for k, v in ref.items()]
+            assert repr(worst) == repr(ref_worst)
+            failing += bool(ref)
+        assert failing >= 5
 
     def test_jacobi_entries_match_dense_reference(self):
         failing = 0

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from homkit import hom_structure
 from homkit.exact import EXACT, FLOAT, mat_mul
 from homkit.hom_structure import (
     FLOAT_ZERO_TOL,
@@ -129,14 +130,18 @@ def rand_scalar(rng, tag):
 
 
 def metrics(dim, tag):
-    """Euclidean, light-cone and dense Lorentzian frame metrics."""
+    """Euclidean, light-cone and two dense Lorentzian frame metrics, the
+    second with non-integer rational entries off and on the diagonal."""
     rows = [[(-3 if i == j == 0 else 3) if i == j else 1 for j in range(dim)] for i in range(dim)]
+    thirds = [[Fraction(-5 if i == j == 0 else 7, 2) if i == j else Fraction(i + j, 3 * dim)
+               for j in range(dim)] for i in range(dim)]
     if tag == FLOAT:
-        rows = [[float(x) for x in row] for row in rows]
+        rows, thirds = ([[float(x) for x in row] for row in m] for m in (rows, thirds))
     return [
         FrameMetric.euclidean(dim, tag),
         FrameMetric.light_cone(dim - 2, tag),
         FrameMetric.from_matrix(rows, tag),
+        FrameMetric.from_matrix(thirds, tag),
     ]
 
 
@@ -200,6 +205,26 @@ def test_split_matches_dense_formulas(tag, dim):
     # in dimension 2 the T2 and T3 spaces are zero
     if tag == EXACT:
         assert len(labels) == (8 if dim >= 3 else 2)
+
+
+@pytest.mark.parametrize("tag", [EXACT, FLOAT])
+def test_split_path_follows_the_tag(tag, monkeypatch):
+    rng = random.Random(f"split-path-{tag}")
+    metric = metrics(4, tag)[3]
+    hs = structure(metric, pure_parts(rng, metric, tag, 1.0), {1, 2, 3}, tag)
+
+    def refuse(*args):
+        raise AssertionError("tensor operation called")
+
+    for name in ("vectorial_part", "antisymmetrize"):
+        monkeypatch.setattr(hom_structure, name, refuse)
+    if tag == EXACT:
+        assert classify(hs).label == "T1+T2+T3"
+        assert sum(decompose(hs), Tensor.zeros(4, LOWER3)) == hs.S
+    else:
+        for check in (classify, decompose):
+            with pytest.raises(AssertionError, match="tensor operation called"):
+                check(hs)
 
 
 def dense_is_metric_antisymmetric(metric, m):
