@@ -65,7 +65,7 @@ class HomogeneousStructure:
         if self.S.tag != self.metric.tag:
             raise ValueError("S and metric tags differ")
         tol = None if self.tag == EXACT else 1e-12
-        bad = _antisymmetry_violations(self.S.entries(), 1, 2, tol)
+        bad = _antisymmetry_violations(self.S.entries(), 1, 2, self.tag, tol)
         if bad:
             x, y, z = bad[0]
             raise ValueError(f"S is not antisymmetric in its last two slots at ({x},{y},{z})")
@@ -151,27 +151,28 @@ def decompose(hs):
 
 
 def _split(hs, alpha):
-    """decompose with the trace one-form supplied by a caller that holds it.
-
-    An exact S is split on integer numerators.  With L the lcm of the
-    denominators of S, g and alpha, and N, G, A their numerators over L,
-    S1 = (G_xy A_z - G_xz A_y) / L^2, and as S is antisymmetric in its
-    last two slots, its signed average over six permutations is
-    S3 = (N_xyz + N_yzx + N_zxy) / (3 L).  Over the common denominator
-    3 L^2 the numerators are 3 (G A - G A) for S1, L (N + N + N) for S3
-    and S2 = 3 L N - 3 (G A - G A) - L (N + N + N).
-    """
+    """decompose with the trace one-form supplied by a caller that holds it."""
     if hs.tag != EXACT:
         s1 = vectorial_part(hs.metric, alpha)
         s3 = antisymmetrize(hs.S, (0, 1, 2))
         return s1, hs.S - s1 - s3, s3
     *parts, den = _split_numerators(hs, alpha)
-    frac = ({k: Fraction(v, den) for k, v in part.items()} for part in parts)
-    return tuple(Tensor._sparse(hs.dim, hs.S.valence, part, EXACT) for part in frac)
+    # one Fraction per pair antisymmetric in the last two slots, its mirror by negation
+    parts = ({k: Fraction(v, den) for k, v in part.items()} for part in parts)
+    mirrored = ({**p, **{(x, z, y): -v for (x, y, z), v in p.items()}} for p in parts)
+    return tuple(Tensor._sparse(hs.dim, hs.S.valence, p, EXACT) for p in mirrored)
 
 
 def _split_numerators(hs, alpha):
-    """({index: nonzero numerator} of exact S1, S2, S3, and 3 L^2), as in _split."""
+    """Nonzero numerators of exact S1, S2, S3 at each (x, y, z) with y < z, and their denominator.
+
+    With L the lcm of the denominators of S, g and alpha, and N, G, A
+    their numerators over L, S1 = (G_xy A_z - G_xz A_y) / L^2, and as S
+    is antisymmetric in its last two slots, its signed average over six
+    permutations is S3 = (N_xyz + N_yzx + N_zxy) / (3 L).  Over the
+    common denominator 3 L^2 the numerators are 3 (G A - G A) for S1,
+    L (N + N + N) for S3 and S2 = 3 L N - 3 (G A - G A) - L (N + N + N).
+    """
     s = hs.S.entries()
     g = [(x, y, v) for x, row in enumerate(hs.metric.g) for y, v in enumerate(row) if v != 0]
     values = [*s.values(), *(v for *_, v in g), *(v for _, v in alpha.items)]
@@ -182,29 +183,32 @@ def _split_numerators(hs, alpha):
     a = [(z, next(nums)) for (z,), _ in alpha.items]
     s1 = {}
     for x, y, gv in g:
+        # g_xy alpha_z adds to S1_xyz and takes from S1_xzy; the member with y < z is kept
         for z, av in a:
-            s1[x, y, z] = s1.get((x, y, z), 0) + gv * av
-            s1[x, z, y] = s1.get((x, z, y), 0) - gv * av
+            if y != z:
+                key, w = ((x, y, z), gv * av) if y < z else ((x, z, y), -gv * av)
+                s1[key] = s1.get(key, 0) + w
     s3 = {}
-    for key in s:
-        x, y, z = sorted(key)
-        # a repeated index makes the 3-form zero; each orbit is summed once
-        if x < y < z and (x, y, z) not in s3:
-            v = scale * (s.get((x, y, z), 0) + s.get((y, z, x), 0) + s.get((z, x, y), 0))
-            s3.update({(x, y, z): v, (y, z, x): v, (z, x, y): v,
-                       (y, x, z): -v, (x, z, y): -v, (z, y, x): -v})
-    s2 = {k: 3 * scale * v for k, v in s.items()}
+    for x, y, z in s:
+        # each orbit of distinct indices is summed once, at its sorted triple;
+        # its members with y < z are (x, y, z), (y, x, z) and (z, x, y)
+        if y < z and x != y and x != z:
+            x, y, z = (x, y, z) if x < y else (y, x, z) if x < z else (y, z, x)
+            if (x, y, z) not in s3:
+                v = scale * (s.get((x, y, z), 0) + s.get((y, z, x), 0) + s.get((z, x, y), 0))
+                s3.update({(x, y, z): v, (y, x, z): -v, (z, x, y): v})
+    s2 = {key: 3 * scale * v for key, v in s.items() if key[1] < key[2]}
     for part in (s1, s3):
-        for k, v in part.items():
-            s2[k] = s2.get(k, 0) - v
-    return *({k: v for k, v in p.items() if v} for p in (s1, s2, s3)), 3 * scale * scale
+        for key, v in part.items():
+            s2[key] = s2.get(key, 0) - v
+    return *({key: v for key, v in p.items() if v} for p in (s1, s2, s3)), 3 * scale * scale
 
 
 def classify(hs):
     """Class label from the nonzero projections, plus causal degeneracy.
 
-    Exact scalars use exact zero tests and build no part; floats use the
-    documented absolute tolerance on the largest component.
+    Exact scalars use exact zero tests on numerators and build no part;
+    floats use the documented absolute tolerance on the largest component.
     """
     alpha, _, norm = trace_one_form(hs)
     if hs.tag == EXACT:
@@ -268,7 +272,7 @@ class CurvatureAtPoint:
         )
         object.__setattr__(self, "h_basis", h_basis)
         entries = self.Rbar.entries()
-        if _antisymmetry_violations(entries, 0, 1):
+        if _antisymmetry_violations(entries, 0, 1, self.Rbar.tag):
             raise ValueError("Rbar is not antisymmetric in its form slots")
         # the nonzero components operator reads; not a dataclass field
         object.__setattr__(self, "_entries", entries)
@@ -347,23 +351,15 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
     for (a, b), coeffs in zip(pairs, coords):
         if coeffs is None:
             raise SpanError(outside, (m_labels[a], m_labels[b]))
-        row = {}
-        for c in range(d):
-            v = s_up.get((a, b, c), zero) - s_up.get((b, a, c), zero)
-            if v != 0:
-                row[c] = v
-        for p, coeff in enumerate(coeffs):
-            if coeff != 0:
-                row[d + p] = coeff
+        diff = ((c, s_up.get((a, b, c), zero) - s_up.get((b, a, c), zero)) for c in range(d))
+        row = {c: v for c, v in diff if v != 0}
+        row.update((d + p, coeff) for p, coeff in enumerate(coeffs) if coeff != 0)
         if row:
             brackets[(a, b)] = row
     # h x m: [A, X] = A X
     for p, m in enumerate(h):
         for b in range(d):
-            row = {}
-            for c in range(d):
-                if m[c][b] != 0:
-                    row[c] = -m[c][b]  # stored as [X, A] = -A X with X first
+            row = {c: -m[c][b] for c in range(d) if m[c][b] != 0}  # stored as [X, A] = -A X
             if row:
                 brackets[(b, d + p)] = row
     # h x h: matrix commutators

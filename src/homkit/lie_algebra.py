@@ -38,7 +38,7 @@ class LieAlgebra:
         if len(self.labels) != self.f.dim:
             raise ValueError("label count does not match dimension")
         entries = self.f.entries()
-        bad = _antisymmetry_violations(entries, 0, 1)
+        bad = _antisymmetry_violations(entries, 0, 1, self.f.tag)
         if bad:
             a, b, c = bad[0]
             raise ValueError(f"structure constants not antisymmetric at ({a},{b})^{c}")
@@ -66,7 +66,10 @@ class LieAlgebra:
                 raise ValueError("bracket keys must have distinct generators")
             for c, coeff in row.items():
                 entries[(a, b, c)] = coeff
-                entries[(b, a, c)] = -Fraction(coeff) if tag == EXACT else -float(coeff)
+                if tag == EXACT:  # a Fraction is negated as it is, not wrapped again
+                    entries[(b, a, c)] = -coeff if type(coeff) is Fraction else -Fraction(coeff)
+                else:
+                    entries[(b, a, c)] = -float(coeff)
         f = Tensor.from_entries(dim, (DOWN, DOWN, UP), entries, tag)
         return cls(tuple(labels) if labels else _default_labels(dim), f)
 

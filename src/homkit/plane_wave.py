@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact_array import QArray, einsum
-from .exact import EXACT, FLOAT, mat_inverse
+from .exact import EXACT, FLOAT, integer_numerators, mat_inverse
 from .hom_structure import CurvatureAtPoint, HomogeneousStructure
 from .lie_algebra import LieAlgebra
 from .tensor_core import DOWN, UP, FrameMetric, Tensor
@@ -308,6 +308,11 @@ def frame_structure(pw):
     two slots implied): S_{++-} = -1, S_{+ij} = F_ij,
     S_{i+j} = -delta_ij - F_ij.
     """
+    return HomogeneousStructure(frame_metric(pw.n, EXACT), _frame_tensor(pw))
+
+
+def _frame_tensor(pw):
+    """The S of frame_structure, built without the structure's checks."""
     n = pw.n
     entries = {(0, 0, 1): Fraction(-1), (0, 1, 0): Fraction(1)}
     for i in range(n):
@@ -318,15 +323,15 @@ def frame_structure(pw):
             if v != 0:
                 entries[(2 + i, 0, 2 + j)] = v
                 entries[(2 + i, 2 + j, 0)] = -v
-    s = Tensor.from_entries(pw.dim, (DOWN, DOWN, DOWN), entries, EXACT)
-    return HomogeneousStructure(frame_metric(n, EXACT), s)
+    return Tensor._sparse(pw.dim, (DOWN, DOWN, DOWN), entries, EXACT)
 
 
 def _frame_array(s, zero):
     """The components of a rank-3 frame tensor as an array in zero's backend."""
-    if isinstance(zero, QArray):
-        return QArray.of(np.reshape(s.components, (s.dim,) * 3))
-    return np.array([type(zero)(v) for v in s.components]).reshape((s.dim,) * 3)
+    out = np.zeros((s.dim,) * 3, object if isinstance(zero, QArray) else float)
+    for idx, v in s.items:
+        out[idx] = v
+    return QArray.of(out) if isinstance(zero, QArray) else out
 
 
 def _coframe(prof, s, x, zero):
@@ -377,7 +382,7 @@ def structure_at(pw, pt):
     prof, x = profile_jet(pw, pt.z), np.array(pt.x)
     jet = _metric_jet(prof, pt.s, x, 0.0)
     e, _ = _coframe(prof, pt.s, x, 0.0)
-    s_coord, _ = _coordinate_structure(_frame_array(frame_structure(pw).S, 0.0), e)
+    s_coord, _ = _coordinate_structure(_frame_array(_frame_tensor(pw), 0.0), e)
     metric = FrameMetric.from_matrix(jet.g.tolist())
     s = Tensor(pw.dim, (DOWN, DOWN, DOWN), tuple(s_coord.reshape(-1).tolist()), FLOAT)
     return HomogeneousStructure(metric, s), e
@@ -444,7 +449,7 @@ def as_residuals(pw, pts, frame_s_override=None):
     """
     if not pts:
         raise ValueError("at least one chart point is required")
-    source = frame_structure(pw).S if frame_s_override is None else frame_s_override
+    source = _frame_tensor(pw) if frame_s_override is None else frame_s_override
     sf = _frame_array(source, 0.0)
     worst = {"r_g": 0.0, "r_S": 0.0, "r_R": 0.0, "r_geo": 0.0}
     for pt in pts:
@@ -464,7 +469,7 @@ def _frame_curvature(pw, prof, s, x, zero):
     jet = _metric_jet(prof, s, x, zero)
     gamma, dgamma, dginv, _, _ = _connection(jet)
     e, de = _coframe(prof, s, x, zero)
-    s_coord, ds_coord = _coordinate_structure(_frame_array(frame_structure(pw).S, zero), e, de)
+    s_coord, ds_coord = _coordinate_structure(_frame_array(_frame_tensor(pw), zero), e, de)
 
     gbar = gamma - _raised_structure(s_coord, jet.g_inv)
     ds_up = einsum("kmns,rs->kmnr", ds_coord, jet.g_inv) + einsum("mns,krs->kmnr", s_coord, dginv)
@@ -491,7 +496,9 @@ def exact_curvature(pw, s, x):
         raise ValueError("x must have n components")
     prof = _commutator_jet(QArray.of(pw.H), QArray.of(pw.F))
     frame = _frame_curvature(pw, prof, QArray.of(Fraction(s)), QArray.of(x), QArray.of(0))
-    rbar = Tensor(pw.dim, (DOWN, DOWN, UP, DOWN), tuple(frame.fractions().reshape(-1)), EXACT)
+    # one Fraction per nonzero numerator, read in index order
+    entries = {idx: v for idx, v in np.ndenumerate(frame.num) if v}
+    rbar = Tensor._sparse(pw.dim, (DOWN, DOWN, UP, DOWN), entries, EXACT, frame.den)
     return CurvatureAtPoint(rbar, null_boost_basis(pw.n), frame_metric(pw.n, EXACT))
 
 
@@ -525,15 +532,25 @@ def boost_block(pw):
     agree.  With this block the bracket table below is exactly the
     algebra reconstructed from (S, curvature) of the chart geometry.
     """
+    return _boost_block(*_wave_numerators(pw))
+
+
+def _boost_block(f, h, scale):
+    """boost_block of the wave whose F and H are f and h over scale."""
+    n = len(f)
+    return [  # (scale (2 h - f) - f f) / scale^2
+        [Fraction(scale * (2 * h[i][j] - f[i][j]) - sum(f[i][k] * f[k][j] for k in range(n)),
+                  scale * scale) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _wave_numerators(pw):
+    """(F, H, L): the wave's F and H as int matrices over one common denominator L."""
     n = pw.n
-    f2 = [
-        [sum(pw.F[i][k] * pw.F[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    return [
-        [2 * pw.H[i][j] - pw.F[i][j] - f2[i][j] for j in range(n)]
-        for i in range(n)
-    ]
+    flat, scale = integer_numerators([x for m in (pw.F, pw.H) for row in m for x in row])
+    rows = [flat[k : k + n] for k in range(0, 2 * n * n, n)]
+    return rows[:n], rows[n:], scale
 
 
 def pw_isometry_algebra(pw):
@@ -545,14 +562,15 @@ def pw_isometry_algebra(pw):
     """
     n = pw.n
     labels = ["U", "V"] + [f"X{i+1}" for i in range(n)] + [f"Xb{i+1}" for i in range(n)]
-    bb = boost_block(pw)
+    f, h, scale = _wave_numerators(pw)
+    bb = _boost_block(f, h, scale)
     brackets = {(0, 1): {1: Fraction(1)}}
     for i in range(n):
         row = {}
         for j in range(n):
-            zc = Fraction(int(i == j)) + 2 * pw.F[i][j]
+            zc = scale * int(i == j) + 2 * f[i][j]  # (delta + 2F)_ij over scale
             if zc != 0:
-                row[2 + j] = zc
+                row[2 + j] = Fraction(zc, scale)
             if bb[i][j] != 0:
                 row[2 + n + j] = bb[i][j]
         if row:
@@ -560,6 +578,6 @@ def pw_isometry_algebra(pw):
         brackets[(0, 2 + n + i)] = {2 + i: Fraction(1)}
         brackets[(2 + i, 2 + n + i)] = {1: Fraction(-1)}
         for j in range(i + 1, n):
-            if pw.F[i][j] != 0:
-                brackets[(2 + i, 2 + j)] = {1: 2 * pw.F[i][j]}
+            if f[i][j] != 0:
+                brackets[(2 + i, 2 + j)] = {1: Fraction(2 * f[i][j], scale)}
     return LieAlgebra.from_brackets(2 * n + 2, brackets, labels=labels, tag=EXACT)

@@ -84,10 +84,12 @@ class Tensor:
         vars(self).update(dim=dim, valence=valence, items=items, tag=tag)
 
     @classmethod
-    def _sparse(cls, dim, valence, entries, tag):
-        """A tensor from checked, coerced {index: value}; zero values are dropped."""
+    def _sparse(cls, dim, valence, entries, tag, den=None):
+        """A tensor from checked {index: value}, or int numerators over den; zeros dropped."""
         t = cls.__new__(cls)
-        items = tuple(sorted(p for p in entries.items() if p[1] != 0))
+        pairs = sorted(entries.items())
+        pairs = ((idx, Fraction(v, den)) for idx, v in pairs if v) if den else pairs
+        items = tuple(p for p in pairs if p[1] != 0)
         vars(t).update(dim=dim, valence=valence, items=items, tag=tag)
         return t
 
@@ -140,7 +142,7 @@ class Tensor:
             raise ValueError(
                 f"tensor of dim {dim} and rank {rank} exceeds {_MAX_COMPONENTS} components"
             )
-        pairs = sorted((tuple(idx), v) for idx, v in entries.items())
+        pairs = [(tuple(idx), v) for idx, v in entries.items()]
         for idx, _ in pairs:
             _flat(idx, dim, rank)
         _check_shape(dim, valence, tag)
@@ -309,21 +311,25 @@ def _check_slot(t, slot):
         raise ValueError(f"slot {slot} out of range for rank {t.rank}")
 
 
-def _antisymmetry_violations(entries, slot_a, slot_b, tol=None):
+def _antisymmetry_violations(entries, slot_a, slot_b, tag, tol=None):
     """Where t[..i..j..] = -t[..j..i..] fails, for slot_a < slot_b.
 
     Reads a ``Tensor.entries()`` dict and returns, in index order, each
     failing pair once by its member with i <= j.  The test is exact
-    unless tol bounds the magnitude of the pair's sum.
+    unless tol bounds the magnitude of the pair's sum.  Exact values are
+    compared as (numerator, denominator) pairs, so no -w is built.
     """
-    bad = set()
-    for idx, v in entries.items():
-        swapped = list(idx)
-        swapped[slot_a], swapped[slot_b] = idx[slot_b], idx[slot_a]
-        swapped = tuple(swapped)
-        w = entries.get(swapped, 0)
-        if (v != -w) if tol is None else (abs(v + w) > tol):
-            bad.add(min(idx, swapped))
+    exact = tag == EXACT
+    values = {idx: v.as_integer_ratio() for idx, v in entries.items()} if exact else entries
+    bad = []
+    for idx, v in values.items():
+        i, j = idx[slot_a], idx[slot_b]
+        swapped = idx[:slot_a] + (j,) + idx[slot_a + 1 : slot_b] + (i,) + idx[slot_b + 1 :]
+        if i > j and swapped in entries:
+            continue  # the pair is tested from its other member
+        w = values.get(swapped, (0, 1) if exact else 0)
+        if (v != (-w[0], w[1])) if exact else (v != -w) if tol is None else (abs(v + w) > tol):
+            bad.append(min(idx, swapped))
     return sorted(bad)
 
 
@@ -350,16 +356,26 @@ def contract(t, slot_a, slot_b, metric=None):
     else:
         pairing = mat_identity(t.dim, t.tag)
     new_valence = tuple(v for k, v in enumerate(t.valence) if k not in (slot_a, slot_b))
-    zero = scalar_zero(t.tag)
+    items, pairing, den = _scaled(t, pairing)
     out = {}
-    # entries come in index order, so each output adds its terms in
-    # (p, q) order; zero terms leave a sum unchanged and are skipped
-    for idx, v in t.items:
+    # entries come in index order, so each output adds its terms in (p, q)
+    # order; zero terms are skipped, and an int 0 adds to a float as 0.0 does
+    for idx, v in items:
         c = pairing[idx[slot_a]][idx[slot_b]]
         if c != 0:
             key = idx[:slot_a] + idx[slot_a + 1 : slot_b] + idx[slot_b + 1 :]
-            out[key] = out.get(key, zero) + c * v
-    return Tensor._sparse(t.dim, new_valence, out, t.tag)
+            out[key] = out.get(key, 0) + c * v
+    return Tensor._sparse(t.dim, new_valence, out, t.tag, den)
+
+
+def _scaled(t, m):
+    """(items, m, den): an exact t's items and matrix m, each scaled once, as ints over den."""
+    if t.tag != EXACT:
+        return t.items, m, None
+    nums, scale = integer_numerators([v for _, v in t.items])
+    flat, m_scale = integer_numerators([x for row in m for x in row])
+    rows = [flat[k : k + len(m)] for k in range(0, len(flat), len(m))]
+    return list(zip((idx for idx, _ in t.items), nums)), rows, scale * m_scale
 
 
 def antisymmetrize(t, slots):
@@ -436,13 +452,13 @@ def raise_lower(t, slot, metric):
 
 def _map_slot(t, slot, m, valence):
     """t with slot index z sent to sum_i m[i][z] e_i, under the given valence."""
+    items, m, den = _scaled(t, m)
     # the nonzero m[i][z] for each z
     columns = [[(i, row[z]) for i, row in enumerate(m) if row[z] != 0] for z in range(t.dim)]
-    zero = scalar_zero(t.tag)
     out = {}
     # entries come in index order, so each output adds its terms in z order
-    for idx, v in t.items:
+    for idx, v in items:
         for i, c in columns[idx[slot]]:
             key = idx[:slot] + (i,) + idx[slot + 1 :]
-            out[key] = out.get(key, zero) + c * v
-    return Tensor._sparse(t.dim, valence, out, t.tag)
+            out[key] = out.get(key, 0) + c * v
+    return Tensor._sparse(t.dim, valence, out, t.tag, den)
