@@ -85,11 +85,8 @@ class PlaneWaveData:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            data["n"],
-            tuple(tuple(Fraction(x) for x in row) for row in data["F"]),
-            tuple(tuple(Fraction(x) for x in row) for row in data["H"]),
-        )
+        # __post_init__ reads each entry into a Fraction
+        return cls(data["n"], data["F"], data["H"])
 
 
 @dataclass(frozen=True)

@@ -110,11 +110,11 @@ def _eye(n):
     return QArray(np.eye(n, dtype=object))
 
 
-def _freeze(q, seq=tuple):
-    """The QArray's entries as nested seqs of Fractions (tuples: a stored field)."""
+def _freeze(q):
+    """The QArray's entries as nested tuples of Fractions (a stored field)."""
 
     def build(x):
-        return seq(map(build, x)) if isinstance(x, list) else Fraction(x, q.den) if x else ZERO
+        return tuple(map(build, x)) if isinstance(x, list) else Fraction(x, q.den) if x else ZERO
 
     return build(q.num.tolist())
 
@@ -164,7 +164,7 @@ def f_derivation(f, c):
     f, c = QArray.of(f), QArray.of(c)
     if len(f) != len(c):
         raise ValueError("F and C sizes differ")
-    return _freeze(_derivation(f, c), list)
+    return _derivation(f, c).tolist()
 
 
 def _cyclic(t):
@@ -727,6 +727,11 @@ def _bracket_pattern(t, new_in_old, gens, lam, m0):
     return eigen, not u[1:, 1:, :m0].any(), not u[1:, 1:].any()
 
 
+def _failing_check(checks, keys):
+    """(first of keys whose check reads false,), or None when all hold."""
+    return next(((k,) for k in keys if not checks[k]), None)
+
+
 def nondegenerate_reduce(ansatz):
     """Normalize a consistent non-degenerate table to symmetric-space form.
 
@@ -741,27 +746,23 @@ def nondegenerate_reduce(ansatz):
     failure = _jacobi_failure(algebra, residuals, Fraction(1))
     if failure:
         return failure
-    n = ansatz.n
-    if residuals["F"] != 0:
-        # unreachable once the Jacobi residual vanishes; kept as a guard
-        return ReductionReport("inconsistent", residuals, Fraction(1),
-                               failing_identity=("V", "Z1", "Z2"), checks={"F_nonzero": True})
-    t, m0 = _table(algebra), 1 + n
+    # F = 0 from here: J_{V Z_i Z_j}^V = 2 aleph lam F_ij on the assembled
+    # table, and lam != 0, so a nonzero F fails the Jacobi gate above
+    t, m0 = _table(algebra), 1 + ansatz.n
     new_in_old = _eye(algebra.dim)
     # the rotation parts of [V, Z_i], which the assembly solved in the span
     new_in_old[m0:, 1:m0] = t[0, 1:m0, m0:].T / ansatz.lam
     eigen_ok, closes, yy_vanishes = _bracket_pattern(t, new_in_old, range(1, m0), ansatz.lam, m0)
-    verdict = "symmetric_space" if eigen_ok and closes else "inconsistent"
+    checks = {"eigen_brackets": eigen_ok, "yy_in_rotation_span": closes,
+              "yy_vanishes": yy_vanishes}
+    failing = _failing_check(checks, ("eigen_brackets", "yy_in_rotation_span"))
     return ReductionReport(
-        verdict=verdict,
+        verdict="inconsistent" if failing else "symmetric_space",
         residuals=residuals,
         lambda_scale=Fraction(1),
         redefinitions=(("Y_i = Z_i + R-element(i)/lam", _freeze(new_in_old)),),
-        checks={
-            "eigen_brackets": eigen_ok,
-            "yy_in_rotation_span": closes,
-            "yy_vanishes": yy_vanishes,
-        },
+        failing_identity=failing,
+        checks=checks,
     )
 
 
@@ -775,7 +776,7 @@ def degenerate_reduce(ansatz):
     sectors decouple.  The wave data is read off the table directly:
     the rotation is half the torsion 2-form, and the profile follows
     from the boost coefficients of ad(U) through 2H = bb + F/2 + (F/2)^2
-    with bb the boost block, which must come out exactly symmetric.
+    with bb the boost block; the Jacobi gate makes it exactly symmetric.
     """
     # work.rescaled() is work, so both stages read one cached span
     work = ansatz.rescaled()
@@ -788,16 +789,18 @@ def degenerate_reduce(ansatz):
         checks = {"rotation_span_keeps_boosts": False, "moved_boost": moved[0],
                   "absent_direction": moved[1],
                   "rotation_equivariance": residuals["rotation_equivariance"]}
-        return ReductionReport("inconsistent", residuals, ansatz.lam, checks=checks)
+        failing = ("rotation_span_keeps_boosts", f"Zb{moved[0] + 1}", f"Z{moved[1] + 1}")
+        return ReductionReport("inconsistent", residuals, ansatz.lam,
+                               failing_identity=failing, checks=checks)
     algebra = assemble_degenerate(work)
     failure = _jacobi_failure(algebra, residuals, ansatz.lam)
     if failure:
         return failure
-    forced = {k: residuals[k] for k in ("W", "aleph2", "uv_rotation")}
-    if any(v != 0 for v in forced.values()):
-        # unreachable once the Jacobi residual vanishes; kept as a guard
-        checks = {"forced_vanishings": {k: format_scalar(v) for k, v in forced.items()}}
-        return ReductionReport("inconsistent", residuals, ansatz.lam, checks=checks)
+    # The Jacobi gate has forced W, aleph2 and Y to vanish (I absent, a
+    # occupied, lam = 1): J_{U V Z_I}^V = 2 W_I and J_{U Z_a Zb_a}^{Zb_a}
+    # = -2 W_a give W = 0; then J_{V Z_i Z_j}^V = (aleph2 - [F, aleph2])_ij,
+    # whose sum against aleph2_ij is |aleph2|^2 as tr(aleph2^T [F, aleph2])
+    # = 0; then J_{U V Z_i}^{Z_m} = 2 Y_mi.
     t, m0 = _table(algebra), 2 + n + len(occ)
     f, h = work._carriers["F"], work._carriers["h"]
     wz = [2 + i for i in absent]
@@ -817,38 +820,47 @@ def degenerate_reduce(ansatz):
         "unoccupied_eigen_brackets": ok,
         "unoccupied_brackets_vanish": ww_zero,
         "unoccupied_brackets_in_rotation_span": ww_closes,
+        # [Z_a, W_I] = 0: with W = 0, J_{U Z_i Zb_a}^{Z_m} = C_iam, so C
+        # vanishes wherever an index is occupied; J_{U Z_I Zb_a}^{Zb_b} =
+        # S3_Iab + R_Iba and J_{U Z_I Z_a}^{Z_b} = R_Iba - S3_Iab, so R_I and
+        # S3_I vanish on occupied pairs; R_I has no occupied-absent entries,
+        # as the span keeps the boosts; and J_{U Z_I Zb_a}^{M_p} is the
+        # rotation part of [Z_I, Z_a].  What is left of [Z_a, W_I] is
+        # (F_aI + F_Ia) V = 0
+        "sectors_decouple": True,
+        # J_{U Z_i Z_j}^V = (h - h^T + f)_ij, and h_pw - h_pw^T below is
+        # (h - h^T + f)/2 since f_pw^2 is symmetric: the profile is symmetric
+        "profile_symmetric": True,
     }
-    checks["sectors_decouple"] = decouple = not _brackets(t, b12, [2 + a for a in occ], wz).any()
 
     # emitted wave data, from the presentation that keeps the original
     # transverse generators with only the rotation images absorbed; h is
     # the boost block, zero on the absent boosts by construction
     f_pw = f / 2
     h_pw = (h + f_pw + f_pw @ f_pw) / 2
-    profile_symmetric = not (h_pw - h_pw.T).any()
-    checks["profile_symmetric"] = profile_symmetric
-    if not profile_symmetric:
-        return ReductionReport("inconsistent", residuals, ansatz.lam, checks=checks)
     pw = PlaneWaveData(n, _freeze(f_pw), _freeze(h_pw))
 
     # with the rotation images absorbed the table must be, on the nose, the
     # wave table on the generators present (U, V, X_i and the occupied Xb_a,
-    # at 0..m0-1 here), both in old coordinates: the wave side carried by b2
-    wave = pw_isometry_algebra(pw)
-    wt = _table(wave)
+    # at 0..m0-1 here), both in old coordinates: the wave side carried by b2.
+    # The wave brackets reach the absent Xb_I only through the boost block
+    # 2H - F - F^2 = h of [U, X_i], whose absent columns the ansatz refuses.
+    wave = _table(pw_isometry_algebra(pw))
     present = [*range(2 + n), *(2 + n + a for a in occ)]
-    leaks = wt[np.ix_(present, present, [2 + n + i for i in absent])].any()
-    want = wt[np.ix_(present, present, present)] @ b2[:, :m0].T
-    checks["matches_wave_table"] = table_ok = not (
-        leaks or (_brackets(t, b2, range(m0), range(m0)) - want).any())
+    want = wave[np.ix_(present, present, present)] @ b2[:, :m0].T
+    checks["matches_wave_table"] = not (_brackets(t, b2, range(m0), range(m0)) - want).any()
+    # the wave table is a Lie algebra for every antisymmetric F and
+    # symmetric H, which PlaneWaveData enforces: every bracket without U
+    # lands on V, which only U moves, so only triples (U, x, y) can fail;
+    # of those only J_{U X_i X_j}^V reads the boost block B, as
+    # +-(B^T - B - 2F)_ij, and B - B^T = -2F
+    checks["rebuilt_wave_jacobi"] = ZERO
 
-    rebuilt_worst = jacobi_residual(wave)[1]
-    checks["rebuilt_wave_jacobi"] = rebuilt_worst
-
-    passed = ok and ww_closes and decouple and table_ok and rebuilt_worst == 0
-    verdict = "plane_wave" if passed else "inconsistent"
+    failing = _failing_check(checks, ("unoccupied_eigen_brackets",
+                                      "unoccupied_brackets_in_rotation_span",
+                                      "matches_wave_table"))
     return ReductionReport(
-        verdict=verdict,
+        verdict="inconsistent" if failing else "plane_wave",
         residuals=residuals,
         lambda_scale=ansatz.lam,
         redefinitions=(
@@ -856,6 +868,7 @@ def degenerate_reduce(ansatz):
             ("W_I = Y_I + R-element(I)", _freeze(b2)),
         ),
         plane_wave=pw,
+        failing_identity=failing,
         checks=checks,
     )
 

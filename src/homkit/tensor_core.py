@@ -388,7 +388,7 @@ def antisymmetrize(t, slots):
     if len({t.valence[s] for s in slots}) > 1:
         raise ValueError("cannot antisymmetrize slots of mixed valence")
     perms = list(itertools.permutations(range(len(slots))))
-    weight = 1.0 / len(perms)
+    weight = Fraction(1, len(perms)) if t.tag == EXACT else 1.0 / len(perms)
     # per permutation: the slot each output slot reads, and its parity
     signed = []
     for perm in perms:
@@ -398,11 +398,6 @@ def antisymmetrize(t, slots):
         even = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
         signed.append((src, even))
     entries = t.entries()
-    exact = t.tag == EXACT
-    if exact:
-        # sum integer numerators, divided once by the scale and len(perms)
-        nums, scale = integer_numerators(entries.values())
-        entries = dict(zip(entries, nums))
 
     def signed_sum(idx):
         # an int zero leaves every float sum bit-identical to one from 0.0
@@ -413,22 +408,12 @@ def antisymmetrize(t, slots):
         return total
 
     # the permutations form a group, so the outputs that read a nonzero
-    # entry are the orbits of the support
+    # entry are the orbits of the support; each sums in permutation order
     out = {}
     for idx in entries:
-        if idx in out:
-            continue
-        members = [tuple(map(idx.__getitem__, src)) for src, _ in signed]
-        if exact:
-            # integer sums do not depend on order, so the orbit is summed
-            # once and each member takes that sum times its parity; a
-            # repeated slot value, so a repeated member, makes it zero
-            total = signed_sum(idx) if len(set(members)) == len(members) else 0
-            value = Fraction(total, scale * len(perms))
-            out.update((m, value if even else -value) for m, (_, even) in zip(members, signed))
-        else:
-            # floats sum per output in permutation order
-            out.update((m, weight * signed_sum(m)) for m in members)
+        if idx not in out:
+            out.update((m, weight * signed_sum(m))
+                       for m in (tuple(map(idx.__getitem__, src)) for src, _ in signed))
     return Tensor._sparse(t.dim, t.valence, out, t.tag)
 
 

@@ -237,6 +237,7 @@ class TestReduceAndGen:
         assert report["verdict"] == "inconsistent"
         assert report["checks"] == {"rotation_span_keeps_boosts": False, "moved_boost": 0,
                                     "absent_direction": 1, "rotation_equivariance": "1"}
+        assert report["failing_identity"] == ["rotation_span_keeps_boosts", "Zb1", "Z2"]
 
     def test_case_mismatch_is_malformed(self, tmp_path, capsys):
         path = tmp_path / "a.json"

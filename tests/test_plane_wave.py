@@ -4,6 +4,8 @@ Finite differences appear here only as an oracle against the analytic
 derivative chain; the library itself never differentiates numerically.
 """
 
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -56,15 +58,15 @@ def shifted(pt, k, eps):
     return ChartPoint(coords[0], coords[1], tuple(coords[2:]))
 
 
-def random_wave(rng, n, bound=2):
+def random_wave(rng, n, bound=2, max_den=4):
     f = [[Fraction(0)] * n for _ in range(n)]
     h = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            den = rng.randint(1, 4)
+            den = rng.randint(1, max_den)
             h[i][j] = h[j][i] = Fraction(rng.randint(-bound * den, bound * den), den)
             if i != j:
-                den = rng.randint(1, 4)
+                den = rng.randint(1, max_den)
                 v = Fraction(rng.randint(-bound * den, bound * den), den)
                 f[i][j], f[j][i] = v, -v
     return PlaneWaveData(n, tuple(map(tuple, f)), tuple(map(tuple, h)))
@@ -296,11 +298,28 @@ class TestIsometryAlgebra:
             assert row.get(3, Fraction(0)) == 2 * h
 
     def test_random_rational_tables_close(self):
+        # only J_{U X_i X_j}^V reads the boost block B, and it vanishes
+        # because B - B^T = -2F for every antisymmetric F and symmetric H
         rng = random.Random(12)
-        for n in (1, 2, 3, 4):
+        for n, max_den in itertools.product((1, 2, 3, 4), (4, 10**9)):
             for _ in range(4):
-                algebra = pw_isometry_algebra(random_wave(rng, n))
-                assert jacobi_residual(algebra)[1] == 0
+                pw = random_wave(rng, n, max_den=max_den)
+                bb = boost_block(pw)
+                assert all(bb[i][j] - bb[j][i] == -2 * pw.F[i][j]
+                           for i in range(n) for j in range(n))
+                assert jacobi_residual(pw_isometry_algebra(pw))[1] == 0
+
+    def test_json_round_trip(self):
+        rng = random.Random("wave-json")
+        for n in (1, 2, 3):
+            pw = random_wave(rng, n, max_den=10**9)
+            data = json.loads(json.dumps(pw.to_json()))
+            back = PlaneWaveData.from_json(data)
+            assert back == pw and back.to_json() == data
+            assert all(type(x) is Fraction for m in (back.F, back.H) for row in m for x in row)
+        data["H"][0][1] = "1/3"
+        with pytest.raises(ValueError, match="H must be symmetric"):
+            PlaneWaveData.from_json(data)
 
     def test_boost_block_reduces_without_rotation(self):
         pw = PlaneWaveData(2, ((0, 0), (0, 0)), ((1, Fraction(1, 2)), (Fraction(1, 2), 3)))

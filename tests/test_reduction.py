@@ -7,11 +7,12 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from homkit.exact import mat_identity, mat_inverse, mat_mul
 from homkit.lie_algebra import jacobi_residual
-from homkit.plane_wave import PlaneWaveData, pw_isometry_algebra
+from homkit.plane_wave import PlaneWaveData, boost_block, pw_isometry_algebra
 from homkit.reduction import (
     DegenerateAnsatz,
     NondegenerateAnsatz,
@@ -252,7 +253,16 @@ class TestDegenerateAssembly:
         assert report.verdict == "inconsistent"
         assert report.checks == {"rotation_span_keeps_boosts": False, "moved_boost": 0,
                                  "absent_direction": 1, "rotation_equivariance": 1}
+        assert report.failing_identity == ("rotation_span_keeps_boosts", "Zb1", "Z2")
         assert report.residuals["rotation_equivariance"] == 1
+        # the second span element rotates boost 1 onto direction 0; the
+        # first, in the absent (0, 2) plane, moves no boost
+        r = zeros3(3)
+        r[0][0][2], r[0][2][0] = Fraction(1), Fraction(-1)
+        r[2][1][0], r[2][0][1] = Fraction(1, 3), Fraction(-1, 3)
+        report = degenerate_reduce(trivial_deg(3, occupancy=(1,), R=r))
+        assert (report.checks["moved_boost"], report.checks["absent_direction"]) == (1, 0)
+        assert report.failing_identity == ("rotation_span_keeps_boosts", "Zb2", "Z1")
 
     def test_unsupported_vector_with_no_boosts_fails_uvz(self):
         a = trivial_deg(2, W=(Fraction(1), Fraction(0)))
@@ -359,6 +369,143 @@ class TestDegenerateReduce:
         report = degenerate_reduce(a)
         names = [name for name, _ in report.redefinitions]
         assert names == ["Y_I = Z_I - F_Ia Zb_a", "W_I = Y_I + R-element(I)"]
+
+    def test_emitted_boost_block_is_the_rescaled_h(self):
+        # 2H - F - F^2 = h for the emitted F = f/2 and H = (h + F + F^2)/2,
+        # so the wave table reaches an absent boost only where h does
+        rng = random.Random("boost-block")
+        cases = [generate_instance("deg", n, seed) for n in (2, 3, 4) for seed in range(4)]
+        assert any(len(a.occupancy) < a.n for a in cases)
+        for n in (1, 2, 3):
+            fields = random_fields(n, rng.random(), BIG)
+            pw = PlaneWaveData(n, fields["a2"], [[x + y for x, y in zip(row, col)]
+                                                 for row, col in zip(fields["m"], zip(*fields["m"]))])
+            cases.append(ansatz_from_plane_wave(pw, lam=Fraction(rng.randint(1, 10**9), 7)))
+        for a in cases:
+            report = degenerate_reduce(a)
+            assert report.verdict == "plane_wave"
+            assert boost_block(report.plane_wave) == [list(row) for row in a.rescaled().h]
+
+
+# numerators and denominators up to 10^9
+BIG = (10**9, 10**9)
+
+
+def z(i):
+    return f"Z{i + 1}"
+
+
+def zb(a):
+    return f"Zb{a + 1}"
+
+
+def jacobi_components(ansatz):
+    """J(x, y, z, d), the d component of the Jacobi residual of the assembled
+    table at the generators labelled x, y, z, and the assembled algebra."""
+    algebra = assemble_algebra(ansatz)
+    entries = jacobi_residual(algebra)[0]
+    index = {label: k for k, label in enumerate(algebra.labels)}
+    return lambda *labels: entries.get(tuple(map(index.get, labels)), 0), algebra
+
+
+def random_deg_table(n, occ, seed, zero=()):
+    """A degenerate ansatz at lam = 1, random with large denominators
+    wherever the ansatz allows, and with the named fields zero.
+
+    h and S3 vanish on the absent boosts, and the rotation data R, N and
+    Y vanish between occupied and absent directions, so the span moves no
+    boost.  Almost every such table fails the Jacobi identity.
+    """
+    r, s = random_fields(n, seed, BIG), random_fields(n, seed + 1, BIG)
+    absent = [k for k in range(n) if k not in occ]
+    mixed = np.array([[(m in occ) != (k in occ) for k in range(n)] for m in range(n)])
+
+    def masked(t, mask):
+        t = np.array(t, dtype=object)
+        t[..., mask] = Fraction(0)
+        return t.tolist()
+
+    fields = dict(
+        n=n, lam=Fraction(1), occupancy=occ, W=r["v"], F=r["a2"], aleph2=s["a2"],
+        C=r["c"], h=masked(r["m"], absent), A=s["m"], Y=masked(s["r_last"][0], mixed),
+        R=masked(r["r_last"], mixed), S3=masked(r["r_first"], absent),
+        N=masked(r["pairs"], mixed),
+    )
+    fields.update((k, np.zeros(np.shape(fields[k]), dtype=object).tolist()) for k in zero)
+    return DegenerateAnsatz(**fields)
+
+
+class TestDerivedChecks:
+    """The Jacobi components behind the checks the reductions derive.
+
+    Each identity holds on every table, consistent or not, so random
+    large-denominator data tests it; on a table that passes the Jacobi
+    gate it proves the check's value (see the comments in the reductions).
+    """
+
+    def test_nondegenerate_torsion_fails_the_gate(self):
+        # J_{V Z_i Z_j}^V = 2 aleph lam F_ij: a nonzero F never passes
+        for seed, n in itertools.product(range(3), (2, 3, 4)):
+            a = generate_instance("nondeg", n, seed)
+            f = random_fields(n, seed, BIG)["a2"]
+            torsion = NondegenerateAnsatz(n=n, lam=a.lam, aleph=a.aleph, F=f, C=a.C, R=a.R,
+                                          Scurv=a.Scurv, h_basis=a.h_basis)
+            jac, _ = jacobi_components(torsion)
+            for i, j in itertools.product(range(n), repeat=2):
+                assert jac("V", z(i), z(j), "V") == 2 * a.aleph * a.lam * f[i][j]
+            report = nondegenerate_reduce(torsion)
+            assert report.verdict == "inconsistent" and report.lambda_scale == 1
+            assert len(report.failing_identity) == 3
+
+    @pytest.mark.parametrize("n, occ", [(2, ()), (3, (0, 2)), (3, (0, 1, 2)), (4, (1,))])
+    def test_w_aleph2_y_and_the_profile_are_forced(self, n, occ):
+        a = random_deg_table(n, occ, 10 * n + len(occ))
+        jac, _ = jacobi_components(a)
+        w, f, al, c, h, y = (np.array(getattr(a, k), dtype=object)
+                             for k in ("W", "F", "aleph2", "C", "h", "Y"))
+        for i in range(n):
+            # W = 0 first, so aleph2 = 0, as the sum of aleph2_ij J_{V Z_i Z_j}^V
+            # is then |aleph2|^2, and then Y = 0
+            if i in occ:
+                assert jac("U", z(i), zb(i), zb(i)) == -2 * w[i]
+            else:
+                assert jac("U", "V", z(i), "V") == 2 * w[i]
+            for j in range(n):
+                cw = sum(c[i, j, m] * w[m] for m in range(n))
+                assert jac("V", z(i), z(j), "V") == (al - f @ al + al @ f)[i, j] - cw
+                wc = sum(w[k] * c[i, k, j] for k in range(n))
+                assert jac("U", "V", z(i), z(j)) == 2 * y[j, i] - (al @ f - f @ al - al)[i, j] - wc
+                # the emitted profile H = (h + f/2 + f^2/4)/2 has H - H^T = (h - h^T + f)/2
+                assert jac("U", z(i), z(j), "V") == h[i, j] - h[j, i] + f[i, j]
+
+    @pytest.mark.parametrize("n, occ", [(2, (0,)), (3, (0, 2)), (4, (1, 2, 3)), (4, (0, 3))])
+    def test_sectors_decouple(self, n, occ):
+        # W, aleph2 and Y are forced to vanish first; [Z_a, W_I] is then
+        # read off C, S3, R_I on occupied pairs and the rotation part of
+        # [Z_I, Z_a], I absent and a occupied
+        a = random_deg_table(n, occ, 10 * n + len(occ), zero=("W", "aleph2", "Y"))
+        jac, algebra = jacobi_components(a)
+        c, s3, r = (np.array(getattr(a, k), dtype=object) for k in ("C", "S3", "R"))
+        absent = [k for k in range(n) if k not in occ]
+        rotations = [label for label in algebra.labels if label.startswith("M")]
+        assert rotations or n == 2  # two directions have no sector rotation
+        for i, b, m in itertools.product(range(n), occ, range(n)):
+            assert jac("U", z(i), zb(b), z(m)) == c[i, b, m]
+        for i, b in itertools.product(absent, occ):
+            row = algebra.bracket(algebra.labels.index(z(i)), algebra.labels.index(z(b)))
+            for p in rotations:
+                assert jac("U", z(i), zb(b), p) == row.get(algebra.labels.index(p), 0)
+            for e in occ:
+                assert jac("U", z(i), zb(b), zb(e)) == s3[i, b, e] + r[i, e, b]
+        # with C zero wherever an index is occupied, as forced above
+        for idx in itertools.product(range(n), repeat=3):
+            if set(idx) & set(occ):
+                c[idx] = Fraction(0)
+        fields = {k: getattr(a, k) for k in ("W", "F", "aleph2", "h", "A", "Y", "R", "S3", "N")}
+        jac, _ = jacobi_components(DegenerateAnsatz(n=n, lam=a.lam, occupancy=occ,
+                                                     C=c.tolist(), **fields))
+        for i, b, e in itertools.product(absent, occ, occ):
+            assert jac("U", z(i), z(b), z(e)) == r[i, e, b] - s3[i, b, e]
 
 
 class TestCrossCheck:
@@ -485,12 +632,13 @@ class TestCrossCheck:
         assert degenerate_reduce(variant).verdict == "plane_wave"
 
 
-def random_fields(n, seed):
-    """Random rational arrays of every symmetry class the ansatz fields use."""
+def random_fields(n, seed, bound=(9, 5)):
+    """Random rational arrays of every symmetry class the ansatz fields use,
+    each entry a numerator up to bound[0] over a denominator up to bound[1]."""
     rng = random.Random(seed)
 
     def q():
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        return Fraction(rng.randint(-bound[0], bound[0]), rng.randint(1, bound[1]))
 
     out = {}
     out["v"] = tuple(q() for _ in range(n))

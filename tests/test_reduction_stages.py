@@ -23,6 +23,7 @@ import pytest
 import homkit.reduction as reduction
 from homkit.exact import EXACT
 from homkit.lie_algebra import LieAlgebra, change_basis
+from homkit.plane_wave import PlaneWaveData, pw_isometry_algebra
 from homkit.reduction import (
     _bracket_pattern,
     _eye,
@@ -133,13 +134,42 @@ def test_tracer_sees_each_stage_once_per_reduce():
     (True, False, False), (False, True, False), (False, False, True)])
 def test_each_flag_is_reported_under_its_own_key(monkeypatch, flags):
     monkeypatch.setattr(reduction, "_bracket_pattern", lambda *args: flags)
-    deg = reduction.degenerate_reduce(generate_instance("deg", 3, 1)).checks
+    # each flag triple fails the eigen or the span flag, and the first of
+    # the verdict's flags that reads false names the failure
+    first = 0 if not flags[0] else 1
+    deg = reduction.degenerate_reduce(generate_instance("deg", 3, 1))
     keys = ("unoccupied_eigen_brackets", "unoccupied_brackets_in_rotation_span",
             "unoccupied_brackets_vanish")
-    assert tuple(deg[k] for k in keys) == flags
-    nondeg = reduction.nondegenerate_reduce(generate_instance("nondeg", 3, 1)).checks
+    assert tuple(deg.checks[k] for k in keys) == flags
+    assert deg.verdict == "inconsistent" and deg.failing_identity == (keys[first],)
+    nondeg = reduction.nondegenerate_reduce(generate_instance("nondeg", 3, 1))
     keys = ("eigen_brackets", "yy_in_rotation_span", "yy_vanishes")
-    assert tuple(nondeg[k] for k in keys) == flags
+    assert tuple(nondeg.checks[k] for k in keys) == flags
+    assert nondeg.verdict == "inconsistent" and nondeg.failing_identity == (keys[first],)
+
+
+def test_a_wave_table_mismatch_is_named(monkeypatch):
+    # every boost occupied, so the shifted profile changes a present bracket
+    pw = PlaneWaveData(2, ((0, Fraction(1, 2)), (Fraction(-1, 2), 0)),
+                       ((1, Fraction(1, 3)), (Fraction(1, 3), Fraction(-1, 2))))
+    ansatz = reduction.ansatz_from_plane_wave(pw, lam=Fraction(-5, 3))
+    assert reduction.degenerate_reduce(ansatz).failing_identity is None
+
+    def shifted(wave):
+        h = [list(row) for row in wave.H]
+        h[1][1] += 1
+        return pw_isometry_algebra(PlaneWaveData(wave.n, wave.F, h))
+
+    monkeypatch.setattr(reduction, "pw_isometry_algebra", shifted)
+    report = reduction.degenerate_reduce(ansatz)
+    assert report.checks["matches_wave_table"] is False
+    assert report.verdict == "inconsistent"
+    assert report.failing_identity == ("matches_wave_table",)
+    assert report.to_json()["failing_identity"] == ["matches_wave_table"]
+    # a failing span flag comes first, in the order of the report's checks
+    monkeypatch.setattr(reduction, "_bracket_pattern", lambda *args: (True, False, False))
+    report = reduction.degenerate_reduce(ansatz)
+    assert report.failing_identity == ("unoccupied_brackets_in_rotation_span",)
 
 
 def reference_pattern(algebra, gens, lam, m0):
