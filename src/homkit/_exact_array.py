@@ -140,15 +140,24 @@ def max_abs(*arrays):
     return Fraction(*best)
 
 
-def einsum(spec, *ops, **kw):
+# the contraction path of each (spec, optimize, operand shapes), planned once
+_PATHS = {}
+
+
+def einsum(spec, *ops, optimize=False):
     """np.einsum; on integer numerators, giving a QArray, when every operand is a QArray.
 
     QArrays do not mix with numeric arrays, and object arrays are refused."""
+    if optimize:
+        key = (spec, optimize, *(op.shape for op in ops))
+        if key not in _PATHS:
+            _PATHS[key] = np.einsum_path(spec, *map(np.empty, key[2:]), optimize=optimize)[0]
+        optimize = _PATHS[key]
     exact = [isinstance(op, QArray) for op in ops]
     if all(exact):
         nums, dens = zip(*((op.num, op.den) for op in ops))
-        return QArray(np.einsum(spec, *nums, **kw), math.prod(dens))
+        return QArray(np.einsum(spec, *nums, optimize=optimize), math.prod(dens))
     if any(exact) or any(op.dtype == object for op in ops):
         kinds = ", ".join("QArray" if q else f"dtype {op.dtype}" for q, op in zip(exact, ops))
         raise TypeError(f"einsum operands must be all QArrays or all numeric, not {kinds}")
-    return np.einsum(spec, *ops, **kw)
+    return np.einsum(spec, *ops, optimize=optimize)

@@ -4,6 +4,7 @@ Everything here works on plain nested lists.  Exact values are
 ``fractions.Fraction``; the float mode mirrors the same operations on
 binary64 numbers.  The two modes never mix silently: every container in
 the package carries a tag, and operations reject mismatched tags.
+Exact elimination runs on integer rows in one kernel, _echelon.
 """
 
 from __future__ import annotations
@@ -109,44 +110,37 @@ def mat_mul(a, b, tag=EXACT):
 
 
 def mat_inverse(a, tag=EXACT):
-    """Gauss-Jordan inverse; raises ValueError on a singular matrix."""
+    """Inverse; raises ValueError on a singular matrix.  Exact matrices
+    reduce [A | I] on integer rows, floats keep partial-pivot Gauss-Jordan."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
     work = [[coerce_scalar(x, tag) for x in row] for row in a]
+    if tag == EXACT:
+        # row i times its lcm L, with L in column n + i
+        ech = _echelon([*nums, *(scale * (i == j) for j in range(n))]
+                       for i, (nums, scale) in enumerate(map(integer_numerators, work)))
+        if any(p >= n for p in ech):
+            raise ValueError("singular matrix")
+        return [[Fraction(x, ech[i][i]) for x in ech[i][n:]] for i in range(n)]
     inv = mat_identity(n, tag)
     for col in range(n):
-        pivot = None
-        if tag == EXACT:
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot = r
-                    break
-        else:
-            best = -1.0
-            for r in range(col, n):
-                if abs(work[r][col]) > best:
-                    best, pivot = abs(work[r][col]), r
-            if best == 0.0:
-                pivot = None
-        if pivot is None:
+        best, pivot = -1.0, None
+        for r in range(col, n):
+            if abs(work[r][col]) > best:
+                best, pivot = abs(work[r][col]), r
+        if pivot is None or best == 0.0:
             raise ValueError("singular matrix")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
+        work[col], work[pivot] = work[pivot], work[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
         p = work[col][col]
-        if tag == EXACT and p == 0:
-            raise ValueError("singular matrix")
         work[col] = [x / p for x in work[col]]
         inv[col] = [x / p for x in inv[col]]
         for r in range(n):
-            if r == col:
-                continue
             f = work[r][col]
-            if f == 0:
-                continue
-            work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+            if r != col and f != 0:
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return inv
 
 
@@ -155,70 +149,85 @@ def mat_inverse(a, tag=EXACT):
 # ---------------------------------------------------------------------------
 
 
+def _eliminate(ech, row):
+    """(s * row - a combination of the echelon rows, s) with s > 0: zero at every pivot."""
+    s = 1
+    for p, b in ech.items():
+        x = row[p]
+        if x:
+            g = math.gcd(x, b[p])
+            u, v = b[p] // g, x // g
+            row = [u * y - v * z for y, z in zip(row, b)]
+            s *= u
+    return row, s
+
+
+def _echelon(rows, ech=None):
+    """Reduced echelon form of integer rows as {pivot column: row}, inserted into ech if given.
+
+    Each row is primitive with a positive pivot and zeros in the other
+    pivot columns: divided by its pivot, it is the unique reduced row
+    echelon form.  Rows in the span add nothing.
+    """
+    ech = {} if ech is None else ech
+    for row in rows:
+        row, _ = _eliminate(ech, row)
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        g = math.gcd(*row) if row[lead] > 0 else -math.gcd(*row)
+        row = [x // g for x in row]
+        for p, b in ech.items():
+            if b[lead]:
+                b, _ = _eliminate({lead: row}, b)
+                g = math.gcd(*b)
+                ech[p] = [y // g for y in b]
+        ech[lead] = row
+    return ech
+
+
 def row_reduce(rows):
     """Reduced row echelon form over the rationals.
 
     Returns (basis_rows, pivot_columns); zero rows are dropped, so the
     basis rows span the same space as the input and rank decisions need
-    no tolerance.
+    no tolerance.  The rows are eliminated on integer numerators.
     """
-    work = [list(r) for r in rows if any(x != 0 for x in r)]
-    basis, pivots = [], []
-    ncols = len(rows[0]) if rows else 0
-    for row in work:
-        row = list(row)
-        for b, p in zip(basis, pivots):
-            if row[p] != 0:
-                f = row[p]
-                row = [x - f * y for x, y in zip(row, b)]
-        lead = next((j for j in range(ncols) if row[j] != 0), None)
-        if lead is None:
-            continue
-        row = [x / row[lead] for x in row]
-        for i, (b, p) in enumerate(zip(basis, pivots)):
-            if b[lead] != 0:
-                f = b[lead]
-                basis[i] = [x - f * y for x, y in zip(b, row)]
-        basis.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], [pivots[i] for i in order]
+    ech = _echelon(integer_numerators(row)[0] for row in rows)
+    pivots = sorted(ech)
+    return [[Fraction(x, ech[p][p]) for x in ech[p]] for p in pivots], pivots
 
 
 def solve_in_span(basis_rows, pivots, target):
-    """Express target in the row_reduce basis; None if outside the span."""
-    residual = list(target)
-    coeffs = []
-    for row, p in zip(basis_rows, pivots):
-        c = residual[p]
-        coeffs.append(c)
-        if c != 0:
-            residual = [x - c * y for x, y in zip(residual, row)]
-    if any(x != 0 for x in residual):
-        return None
-    return coeffs
+    """Express target in the row_reduce basis; None if outside the span.
+
+    The coefficient of each row is the target's entry at its pivot; the
+    residual is reduced on integers.
+    """
+    ech = {p: integer_numerators(row)[0] for row, p in zip(basis_rows, pivots)}
+    residual, _ = _eliminate(ech, integer_numerators(target)[0])
+    return None if any(residual) else [target[p] for p in pivots]
 
 
 def span_coordinates(vectors, targets):
     """Coefficients of each target in the independent vectors, or None.
 
-    The vectors are row-reduced once, each tagged with a unit tail, so
-    every echelon row carries the combination of vectors it holds; each
-    target is then read with one solve_in_span pass.  Raises ValueError
-    when the vectors are dependent.
+    The vectors are scaled to integers and eliminated once, each tagged
+    with a unit tail, so every echelon row carries the combination of
+    vectors it holds.  Each target is then reduced on ints against the
+    heads, and what is left in the tail is minus its coefficients.
+    Raises ValueError when the vectors are dependent.
     """
     k = len(vectors)
-    tagged = [list(v) + [Fraction(int(p == q)) for q in range(k)] for p, v in enumerate(vectors)]
-    rows, pivots = row_reduce(tagged)
-    n = len(rows[0]) - k if rows else 0
-    if any(p >= n for p in pivots):
+    n = len(vectors[0]) if k else 0
+    ech = _echelon([nums + [scale * (p == q) for q in range(k)]
+                    for p, (nums, scale) in enumerate(map(integer_numerators, vectors))])
+    if any(p >= n for p in ech):
         raise ValueError("vectors are linearly dependent")
-    heads = [row[:n] for row in rows]
-    tails = [row[n:] for row in rows]
     out = []
     for target in targets:
-        a = solve_in_span(heads, pivots, target)
-        if a is not None:
-            a = [sum(x * t[p] for x, t in zip(a, tails)) for p in range(k)]
-        out.append(a)
+        nums, den = integer_numerators(target)
+        row, s = _eliminate(ech, nums + [0] * k)
+        m = len(nums)
+        out.append(None if any(row[:m]) else [Fraction(-x, s * den) for x in row[m:]])
     return out

@@ -230,12 +230,18 @@ def classify(hs):
 def _is_metric_antisymmetric(metric, m):
     """g(AX, Y) + g(X, AY) = 0 for the action matrix A.
 
-    Each (X, Y) sum runs in k order over the rows where column X or Y of
-    A is nonzero; every other term is zero, so float verdicts match a
-    sum over all k.
+    Exact sums run on integer numerators.  Each float (X, Y) sum runs in
+    k order over the rows where column X or Y of A is nonzero; every
+    other term is zero, so float verdicts match a sum over all k.
     """
     d = metric.dim
     g = metric.g
+    if metric.tag == EXACT:
+        nums = integer_numerators([x for a in (g, m) for row in a for x in row])[0]
+        gn, mn = nums[: d * d], nums[d * d :]
+        return not any(
+            sum(gn[k * d + y] * mn[k * d + x] + gn[x * d + k] * mn[k * d + y] for k in range(d))
+            for x in range(d) for y in range(d))
     support = [{k for k in range(d) if m[k][x] != 0} for x in range(d)]
     for x in range(d):
         for y in range(d):
@@ -266,10 +272,8 @@ class CurvatureAtPoint:
         if self.Rbar.dim != self.metric.dim:
             raise ValueError("Rbar and metric dimensions differ")
         d = self.metric.dim
-        h_basis = tuple(
-            tuple(tuple(Fraction(x) if self.Rbar.tag == EXACT else float(x) for x in row) for row in m)
-            for m in self.h_basis
-        )
+        cast = float if self.Rbar.tag != EXACT else lambda x: x if type(x) is Fraction else Fraction(x)
+        h_basis = tuple(tuple(tuple(map(cast, row)) for row in m) for m in self.h_basis)
         object.__setattr__(self, "h_basis", h_basis)
         entries = self.Rbar.entries()
         if _antisymmetry_violations(entries, 0, 1, self.Rbar.tag):

@@ -278,6 +278,9 @@ def check_reductive(algebra, split):
         elif a in m and b in m and a < b:
             images.append([zero if c in m else row.get(c, zero) for c in range(algebra.dim)])
     basis, _ = row_reduce(images)
+    if algebra.tag != EXACT:
+        # the exact echelon rows of the float entries, each rounded once
+        basis = [map(float, row) for row in basis]
     return ReductiveReport(
         is_reductive=not hh and not hm,
         hh_violations=tuple(hh),

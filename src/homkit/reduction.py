@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact_array import QArray, einsum, max_abs
-from .exact import EXACT, format_scalar, integer_numerators, row_reduce, solve_in_span, span_coordinates
+from .exact import EXACT, _echelon, _eliminate, format_scalar, integer_numerators, span_coordinates
 from .lie_algebra import LieAlgebra, _first_worst_triple, jacobi_residual
 from .plane_wave import PlaneWaveData, pw_isometry_algebra
 
@@ -187,16 +187,15 @@ def _occupied(t, absent):
 
 def _span_closure(seeds, n):
     """Deterministic basis of the Lie closure of the seed rotation matrices."""
-    basis, rows, piv = [], [], []
+    basis, ech = [], {}
 
     def add(m):
-        nonlocal rows, piv
         # membership and the echelon rows do not change when m is scaled
-        flat = [Fraction(x) for x in m.num.ravel().tolist()]
-        if solve_in_span(rows, piv, flat) is not None:
+        row, _ = _eliminate(ech, m.num.ravel().tolist())
+        if not any(row):
             return False
         basis.append(m)
-        rows, piv = row_reduce(rows + [flat])
+        _echelon([row], ech)
         return True
 
     for s in seeds:
@@ -223,12 +222,8 @@ def _coords(rot, mats):
     Both sides are solved on their numerators and the scales put back.
     """
     rot, mats = QArray.of(rot), QArray.of(mats)
-    k = len(rot)
-    if not k:
-        return _zeros(len(mats), 0)
-    vectors = [[Fraction(x) for x in row] for row in rot.num.reshape(k, -1).tolist()]
-    rows = span_coordinates(vectors, [m.ravel().tolist() for m in mats.num])
-    return _qarray([x for row in rows for x in row], (len(mats), k)) * Fraction(rot.den, mats.den)
+    rows = span_coordinates([m.ravel().tolist() for m in rot.num], [m.ravel().tolist() for m in mats.num])
+    return _qarray([x for row in rows for x in row], (len(mats), len(rot))) * Fraction(rot.den, mats.den)
 
 
 def _nondeg_rotations(ansatz):

@@ -5,8 +5,10 @@ what it must return by construction: the coefficients a target was
 built from, or None for a target that raises the rank (decided
 independently through ``row_reduce``).  Its two callers,
 ``reduction._coords`` and ``hom_structure.build_isometry_algebra``, are
-checked to eliminate their basis once per call and to keep their
-error texts and the order in which errors are raised.
+checked to eliminate their basis once per call (one call of the
+integer kernel ``exact._echelon``) and to keep their error texts and
+the order in which errors are raised; ``reduction._span_closure`` to
+insert each matrix it adds with one kernel call.
 """
 
 import random
@@ -16,6 +18,9 @@ import numpy as np
 import pytest
 
 import homkit.exact as exact
+import homkit.reduction as reduction
+from homkit._exact_array import QArray
+from homkit.exact import _echelon as kernel
 from homkit.exact import row_reduce, span_coordinates
 from homkit.hom_structure import (
     CurvatureAtPoint,
@@ -23,7 +28,7 @@ from homkit.hom_structure import (
     SpanError,
     build_isometry_algebra,
 )
-from homkit.reduction import _coords
+from homkit.reduction import _coords, _span_closure
 from homkit.tensor_core import DOWN, UP, FrameMetric, Tensor
 
 
@@ -112,14 +117,14 @@ class TestSpanCoordinates:
     def test_one_elimination_for_many_targets(self, monkeypatch):
         calls = []
 
-        def counting(rows):
+        def counting(rows, ech=None):
             calls.append(len(rows))
-            return row_reduce(rows)
+            return kernel(rows, ech)
 
-        monkeypatch.setattr(exact, "row_reduce", counting)
         rng = random.Random(7)
         vectors = independent(rng, 3, 5)
         targets = [combine([rand_scalar(rng) for _ in range(3)], vectors, 5) for _ in range(20)]
+        monkeypatch.setattr(exact, "_echelon", counting)
         span_coordinates(vectors, targets)
         assert calls == [3]
 
@@ -132,9 +137,23 @@ class TestReductionCoords:
         coeffs = [[rand_scalar(rng) for _ in range(k)] for _ in range(4)]
         mats = [sum(c * m for c, m in zip(row, rot)) for row in coeffs]
         calls = []
-        monkeypatch.setattr(exact, "row_reduce", lambda rows: calls.append(1) or row_reduce(rows))
+        monkeypatch.setattr(exact, "_echelon", lambda *args: calls.append(1) or kernel(*args))
         assert _coords(rot, mats).tolist() == coeffs
         assert len(calls) == 1
+
+    def test_one_kernel_insertion_per_added_matrix(self, monkeypatch):
+        calls = []
+
+        def counting(rows, ech=None):
+            calls.append(len(rows))
+            return kernel(rows, ech)
+
+        monkeypatch.setattr(reduction, "_echelon", counting)
+        # so(3) from two of its rotations, seeded twice: the third comes from their commutator
+        seeds = QArray.of([rotation(3, 0, 1), rotation(3, 0, 2), rotation(3, 0, 1, 2), rotation(3, 0, 2)])
+        rot = _span_closure(list(seeds), 3)
+        assert len(rot) == 3
+        assert calls == [1, 1, 1]
 
     def test_coords_on_empty_span(self):
         out = _coords(np.zeros((0, 2, 2), dtype=object), [np.zeros((2, 2), dtype=object)] * 3)
@@ -203,7 +222,7 @@ class TestBuildIsometryAlgebraErrors:
 
     def test_one_elimination_per_algebra(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(exact, "row_reduce", lambda rows: calls.append(1) or row_reduce(rows))
+        monkeypatch.setattr(exact, "_echelon", lambda *args: calls.append(1) or kernel(*args))
         h = [rotation(4, i, j) for i in range(4) for j in range(i + 1, 4)]
         algebra, residual = build(4, euclidean_curvature(4), h)
         assert residual == 0 and algebra.dim == 10
