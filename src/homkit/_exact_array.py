@@ -14,6 +14,9 @@ the gcd per term again.
 
 float64 operands go straight to numpy with the same arguments, so float
 results are bit-identical to a plain np.einsum.
+
+A bracket table is a QArray t[a, b, c] = f_ab^c, antisymmetric in a and
+b; _algebra reads one into a LieAlgebra and _table writes one back.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import integer_numerators
+from .exact import EXACT, integer_numerators
+from .lie_algebra import LieAlgebra
+from .tensor_core import DOWN, UP, Tensor
 
 _EXACT_TYPES = {int, Fraction}
 _ZERO = Fraction(0)
@@ -161,3 +166,26 @@ def einsum(spec, *ops, optimize=False):
         kinds = ", ".join("QArray" if q else f"dtype {op.dtype}" for q, op in zip(exact, ops))
         raise TypeError(f"einsum operands must be all QArrays or all numeric, not {kinds}")
     return np.einsum(spec, *ops, optimize=optimize)
+
+
+def _algebra(table, labels):
+    """The exact algebra with [e_a, e_b] = table[a, b] = -[e_b, e_a], read off for a < b."""
+    idx = np.argwhere(table.num)
+    idx = idx[idx[:, 0] < idx[:, 1]]
+    entries = {}
+    for (a, b, c), v in zip(idx.tolist(), table.num[tuple(idx.T)].tolist()):
+        # the mirror negates the Fraction, which takes no gcd
+        v = Fraction(v, table.den)
+        entries[(a, b, c)], entries[(b, a, c)] = v, -v
+    f = Tensor._sparse(len(labels), (DOWN, DOWN, UP), entries, EXACT)
+    return LieAlgebra(tuple(labels), f)
+
+
+def _table(algebra):
+    """The QArray t[a, b, c] = f_ab^c of an exact algebra, _algebra read backwards."""
+    rows = algebra._rows
+    idx = [(a, b, c) for (a, b), row in rows.items() for c in row]
+    nums, den = integer_numerators(v for row in rows.values() for v in row.values())
+    num = np.zeros((algebra.dim,) * 3, dtype=object)
+    num[tuple(np.array(idx, dtype=int).reshape(-1, 3).T)] = nums
+    return QArray(num, den)

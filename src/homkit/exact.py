@@ -72,16 +72,29 @@ def format_scalar(value):
     return value
 
 
-def integer_numerators(values):
-    """([L * v for v in values], L) with L the lcm of the denominators.
+def _rational(x, name):
+    """An int, Fraction or "p/q" string as a Fraction; anything else is a ValueError naming name."""
+    if type(x) is Fraction:
+        return x
+    # floats are refused: 0.1 would be read as its binary value, not 1/10
+    if not isinstance(x, (bool, float)):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"{name}: {x!r} is not a rational number")
+
+
+def integer_numerators(*groups):
+    """([L * v for v in group] for each group, then L), L the lcm of all the denominators.
 
     For ints and Fractions.  A sum of products of k such values is then
     summed on Python ints and divided by L**k once, instead of building
     a normalized Fraction (one gcd) per multiply-add.
     """
-    pairs = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(*{d for _, d in pairs})
-    return [p * (scale // d) for p, d in pairs], scale
+    pairs = [[v.as_integer_ratio() for v in group] for group in groups]
+    scale = math.lcm(*{d for group in pairs for _, d in group})
+    return (*([p * (scale // d) for p, d in group] for group in pairs), scale)
 
 
 # ---------------------------------------------------------------------------

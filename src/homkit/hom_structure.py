@@ -175,12 +175,11 @@ def _split_numerators(hs, alpha):
     """
     s = hs.S.entries()
     g = [(x, y, v) for x, row in enumerate(hs.metric.g) for y, v in enumerate(row) if v != 0]
-    values = [*s.values(), *(v for *_, v in g), *(v for _, v in alpha.items)]
-    nums, scale = integer_numerators(values)
-    nums = iter(nums)
-    s = {k: next(nums) for k in s}
-    g = [(x, y, 3 * next(nums)) for x, y, _ in g]
-    a = [(z, next(nums)) for (z,), _ in alpha.items]
+    s_nums, g_nums, a_nums, scale = integer_numerators(
+        s.values(), (v for *_, v in g), (v for _, v in alpha.items))
+    s = dict(zip(s, s_nums))
+    g = [(x, y, 3 * v) for (x, y, _), v in zip(g, g_nums)]
+    a = [(z, v) for ((z,), _), v in zip(alpha.items, a_nums)]
     s1 = {}
     for x, y, gv in g:
         # g_xy alpha_z adds to S1_xyz and takes from S1_xzy; the member with y < z is kept
@@ -237,8 +236,7 @@ def _is_metric_antisymmetric(metric, m):
     d = metric.dim
     g = metric.g
     if metric.tag == EXACT:
-        nums = integer_numerators([x for a in (g, m) for row in a for x in row])[0]
-        gn, mn = nums[: d * d], nums[d * d :]
+        gn, mn, _ = integer_numerators((x for row in g for x in row), (x for row in m for x in row))
         return not any(
             sum(gn[k * d + y] * mn[k * d + x] + gn[x * d + k] * mn[k * d + y] for k in range(d))
             for x in range(d) for y in range(d))

@@ -33,16 +33,16 @@ integer numerators, and Fractions are built once, for the result.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._exact_array import QArray, einsum
-from .exact import EXACT, FLOAT, integer_numerators, mat_inverse
+from ._exact_array import QArray, _algebra, einsum
+from .exact import EXACT, FLOAT, _rational, mat_inverse
 from .hom_structure import CurvatureAtPoint, HomogeneousStructure
-from .lie_algebra import LieAlgebra
 from .tensor_core import DOWN, UP, FrameMetric, Tensor
 
 
@@ -55,10 +55,12 @@ class PlaneWaveData:
     H: tuple
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"n must be a positive integer, not {self.n!r}")
         if self.n < 1:
             raise ValueError("transverse dimension must be at least 1")
-        F = tuple(tuple(Fraction(x) for x in row) for row in self.F)
-        H = tuple(tuple(Fraction(x) for x in row) for row in self.H)
+        F = tuple(tuple(_rational(x, "F") for x in row) for row in self.F)
+        H = tuple(tuple(_rational(x, "H") for x in row) for row in self.H)
         if len(F) != self.n or any(len(r) != self.n for r in F):
             raise ValueError("F must be n x n")
         if len(H) != self.n or any(len(r) != self.n for r in H):
@@ -529,52 +531,33 @@ def boost_block(pw):
     agree.  With this block the bracket table below is exactly the
     algebra reconstructed from (S, curvature) of the chart geometry.
     """
-    return _boost_block(*_wave_numerators(pw))
+    return _wave_table(QArray.of(pw.F), QArray.of(pw.H))[0, 2 : 2 + pw.n, 2 + pw.n :].tolist()
 
 
-def _boost_block(f, h, scale):
-    """boost_block of the wave whose F and H are f and h over scale."""
-    n = len(f)
-    return [  # (scale (2 h - f) - f f) / scale^2
-        [Fraction(scale * (2 * h[i][j] - f[i][j]) - sum(f[i][k] * f[k][j] for k in range(n)),
-                  scale * scale) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _wave_numerators(pw):
-    """(F, H, L): the wave's F and H as int matrices over one common denominator L."""
-    n = pw.n
-    flat, scale = integer_numerators([x for m in (pw.F, pw.H) for row in m for x in row])
-    rows = [flat[k : k + n] for k in range(0, 2 * n * n, n)]
-    return rows[:n], rows[n:], scale
-
-
-def pw_isometry_algebra(pw):
-    """Exact bracket table on (U, V, X_i, Xb_i), dimension 2n + 2.
+def _wave_table(f, h):
+    """The QArray t[a, b, c] = f_ab^c of the wave algebra on (U, V, X_i, Xb_i), from F and H.
 
     [U,V] = V, [U,Xb_i] = X_i, [X_i,X_j] = 2F_ij V,
     [X_i,Xb_j] = -delta_ij V,
     [U,X_i] = (2H - F - F^2)_ij Xb_j + (delta + 2F)_ij X_j.
     """
+    n = len(f)
+    x, xb = slice(2, 2 + n), slice(2 + n, None)
+    ix, ixb = np.arange(2, 2 + n), np.arange(2 + n, 2 + 2 * n)
+    rotation, boost = 2 * f + QArray(np.eye(n, dtype=object)), 2 * h - f - f @ f
+    # the table starts at its final denominator, so the assignments need not rescale it
+    t = QArray(np.zeros((2 * n + 2,) * 3, dtype=object), math.lcm(rotation.den, boost.den))
+    t[0, 1, 1] = 1
+    t[0, x, x], t[0, x, xb] = rotation, boost
+    t[0, ixb, ix] = 1
+    t[:, 0] = -t[0]
+    t[ix, ixb, 1], t[ixb, ix, 1] = -1, 1
+    t[x, x, 1] = 2 * f
+    return t
+
+
+def pw_isometry_algebra(pw):
+    """Exact bracket table on (U, V, X_i, Xb_i), dimension 2n + 2 (see _wave_table)."""
     n = pw.n
     labels = ["U", "V"] + [f"X{i+1}" for i in range(n)] + [f"Xb{i+1}" for i in range(n)]
-    f, h, scale = _wave_numerators(pw)
-    bb = _boost_block(f, h, scale)
-    brackets = {(0, 1): {1: Fraction(1)}}
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            zc = scale * int(i == j) + 2 * f[i][j]  # (delta + 2F)_ij over scale
-            if zc != 0:
-                row[2 + j] = Fraction(zc, scale)
-            if bb[i][j] != 0:
-                row[2 + n + j] = bb[i][j]
-        if row:
-            brackets[(0, 2 + i)] = row
-        brackets[(0, 2 + n + i)] = {2 + i: Fraction(1)}
-        brackets[(2 + i, 2 + n + i)] = {1: Fraction(-1)}
-        for j in range(i + 1, n):
-            if f[i][j] != 0:
-                brackets[(2 + i, 2 + j)] = {1: Fraction(2 * f[i][j], scale)}
-    return LieAlgebra.from_brackets(2 * n + 2, brackets, labels=labels, tag=EXACT)
+    return _algebra(_wave_table(QArray.of(pw.F), QArray.of(pw.H)), labels)

@@ -35,12 +35,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact_array import QArray, einsum, max_abs
-from .exact import EXACT, _echelon, _eliminate, format_scalar, integer_numerators, span_coordinates
-from .lie_algebra import LieAlgebra, _first_worst_triple, jacobi_residual
-from .plane_wave import PlaneWaveData, pw_isometry_algebra
-
-ZERO = Fraction(0)
+from ._exact_array import QArray, _algebra, _table, einsum, max_abs
+from .exact import _echelon, _eliminate, _rational, format_scalar, integer_numerators, span_coordinates
+from .lie_algebra import _first_worst_triple, jacobi_residual
+from .plane_wave import PlaneWaveData, _wave_table
 
 # Levi-Civita symbol on three indices, as Python ints
 _LEVI_CIVITA = QArray(np.array(
@@ -54,18 +52,6 @@ _LEVI_CIVITA = QArray(np.array(
 # ---------------------------------------------------------------------------
 # exact arrays
 # ---------------------------------------------------------------------------
-
-
-def _rational(x, name):
-    if type(x) is Fraction:
-        return x
-    # floats are refused: 0.1 would be read as its binary value, not 1/10
-    if not isinstance(x, (bool, float)):
-        try:
-            return Fraction(x)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            pass
-    raise ValueError(f"{name}: {x!r} is not a rational number")
 
 
 def _qarray(values, shape):
@@ -113,10 +99,10 @@ def _eye(n):
 def _freeze(q):
     """The QArray's entries as nested tuples of Fractions (a stored field)."""
 
-    def build(x):
-        return tuple(map(build, x)) if isinstance(x, list) else Fraction(x, q.den) if x else ZERO
+    def build(x, depth):
+        return tuple(x) if depth == 1 else tuple(build(y, depth - 1) for y in x)
 
-    return build(q.num.tolist())
+    return build(q.tolist(), q.ndim)
 
 
 def _fmt(t):
@@ -441,28 +427,6 @@ def _at_scale(ansatz, lam):
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
-
-
-def _algebra(table, labels):
-    """The exact algebra with [e_a, e_b] = table[a, b], read off for a < b."""
-    dim, num = len(labels), table.num
-    brackets = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            row = {c: Fraction(v, table.den) for c, v in enumerate(num[a, b].tolist()) if v}
-            if row:
-                brackets[(a, b)] = row
-    return LieAlgebra.from_brackets(dim, brackets, labels=labels, tag=EXACT)
-
-
-def _table(algebra):
-    """The QArray t[a, b, c] = f_ab^c of an exact algebra, _algebra read backwards."""
-    rows = algebra._rows
-    idx = [(a, b, c) for (a, b), row in rows.items() for c in row]
-    nums, den = integer_numerators(v for row in rows.values() for v in row.values())
-    num = np.zeros((algebra.dim,) * 3, dtype=object)
-    num[tuple(np.array(idx, dtype=int).reshape(-1, 3).T)] = nums
-    return QArray(num, den)
 
 
 def _rotation_brackets(table, rot, m0, acted, *targets):
@@ -840,7 +804,7 @@ def degenerate_reduce(ansatz):
     # at 0..m0-1 here), both in old coordinates: the wave side carried by b2.
     # The wave brackets reach the absent Xb_I only through the boost block
     # 2H - F - F^2 = h of [U, X_i], whose absent columns the ansatz refuses.
-    wave = _table(pw_isometry_algebra(pw))
+    wave = _wave_table(f_pw, h_pw)
     present = [*range(2 + n), *(2 + n + a for a in occ)]
     want = wave[np.ix_(present, present, present)] @ b2[:, :m0].T
     checks["matches_wave_table"] = not (_brackets(t, b2, range(m0), range(m0)) - want).any()
@@ -849,7 +813,7 @@ def degenerate_reduce(ansatz):
     # lands on V, which only U moves, so only triples (U, x, y) can fail;
     # of those only J_{U X_i X_j}^V reads the boost block B, as
     # +-(B^T - B - 2F)_ij, and B - B^T = -2F
-    checks["rebuilt_wave_jacobi"] = ZERO
+    checks["rebuilt_wave_jacobi"] = Fraction(0)
 
     failing = _failing_check(checks, ("unoccupied_eigen_brackets",
                                       "unoccupied_brackets_in_rotation_span",

@@ -369,13 +369,11 @@ def contract(t, slot_a, slot_b, metric=None):
 
 
 def _scaled(t, m):
-    """(items, m, den): an exact t's items and matrix m, each scaled once, as ints over den."""
+    """(items, m, den): an exact t's items and matrix m, both scaled by one L, as ints over L * L."""
     if t.tag != EXACT:
         return t.items, m, None
-    nums, scale = integer_numerators([v for _, v in t.items])
-    flat, m_scale = integer_numerators([x for row in m for x in row])
-    rows = [flat[k : k + len(m)] for k in range(0, len(flat), len(m))]
-    return list(zip((idx for idx, _ in t.items), nums)), rows, scale * m_scale
+    nums, *rows, scale = integer_numerators([v for _, v in t.items], *m)
+    return list(zip((idx for idx, _ in t.items), nums)), rows, scale * scale
 
 
 def antisymmetrize(t, slots):

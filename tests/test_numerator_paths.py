@@ -3,7 +3,8 @@
 The references below are the loops `contract`, `raise_lower` (`_map_slot`),
 `change_basis`, `boost_block`, `pw_isometry_algebra` and the antisymmetry
 check ran before they summed on integer numerators: one Fraction
-multiply-add per term.  The library must return the same `items`
+multiply-add per term; and the per-row loop that read a QArray bracket
+table into a `LieAlgebra`.  The library must return the same `items`
 exactly, on non-diagonal metrics and basis changes whose denominators
 are primes near 1e9, with entries that cancel to zero; float tensors
 keep the old loops, so their items must match by `repr`.  Counts of
@@ -20,6 +21,7 @@ import pytest
 from test_exact_carrier import count_fractions
 
 from homkit import hom_structure, plane_wave
+from homkit._exact_array import QArray, _algebra, _table
 from homkit.exact import EXACT, FLOAT, mat_identity, mat_inverse, scalar_zero
 from homkit.hom_structure import (
     CurvatureAtPoint,
@@ -31,6 +33,7 @@ from homkit.lie_algebra import LieAlgebra, change_basis
 from homkit.plane_wave import (
     PlaneWaveData,
     boost_block,
+    _wave_table,
     exact_curvature,
     frame_structure,
     pw_isometry_algebra,
@@ -134,6 +137,17 @@ def old_pw_isometry_algebra(pw):
         for c, v in row.items():
             entries[(a, b, c)], entries[(b, a, c)] = v, -v
     return Tensor.from_entries(2 * n + 2, (DOWN, DOWN, UP), entries).items
+
+
+def old_algebra(table, labels):
+    dim, num = len(labels), table.num
+    brackets = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            row = {c: Fraction(v, table.den) for c, v in enumerate(num[a, b].tolist()) if v}
+            if row:
+                brackets[(a, b)] = row
+    return LieAlgebra.from_brackets(dim, brackets, labels=labels, tag=EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +282,48 @@ class TestAgainstFractionLoops:
             algebra = pw_isometry_algebra(pw)
             assert algebra.f.items == old_pw_isometry_algebra(pw)
             assert all(type(v) is Fraction for _, v in algebra.f.items)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_wave_table_array(self, n):
+        rng = random.Random(f"wave-table-{n}")
+        zero = [[Fraction(0)] * n for _ in range(n)]
+        for rotating in (True, False):
+            f, h = [row[:] for row in zero], [row[:] for row in zero]
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
+                h[i][j] = h[j][i] = big_fraction(rng)
+                if i < j and rotating:
+                    f[i][j] = big_fraction(rng)
+                    f[j][i] = -f[i][j]
+            pw = PlaneWaveData(n, f, h)
+            old = Tensor.from_entries(2 * n + 2, (DOWN, DOWN, UP), dict(old_pw_isometry_algebra(pw)))
+            want = _table(LieAlgebra(tuple(map(str, range(2 * n + 2))), old))
+            got = _wave_table(QArray.of(f), QArray.of(h))
+            assert got.shape == want.shape
+            assert (got.fractions() == want.fractions()).all()
+            assert boost_block(pw) == old_boost_block(pw)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_table_reader(self, dim):
+        rng = random.Random(f"table-{dim}")
+        labels = [f"e{a}" for a in range(dim)]
+        zero = QArray(np.zeros((dim,) * 3, dtype=object))
+        uppers = [zero]
+        for density in (0.05, 0.3, 1.0):
+            t = zero.copy()
+            for a, b in itertools.combinations(range(dim), 2):
+                for c in range(dim):
+                    if rng.random() < density:
+                        t[a, b, c] = big_fraction(rng)
+            uppers.append(t)
+        for upper in uppers:
+            # the assembly fills only the a < b half; the reader mirrors it
+            # and ignores whatever the other half holds
+            full = upper - upper.swapaxes(0, 1)
+            for t in (upper, full, upper + 2 * upper.swapaxes(0, 1)):
+                got = _algebra(t, labels)
+                assert got == old_algebra(t, labels)
+                assert all(type(v) is Fraction for _, v in got.f.items)
+                assert (_table(got).fractions() == full.fractions()).all()
 
 
 # ---------------------------------------------------------------------------

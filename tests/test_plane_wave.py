@@ -320,6 +320,26 @@ class TestIsometryAlgebra:
         data["H"][0][1] = "1/3"
         with pytest.raises(ValueError, match="H must be symmetric"):
             PlaneWaveData.from_json(data)
+        with pytest.raises(ValueError, match="transverse dimension must be at least 1"):
+            PlaneWaveData.from_json({**data, "n": 0})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("H", True, "H: True is not a rational number"),
+        # a JSON float would be read as its binary value, not 1/10
+        ("H", 0.1, "H: 0.1 is not a rational number"),
+        ("F", None, "F: None is not a rational number"),
+        ("n", True, "n must be a positive integer, not True"),
+        ("n", "2", "n must be a positive integer, not '2'"),
+    ])
+    def test_json_entries_are_exact(self, field, value, message):
+        data = {"n": 2, "F": [["0", "1/2"], ["-1/2", "0"]], "H": [["1", "0"], ["0", "1"]]}
+        if field == "n":
+            data["n"] = value
+        else:
+            data[field][0][0] = value
+        with pytest.raises(ValueError) as err:
+            PlaneWaveData.from_json(data)
+        assert str(err.value) == message
 
     def test_boost_block_reduces_without_rotation(self):
         pw = PlaneWaveData(2, ((0, 0), (0, 0)), ((1, Fraction(1, 2)), (Fraction(1, 2), 3)))

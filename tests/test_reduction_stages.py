@@ -23,7 +23,7 @@ import pytest
 import homkit.reduction as reduction
 from homkit.exact import EXACT
 from homkit.lie_algebra import LieAlgebra, change_basis
-from homkit.plane_wave import PlaneWaveData, pw_isometry_algebra
+from homkit.plane_wave import PlaneWaveData
 from homkit.reduction import (
     _bracket_pattern,
     _eye,
@@ -155,12 +155,14 @@ def test_a_wave_table_mismatch_is_named(monkeypatch):
     ansatz = reduction.ansatz_from_plane_wave(pw, lam=Fraction(-5, 3))
     assert reduction.degenerate_reduce(ansatz).failing_identity is None
 
-    def shifted(wave):
-        h = [list(row) for row in wave.H]
-        h[1][1] += 1
-        return pw_isometry_algebra(PlaneWaveData(wave.n, wave.F, h))
+    wave_table = reduction._wave_table
 
-    monkeypatch.setattr(reduction, "pw_isometry_algebra", shifted)
+    def shifted(f, h):
+        h = h.copy()
+        h[1, 1] = h[1, 1] + 1
+        return wave_table(f, h)
+
+    monkeypatch.setattr(reduction, "_wave_table", shifted)
     report = reduction.degenerate_reduce(ansatz)
     assert report.checks["matches_wave_table"] is False
     assert report.verdict == "inconsistent"
