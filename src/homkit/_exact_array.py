@@ -174,18 +174,14 @@ def _algebra(table, labels):
     idx = idx[idx[:, 0] < idx[:, 1]]
     entries = {}
     for (a, b, c), v in zip(idx.tolist(), table.num[tuple(idx.T)].tolist()):
-        # the mirror negates the Fraction, which takes no gcd
-        v = Fraction(v, table.den)
         entries[(a, b, c)], entries[(b, a, c)] = v, -v
-    f = Tensor._sparse(len(labels), (DOWN, DOWN, UP), entries, EXACT)
+    f = Tensor._sparse(len(labels), (DOWN, DOWN, UP), entries, EXACT, table.den)
     return LieAlgebra(tuple(labels), f)
 
 
 def _table(algebra):
     """The QArray t[a, b, c] = f_ab^c of an exact algebra, _algebra read backwards."""
-    rows = algebra._rows
-    idx = [(a, b, c) for (a, b), row in rows.items() for c in row]
-    nums, den = integer_numerators(v for row in rows.values() for v in row.values())
-    num = np.zeros((algebra.dim,) * 3, dtype=object)
-    num[tuple(np.array(idx, dtype=int).reshape(-1, 3).T)] = nums
-    return QArray(num, den)
+    f = algebra.f
+    num = np.zeros((f.dim,) * 3, dtype=object)
+    num[tuple(np.array([idx for idx, _ in f.nums], dtype=int).reshape(-1, 3).T)] = [v for _, v in f.nums]
+    return QArray(num, f.den)

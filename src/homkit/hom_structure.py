@@ -65,7 +65,7 @@ class HomogeneousStructure:
         if self.S.tag != self.metric.tag:
             raise ValueError("S and metric tags differ")
         tol = None if self.tag == EXACT else 1e-12
-        bad = _antisymmetry_violations(self.S.entries(), 1, 2, self.tag, tol)
+        bad = _antisymmetry_violations(dict(self.S.nums), 1, 2, tol)
         if bad:
             x, y, z = bad[0]
             raise ValueError(f"S is not antisymmetric in its last two slots at ({x},{y},{z})")
@@ -113,15 +113,13 @@ def trace_one_form(hs):
     d = hs.dim
     if d < 2:
         raise ValueError("trace_one_form needs dimension at least 2")
-    c = contract(hs.S, 0, 1, hs.metric)
-    if hs.tag == EXACT:
-        alpha = c.scale(Fraction(1, d - 1))
-    else:
-        alpha = c.scale(1.0 / (d - 1))
+    exact = hs.tag == EXACT
+    alpha = contract(hs.S, 0, 1, hs.metric).scale(Fraction(1, d - 1) if exact else 1.0 / (d - 1))
     xi = raise_lower(alpha, 0, hs.metric)
-    # in index order; a zero entry of alpha adds nothing and is skipped
-    norm = sum((a * xi[idx] for idx, a in alpha.items), scalar_zero(hs.tag))
-    return alpha, xi, norm
+    # in index order on the numerators; a zero entry of alpha adds nothing and is skipped
+    xs = dict(xi.nums)
+    norm = sum((a * xs.get(idx, 0) for idx, a in alpha.nums), 0 if exact else 0.0)
+    return alpha, xi, Fraction(norm, alpha.den * xi.den) if exact else norm
 
 
 def vectorial_part(metric, alpha):
@@ -157,29 +155,27 @@ def _split(hs, alpha):
         s3 = antisymmetrize(hs.S, (0, 1, 2))
         return s1, hs.S - s1 - s3, s3
     *parts, den = _split_numerators(hs, alpha)
-    # one Fraction per pair antisymmetric in the last two slots, its mirror by negation
-    parts = ({k: Fraction(v, den) for k, v in part.items()} for part in parts)
+    # each pair antisymmetric in the last two slots is summed once, its mirror negated
     mirrored = ({**p, **{(x, z, y): -v for (x, y, z), v in p.items()}} for p in parts)
-    return tuple(Tensor._sparse(hs.dim, hs.S.valence, p, EXACT) for p in mirrored)
+    return tuple(Tensor._sparse(hs.dim, hs.S.valence, p, EXACT, den) for p in mirrored)
 
 
 def _split_numerators(hs, alpha):
     """Nonzero numerators of exact S1, S2, S3 at each (x, y, z) with y < z, and their denominator.
 
-    With L the lcm of the denominators of S, g and alpha, and N, G, A
-    their numerators over L, S1 = (G_xy A_z - G_xz A_y) / L^2, and as S
-    is antisymmetric in its last two slots, its signed average over six
-    permutations is S3 = (N_xyz + N_yzx + N_zxy) / (3 L).  Over the
-    common denominator 3 L^2 the numerators are 3 (G A - G A) for S1,
-    L (N + N + N) for S3 and S2 = 3 L N - 3 (G A - G A) - L (N + N + N).
+    With S = N / p, g = G / q and alpha = A / r over their denominators,
+    S1 = (G_xy A_z - G_xz A_y) / (q r), and as S is antisymmetric in its
+    last two slots, its signed average over six permutations is
+    S3 = (N_xyz + N_yzx + N_zxy) / (3 p).  Over the common denominator
+    3 p q r the numerators are 3 p (G A - G A) for S1, q r (N + N + N)
+    for S3 and S2 = 3 q r N - 3 p (G A - G A) - q r (N + N + N).
     """
-    s = hs.S.entries()
+    s, p = dict(hs.S.nums), hs.S.den
     g = [(x, y, v) for x, row in enumerate(hs.metric.g) for y, v in enumerate(row) if v != 0]
-    s_nums, g_nums, a_nums, scale = integer_numerators(
-        s.values(), (v for *_, v in g), (v for _, v in alpha.items))
-    s = dict(zip(s, s_nums))
-    g = [(x, y, 3 * v) for (x, y, _), v in zip(g, g_nums)]
-    a = [(z, v) for ((z,), _), v in zip(alpha.items, a_nums)]
+    g_nums, q = integer_numerators(v for *_, v in g)
+    g = [(x, y, 3 * p * v) for (x, y, _), v in zip(g, g_nums)]
+    a = [(z, v) for (z,), v in alpha.nums]
+    scale = q * alpha.den
     s1 = {}
     for x, y, gv in g:
         # g_xy alpha_z adds to S1_xyz and takes from S1_xzy; the member with y < z is kept
@@ -200,7 +196,7 @@ def _split_numerators(hs, alpha):
     for part in (s1, s3):
         for key, v in part.items():
             s2[key] = s2.get(key, 0) - v
-    return *({key: v for key, v in p.items() if v} for p in (s1, s2, s3)), 3 * scale * scale
+    return *({key: v for key, v in part.items() if v} for part in (s1, s2, s3)), 3 * p * scale
 
 
 def classify(hs):
@@ -273,11 +269,10 @@ class CurvatureAtPoint:
         cast = float if self.Rbar.tag != EXACT else lambda x: x if type(x) is Fraction else Fraction(x)
         h_basis = tuple(tuple(tuple(map(cast, row)) for row in m) for m in self.h_basis)
         object.__setattr__(self, "h_basis", h_basis)
-        entries = self.Rbar.entries()
-        if _antisymmetry_violations(entries, 0, 1, self.Rbar.tag):
+        if _antisymmetry_violations(dict(self.Rbar.nums), 0, 1):
             raise ValueError("Rbar is not antisymmetric in its form slots")
         # the nonzero components operator reads; not a dataclass field
-        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_entries", self.Rbar.entries())
         for m in h_basis:
             if len(m) != d or any(len(row) != d for row in m):
                 raise ValueError("h_basis matrices must be D x D")
@@ -348,12 +343,11 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
     s_up = raise_lower(hs.S, 2, hs.metric).entries()
 
     brackets = {}
-    zero = scalar_zero(tag)
     # m x m
     for (a, b), coeffs in zip(pairs, coords):
         if coeffs is None:
             raise SpanError(outside, (m_labels[a], m_labels[b]))
-        diff = ((c, s_up.get((a, b, c), zero) - s_up.get((b, a, c), zero)) for c in range(d))
+        diff = ((c, s_up.get((a, b, c), 0) - s_up.get((b, a, c), 0)) for c in range(d))
         row = {c: v for c, v in diff if v != 0}
         row.update((d + p, coeff) for p, coeff in enumerate(coeffs) if coeff != 0)
         if row:

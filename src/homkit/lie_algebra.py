@@ -14,11 +14,9 @@ from .exact import (
     EXACT,
     coerce_scalar,
     format_scalar,
-    integer_numerators,
     mat_inverse,
     parse_scalar,
     row_reduce,
-    scalar_zero,
 )
 from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations, _map_slot
 
@@ -37,15 +35,14 @@ class LieAlgebra:
             raise ValueError("structure constants must have valence (d, d, u)")
         if len(self.labels) != self.f.dim:
             raise ValueError("label count does not match dimension")
-        entries = self.f.entries()
-        bad = _antisymmetry_violations(entries, 0, 1, self.f.tag)
+        bad = _antisymmetry_violations(dict(self.f.nums), 0, 1)
         if bad:
             a, b, c = bad[0]
             raise ValueError(f"structure constants not antisymmetric at ({a},{b})^{c}")
-        # nonzero brackets as {(a, b): {c: f_ab^c}}, in index order; not a
-        # dataclass field, so equality and repr still see only labels and f
+        # nonzero brackets as {(a, b): {c: numerator of f_ab^c over f.den}}, in
+        # index order; not a dataclass field, so equality and repr see only labels and f
         rows = {}
-        for (a, b, c), v in entries.items():
+        for (a, b, c), v in self.f.nums:
             rows.setdefault((a, b), {})[c] = v
         object.__setattr__(self, "_rows", rows)
 
@@ -60,30 +57,32 @@ class LieAlgebra:
     @classmethod
     def from_brackets(cls, dim, brackets, labels=None, tag=EXACT):
         """Build from a map {(a, b): {c: coeff}} given only for a < b."""
-        entries = {}
-        for (a, b), row in brackets.items():
-            if a == b:
-                raise ValueError("bracket keys must have distinct generators")
-            for c, coeff in row.items():
-                entries[(a, b, c)] = coeff
-                if tag == EXACT:  # a Fraction is negated as it is, not wrapped again
-                    entries[(b, a, c)] = -coeff if type(coeff) is Fraction else -Fraction(coeff)
-                else:
-                    entries[(b, a, c)] = -float(coeff)
-        f = Tensor.from_entries(dim, (DOWN, DOWN, UP), entries, tag)
+        if any(a == b for a, b in brackets):
+            raise ValueError("bracket keys must have distinct generators")
+        half = Tensor.from_entries(
+            dim, (DOWN, DOWN, UP),
+            {(a, b, c): coeff for (a, b), row in brackets.items() for c, coeff in row.items()}, tag)
+        # each mirror negates its numerator over the one denominator
+        entries = dict(half.nums)
+        entries.update(((b, a, c), -v) for (a, b, c), v in half.nums)
+        f = Tensor._sparse(dim, half.valence, entries, tag, half.den)
         return cls(tuple(labels) if labels else _default_labels(dim), f)
+
+    def _value(self, v):
+        """A stored numerator as the value it stands for."""
+        return Fraction(v, self.f.den) if self.tag == EXACT else v
 
     def bracket(self, a, b):
         """Nonzero coefficients of [e_a, e_b] as {c: coeff}."""
         if not (0 <= a < self.dim and 0 <= b < self.dim):
             raise ValueError(f"bracket ({a},{b}) out of range for dim {self.dim}")
-        return dict(self._rows.get((a, b), {}))
+        return {c: self._value(v) for c, v in self._rows.get((a, b), {}).items()}
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
         brackets = {
-            f"{a},{b}": {str(c): format_scalar(v) for c, v in row.items()}
+            f"{a},{b}": {str(c): format_scalar(self._value(v)) for c, v in row.items()}
             for (a, b), row in self._rows.items()
             if a < b
         }
@@ -128,9 +127,9 @@ def jacobi_residual(algebra):
     order, the form ``Tensor.from_entries`` takes, and the maximum is
     zero for an empty map.
 
-    An exact table is summed on integer numerators: with L the lcm of
-    its denominators, J(L f) = L^2 J(f), so each nonzero entry of J(L f)
-    is divided by L^2 once.  J is totally antisymmetric in a, b, c, so
+    An exact table is summed on its integer numerators: with L their
+    denominator, J(L f) = L^2 J(f), so each nonzero entry of J(L f) is
+    divided by L^2 once.  J is totally antisymmetric in a, b, c, so
     it vanishes when two of them are equal and is summed only at sorted
     triples x < y < z.  With B_{pqr}^d = sum_e f_{pq}^e f_{er}^d and
     B_{qpr} = -B_{pqr}, J_{xyz} = B_{xyz} + B_{yzx} - B_{xzy}: each
@@ -155,16 +154,13 @@ def jacobi_residual(algebra):
         # zero first, as the dense scan met J_{000}^0 = 0 first; this keeps
         # the maximum bit-identical to it even when a residual is NaN
         return entries, max([0.0, *map(abs, entries.values())])
-    nums, scale = integer_numerators(v for row in rows.values() for v in row.values())
-    nums = iter(nums)
-    rows = {ab: [(c, next(nums)) for c in row] for ab, row in rows.items()}
     by_first = {}
     for (e, r), row in rows.items():
         by_first.setdefault(e, []).append((r, row))
     for (p, q), row in rows.items():
         if p > q:
             continue
-        for e, fpq in row:
+        for e, fpq in row.items():
             for r, erow in by_first.get(e, ()):
                 if r > q:
                     key, w = (p, q, r), fpq
@@ -174,17 +170,17 @@ def jacobi_residual(algebra):
                     key, w = (p, r, q), -fpq
                 else:
                     continue
-                for d, fer in erow:
+                for d, fer in erow.items():
                     k = (*key, d)
                     acc[k] = acc.get(k, 0) + w * fer
-    entries, worst = {}, Fraction(0)
+    entries, worst, den = {}, 0, algebra.f.den ** 2
     for (x, y, z, d), v in acc.items():
         if v:
-            pos = Fraction(v, scale * scale)
-            neg, worst = -pos, max(worst, abs(pos))
+            pos = Fraction(v, den)
+            neg, worst = -pos, max(worst, abs(v))
             entries.update({(x, y, z, d): pos, (y, z, x, d): pos, (z, x, y, d): pos,
                             (y, x, z, d): neg, (x, z, y, d): neg, (z, y, x, d): neg})
-    return {key: entries[key] for key in sorted(entries)}, worst
+    return {key: entries[key] for key in sorted(entries)}, Fraction(worst, den)
 
 
 def _first_worst_triple(algebra, entries, worst):
@@ -263,7 +259,7 @@ def check_reductive(algebra, split):
     if not split.covers(algebra.dim):
         raise ValueError("split must cover every basis index exactly once")
     m, h = set(split.m_indices), set(split.h_indices)
-    labels, zero = algebra.labels, scalar_zero(algebra.tag)
+    labels = algebra.labels
     hh, hm, images = [], [], []
     # rows come in index order, so each list is ordered by (a, b)
     for (a, b), row in algebra._rows.items():
@@ -276,7 +272,8 @@ def check_reductive(algebra, split):
             if leak:
                 hm.append((labels[a], labels[b], leak))
         elif a in m and b in m and a < b:
-            images.append([zero if c in m else row.get(c, zero) for c in range(algebra.dim)])
+            # numerators over one denominator span what the values span
+            images.append([0 if c in m else row.get(c, 0) for c in range(algebra.dim)])
     basis, _ = row_reduce(images)
     if algebra.tag != EXACT:
         # the exact echelon rows of the float entries, each rounded once

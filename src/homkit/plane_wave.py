@@ -59,12 +59,13 @@ class PlaneWaveData:
             raise ValueError(f"n must be a positive integer, not {self.n!r}")
         if self.n < 1:
             raise ValueError("transverse dimension must be at least 1")
+        # the containers first: a string row would be read character by character
+        for name, rows in (("F", self.F), ("H", self.H)):
+            square = isinstance(rows, (list, tuple)) and len(rows) == self.n
+            if not square or any(not isinstance(r, (list, tuple)) or len(r) != self.n for r in rows):
+                raise ValueError(f"{name} must be n x n")
         F = tuple(tuple(_rational(x, "F") for x in row) for row in self.F)
         H = tuple(tuple(_rational(x, "H") for x in row) for row in self.H)
-        if len(F) != self.n or any(len(r) != self.n for r in F):
-            raise ValueError("F must be n x n")
-        if len(H) != self.n or any(len(r) != self.n for r in H):
-            raise ValueError("H must be n x n")
         for i in range(self.n):
             for j in range(self.n):
                 if F[i][j] != -F[j][i]:
@@ -313,24 +314,25 @@ def frame_structure(pw):
 def _frame_tensor(pw):
     """The S of frame_structure, built without the structure's checks."""
     n = pw.n
-    entries = {(0, 0, 1): Fraction(-1), (0, 1, 0): Fraction(1)}
+    # _sparse drops the zeros
+    entries = {(0, 0, 1): -1, (0, 1, 0): 1}
     for i in range(n):
         for j in range(n):
-            if pw.F[i][j] != 0:
-                entries[(0, 2 + i, 2 + j)] = pw.F[i][j]
-            v = -Fraction(int(i == j)) - pw.F[i][j]
-            if v != 0:
-                entries[(2 + i, 0, 2 + j)] = v
-                entries[(2 + i, 2 + j, 0)] = -v
+            v = -int(i == j) - pw.F[i][j]
+            entries[(0, 2 + i, 2 + j)] = pw.F[i][j]
+            entries[(2 + i, 0, 2 + j)], entries[(2 + i, 2 + j, 0)] = v, -v
     return Tensor._sparse(pw.dim, (DOWN, DOWN, DOWN), entries, EXACT)
 
 
 def _frame_array(s, zero):
-    """The components of a rank-3 frame tensor as an array in zero's backend."""
-    out = np.zeros((s.dim,) * 3, object if isinstance(zero, QArray) else float)
-    for idx, v in s.items:
-        out[idx] = v
-    return QArray.of(out) if isinstance(zero, QArray) else out
+    """The components of a rank-3 frame tensor as an array in zero's backend.
+
+    A float entry is its numerator divided by den, as float(Fraction) rounds it."""
+    exact = isinstance(zero, QArray)
+    out = np.zeros((s.dim,) * 3, object if exact else float)
+    for idx, v in s.nums:
+        out[idx] = v if exact else v / s.den
+    return QArray(out, s.den) if exact else out
 
 
 def _coframe(prof, s, x, zero):
@@ -495,7 +497,7 @@ def exact_curvature(pw, s, x):
         raise ValueError("x must have n components")
     prof = _commutator_jet(QArray.of(pw.H), QArray.of(pw.F))
     frame = _frame_curvature(pw, prof, QArray.of(Fraction(s)), QArray.of(x), QArray.of(0))
-    # one Fraction per nonzero numerator, read in index order
+    # the nonzero numerators, read in index order
     entries = {idx: v for idx, v in np.ndenumerate(frame.num) if v}
     rbar = Tensor._sparse(pw.dim, (DOWN, DOWN, UP, DOWN), entries, EXACT, frame.den)
     return CurvatureAtPoint(rbar, null_boost_basis(pw.n), frame_metric(pw.n, EXACT))

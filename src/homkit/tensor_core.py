@@ -1,15 +1,17 @@
 """Multi-index tensors over exact rationals or binary64 floats.
 
-A tensor stores its nonzero components as (index, value) pairs sorted
-in lexicographic index order, slot 0 the leftmost (slowest) index.  The
-dense component tuple is a view derived from them on first use.  All
-values are immutable after construction and every operation is a pure
-function, so tensors are safe to share between threads.
+A tensor stores its nonzero components as (index, int numerator) pairs
+in lexicographic index order over one positive denominator, the QArray
+convention in coordinate-list form; floats sit over 1.  Fractions are
+built only where values leave (items, components, to_json).  All values
+are immutable and every operation is a pure function, so tensors are
+safe to share between threads.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -60,15 +62,18 @@ def _check_shape(dim, valence, tag):
 class Tensor:
     """A rank-r tensor on a D-dimensional space, stored by its nonzero entries.
 
-    valence holds one "u"/"d" flag per slot; items holds the nonzero
-    components as sorted (index tuple, value) pairs.  A zero is never
-    stored, a float -0.0 included, so the dense view reads every absent
-    component as Fraction(0) or +0.0, and equal tensors have equal items.
+    valence holds one "u"/"d" flag per slot; nums holds the nonzero
+    components as sorted (index tuple, numerator) pairs over den, with
+    gcd(den, *numerators) == 1, or float values over den == 1.  A zero is
+    never stored, a float -0.0 included, so the dense view reads every
+    absent component as Fraction(0) or +0.0, and equal tensors have
+    equal fields.
     """
 
     dim: int
     valence: tuple
-    items: tuple
+    nums: tuple
+    den: int
     tag: str = EXACT
 
     def __init__(self, dim, valence, components, tag=EXACT):
@@ -78,24 +83,37 @@ class Tensor:
         if len(components) != dim ** len(valence):
             raise ValueError(f"expected {dim ** len(valence)} components, got {len(components)}")
         indices = itertools.product(range(dim), repeat=len(valence))
-        pairs = zip(indices, (coerce_scalar(c, tag) for c in components))
-        items = tuple(p for p in pairs if p[1] != 0)
+        entries = dict(zip(indices, (coerce_scalar(c, tag) for c in components)))
         # frozen, so the fields go straight into the instance dict
-        vars(self).update(dim=dim, valence=valence, items=items, tag=tag)
+        vars(self).update(vars(self._sparse(dim, valence, entries, tag)))
 
     @classmethod
     def _sparse(cls, dim, valence, entries, tag, den=None):
-        """A tensor from checked {index: value}, or int numerators over den; zeros dropped."""
+        """A tensor from checked {index: value}, or int numerators over den > 0; zeros dropped.
+
+        The one place values become numerators, over the lcm of their denominators."""
         t = cls.__new__(cls)
-        pairs = sorted(entries.items())
-        pairs = ((idx, Fraction(v, den)) for idx, v in pairs if v) if den else pairs
-        items = tuple(p for p in pairs if p[1] != 0)
-        vars(t).update(dim=dim, valence=valence, items=items, tag=tag)
+        pairs = [p for p in sorted(entries.items()) if p[1] != 0]
+        if tag != EXACT:
+            den = 1
+        elif den is None:
+            nums, den = integer_numerators(v for _, v in pairs)
+            pairs = [(idx, v) for (idx, _), v in zip(pairs, nums)]
+        elif (g := math.gcd(den, *(v for _, v in pairs))) > 1:
+            den, pairs = den // g, [(idx, v // g) for idx, v in pairs]
+        vars(t).update(dim=dim, valence=valence, nums=tuple(pairs), den=den, tag=tag)
         return t
 
     @property
     def rank(self):
         return len(self.valence)
+
+    @property
+    def items(self):
+        """The nonzero components as sorted (index tuple, value) pairs, built on each read."""
+        if self.tag != EXACT:
+            return self.nums
+        return tuple((idx, Fraction(v, self.den)) for idx, v in self.nums)
 
     @cached_property
     def components(self):
@@ -119,10 +137,7 @@ class Tensor:
         return itertools.product(range(self.dim), repeat=self.rank)
 
     def entries(self):
-        """Nonzero components as {index tuple: value} in index order.
-
-        The inverse of ``from_entries``.
-        """
+        """Nonzero components as {index tuple: value} in index order, the inverse of ``from_entries``."""
         return dict(self.items)
 
     # -- constructors -----------------------------------------------------
@@ -156,42 +171,39 @@ class Tensor:
 
     # -- algebra ----------------------------------------------------------
 
-    def _check_compatible(self, other):
+    def __add__(self, other):
+        """The sum over the lcm of the denominators; an entry absent from self takes other's as is."""
         if not isinstance(other, Tensor):
             raise TypeError("expected a Tensor")
         if (self.dim, self.valence) != (other.dim, other.valence):
             raise ValueError("tensor shapes differ")
         if self.tag != other.tag:
             raise ValueError(f"mixed scalar tags {self.tag!r} and {other.tag!r}")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return self._plus(other.items)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {idx: a * v for idx, v in self.nums}
+        for idx, v in other.nums:
+            out[idx] = out[idx] + b * v if idx in out else b * v
+        return self._sparse(self.dim, self.valence, out, self.tag, den)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        # x - v is x + (-v) bit for bit, so subtracting adds the negated entries
-        return self._plus((idx, -v) for idx, v in other.items)
-
-    def _plus(self, pairs):
-        """self plus the (index, value) pairs; an absent entry takes the value as is."""
-        out = dict(self.items)
-        for idx, v in pairs:
-            out[idx] = out[idx] + v if idx in out else v
-        return self._sparse(self.dim, self.valence, out, self.tag)
+        # x - v is x + (-v) bit for bit, so subtracting adds the negation
+        return self + -other
 
     def __neg__(self):
-        return self._sparse(self.dim, self.valence, {idx: -v for idx, v in self.items}, self.tag)
+        return self._sparse(self.dim, self.valence, {idx: -v for idx, v in self.nums}, self.tag, self.den)
 
     def scale(self, c):
         c = coerce_scalar(c, self.tag)
-        return self._sparse(self.dim, self.valence, {idx: c * v for idx, v in self.items}, self.tag)
+        p, q = c.as_integer_ratio() if self.tag == EXACT else (c, 1)
+        return self._sparse(self.dim, self.valence, {idx: p * v for idx, v in self.nums},
+                            self.tag, self.den * q)
 
     def is_zero(self, tol=None):
         if self.tag == EXACT:
-            return not self.items
+            return not self.nums
         tol = 0.0 if tol is None else tol
-        return all(abs(v) <= tol for _, v in self.items)
+        return all(abs(v) <= tol for _, v in self.nums)
 
     # -- JSON form --------------------------------------------------------
 
@@ -311,24 +323,22 @@ def _check_slot(t, slot):
         raise ValueError(f"slot {slot} out of range for rank {t.rank}")
 
 
-def _antisymmetry_violations(entries, slot_a, slot_b, tag, tol=None):
+def _antisymmetry_violations(entries, slot_a, slot_b, tol=None):
     """Where t[..i..j..] = -t[..j..i..] fails, for slot_a < slot_b.
 
-    Reads a ``Tensor.entries()`` dict and returns, in index order, each
-    failing pair once by its member with i <= j.  The test is exact
-    unless tol bounds the magnitude of the pair's sum.  Exact values are
-    compared as (numerator, denominator) pairs, so no -w is built.
+    Reads {index: value}, a tensor's numerators over its one denominator
+    included, and returns, in index order, each failing pair once by its
+    member with i <= j.  The test is exact unless tol bounds the
+    magnitude of the pair's sum.
     """
-    exact = tag == EXACT
-    values = {idx: v.as_integer_ratio() for idx, v in entries.items()} if exact else entries
     bad = []
-    for idx, v in values.items():
+    for idx, v in entries.items():
         i, j = idx[slot_a], idx[slot_b]
         swapped = idx[:slot_a] + (j,) + idx[slot_a + 1 : slot_b] + (i,) + idx[slot_b + 1 :]
         if i > j and swapped in entries:
             continue  # the pair is tested from its other member
-        w = values.get(swapped, (0, 1) if exact else 0)
-        if (v != (-w[0], w[1])) if exact else (v != -w) if tol is None else (abs(v + w) > tol):
+        w = entries.get(swapped, 0)
+        if (v != -w) if tol is None else (abs(v + w) > tol):
             bad.append(min(idx, swapped))
     return sorted(bad)
 
@@ -356,24 +366,24 @@ def contract(t, slot_a, slot_b, metric=None):
     else:
         pairing = mat_identity(t.dim, t.tag)
     new_valence = tuple(v for k, v in enumerate(t.valence) if k not in (slot_a, slot_b))
-    items, pairing, den = _scaled(t, pairing)
+    pairing, scale = _scaled(pairing, t.tag)
     out = {}
     # entries come in index order, so each output adds its terms in (p, q)
     # order; zero terms are skipped, and an int 0 adds to a float as 0.0 does
-    for idx, v in items:
+    for idx, v in t.nums:
         c = pairing[idx[slot_a]][idx[slot_b]]
         if c != 0:
             key = idx[:slot_a] + idx[slot_a + 1 : slot_b] + idx[slot_b + 1 :]
             out[key] = out.get(key, 0) + c * v
-    return Tensor._sparse(t.dim, new_valence, out, t.tag, den)
+    return Tensor._sparse(t.dim, new_valence, out, t.tag, t.den * scale)
 
 
-def _scaled(t, m):
-    """(items, m, den): an exact t's items and matrix m, both scaled by one L, as ints over L * L."""
-    if t.tag != EXACT:
-        return t.items, m, None
-    nums, *rows, scale = integer_numerators([v for _, v in t.items], *m)
-    return list(zip((idx for idx, _ in t.items), nums)), rows, scale * scale
+def _scaled(m, tag):
+    """(rows, L): an exact matrix m as int rows over L, the lcm of its denominators; a float m over 1."""
+    if tag != EXACT:
+        return m, 1
+    *rows, scale = integer_numerators(*m)
+    return rows, scale
 
 
 def antisymmetrize(t, slots):
@@ -386,7 +396,8 @@ def antisymmetrize(t, slots):
     if len({t.valence[s] for s in slots}) > 1:
         raise ValueError("cannot antisymmetrize slots of mixed valence")
     perms = list(itertools.permutations(range(len(slots))))
-    weight = Fraction(1, len(perms)) if t.tag == EXACT else 1.0 / len(perms)
+    # an exact sum is divided once, by den * k!; a float one is weighted per output
+    weight, den = (1, t.den * len(perms)) if t.tag == EXACT else (1.0 / len(perms), 1)
     # per permutation: the slot each output slot reads, and its parity
     signed = []
     for perm in perms:
@@ -395,7 +406,7 @@ def antisymmetrize(t, slots):
             src[s] = slots[perm[pos]]
         even = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
         signed.append((src, even))
-    entries = t.entries()
+    entries = dict(t.nums)
 
     def signed_sum(idx):
         # an int zero leaves every float sum bit-identical to one from 0.0
@@ -412,7 +423,7 @@ def antisymmetrize(t, slots):
         if idx not in out:
             out.update((m, weight * signed_sum(m))
                        for m in (tuple(map(idx.__getitem__, src)) for src, _ in signed))
-    return Tensor._sparse(t.dim, t.valence, out, t.tag)
+    return Tensor._sparse(t.dim, t.valence, out, t.tag, den)
 
 
 def raise_lower(t, slot, metric):
@@ -435,13 +446,13 @@ def raise_lower(t, slot, metric):
 
 def _map_slot(t, slot, m, valence):
     """t with slot index z sent to sum_i m[i][z] e_i, under the given valence."""
-    items, m, den = _scaled(t, m)
+    m, scale = _scaled(m, t.tag)
     # the nonzero m[i][z] for each z
     columns = [[(i, row[z]) for i, row in enumerate(m) if row[z] != 0] for z in range(t.dim)]
     out = {}
     # entries come in index order, so each output adds its terms in z order
-    for idx, v in items:
+    for idx, v in t.nums:
         for i, c in columns[idx[slot]]:
             key = idx[:slot] + (i,) + idx[slot + 1 :]
             out[key] = out.get(key, 0) + c * v
-    return Tensor._sparse(t.dim, valence, out, t.tag, den)
+    return Tensor._sparse(t.dim, valence, out, t.tag, t.den * scale)

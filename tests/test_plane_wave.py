@@ -341,6 +341,21 @@ class TestIsometryAlgebra:
             PlaneWaveData.from_json(data)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("field, value", [
+        ("F", None),
+        ("F", [1]),
+        # at n = 1 a string would be read character by character as [["1"]]
+        ("H", "1"),
+        ("H", [["1", "0"], ["0"]]),
+    ])
+    def test_json_containers_are_checked(self, field, value):
+        n = 1 if field == "F" or isinstance(value, str) else 2
+        data = {"n": n, "F": [["0"] * n for _ in range(n)], "H": [["1"] * n for _ in range(n)]}
+        data[field] = value
+        with pytest.raises(ValueError) as err:
+            PlaneWaveData.from_json(data)
+        assert str(err.value) == f"{field} must be n x n"
+
     def test_boost_block_reduces_without_rotation(self):
         pw = PlaneWaveData(2, ((0, 0), (0, 0)), ((1, Fraction(1, 2)), (Fraction(1, 2), 3)))
         bb = boost_block(pw)

@@ -1,0 +1,91 @@
+"""Where the exact time goes: per-kind wall time and scalar-construction counts.
+
+Usage (from the repository root):
+
+    python3 tools/kind_profile.py [--rounds 3] [--seed 3]
+
+Builds ``--rounds`` rounds of the benchmark's exact_proofs checks at
+``--seed``, runs every check once untimed to warm, then times each
+check kind over three passes and prints the milliseconds per pass and
+each kind's share.  One more pass runs under cProfile and the call
+counts of ``Fraction.__new__`` and ``exact.integer_numerators`` in it
+are printed.  perfbench/run.py and perfbench/workloads.py are imported
+as they are; no file is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import os
+import pstats
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PASSES = 3
+# (file name ending, function name) of each counted call
+COUNTED = {"Fraction.__new__": ("fractions.py", "__new__"),
+           "exact.integer_numerators": (os.path.join("homkit", "exact.py"), "integer_numerators")}
+
+
+def build(rounds, seed):
+    """The exact_proofs checks of rounds 0 .. rounds - 1, on this checkout's sources."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
+    import run
+    import workloads
+
+    hk = run.Lib()
+    return [check for r in range(rounds) for check in workloads.exact_proofs_round(hk, seed, r)]
+
+
+def kind_times(checks):
+    """Seconds per kind, summed over PASSES passes, after one untimed warming pass."""
+    for check in checks:
+        check.report(check.run())
+    totals = {}
+    for _ in range(PASSES):
+        for check in checks:
+            start = time.perf_counter()
+            check.run()
+            totals[check.kind] = totals.get(check.kind, 0.0) + time.perf_counter() - start
+    return totals
+
+
+def call_counts(checks):
+    """{counted name: calls} over one profiled pass."""
+    profile = cProfile.Profile()
+    profile.enable()
+    for check in checks:
+        check.run()
+    profile.disable()
+    counts = dict.fromkeys(COUNTED, 0)
+    for (path, _, func), (_, calls, *_) in pstats.Stats(profile).stats.items():
+        for name, (suffix, want) in COUNTED.items():
+            if func == want and path.endswith(suffix):
+                counts[name] += calls
+    return counts
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    checks = build(args.rounds, args.seed)
+    totals = kind_times(checks)
+    wall = sum(totals.values())
+    print(f"exact_proofs seed {args.seed}, {args.rounds} rounds: {len(checks)} checks, "
+          f"{wall / PASSES * 1e3:.1f} ms per pass")
+    for kind, seconds in sorted(totals.items(), key=lambda kv: -kv[1]):
+        print(f"  {kind:20s} {seconds / PASSES * 1e3:9.1f} ms {seconds / wall:7.1%}")
+    for name, calls in call_counts(checks).items():
+        print(f"  {name:28s} {calls:9d} calls per pass")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
