@@ -35,8 +35,8 @@ def _lazy(name):
     """Register ``homkit.<name>`` so that it runs on first attribute access.
 
     The module is in ``sys.modules`` from the start, so ``import`` and
-    ``sys.modules`` lookups find it, but numpy loads only when one of
-    its names is read.
+    ``sys.modules`` lookups find it, but it runs (and plane_wave loads
+    numpy) only when one of its names is read.
     """
     fullname = f"{__name__}.{name}"
     spec = importlib.util.find_spec(fullname)
@@ -47,21 +47,21 @@ def _lazy(name):
     return module
 
 
-# the numpy-backed modules; the exact core above never imports them
+# loaded on first use; of the three only plane_wave needs numpy
 plane_wave = _lazy("plane_wave")
 reduction = _lazy("reduction")
+wave_table = _lazy("wave_table")
 
 _LAZY_NAMES = {
+    **dict.fromkeys(("PlaneWaveData", "pw_isometry_algebra"), wave_table),
     **dict.fromkeys(
         (
             "ChartPoint",
-            "PlaneWaveData",
             "as_residuals",
             "christoffel",
             "exact_curvature",
             "frame_structure",
             "metric_jet",
-            "pw_isometry_algebra",
             "riemann",
             "sample_points",
             "structure_at",

@@ -1,22 +1,17 @@
 """Exact arrays on integer numerators.
 
-A multiply-add of two Fractions normalizes its result with a gcd, so
-Fraction object arrays pay one gcd per term.  A QArray holds an exact
-array as an object array of Python ints over one positive int
-denominator instead: sums rescale both operands to the lcm of their
-denominators, products multiply numerators and denominators, a zero
-test reads only the numerators, and a gcd is taken only when the
+QArrays carry plane_wave's exact curvature chain.  A multiply-add of two
+Fractions normalizes its result with a gcd, so Fraction object arrays
+pay one gcd per term.  A QArray holds an exact array as an object array
+of Python ints over one positive int denominator instead: sums rescale
+both operands to the lcm of their denominators, products multiply
+numerators and denominators, and a gcd is taken only when the
 denominator grows past _GCD_BOUND.  Python ints do not overflow, so
 every result is exact; Fractions are built only by fractions(), at the
 boundary.  einsum contracts QArrays on their numerators and multiplies
 their denominators; it refuses Fraction object arrays, which would pay
-the gcd per term again.
-
-float64 operands go straight to numpy with the same arguments, so float
-results are bit-identical to a plain np.einsum.
-
-A bracket table is a QArray t[a, b, c] = f_ab^c, antisymmetric in a and
-b; _algebra reads one into a LieAlgebra and _table writes one back.
+the gcd per term again.  float64 operands go straight to numpy with the
+same arguments, so float results are bit-identical to a plain np.einsum.
 """
 
 from __future__ import annotations
@@ -26,9 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import EXACT, integer_numerators
-from .lie_algebra import LieAlgebra
-from .tensor_core import DOWN, UP, Tensor
+from .exact import integer_numerators
 
 _EXACT_TYPES = {int, Fraction}
 _ZERO = Fraction(0)
@@ -78,12 +71,10 @@ class QArray:
 
     shape = property(lambda self: self.num.shape)
     ndim = property(lambda self: self.num.ndim)
-    T = property(lambda self: QArray(self.num.T, self.den))
     __len__ = lambda self: len(self.num)
     __getitem__ = _on_numerators("__getitem__")
     transpose = _on_numerators("transpose")
     swapaxes = _on_numerators("swapaxes")
-    copy = _on_numerators("copy")
     __neg__ = _on_numerators("__neg__")
 
     def __setitem__(self, idx, value):
@@ -118,11 +109,7 @@ class QArray:
     def __matmul__(self, other):
         return QArray(self.num @ other.num, self.den * other.den)
 
-    def any(self):
-        """Whether some entry is nonzero: a test on the numerators alone."""
-        return bool(self.num.any())
-
-    def fractions(self, dtype=None, copy=None):
+    def fractions(self):
         """The entries as an object array of Fractions (one Fraction for a scalar num)."""
         num, den = self.num, self.den
         if not isinstance(num, np.ndarray):
@@ -131,18 +118,7 @@ class QArray:
         fracs = [Fraction(v, den) if v else _ZERO for v in num.ravel().tolist()]
         return np.array(fracs, dtype=object).reshape(num.shape)
 
-    __array__ = fractions
     tolist = lambda self: self.fractions().tolist()
-
-
-def max_abs(*arrays):
-    """Largest entry magnitude of the QArrays as one Fraction; zero when there are no entries."""
-    best = 0, 1
-    for a in arrays:
-        num = max(map(abs, a.num.ravel().tolist()), default=0)
-        if num * best[1] > best[0] * a.den:
-            best = num, a.den
-    return Fraction(*best)
 
 
 # the contraction path of each (spec, optimize, operand shapes), planned once
@@ -166,22 +142,3 @@ def einsum(spec, *ops, optimize=False):
         kinds = ", ".join("QArray" if q else f"dtype {op.dtype}" for q, op in zip(exact, ops))
         raise TypeError(f"einsum operands must be all QArrays or all numeric, not {kinds}")
     return np.einsum(spec, *ops, optimize=optimize)
-
-
-def _algebra(table, labels):
-    """The exact algebra with [e_a, e_b] = table[a, b] = -[e_b, e_a], read off for a < b."""
-    idx = np.argwhere(table.num)
-    idx = idx[idx[:, 0] < idx[:, 1]]
-    entries = {}
-    for (a, b, c), v in zip(idx.tolist(), table.num[tuple(idx.T)].tolist()):
-        entries[(a, b, c)], entries[(b, a, c)] = v, -v
-    f = Tensor._sparse(len(labels), (DOWN, DOWN, UP), entries, EXACT, table.den)
-    return LieAlgebra(tuple(labels), f)
-
-
-def _table(algebra):
-    """The QArray t[a, b, c] = f_ab^c of an exact algebra, _algebra read backwards."""
-    f = algebra.f
-    num = np.zeros((f.dim,) * 3, dtype=object)
-    num[tuple(np.array([idx for idx, _ in f.nums], dtype=int).reshape(-1, 3).T)] = [v for _, v in f.nums]
-    return QArray(num, f.den)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .hom_structure import HomogeneousStructure, classify
 from .lie_algebra import LieAlgebra, ReductiveSplit, _first_worst_triple, check_reductive, jacobi_residual
 from .tensor_core import _MAX_COMPONENTS
-from . import plane_wave, reduction
+from . import plane_wave, reduction, wave_table
 
 
 class InputError(Exception):
@@ -117,7 +117,7 @@ def _load_wave(args):
     f = _load_matrix(args.F, args.n, "F")
     h = _load_matrix(args.H, args.n, "H")
     try:
-        return plane_wave.PlaneWaveData(args.n, f, h)
+        return wave_table.PlaneWaveData(args.n, f, h)
     except ValueError as exc:
         raise InputError(str(exc))
 
@@ -149,7 +149,7 @@ def _cmd_planewave_verify(args):
 
 def _cmd_planewave_algebra(args):
     pw = _load_wave(args)
-    algebra = plane_wave.pw_isometry_algebra(pw)
+    algebra = wave_table.pw_isometry_algebra(pw)
     _emit(algebra.to_json(), out=args.out, quiet=args.quiet, verdict="done")
     return 0
 

@@ -325,11 +325,11 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
 
     if k and tag != EXACT:
         raise ValueError("float-mode reconstruction is not supported; rationalize first")
-    # every tangent-pair value -Rbar(a, b), then every isotropy
-    # commutator, expanded in h_basis against one elimination
+    # every tangent-pair value Rbar(a, b) (the brackets negate its
+    # coordinates), then every isotropy commutator, against one elimination
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
     h_pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
-    targets = [[-x for x in _flatten(curv.operator(a, b))] for a, b in pairs]
+    targets = [_flatten(curv.operator(a, b)) for a, b in pairs]
     for p, q in h_pairs:
         pq, qp = _flatten(mat_mul(h[p], h[q], tag)), _flatten(mat_mul(h[q], h[p], tag))
         targets.append([x - y for x, y in zip(pq, qp)])
@@ -349,7 +349,7 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
             raise SpanError(outside, (m_labels[a], m_labels[b]))
         diff = ((c, s_up.get((a, b, c), 0) - s_up.get((b, a, c), 0)) for c in range(d))
         row = {c: v for c, v in diff if v != 0}
-        row.update((d + p, coeff) for p, coeff in enumerate(coeffs) if coeff != 0)
+        row.update((d + p, -coeff) for p, coeff in enumerate(coeffs) if coeff != 0)
         if row:
             brackets[(a, b)] = row
     # h x m: [A, X] = A X

@@ -33,63 +33,18 @@ integer numerators, and Fractions are built once, for the result.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._exact_array import QArray, _algebra, einsum
-from .exact import EXACT, FLOAT, _rational, mat_inverse
+from ._exact_array import QArray, einsum
+from .exact import EXACT, FLOAT, mat_inverse
 from .hom_structure import CurvatureAtPoint, HomogeneousStructure
 from .tensor_core import DOWN, UP, FrameMetric, Tensor
-
-
-@dataclass(frozen=True)
-class PlaneWaveData:
-    """Transverse dimension n, antisymmetric F and symmetric H (exact)."""
-
-    n: int
-    F: tuple
-    H: tuple
-
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"n must be a positive integer, not {self.n!r}")
-        if self.n < 1:
-            raise ValueError("transverse dimension must be at least 1")
-        # the containers first: a string row would be read character by character
-        for name, rows in (("F", self.F), ("H", self.H)):
-            square = isinstance(rows, (list, tuple)) and len(rows) == self.n
-            if not square or any(not isinstance(r, (list, tuple)) or len(r) != self.n for r in rows):
-                raise ValueError(f"{name} must be n x n")
-        F = tuple(tuple(_rational(x, "F") for x in row) for row in self.F)
-        H = tuple(tuple(_rational(x, "H") for x in row) for row in self.H)
-        for i in range(self.n):
-            for j in range(self.n):
-                if F[i][j] != -F[j][i]:
-                    raise ValueError("F must be antisymmetric")
-                if H[i][j] != H[j][i]:
-                    raise ValueError("H must be symmetric")
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "H", H)
-
-    @property
-    def dim(self):
-        return self.n + 2
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "F": [[str(x) for x in row] for row in self.F],
-            "H": [[str(x) for x in row] for row in self.H],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        # __post_init__ reads each entry into a Fraction
-        return cls(data["n"], data["F"], data["H"])
+# the wave data and its bracket table are numpy-free; they are served here too
+from .wave_table import PlaneWaveData, boost_block, pw_isometry_algebra
 
 
 @dataclass(frozen=True)
@@ -517,49 +472,3 @@ def null_boost_basis(n):
         m[1][2 + j] = Fraction(1)
         out.append(tuple(tuple(row) for row in m))
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# the isometry bracket table
-# ---------------------------------------------------------------------------
-
-
-def boost_block(pw):
-    """Null-boost coefficient matrix of [U, X_i]: 2H - F - F^2.
-
-    H is the chart profile at z = 0.  The F^2 term is the centrifugal
-    shift between the chart profile and the stationary-form profile of
-    the same wave; it vanishes with F, where the two parametrizations
-    agree.  With this block the bracket table below is exactly the
-    algebra reconstructed from (S, curvature) of the chart geometry.
-    """
-    return _wave_table(QArray.of(pw.F), QArray.of(pw.H))[0, 2 : 2 + pw.n, 2 + pw.n :].tolist()
-
-
-def _wave_table(f, h):
-    """The QArray t[a, b, c] = f_ab^c of the wave algebra on (U, V, X_i, Xb_i), from F and H.
-
-    [U,V] = V, [U,Xb_i] = X_i, [X_i,X_j] = 2F_ij V,
-    [X_i,Xb_j] = -delta_ij V,
-    [U,X_i] = (2H - F - F^2)_ij Xb_j + (delta + 2F)_ij X_j.
-    """
-    n = len(f)
-    x, xb = slice(2, 2 + n), slice(2 + n, None)
-    ix, ixb = np.arange(2, 2 + n), np.arange(2 + n, 2 + 2 * n)
-    rotation, boost = 2 * f + QArray(np.eye(n, dtype=object)), 2 * h - f - f @ f
-    # the table starts at its final denominator, so the assignments need not rescale it
-    t = QArray(np.zeros((2 * n + 2,) * 3, dtype=object), math.lcm(rotation.den, boost.den))
-    t[0, 1, 1] = 1
-    t[0, x, x], t[0, x, xb] = rotation, boost
-    t[0, ixb, ix] = 1
-    t[:, 0] = -t[0]
-    t[ix, ixb, 1], t[ixb, ix, 1] = -1, 1
-    t[x, x, 1] = 2 * f
-    return t
-
-
-def pw_isometry_algebra(pw):
-    """Exact bracket table on (U, V, X_i, Xb_i), dimension 2n + 2 (see _wave_table)."""
-    n = pw.n
-    labels = ["U", "V"] + [f"X{i+1}" for i in range(n)] + [f"Xb{i+1}" for i in range(n)]
-    return _algebra(_wave_table(QArray.of(pw.F), QArray.of(pw.H)), labels)

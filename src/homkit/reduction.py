@@ -10,43 +10,36 @@ causal type of the defining vector:
 
 Everything is exact rational: "forced to vanish" always means an exact
 zero, and a Jacobi residual of zero is a proof.  Every exact array here
-is a QArray (integer numerators over one denominator, see _exact_array).
-Each ansatz parses each array field once into a checked QArray, keeps
-it as the field's carrier and stores the field as nested tuples of
-Fractions frozen from it; generation, rescaling and the wave round trip
-hand their QArrays over as carriers instead of parsing them again.
-Fractions are built only for what leaves the module (stored fields,
-residual values, bracket rows, redefinition matrices, wave data) and
-for the rows handed to exact's linear algebra.  The two reduce
-operations mechanize the generator redefinitions that bring a
-consistent table to symmetric-space or plane-wave normal form, and
-verify the expected bracket pattern exactly on the brackets of the
-redefined generators, read off the assembled table in the old basis.
+is an all-lower Tensor of dimension n (a stack of matrices is a tuple of
+them): each ansatz field is parsed once into a checked Tensor, its
+carrier, and stored as nested tuples of Fractions frozen from it, and
+sums, contractions, residuals and bracket tables run on the nonzero
+integer numerators.  The two reduce operations mechanize the generator
+redefinitions that bring a consistent table to symmetric-space or
+plane-wave normal form, and verify the expected bracket pattern exactly
+on the brackets of the redefined generators, read off the assembled
+table in the old basis.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
+from .exact import (EXACT, _echelon, _eliminate, _rational, format_scalar, integer_numerators,
+                    span_coordinates)
+from .lie_algebra import LieAlgebra, _first_worst_triple, jacobi_residual
+from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations, _map_slot
+from .wave_table import PlaneWaveData, _wave_table
 
-from ._exact_array import QArray, _algebra, _table, einsum, max_abs
-from .exact import _echelon, _eliminate, _rational, format_scalar, integer_numerators, span_coordinates
-from .lie_algebra import _first_worst_triple, jacobi_residual
-from .plane_wave import PlaneWaveData, _wave_table
-
-# Levi-Civita symbol on three indices, as Python ints
-_LEVI_CIVITA = QArray(np.array(
-    [[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
-     [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
-     [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]],
-    dtype=object,
-))
+# Levi-Civita symbol on three indices: the sign of each permutation
+_LEVI_CIVITA = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
+_HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -54,81 +47,105 @@ _LEVI_CIVITA = QArray(np.array(
 # ---------------------------------------------------------------------------
 
 
-def _qarray(values, shape):
-    """The QArray of a flat list of ints and Fractions, in the given shape."""
-    nums, den = integer_numerators(values)
-    return QArray(np.array(nums, dtype=object).reshape(shape), den)
+def _tensor(n, rank, entries, den=None):
+    """The all-lower Tensor of {index: value}, or of int numerators over den; zeros dropped."""
+    return Tensor._sparse(n, (DOWN,) * rank, entries, EXACT, den)
 
 
 def _array(data, shape, name):
-    """The QArray of nested lists of the given shape (None: any length).
-
-    The nesting is checked before any entry is parsed, so a missing,
-    extra or ragged level is reported as a shape error of the field.  A
-    QArray of a fitting shape is taken as is.
+    """The Tensor of nested lists of shape (n, .., n), or the tuple of
+    Tensors of a (None, n, n) stack; a Tensor of a fitting shape is taken
+    as is.  The nesting is checked before any entry is parsed, so a
+    missing, extra or ragged level is a shape error of the field.  Arrays
+    are read through tolist(), and each distinct string or int is parsed once.
     """
-    flat = []
+    n, stack = shape[-1], shape[0] is None
+    rank, flat = len(shape) - stack, []
 
     def fits(x, depth):
+        x = x.tolist() if hasattr(x, "tolist") else x
         if depth == len(shape):
             flat.append(x)
-            return not isinstance(x, (list, tuple, dict, np.ndarray))
-        return (
-            isinstance(x, (list, tuple, np.ndarray))
-            and shape[depth] in (None, len(x))
-            and all(fits(y, depth + 1) for y in x)
-        )
+            return not isinstance(x, (list, tuple, dict))
+        return isinstance(x, (list, tuple)) and shape[depth] in (None, len(x)) and all(
+            fits(y, depth + 1) for y in x)
 
-    if isinstance(data, QArray):
-        if data.ndim == len(shape) and all(s in (None, d) for s, d in zip(shape, data.shape)):
+    if isinstance(data, Tensor):
+        if not stack and (data.dim, data.rank) == (n, rank):
             return data
     elif fits(data, 0):
-        return _qarray([_rational(x, name) for x in flat], [s or len(data) for s in shape])
+        parse = functools.cache(lambda x: _rational(x, name))
+        values = [parse(x) if type(x) in (str, int) else _rational(x, name) for x in flat]
+        index = list(itertools.product(range(n), repeat=rank))
+        out = [_tensor(n, rank, dict(zip(index, values[i:]))) for i in range(0, len(values), len(index))]
+        return tuple(out) if stack else out[0]
     dims = " x ".join("k" if s is None else str(s) for s in shape)
     raise ValueError(f"{name} must be nested lists of shape {dims}")
 
 
-def _zeros(*shape):
-    return QArray(np.zeros(shape, dtype=object))
+def _zeros(n, rank):
+    return _tensor(n, rank, {})
 
 
 def _eye(n):
-    return QArray(np.eye(n, dtype=object))
+    return _tensor(n, 2, {(i, i): 1 for i in range(n)}, 1)
 
 
-def _freeze(q):
-    """The QArray's entries as nested tuples of Fractions (a stored field)."""
-
-    def build(x, depth):
-        return tuple(x) if depth == 1 else tuple(build(y, depth - 1) for y in x)
-
-    return build(q.tolist(), q.ndim)
+def _freeze(t, kind=tuple):
+    """A carrier's entries as nested tuples of Fractions (a stored field), or lists."""
+    if isinstance(t, tuple):
+        return kind(_freeze(m, kind) for m in t)
+    out = t.components
+    for _ in range(t.rank):
+        out = [kind(out[i : i + t.dim]) for i in range(0, len(out), t.dim)]
+    return out[0]
 
 
 def _fmt(t):
-    if isinstance(t, (tuple, list, np.ndarray)):
+    if isinstance(t, (tuple, list)):
         return [_fmt(x) for x in t]
     return format_scalar(t)
 
 
-def _store(obj, **values):
-    """Set fields of a frozen ansatz.  A QArray value becomes the field's
-    carrier, and the field the nested tuples frozen from it."""
-    carriers = dict(vars(obj).get("_carriers", {}))
-    for name, v in values.items():
-        if isinstance(v, QArray):
-            carriers[name], v = v, _freeze(v)
+def _store(obj, carriers, **values):
+    """Set fields of a frozen ansatz: each carrier (a Tensor, or a tuple of
+    them) as the nested tuples frozen from it, then the plain values."""
+    for name, v in {**{k: _freeze(c) for k, c in carriers.items()}, **values}.items():
         object.__setattr__(obj, name, v)
-    object.__setattr__(obj, "_carriers", carriers)
+    object.__setattr__(obj, "_carriers", {**vars(obj).get("_carriers", {}), **carriers})
 
 
-def _upper(t):
-    """The (i, j), i < j, slices of t's first two slots, in row order."""
-    return t[np.triu_indices(len(t), 1)]
+def _blocks(t, k):
+    """{index of the first k slots: Tensor of the remaining slots}, for every index in order."""
+    rows = {lead: {} for lead in itertools.product(range(t.dim), repeat=k)}
+    for idx, v in t.nums:
+        rows[idx[:k]][idx[k:]] = v
+    return {lead: _tensor(t.dim, t.rank - k, e, t.den) for lead, e in rows.items()}
 
 
-def _eta_diag(aleph, n):
-    return np.array([-aleph] + [1] * (n - 1), dtype=object)
+def _eta(t, aleph, *slots):
+    """t times eta = diag(-aleph, 1, .., 1) along each of the given slots."""
+    return _tensor(t.dim, t.rank, {i: v * (-aleph) ** sum(i[s] == 0 for s in slots)
+                                   for i, v in t.nums}, t.den)
+
+
+def _perm(t, *axes):
+    """t.transpose(*axes): slot d of the result reads slot axes[d] of t."""
+    return _tensor(t.dim, t.rank, {tuple(map(idx.__getitem__, axes)): v for idx, v in t.nums}, t.den)
+
+
+def _contract(a, b, slot=0):
+    """sum_l a[.., l] b[.., l, ..], l in the given slot of b, indexed by
+    a's other slots and then b's (a @ b for two matrices)."""
+    by_l = {}
+    for idx, v in b.nums:
+        by_l.setdefault(idx[slot], []).append((idx[:slot] + idx[slot + 1 :], v))
+    out = {}
+    for idx, v in a.nums:
+        for rest, w in by_l.get(idx[-1], ()):
+            key = idx[:-1] + rest
+            out[key] = out.get(key, 0) + v * w
+    return _tensor(a.dim, a.rank + b.rank - 2, out, a.den * b.den)
 
 
 def _derivation(m, t, slots=None):
@@ -137,7 +154,7 @@ def _derivation(m, t, slots=None):
     With m = omega^T this is the rotation omega acting on an all-lower
     array, which vanishes exactly when the array is invariant.
     """
-    first, *rest = [(t.swapaxes(s, -1) @ m.T).swapaxes(s, -1) for s in slots or range(t.ndim)]
+    first, *rest = [_map_slot(t, s, m, t.valence) for s in slots or range(t.rank)]
     return sum(rest, first)
 
 
@@ -147,23 +164,34 @@ def f_derivation(f, c):
     (delta_F C)_ijk = F_il C_ljk + F_jl C_ilk + F_kl C_ijl; total
     antisymmetry of C is preserved.
     """
-    f, c = QArray.of(f), QArray.of(c)
-    if len(f) != len(c):
+    n = len(f)
+    if n != len(c):
         raise ValueError("F and C sizes differ")
-    return _derivation(f, c).tolist()
+    return _freeze(_derivation(_array(f, (n, n), "F"), _array(c, (n,) * 3, "C")), list)
 
 
 def _cyclic(t):
     """t[i, j, k, ..] + t[j, k, i, ..] + t[k, i, j, ..]."""
-    rest = tuple(range(3, t.ndim))
-    return t + t.transpose(2, 0, 1, *rest) + t.transpose(1, 2, 0, *rest)
+    rest = tuple(range(3, t.rank))
+    return t + _perm(t, 2, 0, 1, *rest) + _perm(t, 1, 2, 0, *rest)
 
 
-def _occupied(t, absent):
-    """t with the all-absent block zeroed: the entries with an occupied index."""
-    t = t.copy()
-    t[np.ix_(*[absent] * t.ndim)] = 0
-    return t
+def _max_abs(*ts, keep=lambda idx: True):
+    """Largest magnitude of the tensors' entries whose index passes keep, as one Fraction (0 for none)."""
+    best = 0, 1
+    for t in ts:
+        num = max((abs(v) for idx, v in t.nums if keep(idx)), default=0)
+        if num * best[1] > best[0] * t.den:
+            best = num, t.den
+    return Fraction(*best)
+
+
+def _dense(t):
+    """t's numerators in index order, zeros included, over t.den."""
+    out = [0] * t.dim**t.rank
+    for idx, v in t.nums:
+        out[t.flat(idx)] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +199,13 @@ def _occupied(t, absent):
 # ---------------------------------------------------------------------------
 
 
-def _span_closure(seeds, n):
-    """Deterministic basis of the Lie closure of the seed rotation matrices."""
+def _span_closure(seeds):
+    """Deterministic basis of the Lie closure of the seed rotation matrices, as a tuple."""
     basis, ech = [], {}
 
     def add(m):
         # membership and the echelon rows do not change when m is scaled
-        row, _ = _eliminate(ech, m.num.ravel().tolist())
+        row, _ = _eliminate(ech, _dense(m))
         if not any(row):
             return False
         basis.append(m)
@@ -188,44 +216,45 @@ def _span_closure(seeds, n):
         add(s)
     changed = True
     while changed:
-        changed = False
         # [a, a] = 0, and [b, a] = -[a, b] is in the span once [a, b] is
         snapshot = list(basis)
-        for i, a in enumerate(snapshot):
-            for b in snapshot[i + 1 :]:
-                if add(a @ b - b @ a):
-                    changed = True
-    den = math.lcm(*(m.den for m in basis))
-    nums = np.array([m.num * (den // m.den) for m in basis], dtype=object)
-    return QArray(nums.reshape(len(basis), n, n), den)
+        changed = any([add(_contract(a, b) - _contract(b, a))
+                       for i, a in enumerate(snapshot) for b in snapshot[i + 1 :]])
+    return tuple(basis)
 
 
 def _coords(rot, mats):
-    """Coefficients of each matrix against the span basis rot, one row each.
+    """(rows, den): the coefficients of each matrix against the span basis
+    rot, as int numerators over den.  Only seeds of the span and commutators
+    of its basis elements come here, and the closure contains both, so
+    every system is consistent."""
+    vd, td = math.lcm(*(m.den for m in rot)), math.lcm(*(m.den for m in mats))
+    rows = span_coordinates([[x * (vd // m.den) for x in _dense(m)] for m in rot],
+                            [[x * (td // m.den) for x in _dense(m)] for m in mats])
+    *rows, den = integer_numerators(*rows)
+    return [[x * vd for x in row] for row in rows], den * td
 
-    Only seeds of the span and commutators of its basis elements come
-    here, and the closure contains both, so every system is consistent.
-    Both sides are solved on their numerators and the scales put back.
-    """
-    rot, mats = QArray.of(rot), QArray.of(mats)
-    rows = span_coordinates([m.ravel().tolist() for m in rot.num], [m.ravel().tolist() for m in mats.num])
-    return _qarray([x for row in rows for x in row], (len(mats), len(rot))) * Fraction(rot.den, mats.den)
+
+def _images(sigmas, hats):
+    """[((i,), sigma_i)] then [((i, j), hat_ij)] for i < j, in row order."""
+    upper = (((i, j), m) for (i, j), m in _blocks(hats, 2).items() if i < j)
+    return [*_blocks(sigmas, 1).items(), *upper]
 
 
 def _nondeg_rotations(ansatz):
-    """Rotation images sigma_i of the Z_i, s_hat_ij of the pairs, and their span."""
-    d = _eta_diag(ansatz.aleph, ansatz.n)
+    """Rotation images sigma_i of the Z_i, s_hat_ij of the pairs (keyed as in _images), and their span."""
     q = ansatz._carriers
     # action matrix of the element with coefficients R[i]: 2 R_i eta
-    sigmas, hats = 2 * q["R"] * d, 2 * q["Scurv"] * d
-    return sigmas, hats, _span_closure([*sigmas, *_upper(hats), *q["h_basis"]], ansatz.n)
+    sigmas, hats = (_eta(q[k], ansatz.aleph, -1).scale(2) for k in ("R", "Scurv"))
+    images = _images(sigmas, hats)
+    return sigmas, images, _span_closure([*(m for _, m in images), *q["h_basis"]])
 
 
 def _deg_rotations(ansatz):
-    """Rotation images sigma_i = R_i, n_hat_ij = 2 N_ij and y_hat = 2 Y, and their span."""
+    """Rotation images sigma_i = R_i, n_hat_ij = 2 N_ij and y_hat = 2 Y, keyed (-1,), and their span."""
     q = ansatz._carriers
-    hats = 2 * q["N"]
-    return q["R"], hats, _span_closure([*q["R"], *_upper(hats), 2 * q["Y"]], ansatz.n)
+    images = [*_images(q["R"], q["N"].scale(2)), ((-1,), q["Y"].scale(2))]
+    return q["R"], images, _span_closure([m for _, m in images])
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +282,13 @@ _DEG_ARRAYS = ("W", "F", "aleph2", "C", "h", "A", "Y", "R", "S3", "N")
 
 
 def _field(ansatz, name):
-    """The named field as an n x .. x n QArray, symmetries checked."""
+    """The named field as an n x .. x n Tensor, symmetries checked."""
     rank, *pairs = _FIELDS[name]
-    q = _array(getattr(ansatz, name), (ansatz.n,) * rank, name)
+    t = _array(getattr(ansatz, name), (ansatz.n,) * rank, name)
     for i, j in pairs:
-        if (q + q.swapaxes(i, j)).any():
+        if _antisymmetry_violations(dict(t.nums), i, j):
             raise ValueError(f"{name} must be antisymmetric in slots {i} and {j}")
-    return q
+    return t
 
 
 def _check_n(n):
@@ -305,13 +334,12 @@ class NondegenerateAnsatz:
             raise ValueError("sign of lam must equal aleph")
         fields = {k: _field(self, k) for k in _NONDEG_ARRAYS}
         hb = _array(self.h_basis, (None, n, n), "h_basis")
-        eta_hb = hb * _eta_diag(self.aleph, n)[:, None]
-        if (eta_hb + eta_hb.swapaxes(1, 2)).any():
+        if any(_antisymmetry_violations(dict(_eta(m, self.aleph, 0).nums), 0, 1) for m in hb):
             raise ValueError("h_basis matrices must be eta-antisymmetric")
-        _store(self, lam=lam, h_basis=hb, **fields)
+        _store(self, dict(fields, h_basis=hb), lam=lam)
 
-    # (sigmas, hats, span basis), cached on first read; neither it nor
-    # _carriers, the QArray of each array field that _store sets, is a field
+    # (sigmas, images, span basis), cached on first read; neither it nor
+    # _carriers, the Tensor of each array field that _store sets, is a field
     _rotations = functools.cached_property(_nondeg_rotations)
 
     def to_json(self):
@@ -369,16 +397,14 @@ class DegenerateAnsatz:
             raise ValueError(f"occupancy must list null-boost indices in 0..{n - 1}")
         occ = tuple(sorted(set(occ)))
         fields = {k: _field(self, k) for k in _DEG_ARRAYS}
-        absent = [i for i in range(n) if i not in occ]
         for name in ("h", "S3"):
-            bad = np.argwhere(fields[name].num[..., absent] != 0)
-            if len(bad):
-                *idx, col = bad[0]
-                where = "".join(f"[{i}]" for i in (*idx, absent[col]))
-                raise ValueError(f"{name}{where} references the absent null boost {absent[col]}")
-        _store(self, lam=lam, occupancy=occ, **fields)
+            bad = next((idx for idx, _ in fields[name].nums if idx[-1] not in occ), None)
+            if bad:
+                where = "".join(f"[{i}]" for i in bad)
+                raise ValueError(f"{name}{where} references the absent null boost {bad[-1]}")
+        _store(self, fields, lam=lam, occupancy=occ)
 
-    # (sigmas, hats, span basis), cached; like _carriers, not a field
+    # (sigmas, images, span basis), cached; like _carriers, not a field
     _rotations = functools.cached_property(_deg_rotations)
 
     def rescaled(self):
@@ -415,12 +441,12 @@ def _at_scale(ansatz, lam):
         return ansatz
     q = ansatz._carriers
     # the fields are validated already and scaling keeps their symmetries,
-    # so the copy takes the scaled QArrays as carriers instead of parsing again
+    # so the copy takes the scaled Tensors as carriers instead of parsing again
     scaled = copy.copy(ansatz)
     # the copy carries the instance dict along, so drop the span cached at ansatz.lam
     vars(scaled).pop("_rotations", None)
-    _store(scaled, lam=lam, F=q["F"] * t, aleph2=q["aleph2"] / t, h=q["h"] * t ** 2,
-           A=q["A"] * t ** 2, R=q["R"] * t, S3=q["S3"] * t)
+    _store(scaled, dict(F=q["F"].scale(t), aleph2=q["aleph2"].scale(1 / t), h=q["h"].scale(t**2),
+                        A=q["A"].scale(t**2), R=q["R"].scale(t), S3=q["S3"].scale(t)), lam=lam)
     return scaled
 
 
@@ -429,45 +455,63 @@ def _at_scale(ansatz, lam):
 # ---------------------------------------------------------------------------
 
 
-def _rotation_brackets(table, rot, m0, acted, *targets):
-    """Fill [X, M_p] for each (positions in table, positions in rot) pair in
-    acted, and [M_p, M_q] in the span basis; M_p sits at m0 + p.
+def _part(t, place):
+    """(entries, den): t's numerators over t.den, each at the table index place(*index)."""
+    return {place(*idx): v for idx, v in t.nums}, t.den
 
-    The commutators share one _coords call with the targets (stacks of
-    matrices), and the span coordinates of each target are returned.
-    """
-    ms = range(m0, m0 + len(rot))
+
+def _algebra(parts, labels):
+    """The exact algebra whose [e_a, e_b] = -[e_b, e_a], a < b, sums the
+    ({(a, b, c): int numerator}, den) parts over the lcm of their dens;
+    entries with a >= b are ignored."""
+    den = math.lcm(*(d for _, d in parts))
+    half = {}
+    for entries, d in parts:
+        s = den // d
+        for (a, b, c), v in entries.items():
+            if a < b:
+                half[a, b, c] = half.get((a, b, c), 0) + s * v
+    entries = {**half, **{(b, a, c): -v for (a, b, c), v in half.items()}}
+    return LieAlgebra(tuple(labels), Tensor._sparse(len(labels), (DOWN, DOWN, UP), entries, EXACT, den))
+
+
+def _rotation_brackets(rot, m0, acted, images, z0):
+    """The table parts [X, M_p] for each (positions in table, positions in
+    rot) pair in acted, [M_p, M_q] in the span basis, and the rotation
+    parts the images give: of [e_0, Z_i] for (i,), of [Z_i, Z_j] for
+    (i, j), Z_i at z0 + i (so (-1,) is [e_0, e_(z0-1)]); M_p sits at m0 + p.
+    The commutators share one _coords call with the images."""
+    parts = []
     for at, sub in acted:
+        pos = dict(zip(sub, at))
         # [X_i, M_p] = -rot[p][m][i] X_m, key order (X_i, M_p)
-        table[np.ix_(at, ms, at)] = -rot[:, sub][:, :, sub].transpose(2, 0, 1)
-    p, q = np.triu_indices(len(rot), 1)
-    groups = [*targets, rot[p] @ rot[q] - rot[q] @ rot[p]]
-    den = math.lcm(*(g.den for g in groups))
-    rows = _coords(rot, QArray(np.concatenate([g.num * (den // g.den) for g in groups]), den))
-    *out, table[m0 + p, m0 + q, m0:] = (
-        QArray(part, rows.den) for part in np.split(rows.num, np.cumsum([len(g) for g in targets])))
-    return out
+        parts += [({(pos[i], m0 + p, pos[m]): -v for (m, i), v in omega.nums if m in pos and i in pos},
+                   omega.den) for p, omega in enumerate(rot)]
+    targets = [*(((0, *(z0 + i for i in idx))[-2:], m) for idx, m in images),
+               *(((m0 + p, m0 + q), _contract(a, b) - _contract(b, a))
+                 for (p, a), (q, b) in itertools.combinations(enumerate(rot), 2))]
+    rows, den = _coords(rot, [m for _, m in targets])
+    coords = {(*key, m0 + p): x for (key, _), row in zip(targets, rows) for p, x in enumerate(row)}
+    return [*parts, (coords, den)]
 
 
 def assemble_nondegenerate(ansatz):
     """The bracket table on (V, Z_i, rotations) read off the ansatz."""
-    sigmas, hats, rot = ansatz._rotations
-    n, k = ansatz.n, len(rot)
+    _, images, rot = ansatz._rotations
+    n, k, aleph = ansatz.n, len(rot), ansatz.aleph
     f, c = (ansatz._carriers[name] for name in ("F", "C"))
-    d = _eta_diag(ansatz.aleph, n)
     labels = ["V"] + [f"Z{i+1}" for i in range(n)] + [f"M{p+1}" for p in range(k)]
-    z, iz, m0 = slice(1, 1 + n), np.arange(1, 1 + n), 1 + n
-    i, j = np.triu_indices(n, 1)
-    table = _zeros(*[len(labels)] * 3)
-    # [V, Z_i] = lam Z_i + (F eta)_ij Z_j + sigma_i (rotation parts last)
-    table[0, z, z] = f * d
-    table[0, iz, iz] += ansatz.lam
-    # [Z_i, Z_j] = aleph F_ij V + (C eta)_ijm Z_m + s_hat_ij
-    table[z, z, 0] = ansatz.aleph * f
-    table[z, z, z] = c * d
-    table[0, z, m0:], table[iz[i], iz[j], m0:] = _rotation_brackets(
-        table, rot, m0, [(iz, range(n))], sigmas, hats[i, j])
-    return _algebra(table, labels)
+    lam, lam_den = ansatz.lam.as_integer_ratio()
+    parts = [
+        # [V, Z_i] = lam Z_i + (F eta)_ij Z_j + sigma_i (rotation parts last)
+        ({(0, 1 + i, 1 + i): lam for i in range(n)}, lam_den),
+        _part(_eta(f, aleph, 1), lambda i, j: (0, 1 + i, 1 + j)),
+        # [Z_i, Z_j] = aleph F_ij V + (C eta)_ijm Z_m + s_hat_ij
+        _part(f.scale(aleph), lambda i, j: (1 + i, 1 + j, 0)),
+        _part(_eta(c, aleph, 2), lambda i, j, m: (1 + i, 1 + j, 1 + m)),
+        *_rotation_brackets(rot, 1 + n, [(range(1, 1 + n), range(n))], images, 1),
+    ]
+    return _algebra(parts, labels)
 
 
 def assemble_degenerate(ansatz):
@@ -477,50 +521,43 @@ def assemble_degenerate(ansatz):
     occupied directions; unoccupied components of W survive only in the
     tangent part, which is what makes them inconsistent.
     """
-    sigmas, hats, rot = ansatz._rotations
-    n, lam = ansatz.n, ansatz.lam
+    _, images, rot = ansatz._rotations
+    n = ansatz.n
     occ = list(ansatz.occupancy)
     absent = [i for i in range(n) if i not in occ]
     if moved := _moved_boost(rot, occ, absent):
-        raise ValueError(
-            "rotation span moves null boost {} onto the absent direction {}".format(*moved)
-        )
+        raise ValueError("rotation span moves null boost {} onto the absent direction {}".format(*moved))
     nb, k = len(occ), len(rot)
-    labels = (
-        ["U", "V"]
-        + [f"Z{i+1}" for i in range(n)]
-        + [f"Zb{a+1}" for a in occ]
-        + [f"M{p+1}" for p in range(k)]
-    )
+    labels = ["U", "V", *(f"Z{i+1}" for i in range(n)), *(f"Zb{a+1}" for a in occ),
+              *(f"M{p+1}" for p in range(k))]
     q = ansatz._carriers
-    w, f, al, c, h, y, s3 = (q[name] for name in ("W", "F", "aleph2", "C", "h", "Y", "S3"))
-    z, b, m0 = slice(2, 2 + n), slice(2 + n, 2 + n + nb), 2 + n + nb
-    iz, ib = np.arange(2, 2 + n), np.arange(2 + n, m0)
-    i, j = np.triu_indices(n, 1)
-    table = _zeros(*[len(labels)] * 3)
-    # [U, V] = lam V + W^k Z_k - 2 lam W_a Zb_a + Y-rotation (rotation parts last)
-    table[0, 1, 1] = lam
-    table[0, 1, z] = w
-    table[0, 1, b] = -2 * lam * w[occ]
-    # [U, Z_i] = lam Z_i - W_i U + F_ij Z_j + h_ia Zb_a + sigma_i
-    table[0, z, 0] = -w
-    table[0, z, z] = f
-    table[0, iz, iz] += lam
-    table[0, z, b] = h[:, occ]
-    # [V, Z_i] = W_i V + aleph2_i^j Z_j
-    table[1, z, 1] = w
-    table[1, z, z] = al
-    # [Z_i, Z_j] = aleph2_ij U + F_ij V + C_ijm Z_m + S3_ija Zb_a + n_hat_ij
-    table[z, z, 0] = al
-    table[z, z, 1] = f
-    table[z, z, z] = c
-    table[z, z, b] = s3[:, :, occ]
-    # canonical boost relations [U, Zb_a] = Z_a, [Z_a, Zb_a] = -V
-    table[0, ib, iz[occ]] = 1
-    table[iz[occ], ib, 1] = -1
-    table[0, 1:2, m0:], table[0, z, m0:], table[iz[i], iz[j], m0:] = _rotation_brackets(
-        table, rot, m0, [(iz, range(n)), (ib, occ)], 2 * y[None], sigmas, hats[i, j])
-    return _algebra(table, labels)
+    w, f, al, c, h, s3 = (q[name] for name in ("W", "F", "aleph2", "C", "h", "S3"))
+    # table position of the null boost Zb_a; h and S3 vanish on the absent ones
+    zb = {a: 2 + n + p for p, a in enumerate(occ)}
+    lam, lam_den = ansatz.lam.as_integer_ratio()
+    parts = [
+        # [U, V] = lam V + W^k Z_k - 2 lam W_a Zb_a + Y-rotation (rotation parts last)
+        ({(0, 1, 1): lam, **{(0, 2 + i, 2 + i): lam for i in range(n)}}, lam_den),
+        _part(w, lambda i: (0, 1, 2 + i)),
+        ({(0, 1, zb[a]): -2 * lam * v for (a,), v in w.nums if a in zb}, lam_den * w.den),
+        # [U, Z_i] = lam Z_i - W_i U + F_ij Z_j + h_ia Zb_a + sigma_i
+        _part(-w, lambda i: (0, 2 + i, 0)),
+        _part(f, lambda i, j: (0, 2 + i, 2 + j)),
+        _part(h, lambda i, a: (0, 2 + i, zb[a])),
+        # [V, Z_i] = W_i V + aleph2_i^j Z_j
+        _part(w, lambda i: (1, 2 + i, 1)),
+        _part(al, lambda i, j: (1, 2 + i, 2 + j)),
+        # [Z_i, Z_j] = aleph2_ij U + F_ij V + C_ijm Z_m + S3_ija Zb_a + n_hat_ij
+        _part(al, lambda i, j: (2 + i, 2 + j, 0)),
+        _part(f, lambda i, j: (2 + i, 2 + j, 1)),
+        _part(c, lambda i, j, m: (2 + i, 2 + j, 2 + m)),
+        _part(s3, lambda i, j, a: (2 + i, 2 + j, zb[a])),
+        # canonical boost relations [U, Zb_a] = Z_a, [Z_a, Zb_a] = -V
+        ({**{(0, zb[a], 2 + a): 1 for a in occ}, **{(2 + a, zb[a], 1): -1 for a in occ}}, 1),
+        *_rotation_brackets(rot, 2 + n + nb, [(range(2, 2 + n), range(n)), (list(zb.values()), occ)],
+                            images, 2),
+    ]
+    return _algebra(parts, labels)
 
 
 def assemble_algebra(ansatz):
@@ -556,65 +593,65 @@ def verify_constraints(ansatz):
 def _moved_boost(rot, occ, absent):
     """(occupied boost, absent direction) of the first span element that
     rotates the one onto the other, or None."""
-    moved = np.argwhere(rot.num[:, absent][:, :, occ].transpose(0, 2, 1) != 0)
-    return (occ[moved[0][1]], absent[moved[0][2]]) if len(moved) else None
+    return next(((a, i) for m in rot for e in [dict(m.nums)]
+                 for a in occ for i in absent if (i, a) in e), None)
 
 
 def _equivariance(rot, sigmas, *invariants):
     """The arrays that vanish when the span fixes the invariant all-lower
     arrays and acts equivariantly on the rotation-valued map i -> sigmas[i]."""
     for omega in rot:
-        yield sigmas @ omega - omega @ sigmas + einsum("mi,mab->iab", omega, sigmas)
-        yield from (_derivation(omega.T, t) for t in invariants)
+        # sigmas @ omega - omega @ sigmas + einsum("mi,mab->iab", omega, sigmas)
+        wt = _perm(omega, 1, 0)
+        yield _contract(sigmas, omega) - _derivation(omega, sigmas, (1,)) + _derivation(wt, sigmas, (0,))
+        yield from (_derivation(wt, t) for t in invariants)
 
 
 def _verify_nondeg(ansatz):
     sigmas, _, rot = ansatz._rotations
-    lam = ansatz.lam
+    lam, aleph = ansatz.lam, ansatz.aleph
     f, c, r, s = (ansatz._carriers[k] for k in _NONDEG_ARRAYS)
-    d = _eta_diag(ansatz.aleph, ansatz.n)
     # lowered rotation coefficients R_ijk = eta_jm eta_kn R[i][m][n]
-    r_low = r * np.multiply.outer(d, d)
+    r_low = _eta(r, aleph, 1, 2)
     return {
-        "F": max_abs(f),
-        "C_from_R": max_abs(lam / 2 * c - (r_low - r_low.transpose(1, 0, 2))),
-        "S_from_CR": max_abs(2 * lam * s - einsum("ijk,kmn->ijmn", c * d, r)),
-        "rotation_equivariance": max_abs(*_equivariance(rot, sigmas, f, c)),
+        "F": _max_abs(f),
+        "C_from_R": _max_abs(c.scale(lam / 2) - (r_low - _perm(r_low, 1, 0, 2))),
+        "S_from_CR": _max_abs(s.scale(2 * lam) - _contract(_eta(c, aleph, 2), r)),
+        "rotation_equivariance": _max_abs(*_equivariance(rot, sigmas, f, c)),
     }
 
 
 def _verify_deg(work):
     """Residual table of degenerate data already scaled to lam = 1."""
     sigmas, _, rot = work._rotations
-    occ = list(work.occupancy)
-    absent = [i for i in range(work.n) if i not in occ]
+    occ = set(work.occupancy)
     w, f, al, c, h, a, y, r, s3, nn = (work._carriers[k] for k in _DEG_ARRAYS)
     fpd = f + _eye(work.n)
     dfc = _derivation(f, c)
+    # the contractions einsum("jkl,ilm->ijkm", c, x) below are read as
+    # [j, k, i, m]: the cyclic sum over the first three slots is the same
+    occupied = lambda idx: not occ.isdisjoint(idx)
     return {
-        "W": max_abs(w),
-        "aleph2": max_abs(al),
-        "uv_rotation": max_abs(y),
-        "h_split": max_abs(h - ((a + a.T) / 2 - f / 2)),
-        "unoccupied_F": max_abs(f[np.ix_(absent, absent)]),
-        "occupied_C": max_abs(_occupied(c, absent)),
-        "occupied_S_R": max_abs((s3 - r)[:, occ]),
-        "occupied_N": max_abs(_occupied(nn, absent)),
-        "occupied_R": max_abs(_occupied(r, absent)),
-        "F_C_kernel": max_abs(einsum("al,ljk->ajk", f[occ], c)),
-        "S3_total_antisymmetry": max_abs(s3 + s3.transpose(0, 2, 1)),
-        "S3_from_FC": max_abs(3 * s3 - dfc),
-        "zz_boost": max_abs(c @ h - _derivation(fpd, s3, (0, 1))),
-        "zz_rotation": max_abs(einsum("ijk,kmn->ijmn", c, r) / 2 - _derivation(fpd, nn, (0, 1))),
-        "zz_vector": max_abs(s3 + r - r.transpose(1, 0, 2) - dfc - c),
-        "cyclic_CS": max_abs(_cyclic(einsum("jkl,ilm->ijkm", c, s3))),
-        "cyclic_CN": max_abs(_cyclic(einsum("jkl,ilmn->ijkmn", c, nn))),
-        "cyclic_CC_N": max_abs(
-            _cyclic(einsum("jkl,ilm->ijkm", c, c) + 2 * nn.transpose(2, 0, 1, 3))
-        ),
-        "rotation_equivariance": max_abs(
-            rot[:, absent][:, :, occ], *_equivariance(rot, sigmas, f, h, c, s3, nn)
-        ),
+        "W": _max_abs(w),
+        "aleph2": _max_abs(al),
+        "uv_rotation": _max_abs(y),
+        "h_split": _max_abs(h - (a + _perm(a, 1, 0) - f).scale(_HALF)),
+        "unoccupied_F": _max_abs(f, keep=occ.isdisjoint),
+        "occupied_C": _max_abs(c, keep=occupied),
+        "occupied_S_R": _max_abs(s3 - r, keep=lambda idx: idx[1] in occ),
+        "occupied_N": _max_abs(nn, keep=occupied),
+        "occupied_R": _max_abs(r, keep=occupied),
+        "F_C_kernel": _max_abs(_contract(f, c), keep=lambda idx: idx[0] in occ),
+        "S3_total_antisymmetry": _max_abs(s3 + _perm(s3, 0, 2, 1)),
+        "S3_from_FC": _max_abs(s3.scale(3) - dfc),
+        "zz_boost": _max_abs(_contract(c, h) - _derivation(fpd, s3, (0, 1))),
+        "zz_rotation": _max_abs(_contract(c, r).scale(_HALF) - _derivation(fpd, nn, (0, 1))),
+        "zz_vector": _max_abs(s3 + r - _perm(r, 1, 0, 2) - dfc - c),
+        "cyclic_CS": _max_abs(_cyclic(_contract(c, s3, 1))),
+        "cyclic_CN": _max_abs(_cyclic(_contract(c, nn, 1))),
+        "cyclic_CC_N": _max_abs(_cyclic(_contract(c, c, 1) + nn.scale(2))),
+        "rotation_equivariance": max(_max_abs(*_equivariance(rot, sigmas, f, h, c, s3, nn)),
+                                     _max_abs(*rot, keep=lambda i: i[0] not in occ and i[1] in occ)),
     }
 
 
@@ -638,11 +675,8 @@ class ReductionReport:
             "verdict": self.verdict,
             "residuals": {k: format_scalar(v) for k, v in self.residuals.items()},
             "lambda_scale": str(self.lambda_scale),
-            "redefinitions": [
-                {"name": name, "matrix": _fmt(mat)} for name, mat in self.redefinitions
-            ],
-            "checks": {k: (format_scalar(v) if isinstance(v, Fraction) else v)
-                       for k, v in self.checks.items()},
+            "redefinitions": [{"name": name, "matrix": _fmt(mat)} for name, mat in self.redefinitions],
+            "checks": {k: format_scalar(v) for k, v in self.checks.items()},
         }
         out["plane_wave"] = self.plane_wave.to_json() if self.plane_wave else None
         out["failing_identity"] = list(self.failing_identity) if self.failing_identity else None
@@ -655,23 +689,20 @@ def _jacobi_failure(algebra, residuals, lambda_scale):
     entries, worst = jacobi_residual(algebra)
     if worst == 0:
         return None
-    return ReductionReport(
-        verdict="inconsistent",
-        residuals=residuals,
-        lambda_scale=lambda_scale,
-        failing_identity=_first_worst_triple(algebra, entries, worst),
-        checks={"jacobi_residual": worst},
-    )
+    return ReductionReport("inconsistent", residuals, lambda_scale, checks={"jacobi_residual": worst},
+                           failing_identity=_first_worst_triple(algebra, entries, worst))
 
 
-def _brackets(t, new_in_old, left, right):
-    """[X_a, X_b] in old coordinates for a in left and b in right, where t
+def _brackets(f, new_in_old, left, right):
+    """[X_a, X_b] in old coordinates for a in left and b in right, where f
     holds f_ab^c and the new generators X_a are the columns of new_in_old."""
-    # the greedy pairwise order keeps the exact sum off the full index product
-    return einsum("ma,nb,mnk->abk", new_in_old[:, left], new_in_old[:, right], t, optimize="greedy")
+    # each slot of f maps through the rows of new_in_old^T it keeps
+    rows = lambda keep: _tensor(f.dim, 2, {(x, m): v for (m, x), v in new_in_old.nums if x in keep},
+                                new_in_old.den)
+    return _map_slot(_map_slot(f, 0, rows(left), f.valence), 1, rows(right), f.valence)
 
 
-def _bracket_pattern(t, new_in_old, gens, lam, m0):
+def _bracket_pattern(f, new_in_old, gens, lam, m0):
     """Whether, over the new generators X_x for x in gens, every
     [e_0, X] = lam X, every [X, Y] lies in the span of e_m0, e_m0+1, ..,
     and every [X, Y] = 0, read on the brackets in old coordinates.
@@ -680,15 +711,23 @@ def _bracket_pattern(t, new_in_old, gens, lam, m0):
     m0.., so new coordinates are (I - N) times old ones, and a vector on
     e_m0.. has the same coordinates in both bases.
     """
-    cols = [0, *gens]
-    u = _brackets(t, new_in_old, cols, cols)
-    eigen = not (u[0, 1:] - new_in_old[:, cols[1:]].T * lam).any()
-    return eigen, not u[1:, 1:, :m0].any(), not u[1:, 1:].any()
+    u = _brackets(f, new_in_old, [0, *gens], gens)
+    row0 = Tensor._sparse(f.dim, f.valence, {i: v for i, v in u.nums if i[0] == 0}, EXACT, u.den)
+    cols = {(0, x, m): v for (m, x), v in new_in_old.nums if x in gens}
+    eigen = row0 == Tensor._sparse(f.dim, f.valence, cols, EXACT, new_in_old.den).scale(lam)
+    pairs = [i for i, _ in u.nums if i[0] != 0]
+    return eigen, all(i[2] >= m0 for i in pairs), not pairs
 
 
 def _failing_check(checks, keys):
     """(first of keys whose check reads false,), or None when all hold."""
     return next(((k,) for k in keys if not checks[k]), None)
+
+
+def _rotation_images(algebra, gens, m0, scale=1):
+    """I plus, in each column x of gens, the rotation part of [e_0, e_x] times scale."""
+    images = {(m, x): v * scale for x in gens for m, v in algebra.bracket(0, x).items() if m >= m0}
+    return _eye(algebra.dim) + _tensor(algebra.dim, 2, images)
 
 
 def nondegenerate_reduce(ansatz):
@@ -707,22 +746,15 @@ def nondegenerate_reduce(ansatz):
         return failure
     # F = 0 from here: J_{V Z_i Z_j}^V = 2 aleph lam F_ij on the assembled
     # table, and lam != 0, so a nonzero F fails the Jacobi gate above
-    t, m0 = _table(algebra), 1 + ansatz.n
-    new_in_old = _eye(algebra.dim)
+    m0 = 1 + ansatz.n
     # the rotation parts of [V, Z_i], which the assembly solved in the span
-    new_in_old[m0:, 1:m0] = t[0, 1:m0, m0:].T / ansatz.lam
-    eigen_ok, closes, yy_vanishes = _bracket_pattern(t, new_in_old, range(1, m0), ansatz.lam, m0)
-    checks = {"eigen_brackets": eigen_ok, "yy_in_rotation_span": closes,
-              "yy_vanishes": yy_vanishes}
+    new_in_old = _rotation_images(algebra, range(1, m0), m0, 1 / ansatz.lam)
+    eigen_ok, closes, yy_vanishes = _bracket_pattern(algebra.f, new_in_old, range(1, m0), ansatz.lam, m0)
+    checks = {"eigen_brackets": eigen_ok, "yy_in_rotation_span": closes, "yy_vanishes": yy_vanishes}
     failing = _failing_check(checks, ("eigen_brackets", "yy_in_rotation_span"))
-    return ReductionReport(
-        verdict="inconsistent" if failing else "symmetric_space",
-        residuals=residuals,
-        lambda_scale=Fraction(1),
-        redefinitions=(("Y_i = Z_i + R-element(i)/lam", _freeze(new_in_old)),),
-        failing_identity=failing,
-        checks=checks,
-    )
+    redefinitions = (("Y_i = Z_i + R-element(i)/lam", _freeze(new_in_old)),)
+    return ReductionReport("inconsistent" if failing else "symmetric_space", residuals, Fraction(1),
+                           redefinitions, failing_identity=failing, checks=checks)
 
 
 def degenerate_reduce(ansatz):
@@ -760,21 +792,20 @@ def degenerate_reduce(ansatz):
     # = -2 W_a give W = 0; then J_{V Z_i Z_j}^V = (aleph2 - [F, aleph2])_ij,
     # whose sum against aleph2_ij is |aleph2|^2 as tr(aleph2^T [F, aleph2])
     # = 0; then J_{U V Z_i}^{Z_m} = 2 Y_mi.
-    t, m0 = _table(algebra), 2 + n + len(occ)
+    m0 = 2 + n + len(occ)
     f, h = work._carriers["F"], work._carriers["h"]
     wz = [2 + i for i in absent]
+    boost = {a: 2 + n + p for p, a in enumerate(occ)}
 
     # first redefinition: unhook unoccupied generators from the boosts
-    b1 = _eye(algebra.dim)
-    b1[np.ix_(range(2 + n, m0), wz)] = -f[np.ix_(absent, occ)].T
+    b1 = _eye(algebra.dim) + _tensor(algebra.dim, 2, {
+        (boost[a], 2 + i): -v for (i, a), v in f.nums if i in absent and a in boost}, f.den)
 
     # second redefinition: absorb the rotation images, the rotation parts
     # of [U, Z_I]; the new generators of both are the columns of b1 @ b2
-    b2 = _eye(algebra.dim)
-    b2[m0:, wz] = t[0, wz, m0:].T
-    b12 = b1 @ b2
+    b2 = _rotation_images(algebra, wz, m0)
 
-    ok, ww_closes, ww_zero = _bracket_pattern(t, b12, wz, work.lam, m0)
+    ok, ww_closes, ww_zero = _bracket_pattern(algebra.f, _contract(b1, b2), wz, work.lam, m0)
     checks = {
         "unoccupied_eigen_brackets": ok,
         "unoccupied_brackets_vanish": ww_zero,
@@ -795,8 +826,8 @@ def degenerate_reduce(ansatz):
     # emitted wave data, from the presentation that keeps the original
     # transverse generators with only the rotation images absorbed; h is
     # the boost block, zero on the absent boosts by construction
-    f_pw = f / 2
-    h_pw = (h + f_pw + f_pw @ f_pw) / 2
+    f_pw = f.scale(_HALF)
+    h_pw = (h + f_pw + _contract(f_pw, f_pw)).scale(_HALF)
     pw = PlaneWaveData(n, _freeze(f_pw), _freeze(h_pw))
 
     # with the rotation images absorbed the table must be, on the nose, the
@@ -805,9 +836,11 @@ def degenerate_reduce(ansatz):
     # The wave brackets reach the absent Xb_I only through the boost block
     # 2H - F - F^2 = h of [U, X_i], whose absent columns the ansatz refuses.
     wave = _wave_table(f_pw, h_pw)
-    present = [*range(2 + n), *(2 + n + a for a in occ)]
-    want = wave[np.ix_(present, present, present)] @ b2[:, :m0].T
-    checks["matches_wave_table"] = not (_brackets(t, b2, range(m0), range(m0)) - want).any()
+    present = {x: p for p, x in enumerate([*range(2 + n), *(2 + n + a for a in occ)])}
+    on_present = {tuple(map(present.get, i)): v for i, v in wave.nums if present.keys() >= set(i)}
+    want = Tensor._sparse(algebra.dim, wave.valence, on_present, EXACT, wave.den)
+    want = _map_slot(want, 2, b2, want.valence)
+    checks["matches_wave_table"] = _brackets(algebra.f, b2, range(m0), range(m0)) == want
     # the wave table is a Lie algebra for every antisymmetric F and
     # symmetric H, which PlaneWaveData enforces: every bracket without U
     # lands on V, which only U moves, so only triples (U, x, y) can fail;
@@ -818,18 +851,9 @@ def degenerate_reduce(ansatz):
     failing = _failing_check(checks, ("unoccupied_eigen_brackets",
                                       "unoccupied_brackets_in_rotation_span",
                                       "matches_wave_table"))
-    return ReductionReport(
-        verdict="inconsistent" if failing else "plane_wave",
-        residuals=residuals,
-        lambda_scale=ansatz.lam,
-        redefinitions=(
-            ("Y_I = Z_I - F_Ia Zb_a", _freeze(b1)),
-            ("W_I = Y_I + R-element(I)", _freeze(b2)),
-        ),
-        plane_wave=pw,
-        failing_identity=failing,
-        checks=checks,
-    )
+    redefinitions = (("Y_I = Z_I - F_Ia Zb_a", _freeze(b1)), ("W_I = Y_I + R-element(I)", _freeze(b2)))
+    return ReductionReport("inconsistent" if failing else "plane_wave", residuals, ansatz.lam,
+                           redefinitions, pw, failing, checks)
 
 
 def reduce_ansatz(ansatz):
@@ -854,11 +878,11 @@ def ansatz_from_plane_wave(pw, lam=Fraction(1)):
     """
     n = pw.n
     f, hh = _array(pw.F, (n, n), "F"), _array(pw.H, (n, n), "H")
-    a_mat = 2 * hh - f @ f
+    a_mat = hh.scale(2) - _contract(f, f)
     base = DegenerateAnsatz(
-        n=n, lam=Fraction(1), occupancy=tuple(range(n)), W=_zeros(n), F=2 * f,
-        aleph2=_zeros(n, n), C=_zeros(n, n, n), h=(a_mat + a_mat.T) / 2 - f, A=a_mat,
-        Y=_zeros(n, n), R=_zeros(n, n, n), S3=_zeros(n, n, n), N=_zeros(n, n, n, n),
+        n=n, lam=Fraction(1), occupancy=tuple(range(n)), W=_zeros(n, 1), F=f.scale(2),
+        aleph2=_zeros(n, 2), C=_zeros(n, 3), h=(a_mat + _perm(a_mat, 1, 0)).scale(_HALF) - f,
+        A=a_mat, Y=_zeros(n, 2), R=_zeros(n, 3), S3=_zeros(n, 3), N=_zeros(n, 4),
     )
     # undo the unit-eigenvalue scaling to present the data at scale lam
     return _at_scale(base, lam)
@@ -875,9 +899,7 @@ def _epsilon_template(indices, kappa, n):
     metric block, the unique equivariant family available at desk
     scale.
     """
-    r = _zeros(n, n, n)
-    r[np.ix_(indices, indices, indices)] = kappa * _LEVI_CIVITA
-    return r
+    return _tensor(n, 3, {tuple(indices[i] for i in p): kappa * s for p, s in _LEVI_CIVITA.items()})
 
 
 def generate_instance(case, n, seed):
@@ -906,26 +928,24 @@ def _generate_nondeg(rng, n):
     lam = Fraction(aleph) * abs(_rand_fraction(rng))
     while lam == 0:
         lam = Fraction(aleph) * abs(_rand_fraction(rng))
-    d = _eta_diag(aleph, n)
-    eta2 = np.multiply.outer(d, d)
-    r = _zeros(n, n, n)
+    r = _zeros(n, 3)
     if n >= 3 and rng.random() < 0.75:
         kappa = _rand_fraction(rng, bound=1, den=2)
         if n == 3:
             # eta twists the action for a Lorentzian block: raise the
             # last two slots so R keeps the upper-index convention R[i][m][n]
-            r = _epsilon_template((0, 1, 2), kappa, n) * eta2
+            r = _eta(_epsilon_template((0, 1, 2), kappa, n), aleph, 1, 2)
         else:
             # a Euclidean block for either sign
             r = _epsilon_template((n - 3, n - 2, n - 1), kappa, n)
     # dependent fields from the constraint relations
-    r_low = r * eta2
-    c = 2 / lam * (r_low - r_low.transpose(1, 0, 2))
-    s = einsum("ijk,kmn->ijmn", c * d, r) / (2 * lam)
-    out = NondegenerateAnsatz(n=n, lam=lam, aleph=aleph, F=_zeros(n, n), C=c, R=r, Scurv=s)
+    r_low = _eta(r, aleph, 1, 2)
+    c = (r_low - _perm(r_low, 1, 0, 2)).scale(2 / lam)
+    s = _contract(_eta(c, aleph, 2), r).scale(1 / (2 * lam))
+    out = NondegenerateAnsatz(n=n, lam=lam, aleph=aleph, F=_zeros(n, 2), C=c, R=r, Scurv=s)
     # the span basis is eta-antisymmetric and closed, so as h_basis it
     # keeps the span, which stays cached
-    _store(out, h_basis=out._rotations[2])
+    _store(out, {"h_basis": out._rotations[2]})
     return out
 
 
@@ -939,18 +959,18 @@ def _generate_deg(rng, n):
     if rng.random() < 0.5:
         lam = Fraction(1)
 
-    f = _zeros(n, n)
+    f = {}
     for ai, a in enumerate(occ):
         for b in occ[ai + 1:]:
             v = _rand_fraction(rng)
             f[a, b], f[b, a] = v, -v
 
-    r, c, nmat = _zeros(n, n, n), _zeros(n, n, n), _zeros(n, n, n, n)
+    r, c, nmat = _zeros(n, 3), _zeros(n, 3), _zeros(n, 4)
     if len(absent) == 3 and rng.random() < 0.75:
         kappa = _rand_fraction(rng, bound=1, den=2)
         r = _epsilon_template(absent, kappa, n)
-        c = r - r.transpose(1, 0, 2)
-        nmat = einsum("ijk,kmn->ijmn", c, r) / 4
+        c = r - _perm(r, 1, 0, 2)
+        nmat = _contract(c, r).scale(Fraction(1, 4))
     else:
         # with no rotation data the boost couplings of the unoccupied
         # sector are unconstrained
@@ -959,19 +979,20 @@ def _generate_deg(rng, n):
                 v = _rand_fraction(rng)
                 f[i, a], f[a, i] = v, -v
 
-    a_mat = _zeros(n, n)
+    a_mat = {}
     for ai, a in enumerate(occ):
         for b in occ[ai:]:
             v = _rand_fraction(rng)
             a_mat[a, b] = a_mat[b, a] = v
     for i in absent:
         for a in occ:
-            a_mat[i, a] = a_mat[a, i] = f[a, i] / 2
+            a_mat[i, a] = a_mat[a, i] = f.get((a, i), 0) * _HALF
 
+    f, a_mat = _tensor(n, 2, f), _tensor(n, 2, a_mat)
     base = DegenerateAnsatz(
-        n=n, lam=Fraction(1), occupancy=occ, W=_zeros(n), F=f,
-        aleph2=_zeros(n, n), C=c, h=(a_mat + a_mat.T) / 2 - f / 2, A=a_mat,
-        Y=_zeros(n, n), R=r, S3=_zeros(n, n, n), N=nmat,
+        n=n, lam=Fraction(1), occupancy=occ, W=_zeros(n, 1), F=f,
+        aleph2=_zeros(n, 2), C=c, h=(a_mat + _perm(a_mat, 1, 0) - f).scale(_HALF), A=a_mat,
+        Y=_zeros(n, 2), R=r, S3=_zeros(n, 3), N=nmat,
     )
     return _at_scale(base, lam)
 

@@ -379,9 +379,12 @@ def contract(t, slot_a, slot_b, metric=None):
 
 
 def _scaled(m, tag):
-    """(rows, L): an exact matrix m as int rows over L, the lcm of its denominators; a float m over 1."""
+    """(rows, L): an exact matrix m (nested lists or a Tensor) as int rows over L; a float m over 1."""
     if tag != EXACT:
         return m, 1
+    if isinstance(m, Tensor):
+        entries = dict(m.nums)
+        return [[entries.get((i, j), 0) for j in range(m.dim)] for i in range(m.dim)], m.den
     *rows, scale = integer_numerators(*m)
     return rows, scale
 

@@ -1,0 +1,110 @@
+"""A singular homogeneous plane wave's data and its isometry bracket table.
+
+The table is one exact Tensor built on the integer numerators of F and
+H, and the one place its formulas are written.  No numpy here.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .exact import EXACT, _rational
+from .lie_algebra import LieAlgebra
+from .tensor_core import DOWN, UP, Tensor, _map_slot
+
+
+@dataclass(frozen=True)
+class PlaneWaveData:
+    """Transverse dimension n, antisymmetric F and symmetric H (exact)."""
+
+    n: int
+    F: tuple
+    H: tuple
+
+    def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"n must be a positive integer, not {self.n!r}")
+        if self.n < 1:
+            raise ValueError("transverse dimension must be at least 1")
+        # the containers first: a string row would be read character by character
+        for name, rows in (("F", self.F), ("H", self.H)):
+            square = isinstance(rows, (list, tuple)) and len(rows) == self.n
+            if not square or any(not isinstance(r, (list, tuple)) or len(r) != self.n for r in rows):
+                raise ValueError(f"{name} must be n x n")
+        F = tuple(tuple(_rational(x, "F") for x in row) for row in self.F)
+        H = tuple(tuple(_rational(x, "H") for x in row) for row in self.H)
+        for i in range(self.n):
+            for j in range(self.n):
+                if F[i][j] != -F[j][i]:
+                    raise ValueError("F must be antisymmetric")
+                if H[i][j] != H[j][i]:
+                    raise ValueError("H must be symmetric")
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "H", H)
+
+    @property
+    def dim(self):
+        return self.n + 2
+
+    def to_json(self):
+        return {
+            "n": self.n,
+            "F": [[str(x) for x in row] for row in self.F],
+            "H": [[str(x) for x in row] for row in self.H],
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        # __post_init__ reads each entry into a Fraction
+        return cls(data["n"], data["F"], data["H"])
+
+
+def _matrix(rows):
+    """The exact Tensor of a square matrix given as rows of Fractions."""
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    return Tensor._sparse(len(rows), (DOWN, DOWN), entries, EXACT)
+
+
+def boost_block(pw):
+    """Null-boost coefficient matrix of [U, X_i]: 2H - F - F^2.
+
+    H is the chart profile at z = 0.  The F^2 term is the centrifugal
+    shift between the chart profile and the stationary-form profile of
+    the same wave; it vanishes with F, where the two parametrizations
+    agree.  With this block the bracket table below is exactly the
+    algebra reconstructed from (S, curvature) of the chart geometry.
+    """
+    n, table = pw.n, _wave_table(_matrix(pw.F), _matrix(pw.H)).entries()
+    return [[table.get((0, 2 + i, 2 + n + j), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def _wave_table(f, h):
+    """The exact Tensor f_ab^c of the wave algebra on (U, V, X_i, Xb_i), from n x n Tensors F, H.
+
+    [U,V] = V, [U,Xb_i] = X_i, [X_i,X_j] = 2F_ij V,
+    [X_i,Xb_j] = -delta_ij V,
+    [U,X_i] = (2H - F - F^2)_ij Xb_j + (delta + 2F)_ij X_j.
+    """
+    n, f2 = f.dim, _map_slot(f, 0, f, f.valence)
+    den = math.lcm(f.den, h.den, f2.den)
+    half = {(0, 1, 1): den}
+    for i in range(n):
+        half[0, 2 + i, 2 + i], half[0, 2 + n + i, 2 + i], half[2 + i, 2 + n + i, 1] = den, den, -den
+    for (i, j), v in f.nums:
+        # F is antisymmetric: 2F stays off the diagonal that delta fills
+        half[0, 2 + i, 2 + j] = 2 * v * (den // f.den)
+        if i < j:
+            half[2 + i, 2 + j, 1] = 2 * v * (den // f.den)
+    for t, c in ((h, 2), (f, -1), (f2, -1)):
+        for (i, j), v in t.nums:
+            half[0, 2 + i, 2 + n + j] = half.get((0, 2 + i, 2 + n + j), 0) + c * v * (den // t.den)
+    entries = {**half, **{(y, x, c): -v for (x, y, c), v in half.items()}}
+    return Tensor._sparse(2 * n + 2, (DOWN, DOWN, UP), entries, EXACT, den)
+
+
+def pw_isometry_algebra(pw):
+    """Exact bracket table on (U, V, X_i, Xb_i), dimension 2n + 2 (see _wave_table)."""
+    labels = ("U", "V", *(f"X{i+1}" for i in range(pw.n)), *(f"Xb{i+1}" for i in range(pw.n)))
+    return LieAlgebra(labels, _wave_table(_matrix(pw.F), _matrix(pw.H)))

@@ -1,19 +1,22 @@
-"""The QArray reduction path against the Fraction-array one it replaced.
+"""The reduction's sparse Tensor path against the Fraction-array one it replaced.
 
 The reference below is the reduction's arithmetic as it ran on numpy
 object arrays of Fractions: the residual tables of both ansatz kinds and
 the assembled bracket tables, with plain np.einsum and @ on Fractions.
 The library must give equal residual dicts (every value a Fraction) and
 equal algebras on randomized ansatze: large denominators, bumped fields
-whose residuals are nonzero, and an empty rotation span.  The QArray
-operations themselves are checked against Fraction arithmetic, and a
-count of Fraction constructions keeps the residual table from going
-back to one Fraction per array entry.  However an ansatz is built
-(parsed, generated, rescaled, from wave data), each array field has one
-carrier: a QArray of Python ints equal to the stored field.
+whose residuals are nonzero, and an empty rotation span.  The carrier
+operations themselves (sums, scaling, slot permutations, contractions,
+slot maps and the largest magnitude, all on Tensor numerators)
+are checked against Fraction arithmetic, and counts of Fraction
+constructions keep the residual table and the parser from going back to
+one Fraction per array entry.  However an ansatz is built (parsed, from
+numpy arrays, generated, rescaled, from wave data), each array field has
+one carrier: a Tensor of int numerators equal to the stored field.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,13 +24,21 @@ import numpy as np
 import pytest
 
 from homkit import reduction
-from homkit._exact_array import _GCD_BOUND, QArray, einsum, max_abs
+from homkit._exact_array import _GCD_BOUND, QArray
 from homkit.exact import row_reduce, solve_in_span, span_coordinates
 from homkit.lie_algebra import LieAlgebra
 from homkit.plane_wave import PlaneWaveData
 from homkit.reduction import (
     DegenerateAnsatz,
     NondegenerateAnsatz,
+    _contract,
+    _derivation,
+    _freeze,
+    _max_abs,
+    _perm,
+    _tensor,
+    _zeros,
+    ansatz_from_json,
     assemble_algebra,
     generate_instance,
     verify_constraints,
@@ -374,50 +385,62 @@ def test_the_cases_cover_what_they_claim():
 
 
 # ---------------------------------------------------------------------------
-# QArray operations against Fraction arithmetic
+# carrier operations against Fraction arithmetic
 # ---------------------------------------------------------------------------
 
 
-def fractions_of(q):
-    out = q.fractions()
-    assert all(type(v) is Fraction for v in out.ravel())
-    return out.tolist()
+def fractions_of(t):
+    """The nested lists of a carrier's values, every one a Fraction."""
+    out = _freeze(t, list)
+    assert all(type(v) is Fraction for v in np.ravel(np.array(out, dtype=object)))
+    return out
+
+
+def carrier(a):
+    return reduction._array(a, a.shape, "a")
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_operations_match_fraction_arithmetic(seed):
     rng = random.Random(seed)
-    shape = (3, 4, 3)
+    shape = (3, 3, 3)
     a, b = rand_array(rng, shape, 0.7), rand_array(rng, shape, 0.7)
     m = rand_array(rng, (3, 3), 0.7)
-    qa, qb, qm = QArray.of(a), QArray.of(b), QArray.of(m)
+    qa, qb, qm = carrier(a), carrier(b), carrier(m)
     s = rand_fraction(rng) or Fraction(1, P1)
     assert fractions_of(qa + qb) == (a + b).tolist()
     assert fractions_of(qa - qb) == (a - b).tolist()
-    assert fractions_of(-qa + s) == (-a + s).tolist()
-    assert fractions_of(s * qa * qb) == (s * a * b).tolist()
-    assert fractions_of(qa / s) == (a / s).tolist()
-    assert fractions_of(qa @ qm) == (a @ m).tolist()
-    assert fractions_of(einsum("ijk,kl->lij", qa, qm)) == np.einsum("ijk,kl->lij", a, m).tolist()
-    assert fractions_of(qa.transpose(2, 0, 1)[1:, ::2]) == a.transpose(2, 0, 1)[1:, ::2].tolist()
-    assert max_abs(qa, qb, qm) == max([Fraction(0)] + [abs(x) for x in [*a.ravel(), *b.ravel(), *m.ravel()]])
-    assert max_abs(QArray(np.zeros((2, 0), dtype=object))) == 0
-    assert (qa - qa).any() is False and (qa + qb).any() == bool((a + b).any())
-    # writing an entry with another denominator rescales the whole array
-    qa[0, 1:3] = qm[:2] * Fraction(1, P2)
-    a[0, 1:3] = m[:2] * Fraction(1, P2)
-    assert fractions_of(qa) == a.tolist()
+    assert fractions_of(-qa.scale(s)) == (-a * s).tolist()
+    assert fractions_of(_contract(qa, qm)) == (a @ m).tolist()
+    assert fractions_of(_contract(qm, qa)) == np.einsum("il,ljk->ijk", m, a).tolist()
+    assert fractions_of(_contract(qa, qb, 1)) == np.einsum("jkl,ilm->jkim", a, b).tolist()
+    assert fractions_of(_derivation(qm, qa, (1,))) == np.einsum("jl,ilk->ijk", m, a).tolist()
+    assert fractions_of(_perm(qa, 2, 0, 1)) == a.transpose(2, 0, 1).tolist()
+    assert _max_abs(qa, qb, qm) == max([Fraction(0)] + [abs(x) for x in [*a.ravel(), *b.ravel(), *m.ravel()]])
+    kept = [abs(v) for (i, _, k), v in np.ndenumerate(a) if (i + k) % 2]
+    assert _max_abs(qa, keep=lambda idx: (idx[0] + idx[2]) % 2) == max([Fraction(0), *kept])
+    assert _max_abs(_zeros(2, 3)) == 0 and type(_max_abs()) is Fraction
+    assert (qa - qa).is_zero() and (qa + qb).is_zero() == (not (a + b).any())
+    # a sum over another denominator puts every entry over the lcm
+    big = qb.scale(Fraction(1, P2))
+    assert fractions_of(qa + big) == (a + b * Fraction(1, P2)).tolist()
+
+
+def qarray_fractions(q):
+    out = q.fractions()
+    assert all(type(v) is Fraction for v in out.ravel())
+    return out.tolist()
 
 
 def test_large_denominators_are_reduced_past_the_bound():
     q = QArray.of([Fraction(1, P1 * P2), Fraction(2, 3)])
-    assert fractions_of(q * q * q) == [Fraction(1, P1 * P2) ** 3, Fraction(8, 27)]
+    assert qarray_fractions(q * q * q) == [Fraction(1, P1 * P2) ** 3, Fraction(8, 27)]
     # a denominator that cancels against every numerator comes back down
     # once it passes the bound
     ones = QArray.of([Fraction(P1 * P2), Fraction(0)]) * QArray.of([Fraction(1, P1 * P2)] * 2)
     assert ones.den == P1 * P2 < _GCD_BOUND
     square = ones * ones
-    assert square.den == 1 and fractions_of(square) == [1, 0]
+    assert square.den == 1 and qarray_fractions(square) == [1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +479,17 @@ def test_residual_table_builds_few_fractions(monkeypatch, case):
     assert count_fractions(monkeypatch, lambda: verify_constraints(work)) <= 2 * keys
 
 
+@pytest.mark.parametrize("case", ["deg", "nondeg"])
+def test_parsing_builds_few_fractions(monkeypatch, case):
+    # an n = 4 ansatz JSON holds about a thousand entry strings, nearly all
+    # "0"; parsed one Fraction per entry, it built 401 to 577 Fractions
+    # (seeds 0-9).  Each distinct string is now parsed once, and a stored
+    # field builds one Fraction per nonzero entry plus one shared zero.
+    for seed in range(3):
+        data = generate_instance(case, 4, seed).to_json()
+        assert count_fractions(monkeypatch, lambda: ansatz_from_json(data)) <= 200
+
+
 # ---------------------------------------------------------------------------
 # one carrier per array field
 # ---------------------------------------------------------------------------
@@ -491,25 +525,48 @@ def test_each_array_field_has_one_integer_carrier(ansatz):
     assert sorted(ansatz._carriers) == sorted(names)
     for name in names:
         q = ansatz._carriers[name]
-        assert type(q.den) is int and q.den > 0
-        assert q.num.dtype == object
-        assert all(type(v) is int for v in q.num.ravel().tolist())
-        assert fractions_of(q) == fractions_of(QArray.of(getattr(ansatz, name)))
+        for t in q if name == "h_basis" else (q,):
+            assert (t.dim, t.tag) == (ansatz.n, "exact")
+            assert type(t.den) is int and t.den > 0
+            assert all(type(v) is int and v for _, v in t.nums)
+            assert math.gcd(t.den, *(v for _, v in t.nums)) == 1
+        assert _freeze(q) == getattr(ansatz, name)
+        assert fractions_of(q) == np.array(getattr(ansatz, name), dtype=object).tolist()
 
 
 def test_a_qarray_field_is_taken_as_is_and_still_checked():
+    # a Tensor carrier of a fitting shape is taken as is, and still checked
     n = 2
-    fields = dict(
-        n=n, lam=Fraction(3), aleph=1, C=QArray(np.zeros((n,) * 3, dtype=object)),
-        R=QArray(np.zeros((n,) * 3, dtype=object)), Scurv=QArray(np.zeros((n,) * 4, dtype=object)),
-    )
-    f = QArray(np.array([[0, 1], [-1, 0]], dtype=object), 3)
+    fields = dict(n=n, lam=Fraction(3), aleph=1, C=_zeros(n, 3), R=_zeros(n, 3), Scurv=_zeros(n, 4))
+    f = _tensor(n, 2, {(0, 1): 1, (1, 0): -1}, 3)
     a = NondegenerateAnsatz(F=f, **fields)
     assert a._carriers["F"] is f
     assert a.F == ((0, Fraction(1, 3)), (Fraction(-1, 3), 0))
     with pytest.raises(ValueError, match="F must be nested lists of shape 2 x 2"):
-        NondegenerateAnsatz(F=QArray(np.zeros((2, 3), dtype=object)), **fields)
+        NondegenerateAnsatz(F=_zeros(3, 2), **fields)
+    with pytest.raises(ValueError, match="F must be nested lists of shape 2 x 2"):
+        NondegenerateAnsatz(F=_zeros(2, 3), **fields)
     with pytest.raises(ValueError, match="F must be antisymmetric in slots 0 and 1"):
-        NondegenerateAnsatz(F=QArray(np.array([[0, 1], [1, 0]], dtype=object)), **fields)
+        NondegenerateAnsatz(F=_tensor(n, 2, {(0, 1): 1, (1, 0): 1}), **fields)
     with pytest.raises(ValueError, match="h_basis matrices must be eta-antisymmetric"):
-        NondegenerateAnsatz(F=f, h_basis=QArray(np.ones((1, n, n), dtype=object)), **fields)
+        NondegenerateAnsatz(F=f, h_basis=np.ones((1, n, n), dtype=object), **fields)
+    with pytest.raises(ValueError, match="h_basis must be nested lists of shape k x 2 x 2"):
+        NondegenerateAnsatz(F=f, h_basis=_tensor(n, 3, {}), **fields)
+
+
+@pytest.mark.parametrize("case", ["deg", "nondeg"])
+def test_ndarray_fields_equal_list_fields(case):
+    # numpy arrays are read through tolist(): object arrays of strings or of
+    # Fractions, and a list of per-matrix arrays, give the ansatz the lists give
+    for n, seed in itertools.product((1, 3, 4), range(2)):
+        data = generate_instance(case, n, seed).to_json()
+        want = ansatz_from_json(data)
+        names = reduction._DEG_ARRAYS if case == "deg" else (*reduction._NONDEG_ARRAYS, "h_basis")
+        strings = dict(data, **{k: np.array(data[k], dtype=object) for k in names})
+        fracs = dict(data, **{k: np.vectorize(Fraction, otypes=[object])(strings[k]) for k in names})
+        for arrays in (strings, fracs):
+            got = ansatz_from_json(arrays)
+            assert got == want and got.to_json() == data
+        if case == "nondeg":
+            stack = dict(data, h_basis=[np.array(m, dtype=object) for m in data["h_basis"]])
+            assert ansatz_from_json(stack) == want

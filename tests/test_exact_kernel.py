@@ -17,7 +17,7 @@ import pytest
 
 from homkit._exact_array import QArray
 from homkit.exact import EXACT, mat_inverse, row_reduce, solve_in_span, span_coordinates
-from homkit.reduction import _span_closure
+from homkit.reduction import _array, _freeze, _span_closure
 
 BIG = 10**9 + 7
 
@@ -243,9 +243,9 @@ def test_span_closure_matches_full_re_reduction(seed, n):
     rng = random.Random(seed * 10 + n)
     seeds = [QArray.of([[scalar(rng, 0.7) for _ in range(n)] for _ in range(n)]) for _ in range(2)]
     seeds.append(seeds[0] * Fraction(-3, BIG))
-    rot = _span_closure(seeds, n)
+    rot = _span_closure([_array(m.tolist(), (n, n), "seed") for m in seeds])
     want = ref_span_closure(seeds)
     assert len(rot) == len(want)
-    assert [m.tolist() for m in rot] == [m.tolist() for m in want]
+    assert [_freeze(m, list) for m in rot] == [m.tolist() for m in want]
     flat = lambda ms: [[Fraction(x) for x in np.ravel(m.fractions())] for m in ms]
-    assert ref_row_reduce(flat(rot)) == ref_row_reduce(flat(want))
+    assert ref_row_reduce([list(m.components) for m in rot]) == ref_row_reduce(flat(want))

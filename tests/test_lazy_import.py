@@ -1,10 +1,11 @@
-"""``homkit.plane_wave`` and ``homkit.reduction`` load on first use.
+"""``homkit.plane_wave``, ``homkit.reduction`` and ``homkit.wave_table`` load on first use.
 
-The exact commands (``classify``, ``jacobi``, ``reductive``) and every
-malformed-input exit run without importing numpy.  The two
-numpy-backed modules are still in ``sys.modules`` as soon as the
-package is imported, and the package serves their public names on
-attribute access.
+Every command but ``planewave verify`` runs without importing numpy:
+the exact commands (``classify``, ``jacobi``, ``reductive``), ``gen``,
+``reduce`` (passing, inconsistent or malformed), ``planewave algebra``
+and every malformed-input exit.  The lazily loaded modules are still in
+``sys.modules`` as soon as the package is imported, and the package
+serves their public names on attribute access.
 """
 
 import json
@@ -47,7 +48,8 @@ REDUCTION_NAMES = (
 
 # Runs each command through homkit.cli.main in one child process and
 # records, after each step, whether numpy has been imported.  The last
-# step reads a lazily served name, so the probe is seen to detect numpy.
+# step reads a lazily served numpy-backed name, so the probe is seen to
+# detect numpy.
 CHILD = r"""
 import contextlib, io, json, sys
 
@@ -56,13 +58,13 @@ import homkit
 steps["import homkit"] = "numpy" in sys.modules
 import homkit.cli
 steps["import homkit.cli"] = "numpy" in sys.modules
-registered = [m in sys.modules for m in ("homkit.plane_wave", "homkit.reduction")]
+registered = [m in sys.modules for m in ("homkit.plane_wave", "homkit.reduction", "homkit.wave_table")]
 for label, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes[label] = homkit.cli.main(argv)
     steps[label] = "numpy" in sys.modules
-homkit.PlaneWaveData
-steps["homkit.PlaneWaveData"] = "numpy" in sys.modules
+homkit.as_residuals
+steps["homkit.as_residuals"] = "numpy" in sys.modules
 print(json.dumps({"steps": steps, "codes": codes, "registered": registered}))
 """
 
@@ -91,6 +93,12 @@ def child(tmp_path_factory):
     truncated = write("truncated.json", '{"dim": 3, "brackets": {"0,1"')
     non_square = write("f.json", [["0", "1"]])
     square = write("h.json", [["1", "0"], ["0", "1"]])
+    rotation = write("rotation.json", [["0", "1/2"], ["-1/2", "0"]])
+    deg, nondeg = str(tmp / "deg.json"), str(tmp / "nondeg.json")
+    broken = homkit.generate_instance("deg", 2, 0).to_json()
+    broken["W"] = ["1", "0"]
+    broken = write("broken.json", broken)
+    bad_entry = write("bad_entry.json", dict(homkit.generate_instance("deg", 2, 0).to_json(), W=["x", "0"]))
     runs = [
         ("classify", ["classify", structure]),
         ("jacobi", ["jacobi", so3]),
@@ -101,6 +109,14 @@ def child(tmp_path_factory):
         ("jacobi truncated JSON", ["jacobi", truncated]),
         ("planewave non-square F",
          ["planewave", "--n", "2", "--F", non_square, "--H", square, "verify"]),
+        ("gen deg", ["gen", "--case", "deg", "--n", "3", "--seed", "4", "--out", deg]),
+        ("gen nondeg", ["gen", "--case", "nondeg", "--n", "3", "--seed", "4", "--out", nondeg]),
+        ("reduce deg", ["reduce", deg, "--case", "deg"]),
+        ("reduce nondeg", ["reduce", nondeg, "--case", "nondeg"]),
+        ("reduce inconsistent", ["reduce", broken, "--case", "deg"]),
+        ("reduce bad entry", ["reduce", bad_entry, "--case", "deg"]),
+        ("planewave algebra",
+         ["planewave", "--n", "2", "--F", rotation, "--H", square, "algebra"]),
     ]
     src = str(Path(homkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -113,7 +129,7 @@ def child(tmp_path_factory):
 
 def test_exact_commands_and_malformed_inputs_skip_numpy(child):
     steps = child["steps"]
-    assert steps.pop("homkit.PlaneWaveData") is True
+    assert steps.pop("homkit.as_residuals") is True
     assert {label: loaded for label, loaded in steps.items() if loaded} == {}
 
 
@@ -127,11 +143,18 @@ def test_exit_codes(child):
         "classify missing S": 2,
         "jacobi truncated JSON": 2,
         "planewave non-square F": 2,
+        "gen deg": 0,
+        "gen nondeg": 0,
+        "reduce deg": 0,
+        "reduce nondeg": 0,
+        "reduce inconsistent": 1,
+        "reduce bad entry": 2,
+        "planewave algebra": 0,
     }
 
 
 def test_lazy_modules_are_registered_on_import(child):
-    assert child["registered"] == [True, True]
+    assert child["registered"] == [True, True, True]
 
 
 @pytest.mark.parametrize(
@@ -149,6 +172,7 @@ def test_lazy_name_is_the_defining_modules_object(module, name):
 def test_lazy_modules_are_package_attributes():
     assert homkit.plane_wave is sys.modules["homkit.plane_wave"]
     assert homkit.reduction is sys.modules["homkit.reduction"]
+    assert homkit.wave_table is sys.modules["homkit.wave_table"]
 
 
 def test_unknown_name_raises_attribute_error():

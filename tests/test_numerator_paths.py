@@ -3,8 +3,8 @@
 The references below are the loops `contract`, `raise_lower` (`_map_slot`),
 `change_basis`, `boost_block`, `pw_isometry_algebra` and the antisymmetry
 check ran before they summed on integer numerators: one Fraction
-multiply-add per term; and the per-row loop that read a QArray bracket
-table into a `LieAlgebra`.  The library must return the same `items`
+multiply-add per term; and the per-row loop that read a bracket table
+into a `LieAlgebra`.  The library must return the same `items`
 exactly, on non-diagonal metrics and basis changes whose denominators
 are primes near 1e9, with entries that cancel to zero; float tensors
 keep the old loops, so their items must match by `repr`.  Counts of
@@ -21,8 +21,7 @@ import pytest
 from test_exact_carrier import count_fractions
 
 from homkit import hom_structure, plane_wave
-from homkit._exact_array import QArray, _algebra, _table
-from homkit.exact import EXACT, FLOAT, mat_identity, mat_inverse, scalar_zero
+from homkit.exact import EXACT, FLOAT, integer_numerators, mat_identity, mat_inverse, scalar_zero
 from homkit.hom_structure import (
     CurvatureAtPoint,
     HomogeneousStructure,
@@ -33,11 +32,12 @@ from homkit.lie_algebra import LieAlgebra, change_basis
 from homkit.plane_wave import (
     PlaneWaveData,
     boost_block,
-    _wave_table,
     exact_curvature,
     frame_structure,
     pw_isometry_algebra,
 )
+from homkit.reduction import _algebra
+from homkit.wave_table import _matrix, _wave_table
 from homkit.tensor_core import (
     DOWN,
     UP,
@@ -140,11 +140,11 @@ def old_pw_isometry_algebra(pw):
 
 
 def old_algebra(table, labels):
-    dim, num = len(labels), table.num
+    dim = len(labels)
     brackets = {}
     for a in range(dim):
         for b in range(a + 1, dim):
-            row = {c: Fraction(v, table.den) for c, v in enumerate(num[a, b].tolist()) if v}
+            row = {c: table[a, b, c] for c in range(dim) if table.get((a, b, c), 0)}
             if row:
                 brackets[(a, b)] = row
     return LieAlgebra.from_brackets(dim, brackets, labels=labels, tag=EXACT)
@@ -295,35 +295,47 @@ class TestAgainstFractionLoops:
                     f[i][j] = big_fraction(rng)
                     f[j][i] = -f[i][j]
             pw = PlaneWaveData(n, f, h)
-            old = Tensor.from_entries(2 * n + 2, (DOWN, DOWN, UP), dict(old_pw_isometry_algebra(pw)))
-            want = _table(LieAlgebra(tuple(map(str, range(2 * n + 2))), old))
-            got = _wave_table(QArray.of(f), QArray.of(h))
-            assert got.shape == want.shape
-            assert (got.fractions() == want.fractions()).all()
+            want = Tensor.from_entries(2 * n + 2, (DOWN, DOWN, UP), dict(old_pw_isometry_algebra(pw)))
+            got = _wave_table(_matrix(f), _matrix(h))
+            assert got == want
             assert boost_block(pw) == old_boost_block(pw)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_table_reader(self, dim):
         rng = random.Random(f"table-{dim}")
         labels = [f"e{a}" for a in range(dim)]
-        zero = QArray(np.zeros((dim,) * 3, dtype=object))
-        uppers = [zero]
+        uppers = [{}]
         for density in (0.05, 0.3, 1.0):
-            t = zero.copy()
+            t = {}
             for a, b in itertools.combinations(range(dim), 2):
                 for c in range(dim):
                     if rng.random() < density:
                         t[a, b, c] = big_fraction(rng)
             uppers.append(t)
+
+        def plus(t, k):
+            """t plus k times its mirror in the first two slots."""
+            keys = {*t, *((b, a, c) for a, b, c in t)}
+            return {(a, b, c): t.get((a, b, c), 0) + k * t.get((b, a, c), 0) for a, b, c in keys}
+
+        def parts(t):
+            """t as (numerators, den) parts, split by the parity of c."""
+            out = []
+            for parity in (0, 1):
+                half = {key: v for key, v in t.items() if key[2] % 2 == parity}
+                nums, den = integer_numerators(half.values())
+                out.append((dict(zip(half, nums)), den))
+            return out
+
         for upper in uppers:
             # the assembly fills only the a < b half; the reader mirrors it
             # and ignores whatever the other half holds
-            full = upper - upper.swapaxes(0, 1)
-            for t in (upper, full, upper + 2 * upper.swapaxes(0, 1)):
-                got = _algebra(t, labels)
+            full = plus(upper, -1)
+            for t in (upper, full, plus(upper, 2)):
+                got = _algebra(parts(t), labels)
                 assert got == old_algebra(t, labels)
                 assert all(type(v) is Fraction for _, v in got.f.items)
-                assert (_table(got).fractions() == full.fractions()).all()
+                assert got.f.entries() == {key: v for key, v in sorted(full.items()) if v}
 
 
 # ---------------------------------------------------------------------------

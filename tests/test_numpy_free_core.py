@@ -1,5 +1,8 @@
 """Static guard: the exact core imports neither numpy nor the numpy-backed modules.
 
+The core is the scalar, tensor, Lie algebra and structure layers, the
+reductions and the wave bracket table.
+
 The files are parsed, not imported, so the guard holds for every
 import path in the source, not only the ones a given run happens to
 execute (``tests/test_lazy_import.py`` checks the runtime side).
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "homkit"
-CORE = ("exact.py", "tensor_core.py", "lie_algebra.py", "hom_structure.py")
+CORE = ("exact.py", "tensor_core.py", "lie_algebra.py", "hom_structure.py", "reduction.py",
+        "wave_table.py")
 FORBIDDEN = {"numpy", "_exact_array", "plane_wave", "reduction"}
 
 

@@ -26,8 +26,11 @@ from homkit.lie_algebra import LieAlgebra, change_basis
 from homkit.plane_wave import PlaneWaveData
 from homkit.reduction import (
     _bracket_pattern,
+    _contract,
     _eye,
-    _table,
+    _fmt,
+    _freeze,
+    _tensor,
     ansatz_from_json,
     assemble_algebra,
     generate_instance,
@@ -38,7 +41,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def strings(a):
-    return np.vectorize(str, otypes=[object])(a).tolist()
+    if isinstance(a, list):  # the keyed rotation images
+        return [(key, strings(m)) for key, m in a]
+    return _fmt(_freeze(a))
 
 
 class TestRotationCache:
@@ -158,9 +163,7 @@ def test_a_wave_table_mismatch_is_named(monkeypatch):
     wave_table = reduction._wave_table
 
     def shifted(f, h):
-        h = h.copy()
-        h[1, 1] = h[1, 1] + 1
-        return wave_table(f, h)
+        return wave_table(f, h + _tensor(h.dim, 2, {(1, 1): 1}))
 
     monkeypatch.setattr(reduction, "_wave_table", shifted)
     report = reduction.degenerate_reduce(ansatz)
@@ -225,7 +228,7 @@ def test_bracket_pattern_matches_reference_loops():
     seen = collections.Counter()
     for _ in range(400):
         algebra, gens, lam, m0 = random_case(rng)
-        flags = _bracket_pattern(_table(algebra), _eye(algebra.dim), gens, lam, m0)
+        flags = _bracket_pattern(algebra.f, _eye(algebra.dim), gens, lam, m0)
         assert flags == reference_pattern(algebra, gens, lam, m0)
         assert all(type(flag) is bool for flag in flags)
         seen.update(enumerate(flags))
@@ -237,11 +240,12 @@ def random_redefinition(rng, dim, m0):
     columns 0 and m0.., and its rows avoid its columns, so N @ N = 0."""
     cols = [c for c in range(1, m0) if rng.random() < 0.7]
     rows = [r for r in range(dim) if r not in cols and rng.random() < 0.7]
-    b = _eye(dim)
+    entries = {(i, i): 1 for i in range(dim)}
     for r, c in itertools.product(rows, cols):
-        b[r, c] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        entries[r, c] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+    b = _tensor(dim, 2, entries)
     nil = b - _eye(dim)
-    assert not (nil[:, 0].any() or nil[:, m0:].any() or (nil @ nil).any())
+    assert not any(c == 0 or c >= m0 for (_, c), _ in nil.nums) and _contract(nil, nil).is_zero()
     return b
 
 
@@ -254,10 +258,10 @@ def test_bracket_pattern_reads_redefined_generators_in_the_old_basis():
         # of the inverse 2I - B
         reduced, gens, lam, m0 = random_case(rng)
         b = random_redefinition(rng, reduced.dim, m0)
-        algebra = change_basis(reduced, b.tolist())
-        want = reference_pattern(change_basis(algebra, (2 * _eye(algebra.dim) - b).tolist()),
+        algebra = change_basis(reduced, _freeze(b, list))
+        want = reference_pattern(change_basis(algebra, _freeze(_eye(algebra.dim).scale(2) - b, list)),
                                  gens, lam, m0)
-        flags = _bracket_pattern(_table(algebra), b, gens, lam, m0)
+        flags = _bracket_pattern(algebra.f, b, gens, lam, m0)
         assert flags == want
         assert all(type(flag) is bool for flag in flags)
         seen.update(enumerate(flags))

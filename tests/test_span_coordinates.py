@@ -19,7 +19,6 @@ import pytest
 
 import homkit.exact as exact
 import homkit.reduction as reduction
-from homkit._exact_array import QArray
 from homkit.exact import _echelon as kernel
 from homkit.exact import row_reduce, span_coordinates
 from homkit.hom_structure import (
@@ -28,7 +27,7 @@ from homkit.hom_structure import (
     SpanError,
     build_isometry_algebra,
 )
-from homkit.reduction import _coords, _span_closure
+from homkit.reduction import _array, _coords, _span_closure
 from homkit.tensor_core import DOWN, UP, FrameMetric, Tensor
 
 
@@ -138,7 +137,8 @@ class TestReductionCoords:
         mats = [sum(c * m for c, m in zip(row, rot)) for row in coeffs]
         calls = []
         monkeypatch.setattr(exact, "_echelon", lambda *args: calls.append(1) or kernel(*args))
-        assert _coords(rot, mats).tolist() == coeffs
+        rows, den = _coords(_array(rot, (None, n, n), "rot"), _array(mats, (None, n, n), "mats"))
+        assert [[Fraction(x, den) for x in row] for row in rows] == coeffs
         assert len(calls) == 1
 
     def test_one_kernel_insertion_per_added_matrix(self, monkeypatch):
@@ -150,14 +150,15 @@ class TestReductionCoords:
 
         monkeypatch.setattr(reduction, "_echelon", counting)
         # so(3) from two of its rotations, seeded twice: the third comes from their commutator
-        seeds = QArray.of([rotation(3, 0, 1), rotation(3, 0, 2), rotation(3, 0, 1, 2), rotation(3, 0, 2)])
-        rot = _span_closure(list(seeds), 3)
+        seeds = _array([rotation(3, 0, 1), rotation(3, 0, 2), rotation(3, 0, 1, 2), rotation(3, 0, 2)],
+                       (None, 3, 3), "seeds")
+        rot = _span_closure(seeds)
         assert len(rot) == 3
         assert calls == [1, 1, 1]
 
     def test_coords_on_empty_span(self):
-        out = _coords(np.zeros((0, 2, 2), dtype=object), [np.zeros((2, 2), dtype=object)] * 3)
-        assert out.shape == (3, 0)
+        rows, _ = _coords((), _array([np.zeros((2, 2), dtype=object)] * 3, (None, 2, 2), "mats"))
+        assert rows == [[], [], []]
 
 
 def euclidean_curvature(d):
