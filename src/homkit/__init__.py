@@ -10,26 +10,6 @@ form.
 import importlib.util
 import sys
 
-from .exact import EXACT, FLOAT
-from .tensor_core import FrameMetric, Tensor, antisymmetrize, contract, raise_lower
-from .lie_algebra import (
-    LieAlgebra,
-    ReductiveSplit,
-    change_basis,
-    check_reductive,
-    jacobi_residual,
-)
-from .hom_structure import (
-    CurvatureAtPoint,
-    HomogeneousStructure,
-    SpanError,
-    StructureClass,
-    build_isometry_algebra,
-    classify,
-    decompose,
-    trace_one_form,
-)
-
 
 def _lazy(name):
     """Register ``homkit.<name>`` so that it runs on first attribute access.
@@ -47,42 +27,26 @@ def _lazy(name):
     return module
 
 
-# loaded on first use; of the three only plane_wave needs numpy
-plane_wave = _lazy("plane_wave")
-reduction = _lazy("reduction")
-wave_table = _lazy("wave_table")
+# every submodule runs on first use; of them only plane_wave loads numpy
+exact, tensor_core, lie_algebra, hom_structure, wave_table, reduction, plane_wave = map(
+    _lazy, "exact tensor_core lie_algebra hom_structure wave_table reduction plane_wave".split())
 
 _LAZY_NAMES = {
-    **dict.fromkeys(("PlaneWaveData", "pw_isometry_algebra"), wave_table),
-    **dict.fromkeys(
-        (
-            "ChartPoint",
-            "as_residuals",
-            "christoffel",
-            "exact_curvature",
-            "frame_structure",
-            "metric_jet",
-            "riemann",
-            "sample_points",
-            "structure_at",
-        ),
-        plane_wave,
-    ),
-    **dict.fromkeys(
-        (
-            "DegenerateAnsatz",
-            "NondegenerateAnsatz",
-            "ReductionReport",
-            "ansatz_from_plane_wave",
-            "assemble_algebra",
-            "degenerate_reduce",
-            "f_derivation",
-            "generate_instance",
-            "nondegenerate_reduce",
-            "verify_constraints",
-        ),
-        reduction,
-    ),
+    name: module
+    for module, names in (
+        (exact, "EXACT FLOAT"),
+        (tensor_core, "FrameMetric Tensor antisymmetrize contract raise_lower"),
+        (lie_algebra, "LieAlgebra ReductiveSplit change_basis check_reductive jacobi_residual"),
+        (hom_structure, "CurvatureAtPoint HomogeneousStructure SpanError StructureClass "
+                        "build_isometry_algebra classify decompose trace_one_form"),
+        (wave_table, "PlaneWaveData pw_isometry_algebra"),
+        (plane_wave, "ChartPoint as_residuals christoffel exact_curvature frame_structure "
+                     "metric_jet riemann sample_points structure_at"),
+        (reduction, "DegenerateAnsatz NondegenerateAnsatz ReductionReport ansatz_from_plane_wave "
+                    "assemble_algebra degenerate_reduce f_derivation generate_instance "
+                    "nondegenerate_reduce verify_constraints"),
+    )
+    for name in names.split()
 }
 
 

@@ -12,10 +12,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .hom_structure import HomogeneousStructure, classify
-from .lie_algebra import LieAlgebra, ReductiveSplit, _first_worst_triple, check_reductive, jacobi_residual
-from .tensor_core import _MAX_COMPONENTS
-from . import plane_wave, reduction, wave_table
+# modules, not names: each command runs only the modules it reads
+from . import hom_structure, lie_algebra, plane_wave, reduction, tensor_core, wave_table
 
 
 class InputError(Exception):
@@ -66,22 +64,24 @@ def _emit(report, out=None, quiet=False, verdict=None):
 
 
 def _cmd_classify(args):
-    hs = _parse(args.structure, HomogeneousStructure.from_json, _load_json(args.structure))
-    report = classify(hs).to_json()
+    data = _load_json(args.structure)
+    hs = _parse(args.structure, hom_structure.HomogeneousStructure.from_json, data)
+    report = hom_structure.classify(hs).to_json()
     _emit(report, quiet=args.quiet, verdict=report["class"])
     return 0
 
 
 def _cmd_jacobi(args):
-    algebra = _parse(args.algebra, LieAlgebra.from_json, _load_json(args.algebra))
-    entries, worst = jacobi_residual(algebra)
+    data = _load_json(args.algebra)
+    algebra = _parse(args.algebra, lie_algebra.LieAlgebra.from_json, data)
+    entries, worst = lie_algebra.jacobi_residual(algebra)
     ok = worst == 0
     report = {
         "max_abs_residual": str(worst),
         "is_lie_algebra": ok,
     }
     if not ok:
-        report["failing_identity"] = list(_first_worst_triple(algebra, entries, worst))
+        report["failing_identity"] = list(lie_algebra._first_worst_triple(algebra, entries, worst))
     _emit(report, quiet=args.quiet, verdict="pass" if ok else "fail")
     return 0 if ok else 1
 
@@ -94,10 +94,11 @@ def _parse_indices(text, what):
 
 
 def _cmd_reductive(args):
-    algebra = _parse(args.algebra, LieAlgebra.from_json, _load_json(args.algebra))
-    split = _parse(args.algebra, ReductiveSplit, _parse_indices(args.m_indices, "m"),
+    data = _load_json(args.algebra)
+    algebra = _parse(args.algebra, lie_algebra.LieAlgebra.from_json, data)
+    split = _parse(args.algebra, lie_algebra.ReductiveSplit, _parse_indices(args.m_indices, "m"),
                    _parse_indices(args.h_indices, "h"))
-    report_obj = _parse(args.algebra, check_reductive, algebra, split)
+    report_obj = _parse(args.algebra, lie_algebra.check_reductive, algebra, split)
     report = {
         "reductive": report_obj.is_reductive,
         "hh_violations": [list(v[:2]) for v in report_obj.hh_violations],
@@ -111,9 +112,9 @@ def _cmd_reductive(args):
 
 def _load_wave(args):
     # the chart jets of a plane wave hold (n + 2)**5 entries
-    if (args.n + 2) ** 5 > _MAX_COMPONENTS:
+    if (args.n + 2) ** 5 > tensor_core._MAX_COMPONENTS:
         raise InputError(f"--n {args.n} is too large: the chart jets would hold "
-                         f"{(args.n + 2) ** 5} entries, over {_MAX_COMPONENTS}")
+                         f"{(args.n + 2) ** 5} entries, over {tensor_core._MAX_COMPONENTS}")
     f = _load_matrix(args.F, args.n, "F")
     h = _load_matrix(args.H, args.n, "H")
     try:

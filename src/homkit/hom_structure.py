@@ -22,17 +22,17 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import EXACT, format_scalar, integer_numerators, mat_mul, scalar_zero, span_coordinates
-from .lie_algebra import LieAlgebra, jacobi_residual
+from . import lie_algebra  # read only by build_isometry_algebra, so classify never runs it
 from .tensor_core import (
     DOWN,
     UP,
     FrameMetric,
     Tensor,
     _antisymmetry_violations,
+    _frozen,
     antisymmetrize,
     contract,
     raise_lower,
@@ -52,7 +52,7 @@ CLASS_NAMES = {
 }
 
 
-@dataclass(frozen=True)
+@_frozen
 class HomogeneousStructure:
     metric: FrameMetric
     S: Tensor
@@ -90,7 +90,7 @@ class HomogeneousStructure:
         return cls(FrameMetric.from_json(data["metric"]), Tensor.from_json(data["S"]))
 
 
-@dataclass(frozen=True)
+@_frozen
 class StructureClass:
     label: str
     degeneracy: str  # none | spacelike | timelike | null
@@ -247,7 +247,7 @@ def _is_metric_antisymmetric(metric, m):
     return True
 
 
-@dataclass(frozen=True)
+@_frozen
 class CurvatureAtPoint:
     """Curvature operator data at a point.
 
@@ -271,7 +271,7 @@ class CurvatureAtPoint:
         object.__setattr__(self, "h_basis", h_basis)
         if _antisymmetry_violations(dict(self.Rbar.nums), 0, 1):
             raise ValueError("Rbar is not antisymmetric in its form slots")
-        # the nonzero components operator reads; not a dataclass field
+        # the nonzero components operator reads; not a field
         object.__setattr__(self, "_entries", self.Rbar.entries())
         for m in h_basis:
             if len(m) != d or any(len(row) != d for row in m):
@@ -365,8 +365,8 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
         row = {d + r: c for r, c in enumerate(coeffs) if c != 0}
         if row:
             brackets[(d + p, d + q)] = row
-    algebra = LieAlgebra.from_brackets(
+    algebra = lie_algebra.LieAlgebra.from_brackets(
         n_total, brackets, labels=list(m_labels) + list(h_labels), tag=tag
     )
-    _, residual = jacobi_residual(algebra)
+    _, residual = lie_algebra.jacobi_residual(algebra)
     return algebra, residual

@@ -7,7 +7,6 @@ residual of zero is then a proof, not a small number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
@@ -18,33 +17,43 @@ from .exact import (
     parse_scalar,
     row_reduce,
 )
-from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations, _map_slot
+from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations, _frozen, _map_slot
 
 
 def _default_labels(n):
     return tuple(f"e{i}" for i in range(n))
 
 
-@dataclass(frozen=True)
+@_frozen
 class LieAlgebra:
     labels: tuple
     f: Tensor  # valence (d, d, u), antisymmetric in the first two slots
 
-    def __post_init__(self):
+    def __post_init__(self, antisymmetric=False):
         if self.f.valence != (DOWN, DOWN, UP):
             raise ValueError("structure constants must have valence (d, d, u)")
         if len(self.labels) != self.f.dim:
             raise ValueError("label count does not match dimension")
-        bad = _antisymmetry_violations(dict(self.f.nums), 0, 1)
+        bad = not antisymmetric and _antisymmetry_violations(dict(self.f.nums), 0, 1)
         if bad:
             a, b, c = bad[0]
             raise ValueError(f"structure constants not antisymmetric at ({a},{b})^{c}")
         # nonzero brackets as {(a, b): {c: numerator of f_ab^c over f.den}}, in
-        # index order; not a dataclass field, so equality and repr see only labels and f
+        # index order; not a field, so equality and repr see only labels and f
         rows = {}
         for (a, b, c), v in self.f.nums:
             rows.setdefault((a, b), {})[c] = v
         object.__setattr__(self, "_rows", rows)
+
+    @classmethod
+    def _antisymmetric(cls, labels, f):
+        """The algebra of an f whose builder wrote each f_ba^c, a < b, as the
+        negated numerator of f_ab^c; antisymmetric so, and not checked."""
+        algebra = cls.__new__(cls)
+        object.__setattr__(algebra, "labels", labels)
+        object.__setattr__(algebra, "f", f)
+        algebra.__post_init__(antisymmetric=True)
+        return algebra
 
     @property
     def dim(self):
@@ -66,7 +75,9 @@ class LieAlgebra:
         entries = dict(half.nums)
         entries.update(((b, a, c), -v) for (a, b, c), v in half.nums)
         f = Tensor._sparse(dim, half.valence, entries, tag, half.den)
-        return cls(tuple(labels) if labels else _default_labels(dim), f)
+        # a float NaN is no mirror of itself, so only exact tables skip the check
+        build = cls._antisymmetric if tag == EXACT and all(a < b for a, b in brackets) else cls
+        return build(tuple(labels) if labels else _default_labels(dim), f)
 
     def _value(self, v):
         """A stored numerator as the value it stands for."""
@@ -222,7 +233,7 @@ def change_basis(algebra, p, labels=None):
     return LieAlgebra(tuple(labels) if labels else algebra.labels, f)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ReductiveSplit:
     m_indices: tuple
     h_indices: tuple
@@ -238,7 +249,7 @@ class ReductiveSplit:
         return set(self.m_indices) | set(self.h_indices) == set(range(dim))
 
 
-@dataclass(frozen=True)
+@_frozen
 class ReductiveReport:
     is_reductive: bool
     hh_violations: tuple  # brackets [h,h] leaking into m

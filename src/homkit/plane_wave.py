@@ -34,20 +34,22 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+
+# the numpy-free modules before numpy: a lazy module compiles on first read,
+# and compiled on the smaller heap its parse adds nothing to the peak RSS
+from .exact import EXACT, FLOAT, mat_inverse
+from .hom_structure import CurvatureAtPoint, HomogeneousStructure
+from .tensor_core import DOWN, UP, FrameMetric, Tensor, _frozen
+# the wave data and its bracket table are numpy-free; they are served here too
+from .wave_table import PlaneWaveData, boost_block, pw_isometry_algebra
 
 import numpy as np
 
 from ._exact_array import QArray, einsum
-from .exact import EXACT, FLOAT, mat_inverse
-from .hom_structure import CurvatureAtPoint, HomogeneousStructure
-from .tensor_core import DOWN, UP, FrameMetric, Tensor
-# the wave data and its bracket table are numpy-free; they are served here too
-from .wave_table import PlaneWaveData, boost_block, pw_isometry_algebra
 
 
-@dataclass(frozen=True)
+@_frozen
 class ChartPoint:
     z: float
     s: float
@@ -134,7 +136,7 @@ def profile_jet(pw, z):
 # _exact_array, which keep the backend they are given.
 
 
-@dataclass(frozen=True)
+@_frozen
 class GeometryJet:
     """Metric and its first three coordinate derivative arrays at a point."""
 

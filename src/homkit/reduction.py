@@ -28,13 +28,12 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (EXACT, _echelon, _eliminate, _rational, format_scalar, integer_numerators,
                     span_coordinates)
 from .lie_algebra import LieAlgebra, _first_worst_triple, jacobi_residual
-from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations, _map_slot
+from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations, _frozen, _map_slot
 from .wave_table import PlaneWaveData, _wave_table
 
 # Levi-Civita symbol on three indices: the sign of each permutation
@@ -60,20 +59,11 @@ def _array(data, shape, name):
     are read through tolist(), and each distinct string or int is parsed once.
     """
     n, stack = shape[-1], shape[0] is None
-    rank, flat = len(shape) - stack, []
-
-    def fits(x, depth):
-        x = x.tolist() if hasattr(x, "tolist") else x
-        if depth == len(shape):
-            flat.append(x)
-            return not isinstance(x, (list, tuple, dict))
-        return isinstance(x, (list, tuple)) and shape[depth] in (None, len(x)) and all(
-            fits(y, depth + 1) for y in x)
-
+    rank = len(shape) - stack
     if isinstance(data, Tensor):
         if not stack and (data.dim, data.rank) == (n, rank):
             return data
-    elif fits(data, 0):
+    elif (flat := _leaves(data, shape)) is not None:
         parse = functools.cache(lambda x: _rational(x, name))
         values = [parse(x) if type(x) in (str, int) else _rational(x, name) for x in flat]
         index = list(itertools.product(range(n), repeat=rank))
@@ -81,6 +71,22 @@ def _array(data, shape, name):
         return tuple(out) if stack else out[0]
     dims = " x ".join("k" if s is None else str(s) for s in shape)
     raise ValueError(f"{name} must be nested lists of shape {dims}")
+
+
+def _leaves(data, shape):
+    """The entries of nested lists of the given shape in index order, or
+    None if a level is missing, extra or ragged.  Checked one level at a
+    time, on the set of types and of lengths met there; every list, array
+    or entry is read through tolist() if it has one."""
+    level = [data]
+    for size in shape:
+        level = [x.tolist() if hasattr(x, "tolist") else x for x in level]
+        if not all(issubclass(t, (list, tuple)) for t in {type(x) for x in level}) or (
+                size is not None and {len(x) for x in level} - {size}):
+            return None
+        level = [y for x in level for y in x]
+    level = [x.tolist() if hasattr(x, "tolist") else x for x in level]
+    return None if any(issubclass(t, (list, tuple, dict)) for t in {type(x) for x in level}) else level
 
 
 def _zeros(n, rank):
@@ -304,7 +310,7 @@ def _nonzero_lam(lam):
     return lam
 
 
-@dataclass(frozen=True)
+@_frozen
 class NondegenerateAnsatz:
     """Bracket data for a space- or time-like defining vector.
 
@@ -360,7 +366,7 @@ class NondegenerateAnsatz:
         )
 
 
-@dataclass(frozen=True)
+@_frozen
 class DegenerateAnsatz:
     """Bracket data for a null defining vector.
 
@@ -472,7 +478,8 @@ def _algebra(parts, labels):
             if a < b:
                 half[a, b, c] = half.get((a, b, c), 0) + s * v
     entries = {**half, **{(b, a, c): -v for (a, b, c), v in half.items()}}
-    return LieAlgebra(tuple(labels), Tensor._sparse(len(labels), (DOWN, DOWN, UP), entries, EXACT, den))
+    f = Tensor._sparse(len(labels), (DOWN, DOWN, UP), entries, EXACT, den)
+    return LieAlgebra._antisymmetric(tuple(labels), f)
 
 
 def _rotation_brackets(rot, m0, acted, images, z0):
@@ -660,7 +667,7 @@ def _verify_deg(work):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
 class ReductionReport:
     verdict: str  # symmetric_space | plane_wave | inconsistent
     residuals: dict
@@ -668,7 +675,7 @@ class ReductionReport:
     redefinitions: tuple = ()  # (name, new-basis-in-old-basis matrix)
     plane_wave: PlaneWaveData | None = None
     failing_identity: tuple | None = None
-    checks: dict = field(default_factory=dict)
+    checks: dict = {}  # copied per instance
 
     def to_json(self):
         out = {

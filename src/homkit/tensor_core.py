@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import cached_property
 
@@ -50,6 +50,60 @@ def _flat(idx, dim, rank):
     return f
 
 
+def _frozen(cls):
+    """Make cls a frozen record of its annotated fields, as @dataclass(frozen=True) would.
+
+    __init__ (unless cls has one) takes the fields in order, a missing
+    one its class attribute (a dict copied per instance), and then calls
+    __post_init__ if cls has one; ==, hash and repr read the field tuple
+    (two fields or more); setting or deleting an attribute raises.
+    object.__setattr__ and cached_property still write the instance dict.
+    """
+    names = cls._fields = tuple(cls.__annotations__)
+    known, defaults = set(names), {k: vars(cls)[k] for k in names if k in vars(cls)}
+    values, post, set_field = operator.attrgetter(*names), hasattr(cls, "__post_init__"), object.__setattr__
+
+    def bind(args, kwargs):
+        fields = dict(zip(names, args), **kwargs)
+        # an extra positional argument or a repeated one leaves fields short
+        if len(fields) < len(args) + len(kwargs) or not known >= fields.keys():
+            raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated argument")
+        for k in names[len(args):]:
+            if k not in fields:
+                if k not in defaults:
+                    raise TypeError(f"{cls.__qualname__}() missing argument {k!r}")
+                fields[k] = dict(defaults[k]) if type(defaults[k]) is dict else defaults[k]
+        return [fields[k] for k in names]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        # one by one: filled through vars(self), each instance would hold its own dict
+        for k, v in zip(names, args):
+            set_field(self, k, v)
+        if post:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(names, values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    cls.__hash__ = lambda self: hash(values(self))
+    for method in (__eq__, __repr__, __setattr__, __delattr__, __init__):
+        if method.__name__ not in vars(cls):
+            setattr(cls, method.__name__, method)
+    return cls
+
+
 def _check_shape(dim, valence, tag):
     check_tag(tag)
     if dim < 1:
@@ -58,7 +112,7 @@ def _check_shape(dim, valence, tag):
         raise ValueError(f"bad valence {valence!r}")
 
 
-@dataclass(frozen=True, init=False)
+@_frozen
 class Tensor:
     """A rank-r tensor on a D-dimensional space, stored by its nonzero entries.
 
@@ -217,6 +271,8 @@ class Tensor:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data["valence"], (list, tuple)):
+            raise ValueError(f'valence must be a list of "u"/"d" flags, not {data["valence"]!r}')
         valence = tuple(data["valence"])
         if data.get("rank", len(valence)) != len(valence):
             raise ValueError("rank does not match valence length")
@@ -232,7 +288,7 @@ class Tensor:
         return cls.from_entries(data["dim"], valence, entries, tag)
 
 
-@dataclass(frozen=True)
+@_frozen
 class FrameMetric:
     """A constant invertible symmetric bilinear form and its inverse."""
 

@@ -7,15 +7,14 @@ H, and the one place its formulas are written.  No numpy here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import EXACT, _rational
 from .lie_algebra import LieAlgebra
-from .tensor_core import DOWN, UP, Tensor, _map_slot
+from .tensor_core import DOWN, UP, Tensor, _frozen, _map_slot
 
 
-@dataclass(frozen=True)
+@_frozen
 class PlaneWaveData:
     """Transverse dimension n, antisymmetric F and symmetric H (exact)."""
 
@@ -107,4 +106,4 @@ def _wave_table(f, h):
 def pw_isometry_algebra(pw):
     """Exact bracket table on (U, V, X_i, Xb_i), dimension 2n + 2 (see _wave_table)."""
     labels = ("U", "V", *(f"X{i+1}" for i in range(pw.n)), *(f"Xb{i+1}" for i in range(pw.n)))
-    return LieAlgebra(labels, _wave_table(_matrix(pw.F), _matrix(pw.H)))
+    return LieAlgebra._antisymmetric(labels, _wave_table(_matrix(pw.F), _matrix(pw.H)))

@@ -98,8 +98,7 @@ class TestJacobi:
             calls.append(algebra)
             return jacobi_residual(algebra)
 
-        # the command's own name and the one a second reader would call
-        monkeypatch.setattr(homkit.cli, "jacobi_residual", counted)
+        # the command reads it through the module, as a second reader would
         monkeypatch.setattr(homkit.lie_algebra, "jacobi_residual", counted)
         assert run(capsys, "jacobi", str(path))[0] == 1
         assert len(calls) == 1
@@ -339,6 +338,15 @@ class TestBoundaryChecks:
         path.write_text(json.dumps({"metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "S": s}))
         code, out, err = run(capsys, "classify", str(path))
         self.assert_one_line_error(code, out, err, "index (0, 1): need 3 indices, got 2")
+
+    @pytest.mark.parametrize("valence", ["ddd", 3], ids=["string", "number"])
+    def test_classify_rejects_non_list_valence(self, tmp_path, capsys, valence):
+        # a string would be read one flag per character, a number not at all
+        s = {"dim": 3, "rank": 3, "valence": valence, "entries": {"0,1,2": "1", "0,2,1": "-1"}}
+        path = tmp_path / "valence.json"
+        path.write_text(json.dumps({"metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "S": s}))
+        code, out, err = run(capsys, "classify", str(path))
+        self.assert_one_line_error(code, out, err, f'valence must be a list of "u"/"d" flags, not {valence!r}')
 
     S_EMPTY = {"rank": 3, "valence": ["d", "d", "d"], "entries": {}}
 

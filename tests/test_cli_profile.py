@@ -1,6 +1,6 @@
 """tools/cli_profile.py runs end to end on one form and one repeat.
 
-It prints the median child-process wall time of the three floors and of
+It prints the median child-process wall time of the four floors and of
 the chosen command form.  No number is asserted beyond its presence, and
 nothing may be left under perfbench/.
 """
@@ -27,7 +27,7 @@ def test_one_form_one_repeat():
     lines = proc.stdout.splitlines()
     assert lines[0] == "cli_batch seed 0, 1 repeats: median wall ms per child process"
     names = [re.match(r"  (.+?) +[\d.]+ ms  n=\d+$", line).group(1) for line in lines[1:]]
-    assert names == ["python -c pass", "import homkit.cli", "import numpy", "classify"]
+    assert names == ["python -c pass", "import homkit.cli", "import numpy", "import dataclasses", "classify"]
     assert listing() == before
 
 

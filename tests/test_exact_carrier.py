@@ -320,7 +320,7 @@ def bump(rng, name, old, n, absent):
 
 
 def bumped(rng, ansatz, names):
-    data = {k: getattr(ansatz, k) for k in ansatz.__dataclass_fields__}
+    data = {k: getattr(ansatz, k) for k in ansatz._fields}
     absent = [i for i in range(ansatz.n) if i not in data.get("occupancy", range(ansatz.n))]
     for k in names:
         data[k] = bump(rng, k, data[k], ansatz.n, absent)
@@ -341,7 +341,7 @@ def randomized():
     a = generate_instance("deg", 3, 5)
     f = np.array(a.F, dtype=object)
     f[0, 1], f[1, 0] = f[0, 1] + Fraction(1, P1), f[1, 0] - Fraction(1, P1)
-    data = {k: getattr(a, k) for k in a.__dataclass_fields__}
+    data = {k: getattr(a, k) for k in a._fields}
     out.append(("deg-n3-one-over-p1", DegenerateAnsatz(**dict(data, F=f))))
     # no rotation data at all: the span is empty
     n = 3

@@ -1,13 +1,16 @@
-"""``homkit.plane_wave``, ``homkit.reduction`` and ``homkit.wave_table`` load on first use.
+"""``import homkit`` runs no submodule; each command runs only the modules it reads.
 
-Every command but ``planewave verify`` runs without importing numpy:
-the exact commands (``classify``, ``jacobi``, ``reductive``), ``gen``,
-``reduce`` (passing, inconsistent or malformed), ``planewave algebra``
-and every malformed-input exit.  The lazily loaded modules are still in
-``sys.modules`` as soon as the package is imported, and the package
-serves their public names on attribute access.
+All seven submodules are registered for lazy loading: they are in
+``sys.modules`` as soon as the package is imported, the package serves
+their public names on attribute access, and each runs only when one of
+its names is read.  So each command, run as a fresh child process,
+runs only the modules it reads; every command but ``planewave verify``
+runs without numpy, and no command imports ``dataclasses`` or (but
+through numpy) ``inspect``.  A static check keeps ``dataclasses`` out of
+the package.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -20,60 +23,102 @@ import pytest
 import homkit
 from homkit.lie_algebra import LieAlgebra
 
-PLANE_WAVE_NAMES = (
-    "ChartPoint",
-    "PlaneWaveData",
-    "as_residuals",
-    "christoffel",
-    "exact_curvature",
-    "frame_structure",
-    "metric_jet",
-    "pw_isometry_algebra",
-    "riemann",
-    "sample_points",
-    "structure_at",
-)
-REDUCTION_NAMES = (
-    "DegenerateAnsatz",
-    "NondegenerateAnsatz",
-    "ReductionReport",
-    "ansatz_from_plane_wave",
-    "assemble_algebra",
-    "degenerate_reduce",
-    "f_derivation",
-    "generate_instance",
-    "nondegenerate_reduce",
-    "verify_constraints",
-)
+LAZY_MODULES = ("exact", "tensor_core", "lie_algebra", "hom_structure", "wave_table", "reduction", "plane_wave")
+PUBLIC_NAMES = {
+    "exact": ("EXACT", "FLOAT"),
+    "tensor_core": ("FrameMetric", "Tensor", "antisymmetrize", "contract", "raise_lower"),
+    "lie_algebra": ("LieAlgebra", "ReductiveSplit", "change_basis", "check_reductive", "jacobi_residual"),
+    "hom_structure": (
+        "CurvatureAtPoint",
+        "HomogeneousStructure",
+        "SpanError",
+        "StructureClass",
+        "build_isometry_algebra",
+        "classify",
+        "decompose",
+        "trace_one_form",
+    ),
+    "wave_table": ("PlaneWaveData", "pw_isometry_algebra"),
+    "plane_wave": (
+        "ChartPoint",
+        "as_residuals",
+        "christoffel",
+        "exact_curvature",
+        "frame_structure",
+        "metric_jet",
+        "riemann",
+        "sample_points",
+        "structure_at",
+    ),
+    "reduction": (
+        "DegenerateAnsatz",
+        "NondegenerateAnsatz",
+        "ReductionReport",
+        "ansatz_from_plane_wave",
+        "assemble_algebra",
+        "degenerate_reduce",
+        "f_derivation",
+        "generate_instance",
+        "nondegenerate_reduce",
+        "verify_constraints",
+    ),
+}
 
-# Runs each command through homkit.cli.main in one child process and
-# records, after each step, whether numpy has been imported.  The last
-# step reads a lazily served numpy-backed name, so the probe is seen to
-# detect numpy.
+# Runs one command through homkit.cli.main in a fresh child process and
+# records, after importing the package, after importing homkit.cli and
+# after the command, which homkit library modules have run and which of
+# numpy, dataclasses and inspect are imported.  A registered module keeps
+# the type _LazyModule until it runs, and type() does not make it run.
 CHILD = r"""
-import contextlib, io, json, sys
+import contextlib, importlib.util, io, json, sys
 
-steps, codes = {}, {}
+def state():
+    ran = [name[len("homkit."):] for name, module in list(sys.modules.items())
+           if name.startswith("homkit.") and type(module) is not importlib.util._LazyModule]
+    return {"ran": sorted(set(ran) - {"cli"}),
+            "imported": [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]}
+
+steps = {}
 import homkit
-steps["import homkit"] = "numpy" in sys.modules
+steps["import homkit"] = state()
 import homkit.cli
-steps["import homkit.cli"] = "numpy" in sys.modules
-registered = [m in sys.modules for m in ("homkit.plane_wave", "homkit.reduction", "homkit.wave_table")]
-for label, argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes[label] = homkit.cli.main(argv)
-    steps[label] = "numpy" in sys.modules
-homkit.as_residuals
-steps["homkit.as_residuals"] = "numpy" in sys.modules
-print(json.dumps({"steps": steps, "codes": codes, "registered": registered}))
+steps["import homkit.cli"] = state()
+registered = [f"homkit.{name}" in sys.modules for name in json.loads(sys.argv[2])]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = homkit.cli.main(json.loads(sys.argv[1]))
+steps["command"] = state()
+print(json.dumps({"steps": steps, "code": code, "registered": registered}))
 """
 
+CORE = {"exact", "tensor_core"}
+TABLE = CORE | {"lie_algebra"}
+REDUCE = TABLE | {"wave_table", "reduction"}
+# the library modules each command runs
+LOADS = {
+    "classify": CORE | {"hom_structure"},
+    "jacobi": TABLE,
+    "jacobi fails": TABLE,
+    "reductive": TABLE,
+    "reductive fails": TABLE,
+    "classify missing S": CORE | {"hom_structure"},
+    "jacobi truncated JSON": set(),
+    # --n is checked against the tensor cap before a matrix is read
+    "planewave non-square F": CORE,
+    "gen deg": REDUCE,
+    "gen nondeg": REDUCE,
+    "reduce deg": REDUCE,
+    "reduce nondeg": REDUCE,
+    "reduce inconsistent": REDUCE,
+    "reduce bad entry": REDUCE,
+    "planewave algebra": TABLE | {"wave_table"},
+    "planewave verify": TABLE | {"wave_table", "hom_structure", "plane_wave", "_exact_array"},
+}
 SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}}
 NOT_LIE = {(0, 1): {2: 1}, (0, 2): {0: 1}}
 
 
 @pytest.fixture(scope="module")
-def child(tmp_path_factory):
+def children(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("lazy")
 
     def write(name, text):
@@ -117,24 +162,44 @@ def child(tmp_path_factory):
         ("reduce bad entry", ["reduce", bad_entry, "--case", "deg"]),
         ("planewave algebra",
          ["planewave", "--n", "2", "--F", rotation, "--H", square, "algebra"]),
+        ("planewave verify",
+         ["planewave", "--n", "2", "--F", rotation, "--H", square, "verify", "--points", "1"]),
     ]
     src = str(Path(homkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(runs)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return json.loads(proc.stdout)
+    out = {}
+    for label, argv in runs:  # in order: reduce reads the files gen writes
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, json.dumps(argv), json.dumps(LAZY_MODULES)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        out[label] = json.loads(proc.stdout)
+    return out
 
 
-def test_exact_commands_and_malformed_inputs_skip_numpy(child):
-    steps = child["steps"]
-    assert steps.pop("homkit.as_residuals") is True
-    assert {label: loaded for label, loaded in steps.items() if loaded} == {}
+def test_import_runs_no_submodule(children):
+    for result in children.values():
+        assert result["steps"]["import homkit"] == {"ran": [], "imported": []}
+        assert result["steps"]["import homkit.cli"] == {"ran": [], "imported": []}
 
 
-def test_exit_codes(child):
-    assert child["codes"] == {
+def test_each_command_runs_only_its_modules(children):
+    assert {label: set(r["steps"]["command"]["ran"]) for label, r in children.items()} == LOADS
+
+
+def test_a_json_decode_error_runs_no_library_module(children):
+    assert children["jacobi truncated JSON"]["steps"]["command"]["ran"] == []
+
+
+def test_exact_commands_and_malformed_inputs_skip_numpy(children):
+    imported = {label: r["steps"]["command"]["imported"] for label, r in children.items()}
+    # numpy loads inspect, so the verify child shows the probe sees both
+    assert imported.pop("planewave verify") == ["numpy", "inspect"]
+    assert {label: names for label, names in imported.items() if names} == {}
+
+
+def test_exit_codes(children):
+    assert {label: r["code"] for label, r in children.items()} == {
         "classify": 0,
         "jacobi": 0,
         "jacobi fails": 1,
@@ -150,16 +215,26 @@ def test_exit_codes(child):
         "reduce inconsistent": 1,
         "reduce bad entry": 2,
         "planewave algebra": 0,
+        "planewave verify": 0,
     }
 
 
-def test_lazy_modules_are_registered_on_import(child):
-    assert child["registered"] == [True, True, True]
+def test_lazy_modules_are_registered_on_import(children):
+    for result in children.values():
+        assert result["registered"] == [True] * len(LAZY_MODULES)
+
+
+def test_every_public_name_is_served():
+    assert {name: module.__name__ for name, module in homkit._LAZY_NAMES.items()} == {
+        name: f"homkit.{module}" for module, names in PUBLIC_NAMES.items() for name in names
+    }
 
 
 @pytest.mark.parametrize(
     "module, name",
-    [("plane_wave", n) for n in PLANE_WAVE_NAMES] + [("reduction", n) for n in REDUCTION_NAMES],
+    [(m, n) for m, names in PUBLIC_NAMES.items() for n in names]
+    # plane_wave serves the wave table's names too
+    + [("plane_wave", "PlaneWaveData"), ("plane_wave", "pw_isometry_algebra")],
 )
 def test_lazy_name_is_the_defining_modules_object(module, name):
     defined = getattr(sys.modules[f"homkit.{module}"], name)
@@ -170,12 +245,26 @@ def test_lazy_name_is_the_defining_modules_object(module, name):
 
 
 def test_lazy_modules_are_package_attributes():
-    assert homkit.plane_wave is sys.modules["homkit.plane_wave"]
-    assert homkit.reduction is sys.modules["homkit.reduction"]
-    assert homkit.wave_table is sys.modules["homkit.wave_table"]
+    for module in LAZY_MODULES:
+        assert getattr(homkit, module) is sys.modules[f"homkit.{module}"]
 
 
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         homkit.no_such_name
     assert not hasattr(homkit, "ansatz_from_json")
+
+
+def test_no_module_imports_dataclasses():
+    imports = {}
+    for path in sorted(Path(homkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports.setdefault(path.name, set()).update(n.split(".")[0] for n in names)
+    assert "tensor_core.py" in imports
+    assert {name: sorted(mods) for name, mods in imports.items() if "dataclasses" in mods} == {}

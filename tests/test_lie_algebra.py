@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homkit import lie_algebra
 from homkit.exact import EXACT, FLOAT, mat_inverse
 from homkit.lie_algebra import (
     LieAlgebra,
@@ -18,7 +19,8 @@ from homkit.lie_algebra import (
     worst_jacobi_triple,
 )
 from homkit.plane_wave import PlaneWaveData, pw_isometry_algebra
-from homkit.tensor_core import DOWN, UP, Tensor
+from homkit.reduction import assemble_algebra, generate_instance
+from homkit.tensor_core import DOWN, UP, Tensor, _antisymmetry_violations
 
 SO3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}})
 HEISENBERG = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
@@ -448,3 +450,39 @@ class TestSparseReaders:
         with pytest.raises(ValueError) as exc:
             LieAlgebra(labels, f)
         assert str(exc.value) == f"structure constants not antisymmetric at {where}"
+
+
+class TestTablesBuiltAntisymmetric:
+    """The wave table, the assembled ansatz tables and exact ``from_brackets``
+    tables with every key a < b write each mirror as the negated numerator,
+    so they skip the antisymmetry check; these tests check them instead."""
+
+    @staticmethod
+    def builds(rng):
+        n = rng.randint(1, 4)
+        yield pw_isometry_algebra(random_wave(rng, n))
+        yield assemble_algebra(generate_instance(rng.choice(("deg", "nondeg")), n, rng.randrange(1000)))
+        dim = rng.randint(2, 6)
+        keys = rng.sample(list(itertools.combinations(range(dim), 2)), rng.randint(0, dim))
+        brackets = {k: {c: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                        for c in rng.sample(range(dim), rng.randint(1, dim))} for k in keys}
+        yield LieAlgebra.from_brackets(dim, brackets)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_unchecked_tables_are_antisymmetric(self, seed, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lie_algebra, "_antisymmetry_violations",
+                            lambda *args: calls.append(1) or _antisymmetry_violations(*args))
+        built = list(self.builds(random.Random(seed)))
+        assert calls == []
+        for algebra in built:
+            assert _antisymmetry_violations(dict(algebra.f.nums), 0, 1) == []
+            checked = LieAlgebra(algebra.labels, algebra.f)
+            assert checked == algebra and checked._rows == algebra._rows
+
+    def test_a_key_with_a_above_b_is_checked(self):
+        with pytest.raises(ValueError) as exc:
+            LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (1, 0): {2: 1}})
+        assert str(exc.value) == "structure constants not antisymmetric at (0,1)^2"
+        # a consistent a > b key passes the check
+        assert LieAlgebra.from_brackets(3, {(1, 0): {2: -1}}) == HEISENBERG

@@ -7,12 +7,14 @@ Usage (from the repository root):
 Writes one cli_batch round of the benchmark at ``--seed`` into a
 temporary directory and runs its checks ``--repeats`` times, each time
 in round order, every command a fresh ``python -m homkit.cli`` child with
-the benchmark's environment.  Each pass also times three floors: bare
-start-up (``python -c pass``), ``import homkit.cli`` and
-``import numpy``.  Prints the median wall time of every floor and
-command form (malformed inputs as one more row).  perfbench/run.py and
-perfbench/workloads.py are imported as they are; nothing is written
-under perfbench/.
+the benchmark's environment.  Each pass also times four floors: bare
+start-up (``python -c pass``), ``import homkit.cli``, ``import numpy``
+and ``import dataclasses``.  The last two show start-up the CLI avoids:
+numpy loads only in ``planewave verify``, and ``dataclasses`` (with the
+``inspect``, ``ast``, ``dis`` and ``tokenize`` it loads) in no command.
+Prints the median wall time of every floor and command form (malformed
+inputs as one more row).  perfbench/run.py and perfbench/workloads.py
+are imported as they are; nothing is written under perfbench/.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# numpy: only planewave verify pays it; dataclasses: no command does
 FLOORS = {"python -c pass": "pass", "import homkit.cli": "import homkit.cli",
-          "import numpy": "import numpy"}
+          "import numpy": "import numpy", "import dataclasses": "import dataclasses"}
 
 
 def load():
