@@ -8,10 +8,11 @@ both operands to the lcm of their denominators, products multiply
 numerators and denominators, and a gcd is taken only when the
 denominator grows past _GCD_BOUND.  Python ints do not overflow, so
 every result is exact; Fractions are built only by fractions(), at the
-boundary.  einsum contracts QArrays on their numerators and multiplies
-their denominators; it refuses Fraction object arrays, which would pay
-the gcd per term again.  float64 operands go straight to numpy with the
-same arguments, so float results are bit-identical to a plain np.einsum.
+boundary.  einsum and tensordot contract QArrays on their numerators and
+multiply their denominators; they refuse Fraction object arrays, which
+would pay the gcd per term again.  float64 operands go straight to numpy
+with the same arguments, so float results are bit-identical to plain
+np.einsum and np.tensordot.
 """
 
 from __future__ import annotations
@@ -121,6 +122,21 @@ class QArray:
     tolist = lambda self: self.fractions().tolist()
 
 
+def _numeric(name, ops):
+    """ops, refused unless all are numeric arrays: QArrays do not mix with them."""
+    if any(isinstance(op, QArray) or op.dtype.hasobject for op in ops):
+        kinds = ", ".join("QArray" if isinstance(op, QArray) else f"dtype {op.dtype}" for op in ops)
+        raise TypeError(f"{name} operands must be all QArrays or all numeric, not {kinds}")
+    return ops
+
+
+def tensordot(a, b, axes):
+    """np.tensordot; on integer numerators, giving a QArray, when both operands are QArrays."""
+    if isinstance(a, QArray) and isinstance(b, QArray):
+        return QArray(np.tensordot(a.num, b.num, axes), a.den * b.den)
+    return np.tensordot(*_numeric("tensordot", (a, b)), axes)
+
+
 # the contraction path of each (spec, optimize, operand shapes), planned once
 _PATHS = {}
 
@@ -129,16 +145,14 @@ def einsum(spec, *ops, optimize=False):
     """np.einsum; on integer numerators, giving a QArray, when every operand is a QArray.
 
     QArrays do not mix with numeric arrays, and object arrays are refused."""
+    if not optimize and all(type(op) is np.ndarray and not op.dtype.hasobject for op in ops):
+        return np.einsum(spec, *ops)
     if optimize:
         key = (spec, optimize, *(op.shape for op in ops))
         if key not in _PATHS:
             _PATHS[key] = np.einsum_path(spec, *map(np.empty, key[2:]), optimize=optimize)[0]
         optimize = _PATHS[key]
-    exact = [isinstance(op, QArray) for op in ops]
-    if all(exact):
-        nums, dens = zip(*((op.num, op.den) for op in ops))
-        return QArray(np.einsum(spec, *nums, optimize=optimize), math.prod(dens))
-    if any(exact) or any(op.dtype == object for op in ops):
-        kinds = ", ".join("QArray" if q else f"dtype {op.dtype}" for q, op in zip(exact, ops))
-        raise TypeError(f"einsum operands must be all QArrays or all numeric, not {kinds}")
-    return np.einsum(spec, *ops, optimize=optimize)
+    if all(isinstance(op, QArray) for op in ops):
+        nums = (op.num for op in ops)
+        return QArray(np.einsum(spec, *nums, optimize=optimize), math.prod(op.den for op in ops))
+    return np.einsum(spec, *_numeric("einsum", ops), optimize=optimize)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -126,16 +127,22 @@ def _load_wave(args):
 def _cmd_planewave_verify(args):
     if args.points < 1:
         raise InputError(f"--points must be at least 1, got {args.points}")
+    tolerances = {"r_g": args.tol_g, "r_S": args.tol_s, "r_geo": args.tol_geo, "r_R": args.tol_r}
+    for key, tol in tolerances.items():
+        # a nan or infinite tolerance would pass every residual
+        if not (math.isfinite(tol) and tol >= 0):
+            raise InputError(f"--tol-{key[2:].lower()} must be a finite number >= 0, got {tol!r}")
     pw = _load_wave(args)
+    # the sweep runs on float64; planewave algebra stays exact and takes any entry
+    for path, name, rows in ((args.F, "F", pw.F), (args.H, "H", pw.H)):
+        try:
+            float(max(abs(v) for row in rows for v in row))
+        except OverflowError:
+            raise InputError(f"{path}: an entry of {name} is beyond float range") from None
     pts = plane_wave.sample_points(pw.n, args.points, args.seed)
     res = plane_wave.as_residuals(pw, pts)
-    tolerances = {
-        "r_g": args.tol_g,
-        "r_S": args.tol_s,
-        "r_geo": args.tol_geo,
-        "r_R": args.tol_r,
-    }
-    failures = [key for key, tol in tolerances.items() if res[key] >= tol]
+    # a nan residual is not below any tolerance
+    failures = [key for key, tol in tolerances.items() if not res[key] < tol]
     report = {
         "residuals": {k: repr(v) for k, v in res.items()},
         "tolerances": {k: repr(v) for k, v in tolerances.items()},

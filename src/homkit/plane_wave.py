@@ -46,7 +46,7 @@ from .wave_table import PlaneWaveData, boost_block, pw_isometry_algebra
 
 import numpy as np
 
-from ._exact_array import QArray, einsum
+from ._exact_array import QArray, einsum, tensordot
 
 
 @_frozen
@@ -85,7 +85,8 @@ def expm(a):
     round-off after scaling the 1-norm below 1/2.
     """
     a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a, 1)
+    # the 1-norm as np.linalg.norm(a, 1) sums it, without its dispatch
+    norm = np.abs(a).sum(axis=0).max()
     squarings = 0
     if norm > 0.5:
         squarings = int(np.ceil(np.log2(norm / 0.5)))
@@ -95,7 +96,7 @@ def expm(a):
     for k in range(1, 40):
         term = term @ a / k
         result = result + term
-        if np.linalg.norm(term, 1) <= 1e-16 * np.linalg.norm(result, 1):
+        if np.abs(term).sum(axis=0).max() <= 1e-16 * np.abs(result).sum(axis=0).max():
             break
     for _ in range(squarings):
         result = result @ result
@@ -315,16 +316,20 @@ def coframe_at(pw, pt):
 def _coordinate_structure(sf, e, de=None):
     """Coordinate S_{mns} from frame S and the coframe; given dE, also d_k S_{mns}.
 
-    The 4-operand contractions take a greedy pairwise order: summed in
-    one pass, the exact backend pays for every index combination.
-    """
-    s_coord = einsum("abc,am,bn,cs->mns", sf, e, e, e, optimize="greedy")
+    S = "abc,am,bn,cs->mns" and the three terms of dS run as the pairwise
+    products of numpy's greedy einsum, so float results keep its bits; the
+    products they share are built once.  Summed in one pass, the exact
+    backend would pay for every index combination."""
+    x1 = tensordot(sf, e, (0, 0))  # [b, c, m]
+    x2 = tensordot(x1, e, (0, 0))  # [c, m, n]
+    s_coord = tensordot(x2, e, (0, 0))  # [m, n, s]
     if de is None:
         return s_coord, None
+    y2 = tensordot(tensordot(sf, e, (1, 0)), e, (1, 0))  # [a, n, s]
     ds_coord = (
-        einsum("abc,kam,bn,cs->kmns", sf, de, e, e, optimize="greedy")
-        + einsum("abc,am,kbn,cs->kmns", sf, e, de, e, optimize="greedy")
-        + einsum("abc,am,bn,kcs->kmns", sf, e, e, de, optimize="greedy")
+        tensordot(y2, de, (0, 1)).transpose(2, 3, 0, 1)
+        + tensordot(tensordot(x1, e, (1, 0)), de, (0, 1)).transpose(2, 0, 3, 1)
+        + tensordot(x2, de, (0, 1)).transpose(2, 0, 1, 3)
     )
     return s_coord, ds_coord
 
@@ -403,7 +408,8 @@ def as_residuals(pw, pts, frame_s_override=None):
 
     Returns {r_g, r_S, r_R, r_geo}: metric, structure-tensor and
     curvature parallelism plus the geodesic defect of the null
-    direction, maximized over the given chart points.
+    direction, maximized over the given chart points.  A residual that
+    is nan at any point stays nan.
     """
     if not pts:
         raise ValueError("at least one chart point is required")
@@ -412,8 +418,9 @@ def as_residuals(pw, pts, frame_s_override=None):
     worst = {"r_g": 0.0, "r_S": 0.0, "r_R": 0.0, "r_geo": 0.0}
     for pt in pts:
         res = _point_residuals(pw, pt, sf)
-        for key in worst:
-            worst[key] = max(worst[key], res[key])
+        for key, v in res.items():
+            # max drops a nan (nan > x is false); a residual that is not a number is the worst
+            worst[key] = v if np.isnan(v) else max(worst[key], v)
     return worst
 
 
@@ -432,12 +439,19 @@ def _frame_curvature(pw, prof, s, x, zero):
     gbar = gamma - _raised_structure(s_coord, jet.g_inv)
     ds_up = einsum("kmns,rs->kmnr", ds_coord, jet.g_inv) + einsum("mns,krs->kmnr", s_coord, dginv)
     dgbar = dgamma - ds_up.transpose(0, 3, 1, 2)
-    rbar = _riemann_from_connection(gbar, dgbar)
+    return _frame_form(e, _riemann_from_connection(gbar, dgbar))
 
-    # form slots from frame vectors, the endomorphism conjugated by the
-    # coframe; theta[mu, A] holds the frame vectors as columns
+
+def _frame_form(e, rbar):
+    """Coordinate rbar[r, t, m, n] in the frame of e: "cr,rtmn,td,ma,nb->abcd".
+
+    Form slots take frame vectors, the endomorphism is conjugated by the
+    coframe; theta[mu, A] holds the frame vectors as columns."""
     theta = _inverse(e)
-    return einsum("cr,rtmn,td,ma,nb->abcd", e, rbar, theta, theta, theta, optimize="greedy")
+    frame = tensordot(e, rbar, (1, 0))  # [c, t, m, n]
+    for _ in range(3):
+        frame = tensordot(frame, theta, (1, 0))
+    return frame.transpose(2, 3, 0, 1)  # [c, d, a, b] -> [a, b, c, d]
 
 
 def exact_curvature(pw, s, x):

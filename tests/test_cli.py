@@ -440,3 +440,50 @@ class TestBoundaryChecks:
             argv = [where, str(path)] + (["--m", "0", "--h", "1"] if where == "reductive" else [])
         code, out, err = run(capsys, *argv)
         self.assert_one_line_error(code, out, err, "zero denominator in scalar '1/0'")
+
+
+class TestVerifyFloatRange:
+    """planewave verify runs on float64: nan never passes, and out-of-range input is malformed."""
+
+    @staticmethod
+    def files(tmp_path, f, h):
+        """F and H files of 1 x 1 matrices, or of the matrices given."""
+        paths = tmp_path / "f.json", tmp_path / "h.json"
+        for path, m in zip(paths, (f, h)):
+            path.write_text(json.dumps(m if isinstance(m, list) else [[m]]))
+        return [str(p) for p in paths]
+
+    def test_overflowing_chain_fails_with_nan(self, tmp_path, capsys):
+        f, h = self.files(tmp_path, "0", "1e308")
+        with pytest.warns(RuntimeWarning):
+            code, out, _ = run(capsys, "planewave", "--n", "1", "--F", f, "--H", h,
+                               "verify", "--points", "3")
+        report = json.loads(out)
+        assert code == 1 and report["verdict"] == "fail"
+        assert report["residuals"]["r_R"] == "nan" and "r_R" in report["failures"]
+
+    @pytest.mark.parametrize("field", ["F", "H"])
+    def test_entry_beyond_float_range_is_malformed(self, tmp_path, capsys, field):
+        zero = [["0", "0"], ["0", "0"]]
+        # F is antisymmetric and H symmetric
+        big = [["0", "1e400"], ["-1e400" if field == "F" else "1e400", "0"]]
+        f, h = self.files(tmp_path, *((big, zero) if field == "F" else (zero, big)))
+        code, out, err = run(capsys, "planewave", "--n", "2", "--F", f, "--H", h, "verify")
+        assert code == 2 and out == ""
+        path = f if field == "F" else h
+        assert err == f"error: {path}: an entry of {field} is beyond float range\n"
+
+    def test_algebra_takes_an_entry_beyond_float_range(self, tmp_path, capsys):
+        f, h = self.files(tmp_path, "0", "1e400")
+        code, out, _ = run(capsys, "planewave", "--n", "1", "--F", f, "--H", h, "algebra")
+        assert code == 0 and json.loads(out)["labels"]
+
+    @pytest.mark.parametrize("flag", ["--tol-g", "--tol-s", "--tol-geo", "--tol-r"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+    def test_tolerance_that_is_not_finite_and_non_negative_is_malformed(
+            self, wave_files, capsys, flag, value):
+        f, h = wave_files
+        code, out, err = run(capsys, "planewave", "--n", "2", "--F", f, "--H", h,
+                             "verify", f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be a finite number")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import homkit
-from homkit._exact_array import QArray, einsum
+from homkit._exact_array import QArray, einsum, tensordot
 
 P1, P2 = 1_000_000_007, 999_999_937
 SMALL = (1, 2, 3, 4, 6)
@@ -91,6 +91,18 @@ def test_specs_cover_every_library_contraction(module):
     for func, spec, kw in calls:
         assert func == "einsum", "contractions go through the integer kernel"
         assert (spec, kw) in SPECS
+
+
+def test_every_tensordot_in_plane_wave_goes_through_the_kernel():
+    tree = ast.parse(Path(homkit.__file__).with_name("plane_wave.py").read_text())
+    funcs = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    calls = [ast.unparse(f) for f in funcs
+             if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "tensordot"]
+    # S, dS and the exact frame conversion each run as a tensordot chain
+    assert len(calls) >= 3
+    assert set(calls) == {"tensordot"}, "contractions go through the integer kernel"
+    from homkit import _exact_array, plane_wave
+    assert plane_wave.tensordot is _exact_array.tensordot
 
 
 def operand_shapes(spec, size):
@@ -202,3 +214,49 @@ def test_float_input_is_bit_identical_to_numpy():
         got, want = einsum(spec, *ops, **kw), np.einsum(spec, *ops, **kw)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+
+# (operand shapes, axes) of tensordot calls: plane_wave's chains and a few more
+TENSORDOT_CASES = [
+    (((3, 3, 3), (3, 3)), (0, 0)),
+    (((3, 3, 3), (3, 3)), (1, 0)),
+    (((3, 3, 3), (3, 3, 3)), (0, 1)),
+    (((3, 3), (3, 3, 3, 3)), (1, 0)),
+    (((3, 3, 3, 3), (3, 3)), (1, 0)),
+    (((2, 3, 4), (4, 3, 5)), ((1, 2), (1, 0))),
+    (((4, 2), (2, 5)), 1),
+    (((3,), (3,)), 1),
+    (((3, 0), (0, 2)), (1, 0)),
+]
+
+
+@pytest.mark.parametrize("dens", [SMALL, LARGE])
+@pytest.mark.parametrize("shapes,axes", TENSORDOT_CASES)
+def test_tensordot_matches_fraction_tensordot(shapes, axes, dens):
+    rng = random.Random(f"{shapes}{axes}:{dens[-1]}")
+    a, b = (fraction_array(rng, shape, dens) for shape in shapes)
+    got = tensordot(QArray.of(a), QArray.of(b), axes)
+    assert isinstance(got, QArray)
+    assert_same(got.fractions(), np.tensordot(a, b, axes))
+
+
+def test_tensordot_float_input_is_numpy_tensordot():
+    rng = np.random.default_rng(4)
+    for (a_shape, b_shape), axes in TENSORDOT_CASES:
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        got, want = tensordot(a, b, axes), np.tensordot(a, b, axes)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_tensordot_refuses_mixed_and_object_operands(dtype):
+    fractions = np.full((2, 2), Fraction(1, 3), dtype=object)
+    numeric = np.ones((2, 2), dtype=dtype)
+    for ops, kinds in (((QArray.of(fractions), numeric), f"QArray, dtype {np.dtype(dtype)}"),
+                       ((numeric, QArray.of(fractions)), f"dtype {np.dtype(dtype)}, QArray")):
+        with pytest.raises(TypeError, match=f"tensordot operands .* not {kinds}"):
+            tensordot(*ops, 1)
+    for ops in ((fractions, numeric), (numeric, fractions), (fractions, fractions)):
+        with pytest.raises(TypeError, match="dtype object"):
+            tensordot(*ops, 1)

@@ -1,16 +1,20 @@
-"""Where the exact time goes: per-kind wall time and scalar-construction counts.
+"""Where the time goes: per-kind wall time and call counts of one workload.
 
 Usage (from the repository root):
 
-    python3 tools/kind_profile.py [--rounds 3] [--seed 3]
+    python3 tools/kind_profile.py [--workload exact_proofs] [--rounds 3] [--seed 3]
 
-Builds ``--rounds`` rounds of the benchmark's exact_proofs checks at
-``--seed``, runs every check once untimed to warm, then times each
-check kind over three passes and prints the milliseconds per pass and
-each kind's share.  One more pass runs under cProfile and the call
-counts of ``Fraction.__new__`` and ``exact.integer_numerators`` in it
-are printed.  perfbench/run.py and perfbench/workloads.py are imported
-as they are; no file is written.
+Builds ``--rounds`` rounds of the benchmark's ``--workload`` checks
+(exact_proofs or float_sweep) at ``--seed``, runs every check once
+untimed to warm, then times each check kind over three passes and
+prints the milliseconds per pass and each kind's share.  One more pass
+runs under cProfile and the call counts in it are printed: for
+exact_proofs, ``Fraction.__new__`` and ``exact.integer_numerators``;
+for float_sweep, numpy's ``einsum_path`` (contraction planning),
+``_exact_array.tensordot`` and ``plane_wave._point_residuals`` (chart
+points swept), followed by the tensordot calls per chart point.
+perfbench/run.py and perfbench/workloads.py are imported as they are;
+no file is written.
 """
 
 from __future__ import annotations
@@ -24,20 +28,31 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PASSES = 3
-# (file name ending, function name) of each counted call
-COUNTED = {"Fraction.__new__": ("fractions.py", "__new__"),
-           "exact.integer_numerators": (os.path.join("homkit", "exact.py"), "integer_numerators")}
+# (file name ending, function name) of each counted call, per workload
+COUNTED = {
+    "exact_proofs": {
+        "Fraction.__new__": ("fractions.py", "__new__"),
+        "exact.integer_numerators": (os.path.join("homkit", "exact.py"), "integer_numerators"),
+    },
+    "float_sweep": {
+        "numpy.einsum_path": ("einsumfunc.py", "einsum_path"),
+        "_exact_array.tensordot": (os.path.join("homkit", "_exact_array.py"), "tensordot"),
+        "plane_wave._point_residuals": (os.path.join("homkit", "plane_wave.py"),
+                                        "_point_residuals"),
+    },
+}
 
 
-def build(rounds, seed):
-    """The exact_proofs checks of rounds 0 .. rounds - 1, on this checkout's sources."""
+def build(workload, rounds, seed):
+    """The workload's checks of rounds 0 .. rounds - 1, on this checkout's sources."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
     import run
     import workloads
 
     hk = run.Lib()
-    return [check for r in range(rounds) for check in workloads.exact_proofs_round(hk, seed, r)]
+    make_round = getattr(workloads, f"{workload}_round")
+    return [check for r in range(rounds) for check in make_round(hk, seed, r)]
 
 
 def kind_times(checks):
@@ -53,16 +68,16 @@ def kind_times(checks):
     return totals
 
 
-def call_counts(checks):
+def call_counts(checks, counted):
     """{counted name: calls} over one profiled pass."""
     profile = cProfile.Profile()
     profile.enable()
     for check in checks:
         check.run()
     profile.disable()
-    counts = dict.fromkeys(COUNTED, 0)
+    counts = dict.fromkeys(counted, 0)
     for (path, _, func), (_, calls, *_) in pstats.Stats(profile).stats.items():
-        for name, (suffix, want) in COUNTED.items():
+        for name, (suffix, want) in counted.items():
             if func == want and path.endswith(suffix):
                 counts[name] += calls
     return counts
@@ -70,20 +85,25 @@ def call_counts(checks):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=tuple(COUNTED), default="exact_proofs")
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    checks = build(args.rounds, args.seed)
+    checks = build(args.workload, args.rounds, args.seed)
     totals = kind_times(checks)
     wall = sum(totals.values())
-    print(f"exact_proofs seed {args.seed}, {args.rounds} rounds: {len(checks)} checks, "
+    print(f"{args.workload} seed {args.seed}, {args.rounds} rounds: {len(checks)} checks, "
           f"{wall / PASSES * 1e3:.1f} ms per pass")
     for kind, seconds in sorted(totals.items(), key=lambda kv: -kv[1]):
         print(f"  {kind:20s} {seconds / PASSES * 1e3:9.1f} ms {seconds / wall:7.1%}")
-    for name, calls in call_counts(checks).items():
+    counts = call_counts(checks, COUNTED[args.workload])
+    for name, calls in counts.items():
         print(f"  {name:28s} {calls:9d} calls per pass")
+    if args.workload == "float_sweep":
+        per_point = counts["_exact_array.tensordot"] / counts["plane_wave._point_residuals"]
+        print(f"  {'tensordot per chart point':28s} {per_point:9.1f}")
     return 0
 
 
