@@ -137,22 +137,12 @@ def tensordot(a, b, axes):
     return np.tensordot(*_numeric("tensordot", (a, b)), axes)
 
 
-# the contraction path of each (spec, optimize, operand shapes), planned once
-_PATHS = {}
-
-
-def einsum(spec, *ops, optimize=False):
+def einsum(spec, *ops):
     """np.einsum; on integer numerators, giving a QArray, when every operand is a QArray.
 
     QArrays do not mix with numeric arrays, and object arrays are refused."""
-    if not optimize and all(type(op) is np.ndarray and not op.dtype.hasobject for op in ops):
+    if all(type(op) is np.ndarray and not op.dtype.hasobject for op in ops):
         return np.einsum(spec, *ops)
-    if optimize:
-        key = (spec, optimize, *(op.shape for op in ops))
-        if key not in _PATHS:
-            _PATHS[key] = np.einsum_path(spec, *map(np.empty, key[2:]), optimize=optimize)[0]
-        optimize = _PATHS[key]
     if all(isinstance(op, QArray) for op in ops):
-        nums = (op.num for op in ops)
-        return QArray(np.einsum(spec, *nums, optimize=optimize), math.prod(op.den for op in ops))
-    return np.einsum(spec, *_numeric("einsum", ops), optimize=optimize)
+        return QArray(np.einsum(spec, *(op.num for op in ops)), math.prod(op.den for op in ops))
+    return np.einsum(spec, *_numeric("einsum", ops))

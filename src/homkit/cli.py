@@ -67,6 +67,9 @@ def _emit(report, out=None, quiet=False, verdict=None):
 def _cmd_classify(args):
     data = _load_json(args.structure)
     hs = _parse(args.structure, hom_structure.HomogeneousStructure.from_json, data)
+    # the defining one-form divides the trace of S by D - 1
+    if hs.dim < 2:
+        raise InputError(f"{args.structure}: classify needs dimension at least 2, got {hs.dim}")
     report = hom_structure.classify(hs).to_json()
     _emit(report, quiet=args.quiet, verdict=report["class"])
     return 0

@@ -124,19 +124,18 @@ def mat_mul(a, b, tag=EXACT):
 
 def mat_inverse(a, tag=EXACT):
     """Inverse; raises ValueError on a singular matrix.  Exact matrices
-    reduce [A | I] on integer rows, floats keep partial-pivot Gauss-Jordan."""
+    solve for the unit vectors in their rows, floats keep partial-pivot Gauss-Jordan."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
     work = [[coerce_scalar(x, tag) for x in row] for row in a]
-    if tag == EXACT:
-        # row i times its lcm L, with L in column n + i
-        ech = _echelon([*nums, *(scale * (i == j) for j in range(n))]
-                       for i, (nums, scale) in enumerate(map(integer_numerators, work)))
-        if any(p >= n for p in ech):
-            raise ValueError("singular matrix")
-        return [[Fraction(x, ech[i][i]) for x in ech[i][n:]] for i in range(n)]
     inv = mat_identity(n, tag)
+    if tag == EXACT:
+        # row i of A^-1 holds the coordinates of e_i in the rows of A
+        try:
+            return span_coordinates(work, inv)
+        except ValueError:
+            raise ValueError("singular matrix") from None
     for col in range(n):
         best, pivot = -1.0, None
         for r in range(col, n):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import EXACT, format_scalar, integer_numerators, mat_mul, scalar_zero, span_coordinates
+from .exact import EXACT, format_scalar, integer_numerators, scalar_zero
 from . import lie_algebra  # read only by build_isometry_algebra, so classify never runs it
 from .tensor_core import (
     DOWN,
@@ -271,8 +271,6 @@ class CurvatureAtPoint:
         object.__setattr__(self, "h_basis", h_basis)
         if _antisymmetry_violations(dict(self.Rbar.nums), 0, 1):
             raise ValueError("Rbar is not antisymmetric in its form slots")
-        # the nonzero components operator reads; not a field
-        object.__setattr__(self, "_entries", self.Rbar.entries())
         for m in h_basis:
             if len(m) != d or any(len(row) != d for row in m):
                 raise ValueError("h_basis matrices must be D x D")
@@ -284,8 +282,8 @@ class CurvatureAtPoint:
         d = self.metric.dim
         if not (0 <= a < d and 0 <= b < d):
             raise ValueError(f"operator ({a},{b}) out of range for dim {d}")
-        zero = scalar_zero(self.Rbar.tag)
-        return [[self._entries.get((a, b, r, c), zero) for c in range(d)] for r in range(d)]
+        entries, zero = self.Rbar.entries(), scalar_zero(self.Rbar.tag)
+        return [[entries.get((a, b, r, c), zero) for c in range(d)] for r in range(d)]
 
 
 class SpanError(ValueError):
@@ -294,10 +292,6 @@ class SpanError(ValueError):
     def __init__(self, message, bracket):
         super().__init__(f"{message} at bracket {bracket}")
         self.bracket = bracket
-
-
-def _flatten(m):
-    return [x for row in m for x in row]
 
 
 def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
@@ -313,9 +307,7 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
         raise ValueError("structure and curvature use different metrics")
     d = hs.dim
     tag = hs.tag
-    h = curv.h_basis
-    k = len(h)
-    n_total = d + k
+    k = len(curv.h_basis)
     if m_labels is None:
         m_labels = [f"E{i}" for i in range(d)]
     if h_labels is None:
@@ -325,48 +317,30 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
 
     if k and tag != EXACT:
         raise ValueError("float-mode reconstruction is not supported; rationalize first")
-    # every tangent-pair value Rbar(a, b) (the brackets negate its
-    # coordinates), then every isotropy commutator, against one elimination
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    h_pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
-    targets = [_flatten(curv.operator(a, b)) for a, b in pairs]
-    for p, q in h_pairs:
-        pq, qp = _flatten(mat_mul(h[p], h[q], tag)), _flatten(mat_mul(h[q], h[p], tag))
-        targets.append([x - y for x, y in zip(pq, qp)])
+    # the isotropy generators, and the image -Rbar(E_a, E_b) of each tangent
+    # pair a < b with a nonzero curvature value, as (u, d) Tensors
+    h = [Tensor.from_entries(d, (UP, DOWN), {(r, c): x for r, row in enumerate(m)
+                                             for c, x in enumerate(row) if x != 0}, tag)
+         for m in curv.h_basis]
+    rbar, values = curv.Rbar, {}
+    for (a, b, r, c), v in rbar.nums:
+        if a < b:
+            values.setdefault((a, b), {})[r, c] = -v
+    images = [(key, Tensor._sparse(d, (UP, DOWN), e, rbar.tag, rbar.den)) for key, e in values.items()]
     try:
-        coords = span_coordinates([_flatten(m) for m in h], targets)
+        # [A, X] = A X, stored as [X, A] = -A X; the images and commutators against one elimination
+        parts, outside = lie_algebra._rotation_brackets(h, d, [(range(d), range(d))], images)
     except ValueError:
         raise ValueError("h_basis matrices are linearly dependent") from None
-    outside = "value outside span(h_basis)" if k else "curvature value outside empty isotropy span"
-
-    # raised S: (S_X Y)^C = g^{CZ} S_{XYZ}
-    s_up = raise_lower(hs.S, 2, hs.metric).entries()
-
-    brackets = {}
-    # m x m
-    for (a, b), coeffs in zip(pairs, coords):
-        if coeffs is None:
-            raise SpanError(outside, (m_labels[a], m_labels[b]))
-        diff = ((c, s_up.get((a, b, c), 0) - s_up.get((b, a, c), 0)) for c in range(d))
-        row = {c: v for c, v in diff if v != 0}
-        row.update((d + p, -coeff) for p, coeff in enumerate(coeffs) if coeff != 0)
-        if row:
-            brackets[(a, b)] = row
-    # h x m: [A, X] = A X
-    for p, m in enumerate(h):
-        for b in range(d):
-            row = {c: -m[c][b] for c in range(d) if m[c][b] != 0}  # stored as [X, A] = -A X
-            if row:
-                brackets[(b, d + p)] = row
-    # h x h: matrix commutators
-    for (p, q), coeffs in zip(h_pairs, coords[len(pairs):]):
-        if coeffs is None:
-            raise SpanError("h_basis not closed under commutators", (h_labels[p], h_labels[q]))
-        row = {d + r: c for r, c in enumerate(coeffs) if c != 0}
-        if row:
-            brackets[(d + p, d + q)] = row
-    algebra = lie_algebra.LieAlgebra.from_brackets(
-        n_total, brackets, labels=list(m_labels) + list(h_labels), tag=tag
-    )
+    if outside is not None:
+        a, b = outside
+        if b < d:
+            message = "value outside span(h_basis)" if k else "curvature value outside empty isotropy span"
+            raise SpanError(message, (m_labels[a], m_labels[b]))
+        raise SpanError("h_basis not closed under commutators", (h_labels[a - d], h_labels[b - d]))
+    # raised S: (S_X Y)^C = g^{CZ} S_{XYZ}; the tangent part of [E_a, E_b] is S_a E_b - S_b E_a
+    s_up = raise_lower(hs.S, 2, hs.metric)
+    parts += [(dict(s_up.nums), s_up.den), ({(b, a, c): -v for (a, b, c), v in s_up.nums}, s_up.den)]
+    algebra = lie_algebra._algebra(parts, [*m_labels, *h_labels], tag)
     _, residual = lie_algebra.jacobi_residual(algebra)
     return algebra, residual

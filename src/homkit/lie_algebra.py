@@ -7,17 +7,21 @@ residual of zero is then a proof, not a small number.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from .exact import (
     EXACT,
     coerce_scalar,
     format_scalar,
+    integer_numerators,
     mat_inverse,
     parse_scalar,
     row_reduce,
+    span_coordinates,
 )
-from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations, _frozen, _map_slot
+from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations, _contract, _dense, _frozen, _map_slot
 
 
 def _default_labels(n):
@@ -127,6 +131,68 @@ class LieAlgebra:
                 parsed[int(c)] = val
             brackets[(a, b)] = parsed
         return cls.from_brackets(dim, brackets, labels=labels, tag=tag or EXACT)
+
+
+# ---------------------------------------------------------------------------
+# exact table assembly
+# ---------------------------------------------------------------------------
+
+
+def _table(parts, dim, tag=EXACT):
+    """The Tensor f_ab^c whose [e_a, e_b] = -[e_b, e_a], a < b, sums the
+    ({(a, b, c): numerator}, den) parts over the lcm of their dens;
+    entries with a >= b are ignored."""
+    den = math.lcm(*(d for _, d in parts))
+    half = {}
+    for entries, d in parts:
+        s = den // d
+        for (a, b, c), v in entries.items():
+            if a < b:
+                half[a, b, c] = half.get((a, b, c), 0) + s * v
+    entries = {**half, **{(b, a, c): -v for (a, b, c), v in half.items()}}
+    return Tensor._sparse(dim, (DOWN, DOWN, UP), entries, tag, den)
+
+
+def _algebra(parts, labels, tag=EXACT):
+    """The algebra on labels whose table _table sums from parts."""
+    f = _table(parts, len(labels), tag)
+    # a float NaN is no mirror of itself, so only exact tables skip the check
+    build = LieAlgebra._antisymmetric if tag == EXACT else LieAlgebra
+    return build(tuple(labels), f)
+
+
+def _coords(rot, mats):
+    """(rows, den): the coefficients of each matrix against the independent
+    span basis rot as int numerators over den, or None for a matrix
+    outside the span.  Raises ValueError when rot is dependent."""
+    vd, td = math.lcm(*(m.den for m in rot)), math.lcm(*(m.den for m in mats))
+    rows = span_coordinates([[x * (vd // m.den) for x in _dense(m)] for m in rot],
+                            [[x * (td // m.den) for x in _dense(m)] for m in mats])
+    *nums, den = integer_numerators(*(row or () for row in rows))
+    return [row and [x * vd for x in num] for row, num in zip(rows, nums)], den * td
+
+
+def _rotation_brackets(rot, m0, acted, images):
+    """(parts, outside): the table parts of a tangent table extended by
+    the span basis rot, M_p at m0 + p, and the table slot of the first
+    image, then commutator, outside the span (None when all lie in it).
+
+    The parts are [X, M_p] = -M_p X for each (positions in table,
+    positions in rot) pair in acted, the rotation part of each slot
+    (a, b) in images, [(a, b), matrix], and [M_p, M_q] in the span basis;
+    the images and commutators share one _coords call."""
+    parts = []
+    for at, sub in acted:
+        pos = dict(zip(sub, at))
+        # [X_i, M_p] = -rot[p][m][i] X_m, key order (X_i, M_p)
+        parts += [({(pos[i], m0 + p, pos[m]): -v for (m, i), v in omega.nums if m in pos and i in pos},
+                   omega.den) for p, omega in enumerate(rot)]
+    targets = [*images, *(((m0 + p, m0 + q), _contract(a, b) - _contract(b, a))
+                          for (p, a), (q, b) in itertools.combinations(enumerate(rot), 2))]
+    rows, den = _coords(rot, [m for _, m in targets])
+    outside = next((key for (key, _), row in zip(targets, rows) if row is None), None)
+    coords = {(*key, m0 + p): x for (key, _), row in zip(targets, rows) if row for p, x in enumerate(row)}
+    return [*parts, (coords, den)], outside
 
 
 def jacobi_residual(algebra):

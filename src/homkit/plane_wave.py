@@ -416,11 +416,13 @@ def as_residuals(pw, pts, frame_s_override=None):
     source = _frame_tensor(pw) if frame_s_override is None else frame_s_override
     sf = _frame_array(source, 0.0)
     worst = {"r_g": 0.0, "r_S": 0.0, "r_R": 0.0, "r_geo": 0.0}
-    for pt in pts:
-        res = _point_residuals(pw, pt, sf)
-        for key, v in res.items():
-            # max drops a nan (nan > x is false); a residual that is not a number is the worst
-            worst[key] = v if np.isnan(v) else max(worst[key], v)
+    # an overflowing chart reads as an inf or nan residual, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for pt in pts:
+            res = _point_residuals(pw, pt, sf)
+            for key, v in res.items():
+                # max drops a nan (nan > x is false); a residual that is not a number is the worst
+                worst[key] = v if np.isnan(v) else max(worst[key], v)
     return worst
 
 

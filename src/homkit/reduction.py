@@ -26,14 +26,13 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-import math
 import random
 from fractions import Fraction
 
-from .exact import (EXACT, _echelon, _eliminate, _rational, format_scalar, integer_numerators,
-                    span_coordinates)
-from .lie_algebra import LieAlgebra, _first_worst_triple, jacobi_residual
-from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations, _frozen, _map_slot
+from .exact import EXACT, _echelon, _eliminate, _rational, format_scalar
+# tests import _algebra and _coords from here
+from .lie_algebra import _algebra, _coords, _first_worst_triple, _rotation_brackets, jacobi_residual
+from .tensor_core import DOWN, Tensor, _antisymmetry_violations, _contract, _dense, _frozen, _map_slot
 from .wave_table import PlaneWaveData, _wave_table
 
 # Levi-Civita symbol on three indices: the sign of each permutation
@@ -140,20 +139,6 @@ def _perm(t, *axes):
     return _tensor(t.dim, t.rank, {tuple(map(idx.__getitem__, axes)): v for idx, v in t.nums}, t.den)
 
 
-def _contract(a, b, slot=0):
-    """sum_l a[.., l] b[.., l, ..], l in the given slot of b, indexed by
-    a's other slots and then b's (a @ b for two matrices)."""
-    by_l = {}
-    for idx, v in b.nums:
-        by_l.setdefault(idx[slot], []).append((idx[:slot] + idx[slot + 1 :], v))
-    out = {}
-    for idx, v in a.nums:
-        for rest, w in by_l.get(idx[-1], ()):
-            key = idx[:-1] + rest
-            out[key] = out.get(key, 0) + v * w
-    return _tensor(a.dim, a.rank + b.rank - 2, out, a.den * b.den)
-
-
 def _derivation(m, t, slots=None):
     """sum over slots s of m[i_s, l] t[.., l, ..] (default: every slot).
 
@@ -192,14 +177,6 @@ def _max_abs(*ts, keep=lambda idx: True):
     return Fraction(*best)
 
 
-def _dense(t):
-    """t's numerators in index order, zeros included, over t.den."""
-    out = [0] * t.dim**t.rank
-    for idx, v in t.nums:
-        out[t.flat(idx)] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rotation spans
 # ---------------------------------------------------------------------------
@@ -229,22 +206,11 @@ def _span_closure(seeds):
     return tuple(basis)
 
 
-def _coords(rot, mats):
-    """(rows, den): the coefficients of each matrix against the span basis
-    rot, as int numerators over den.  Only seeds of the span and commutators
-    of its basis elements come here, and the closure contains both, so
-    every system is consistent."""
-    vd, td = math.lcm(*(m.den for m in rot)), math.lcm(*(m.den for m in mats))
-    rows = span_coordinates([[x * (vd // m.den) for x in _dense(m)] for m in rot],
-                            [[x * (td // m.den) for x in _dense(m)] for m in mats])
-    *rows, den = integer_numerators(*rows)
-    return [[x * vd for x in row] for row in rows], den * td
-
-
-def _images(sigmas, hats):
-    """[((i,), sigma_i)] then [((i, j), hat_ij)] for i < j, in row order."""
-    upper = (((i, j), m) for (i, j), m in _blocks(hats, 2).items() if i < j)
-    return [*_blocks(sigmas, 1).items(), *upper]
+def _images(sigmas, hats, z0):
+    """[((0, z0 + i), sigma_i)] then [((z0 + i, z0 + j), hat_ij)] for i < j, in row
+    order: each image keyed by the table slot of [e_0, Z_i] or [Z_i, Z_j], Z_i at z0 + i."""
+    upper = (((z0 + i, z0 + j), m) for (i, j), m in _blocks(hats, 2).items() if i < j)
+    return [*(((0, z0 + i), m) for (i,), m in _blocks(sigmas, 1).items()), *upper]
 
 
 def _nondeg_rotations(ansatz):
@@ -252,14 +218,15 @@ def _nondeg_rotations(ansatz):
     q = ansatz._carriers
     # action matrix of the element with coefficients R[i]: 2 R_i eta
     sigmas, hats = (_eta(q[k], ansatz.aleph, -1).scale(2) for k in ("R", "Scurv"))
-    images = _images(sigmas, hats)
+    images = _images(sigmas, hats, 1)
     return sigmas, images, _span_closure([*(m for _, m in images), *q["h_basis"]])
 
 
 def _deg_rotations(ansatz):
-    """Rotation images sigma_i = R_i, n_hat_ij = 2 N_ij and y_hat = 2 Y, keyed (-1,), and their span."""
+    """Rotation images sigma_i = R_i, n_hat_ij = 2 N_ij and y_hat = 2 Y of [U, V], keyed as in
+    _images, and their span."""
     q = ansatz._carriers
-    images = [*_images(q["R"], q["N"].scale(2)), ((-1,), q["Y"].scale(2))]
+    images = [*_images(q["R"], q["N"].scale(2), 2), ((0, 1), q["Y"].scale(2))]
     return q["R"], images, _span_closure([m for _, m in images])
 
 
@@ -466,42 +433,6 @@ def _part(t, place):
     return {place(*idx): v for idx, v in t.nums}, t.den
 
 
-def _algebra(parts, labels):
-    """The exact algebra whose [e_a, e_b] = -[e_b, e_a], a < b, sums the
-    ({(a, b, c): int numerator}, den) parts over the lcm of their dens;
-    entries with a >= b are ignored."""
-    den = math.lcm(*(d for _, d in parts))
-    half = {}
-    for entries, d in parts:
-        s = den // d
-        for (a, b, c), v in entries.items():
-            if a < b:
-                half[a, b, c] = half.get((a, b, c), 0) + s * v
-    entries = {**half, **{(b, a, c): -v for (a, b, c), v in half.items()}}
-    f = Tensor._sparse(len(labels), (DOWN, DOWN, UP), entries, EXACT, den)
-    return LieAlgebra._antisymmetric(tuple(labels), f)
-
-
-def _rotation_brackets(rot, m0, acted, images, z0):
-    """The table parts [X, M_p] for each (positions in table, positions in
-    rot) pair in acted, [M_p, M_q] in the span basis, and the rotation
-    parts the images give: of [e_0, Z_i] for (i,), of [Z_i, Z_j] for
-    (i, j), Z_i at z0 + i (so (-1,) is [e_0, e_(z0-1)]); M_p sits at m0 + p.
-    The commutators share one _coords call with the images."""
-    parts = []
-    for at, sub in acted:
-        pos = dict(zip(sub, at))
-        # [X_i, M_p] = -rot[p][m][i] X_m, key order (X_i, M_p)
-        parts += [({(pos[i], m0 + p, pos[m]): -v for (m, i), v in omega.nums if m in pos and i in pos},
-                   omega.den) for p, omega in enumerate(rot)]
-    targets = [*(((0, *(z0 + i for i in idx))[-2:], m) for idx, m in images),
-               *(((m0 + p, m0 + q), _contract(a, b) - _contract(b, a))
-                 for (p, a), (q, b) in itertools.combinations(enumerate(rot), 2))]
-    rows, den = _coords(rot, [m for _, m in targets])
-    coords = {(*key, m0 + p): x for (key, _), row in zip(targets, rows) for p, x in enumerate(row)}
-    return [*parts, (coords, den)]
-
-
 def assemble_nondegenerate(ansatz):
     """The bracket table on (V, Z_i, rotations) read off the ansatz."""
     _, images, rot = ansatz._rotations
@@ -516,7 +447,7 @@ def assemble_nondegenerate(ansatz):
         # [Z_i, Z_j] = aleph F_ij V + (C eta)_ijm Z_m + s_hat_ij
         _part(f.scale(aleph), lambda i, j: (1 + i, 1 + j, 0)),
         _part(_eta(c, aleph, 2), lambda i, j, m: (1 + i, 1 + j, 1 + m)),
-        *_rotation_brackets(rot, 1 + n, [(range(1, 1 + n), range(n))], images, 1),
+        *_rotation_brackets(rot, 1 + n, [(range(1, 1 + n), range(n))], images)[0],
     ]
     return _algebra(parts, labels)
 
@@ -562,7 +493,7 @@ def assemble_degenerate(ansatz):
         # canonical boost relations [U, Zb_a] = Z_a, [Z_a, Zb_a] = -V
         ({**{(0, zb[a], 2 + a): 1 for a in occ}, **{(2 + a, zb[a], 1): -1 for a in occ}}, 1),
         *_rotation_brackets(rot, 2 + n + nb, [(range(2, 2 + n), range(n)), (list(zb.values()), occ)],
-                            images, 2),
+                            images)[0],
     ]
     return _algebra(parts, labels)
 

@@ -515,3 +515,26 @@ def _map_slot(t, slot, m, valence):
             key = idx[:slot] + (i,) + idx[slot + 1 :]
             out[key] = out.get(key, 0) + c * v
     return Tensor._sparse(t.dim, valence, out, t.tag, t.den * scale)
+
+
+def _contract(a, b, slot=0):
+    """sum_l a[.., l] b[.., l, ..], l in the given slot of b, indexed by
+    a's other slots and then b's (a @ b for two matrices)."""
+    by_l = {}
+    for idx, v in b.nums:
+        by_l.setdefault(idx[slot], []).append((idx[:slot] + idx[slot + 1 :], v))
+    out = {}
+    for idx, v in a.nums:
+        for rest, w in by_l.get(idx[-1], ()):
+            key = idx[:-1] + rest
+            out[key] = out.get(key, 0) + v * w
+    valence = a.valence[:-1] + b.valence[:slot] + b.valence[slot + 1 :]
+    return Tensor._sparse(a.dim, valence, out, a.tag, a.den * b.den)
+
+
+def _dense(t):
+    """t's numerators in index order, zeros included, over t.den."""
+    out = [0] * t.dim**t.rank
+    for idx, v in t.nums:
+        out[t.flat(idx)] = v
+    return out

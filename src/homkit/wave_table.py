@@ -6,12 +6,11 @@ H, and the one place its formulas are written.  No numpy here.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .exact import EXACT, _rational
-from .lie_algebra import LieAlgebra
-from .tensor_core import DOWN, UP, Tensor, _frozen, _map_slot
+from .lie_algebra import LieAlgebra, _table
+from .tensor_core import DOWN, Tensor, _frozen, _map_slot
 
 
 @_frozen
@@ -87,20 +86,17 @@ def _wave_table(f, h):
     [U,X_i] = (2H - F - F^2)_ij Xb_j + (delta + 2F)_ij X_j.
     """
     n, f2 = f.dim, _map_slot(f, 0, f, f.valence)
-    den = math.lcm(f.den, h.den, f2.den)
-    half = {(0, 1, 1): den}
+    canonical = {(0, 1, 1): 1}
     for i in range(n):
-        half[0, 2 + i, 2 + i], half[0, 2 + n + i, 2 + i], half[2 + i, 2 + n + i, 1] = den, den, -den
-    for (i, j), v in f.nums:
-        # F is antisymmetric: 2F stays off the diagonal that delta fills
-        half[0, 2 + i, 2 + j] = 2 * v * (den // f.den)
-        if i < j:
-            half[2 + i, 2 + j, 1] = 2 * v * (den // f.den)
-    for t, c in ((h, 2), (f, -1), (f2, -1)):
-        for (i, j), v in t.nums:
-            half[0, 2 + i, 2 + n + j] = half.get((0, 2 + i, 2 + n + j), 0) + c * v * (den // t.den)
-    entries = {**half, **{(y, x, c): -v for (x, y, c), v in half.items()}}
-    return Tensor._sparse(2 * n + 2, (DOWN, DOWN, UP), entries, EXACT, den)
+        canonical[0, 2 + i, 2 + i] = canonical[0, 2 + n + i, 2 + i] = 1
+        canonical[2 + i, 2 + n + i, 1] = -1
+    # F is antisymmetric: 2F stays off the diagonal that delta fills
+    parts = [(canonical, 1), ({(0, 2 + i, 2 + j): 2 * v for (i, j), v in f.nums}, f.den),
+             ({(2 + i, 2 + j, 1): 2 * v for (i, j), v in f.nums}, f.den)]
+    # the boost block 2H - F - F^2 of [U, X_i]
+    parts += [({(0, 2 + i, 2 + n + j): c * v for (i, j), v in t.nums}, t.den)
+              for t, c in ((h, 2), (f, -1), (f2, -1))]
+    return _table(parts, 2 * n + 2)
 
 
 def pw_isometry_algebra(pw):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -384,6 +385,16 @@ class TestBoundaryChecks:
         code, out, err = run(capsys, "classify", str(path))
         self.assert_one_line_error(code, out, err, f"dim must be an integer, got {dim!r}")
 
+    @pytest.mark.parametrize("metric, entries", [([["1"]], {}), ([[1.0]], {"0,0,0": 0.0})],
+                             ids=["exact", "float"])
+    def test_classify_rejects_dimension_one(self, tmp_path, capsys, metric, entries):
+        # the defining one-form divides by D - 1: a one-dimensional S has none
+        path = tmp_path / "dim1.json"
+        s = {"dim": 1, "valence": ["d", "d", "d"], "entries": entries}
+        path.write_text(json.dumps({"metric": metric, "S": s}))
+        code, out, err = run(capsys, "classify", str(path))
+        self.assert_one_line_error(code, out, err, f"error: {path}: classify needs dimension at least 2, got 1")
+
     @pytest.mark.parametrize(
         "data,text",
         [([1, 2], "structure must be a JSON object"),
@@ -455,11 +466,12 @@ class TestVerifyFloatRange:
 
     def test_overflowing_chain_fails_with_nan(self, tmp_path, capsys):
         f, h = self.files(tmp_path, "0", "1e308")
-        with pytest.warns(RuntimeWarning):
-            code, out, _ = run(capsys, "planewave", "--n", "1", "--F", f, "--H", h,
-                               "verify", "--points", "3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "planewave", "--n", "1", "--F", f, "--H", h,
+                                 "verify", "--points", "3")
         report = json.loads(out)
-        assert code == 1 and report["verdict"] == "fail"
+        assert code == 1 and report["verdict"] == "fail" and err == ""
         assert report["residuals"]["r_R"] == "nan" and "r_R" in report["failures"]
 
     @pytest.mark.parametrize("field", ["F", "H"])

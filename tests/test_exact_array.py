@@ -56,17 +56,17 @@ SPECS = [
     ("lks,rlmn->krsmn", {}),
     ("lkm,rsln->krsmn", {}),
     ("lkn,rsml->krsmn", {}),
-    ("abc,am,bn,cs->mns", {"optimize": "greedy"}),
-    ("abc,kam,bn,cs->kmns", {"optimize": "greedy"}),
-    ("abc,am,kbn,cs->kmns", {"optimize": "greedy"}),
-    ("abc,am,bn,kcs->kmns", {"optimize": "greedy"}),
-    ("cr,rtmn,td,ma,nb->abcd", {"optimize": "greedy"}),
+    ("abc,am,bn,cs->mns", {}),
+    ("abc,kam,bn,cs->kmns", {}),
+    ("abc,am,kbn,cs->kmns", {}),
+    ("abc,am,bn,kcs->kmns", {}),
+    ("cr,rtmn,td,ma,nb->abcd", {}),
     ("mi,mab->iab", {}),
     ("al,ljk->ajk", {}),
     ("ijk,kmn->ijmn", {}),
     ("jkl,ilm->ijkm", {}),
     ("jkl,ilmn->ijkmn", {}),
-    ("ma,nb,mnk->abk", {"optimize": "greedy"}),
+    ("ma,nb,mnk->abk", {}),
 ]
 
 
@@ -140,10 +140,7 @@ def assert_same(got, want):
 @pytest.mark.parametrize("spec,kw", SPECS)
 def test_einsum_matches_fraction_einsum(spec, kw, dens):
     rng = random.Random(f"{spec}:{dens[-1]}")
-    # the greedy contractions are checked against the plain Fraction sum
-    # over every index combination, so they stay small
-    size = 2 if kw else 3
-    ops = [fraction_array(rng, shape, dens) for shape in operand_shapes(spec, size)]
+    ops = [fraction_array(rng, shape, dens) for shape in operand_shapes(spec, 3)]
     assert_same(qeinsum(spec, *ops, **kw), np.einsum(spec, *ops, **kw))
 
 
@@ -183,8 +180,7 @@ def test_size_zero_axis():
 def test_full_contraction_keeps_numpy_return_kind():
     rng = random.Random(2)
     v = fraction_array(rng, (4,), LARGE, fill=1.0)
-    for kw in ({}, {"optimize": "greedy"}):
-        assert_same(qeinsum("i,i->", v, v, **kw), np.einsum("i,i->", v, v, **kw))
+    assert_same(qeinsum("i,i->", v, v), np.einsum("i,i->", v, v))
 
 
 @pytest.mark.parametrize("bad", [0.5, np.float64(0.5), True, np.int64(3), "1/2", None])

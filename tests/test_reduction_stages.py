@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import homkit.lie_algebra as lie_algebra
 import homkit.reduction as reduction
 from homkit.exact import EXACT
 from homkit.lie_algebra import LieAlgebra, change_basis
@@ -81,7 +82,8 @@ class TestRotationCache:
         assert len(calls) == 1
 
     def test_span_coordinates_are_solved_once_per_reduce(self, monkeypatch):
-        calls = counter(monkeypatch, "span_coordinates")
+        # the rotation brackets are solved by the table assembly in lie_algebra
+        calls = counter(monkeypatch, "span_coordinates", lie_algebra)
         for case in ("deg", "nondeg"):
             parsed = ansatz_from_json(generate_instance(case, 3, 5).to_json())
             work = parsed.rescaled() if case == "deg" else parsed
@@ -91,11 +93,11 @@ class TestRotationCache:
             assert len(calls) == 1
 
 
-def counter(monkeypatch, name):
-    """A list that grows by one on each call to the named reduction function."""
+def counter(monkeypatch, name, module=reduction):
+    """A list that grows by one on each call to the named function of module."""
     calls = []
-    fn = getattr(reduction, name)
-    monkeypatch.setattr(reduction, name, lambda *args: calls.append(1) or fn(*args))
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or fn(*args))
     return calls
 
 

@@ -3,12 +3,13 @@
 ``exact.span_coordinates`` is checked on randomized exact data against
 what it must return by construction: the coefficients a target was
 built from, or None for a target that raises the rank (decided
-independently through ``row_reduce``).  Its two callers,
-``reduction._coords`` and ``hom_structure.build_isometry_algebra``, are
-checked to eliminate their basis once per call (one call of the
-integer kernel ``exact._echelon``) and to keep their error texts and
-the order in which errors are raised; ``reduction._span_closure`` to
-insert each matrix it adds with one kernel call.
+independently through ``row_reduce``).  ``lie_algebra._coords``, which
+the reductions and ``hom_structure.build_isometry_algebra`` share, is
+checked to eliminate its basis once per call (one call of the integer
+kernel ``exact._echelon``), and the reconstruction to keep its error
+texts and the order in which errors are raised;
+``reduction._span_closure`` to insert each matrix it adds with one
+kernel call.
 """
 
 import random
