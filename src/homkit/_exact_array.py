@@ -7,8 +7,8 @@ of Python ints over one positive int denominator instead: sums rescale
 both operands to the lcm of their denominators, products multiply
 numerators and denominators, and a gcd is taken only when the
 denominator grows past _GCD_BOUND.  Python ints do not overflow, so
-every result is exact; Fractions are built only by fractions(), at the
-boundary.  einsum and tensordot contract QArrays on their numerators and
+every result is exact, and no Fraction is built: a caller reads num and
+den.  einsum and tensordot contract QArrays on their numerators and
 multiply their denominators; they refuse Fraction object arrays, which
 would pay the gcd per term again.  float64 operands go straight to numpy
 with the same arguments, so float results are bit-identical to plain
@@ -25,7 +25,6 @@ import numpy as np
 from .exact import integer_numerators
 
 _EXACT_TYPES = {int, Fraction}
-_ZERO = Fraction(0)
 # a larger denominator is reduced by the gcd of all entries first
 _GCD_BOUND = 1 << 64
 
@@ -109,17 +108,6 @@ class QArray:
 
     def __matmul__(self, other):
         return QArray(self.num @ other.num, self.den * other.den)
-
-    def fractions(self):
-        """The entries as an object array of Fractions (one Fraction for a scalar num)."""
-        num, den = self.num, self.den
-        if not isinstance(num, np.ndarray):
-            return Fraction(num, den)
-        # contractions of sparse tensors are mostly zero: share one Fraction for them
-        fracs = [Fraction(v, den) if v else _ZERO for v in num.ravel().tolist()]
-        return np.array(fracs, dtype=object).reshape(num.shape)
-
-    tolist = lambda self: self.fractions().tolist()
 
 
 def _numeric(name, ops):

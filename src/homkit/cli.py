@@ -2,7 +2,8 @@
 
 Reports are JSON with sorted keys on standard output.  Exit codes:
 0 all checks pass, 1 a verification failed (the report names the
-failing check), 2 malformed input.
+failing check), 2 malformed input, which includes an input file that
+cannot be read or decoded.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ def _load_json(path):
         raise InputError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})")
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise InputError(f"{path}: cannot read ({exc})") from None
 
 
 def _load_matrix(path, n, name):

@@ -1,10 +1,11 @@
 """Exact rational scalars and small dense linear algebra.
 
-Everything here works on plain nested lists.  Exact values are
-``fractions.Fraction``; the float mode mirrors the same operations on
-binary64 numbers.  The two modes never mix silently: every container in
-the package carries a tag, and operations reject mismatched tags.
-Exact elimination runs on integer rows in one kernel, _echelon.
+Exact values are ``fractions.Fraction``; the float mode mirrors the same
+operations on binary64 numbers.  The two modes never mix silently: every
+container in the package carries a tag, and operations reject mismatched
+tags.  Exact elimination runs on integer rows in one kernel, _echelon;
+span_coordinates and the integer inverse take and give integer rows,
+and only mat_inverse, row_reduce and solve_in_span give Fractions.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ def coerce_scalar(value, tag):
     if tag == EXACT:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, (int, str)):
             return Fraction(value)
         raise ValueError(f"exact mode cannot hold {value!r} without silent promotion")
     if isinstance(value, Fraction):
@@ -124,18 +123,16 @@ def mat_mul(a, b, tag=EXACT):
 
 def mat_inverse(a, tag=EXACT):
     """Inverse; raises ValueError on a singular matrix.  Exact matrices
-    solve for the unit vectors in their rows, floats keep partial-pivot Gauss-Jordan."""
+    are inverted on integer rows, floats keep partial-pivot Gauss-Jordan."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
     work = [[coerce_scalar(x, tag) for x in row] for row in a]
-    inv = mat_identity(n, tag)
     if tag == EXACT:
-        # row i of A^-1 holds the coordinates of e_i in the rows of A
-        try:
-            return span_coordinates(work, inv)
-        except ValueError:
-            raise ValueError("singular matrix") from None
+        *rows, scale = integer_numerators(*work)
+        rows, den = _inverse_numerators(rows, scale)
+        return [[Fraction(x, den) for x in row] for row in rows]
+    inv = mat_identity(n, tag)
     for col in range(n):
         best, pivot = -1.0, None
         for r in range(col, n):
@@ -198,6 +195,20 @@ def _echelon(rows, ech=None):
     return ech
 
 
+def _inverse_numerators(rows, scale=1):
+    """(int rows, den) of the inverse of the square int matrix A = rows / scale.
+
+    The reduced echelon rows of [A | I] hold A^-1 in their tails, each
+    over its pivot; a pivot in the I half means A is singular."""
+    n = len(rows)
+    ech = _echelon([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)])
+    if any(p >= n for p in ech):
+        raise ValueError("singular matrix")
+    den = math.lcm(*(b[p] for p, b in ech.items()))
+    g = math.gcd(scale, den)
+    return [[x * (scale // g) * (den // ech[p][p]) for x in ech[p][n:]] for p in range(n)], den // g
+
+
 def row_reduce(rows):
     """Reduced row echelon form over the rationals.
 
@@ -205,7 +216,7 @@ def row_reduce(rows):
     basis rows span the same space as the input and rank decisions need
     no tolerance.  The rows are eliminated on integer numerators.
     """
-    ech = _echelon(integer_numerators(row)[0] for row in rows)
+    ech = _echelon(integer_numerators(*rows)[:-1])
     pivots = sorted(ech)
     return [[Fraction(x, ech[p][p]) for x in ech[p]] for p in pivots], pivots
 
@@ -222,24 +233,23 @@ def solve_in_span(basis_rows, pivots, target):
 
 
 def span_coordinates(vectors, targets):
-    """Coefficients of each target in the independent vectors, or None.
+    """(int coefficients, den) of each int target row in the independent
+    int vector rows, in lowest terms, or None outside their span.
 
-    The vectors are scaled to integers and eliminated once, each tagged
-    with a unit tail, so every echelon row carries the combination of
-    vectors it holds.  Each target is then reduced on ints against the
-    heads, and what is left in the tail is minus its coefficients.
-    Raises ValueError when the vectors are dependent.
-    """
+    The vectors are eliminated once, each tagged with a unit tail, so
+    every echelon row carries the combination of vectors it holds.  Each
+    target is then reduced against the heads, and what is left in the
+    tail is minus its coefficients.  Raises ValueError when the vectors
+    are dependent."""
     k = len(vectors)
     n = len(vectors[0]) if k else 0
-    ech = _echelon([nums + [scale * (p == q) for q in range(k)]
-                    for p, (nums, scale) in enumerate(map(integer_numerators, vectors))])
+    ech = _echelon([[*v, *(int(p == q) for q in range(k))] for p, v in enumerate(vectors)])
     if any(p >= n for p in ech):
         raise ValueError("vectors are linearly dependent")
     out = []
     for target in targets:
-        nums, den = integer_numerators(target)
-        row, s = _eliminate(ech, nums + [0] * k)
-        m = len(nums)
-        out.append(None if any(row[:m]) else [Fraction(-x, s * den) for x in row[m:]])
+        row, s = _eliminate(ech, [*target, *[0] * k])
+        m = len(target)
+        g = math.gcd(s, *row[m:])
+        out.append(None if any(row[:m]) else ([-x // g for x in row[m:]], s // g))
     return out

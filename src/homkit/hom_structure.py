@@ -265,6 +265,8 @@ class CurvatureAtPoint:
             raise ValueError("Rbar must have valence (d, d, u, d)")
         if self.Rbar.dim != self.metric.dim:
             raise ValueError("Rbar and metric dimensions differ")
+        if self.Rbar.tag != self.metric.tag:
+            raise ValueError("Rbar and metric tags differ")
         d = self.metric.dim
         cast = float if self.Rbar.tag != EXACT else lambda x: x if type(x) is Fraction else Fraction(x)
         h_basis = tuple(tuple(tuple(map(cast, row)) for row in m) for m in self.h_basis)
@@ -276,14 +278,6 @@ class CurvatureAtPoint:
                 raise ValueError("h_basis matrices must be D x D")
             if not _is_metric_antisymmetric(self.metric, m):
                 raise ValueError("h_basis matrix is not metric-antisymmetric")
-
-    def operator(self, a, b):
-        """Matrix of Rbar(E_a, E_b) as nested lists (row, column)."""
-        d = self.metric.dim
-        if not (0 <= a < d and 0 <= b < d):
-            raise ValueError(f"operator ({a},{b}) out of range for dim {d}")
-        entries, zero = self.Rbar.entries(), scalar_zero(self.Rbar.tag)
-        return [[entries.get((a, b, r, c), zero) for c in range(d)] for r in range(d)]
 
 
 class SpanError(ValueError):

@@ -15,7 +15,6 @@ from .exact import (
     EXACT,
     coerce_scalar,
     format_scalar,
-    integer_numerators,
     mat_inverse,
     parse_scalar,
     row_reduce,
@@ -168,8 +167,8 @@ def _coords(rot, mats):
     vd, td = math.lcm(*(m.den for m in rot)), math.lcm(*(m.den for m in mats))
     rows = span_coordinates([[x * (vd // m.den) for x in _dense(m)] for m in rot],
                             [[x * (td // m.den) for x in _dense(m)] for m in mats])
-    *nums, den = integer_numerators(*(row or () for row in rows))
-    return [row and [x * vd for x in num] for row, num in zip(rows, nums)], den * td
+    den = math.lcm(*(d for _, d in filter(None, rows)))
+    return [row and [x * vd * (den // row[1]) for x in row[0]] for row in rows], den * td
 
 
 def _rotation_brackets(rot, m0, acted, images):

@@ -38,8 +38,8 @@ from fractions import Fraction
 
 # the numpy-free modules before numpy: a lazy module compiles on first read,
 # and compiled on the smaller heap its parse adds nothing to the peak RSS
-from .exact import EXACT, FLOAT, mat_inverse
-from .hom_structure import CurvatureAtPoint, HomogeneousStructure
+from .exact import EXACT, FLOAT, _inverse_numerators
+from . import hom_structure
 from .tensor_core import DOWN, UP, FrameMetric, Tensor, _frozen
 # the wave data and its bracket table are numpy-free; they are served here too
 from .wave_table import PlaneWaveData, boost_block, pw_isometry_algebra
@@ -157,7 +157,8 @@ def _inverse(a):
     # floats keep LAPACK's inverse: the float reports are compared bit for
     # bit across versions, and a closed-form inverse moves their low bits
     if isinstance(a, QArray):
-        return QArray.of(mat_inverse(a.tolist(), EXACT))
+        rows, den = _inverse_numerators(a.num.tolist(), a.den)
+        return QArray(np.array(rows, dtype=object), den)
     return np.linalg.inv(a)
 
 
@@ -266,7 +267,7 @@ def frame_structure(pw):
     two slots implied): S_{++-} = -1, S_{+ij} = F_ij,
     S_{i+j} = -delta_ij - F_ij.
     """
-    return HomogeneousStructure(frame_metric(pw.n, EXACT), _frame_tensor(pw))
+    return hom_structure.HomogeneousStructure(frame_metric(pw.n, EXACT), _frame_tensor(pw))
 
 
 def _frame_tensor(pw):
@@ -308,11 +309,6 @@ def _coframe(prof, s, x, zero):
     return e, de
 
 
-def coframe_at(pw, pt):
-    """Coframe rows E[A, mu] and their derivatives dE[k, A, mu]."""
-    return _coframe(profile_jet(pw, pt.z), pt.s, np.array(pt.x), 0.0)
-
-
 def _coordinate_structure(sf, e, de=None):
     """Coordinate S_{mns} from frame S and the coframe; given dE, also d_k S_{mns}.
 
@@ -348,7 +344,7 @@ def structure_at(pw, pt):
     s_coord, _ = _coordinate_structure(_frame_array(_frame_tensor(pw), 0.0), e)
     metric = FrameMetric.from_matrix(jet.g.tolist())
     s = Tensor(pw.dim, (DOWN, DOWN, DOWN), tuple(s_coord.reshape(-1).tolist()), FLOAT)
-    return HomogeneousStructure(metric, s), e
+    return hom_structure.HomogeneousStructure(metric, s), e
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +469,7 @@ def exact_curvature(pw, s, x):
     # the nonzero numerators, read in index order
     entries = {idx: v for idx, v in np.ndenumerate(frame.num) if v}
     rbar = Tensor._sparse(pw.dim, (DOWN, DOWN, UP, DOWN), entries, EXACT, frame.den)
-    return CurvatureAtPoint(rbar, null_boost_basis(pw.n), frame_metric(pw.n, EXACT))
+    return hom_structure.CurvatureAtPoint(rbar, null_boost_basis(pw.n), frame_metric(pw.n, EXACT))
 
 
 def null_boost_basis(n):

@@ -30,8 +30,7 @@ import random
 from fractions import Fraction
 
 from .exact import EXACT, _echelon, _eliminate, _rational, format_scalar
-# tests import _algebra and _coords from here
-from .lie_algebra import _algebra, _coords, _first_worst_triple, _rotation_brackets, jacobi_residual
+from . import lie_algebra  # read only when a table is assembled, so gen never runs it
 from .tensor_core import DOWN, Tensor, _antisymmetry_violations, _contract, _dense, _frozen, _map_slot
 from .wave_table import PlaneWaveData, _wave_table
 
@@ -447,9 +446,9 @@ def assemble_nondegenerate(ansatz):
         # [Z_i, Z_j] = aleph F_ij V + (C eta)_ijm Z_m + s_hat_ij
         _part(f.scale(aleph), lambda i, j: (1 + i, 1 + j, 0)),
         _part(_eta(c, aleph, 2), lambda i, j, m: (1 + i, 1 + j, 1 + m)),
-        *_rotation_brackets(rot, 1 + n, [(range(1, 1 + n), range(n))], images)[0],
+        *lie_algebra._rotation_brackets(rot, 1 + n, [(range(1, 1 + n), range(n))], images)[0],
     ]
-    return _algebra(parts, labels)
+    return lie_algebra._algebra(parts, labels)
 
 
 def assemble_degenerate(ansatz):
@@ -492,10 +491,10 @@ def assemble_degenerate(ansatz):
         _part(s3, lambda i, j, a: (2 + i, 2 + j, zb[a])),
         # canonical boost relations [U, Zb_a] = Z_a, [Z_a, Zb_a] = -V
         ({**{(0, zb[a], 2 + a): 1 for a in occ}, **{(2 + a, zb[a], 1): -1 for a in occ}}, 1),
-        *_rotation_brackets(rot, 2 + n + nb, [(range(2, 2 + n), range(n)), (list(zb.values()), occ)],
-                            images)[0],
+        *lie_algebra._rotation_brackets(rot, 2 + n + nb, [(range(2, 2 + n), range(n)),
+                                                          (list(zb.values()), occ)], images)[0],
     ]
-    return _algebra(parts, labels)
+    return lie_algebra._algebra(parts, labels)
 
 
 def assemble_algebra(ansatz):
@@ -624,11 +623,11 @@ class ReductionReport:
 def _jacobi_failure(algebra, residuals, lambda_scale):
     """The inconsistent report naming the worst Jacobi triple of the
     assembled table, or None when its residual vanishes exactly."""
-    entries, worst = jacobi_residual(algebra)
+    entries, worst = lie_algebra.jacobi_residual(algebra)
     if worst == 0:
         return None
     return ReductionReport("inconsistent", residuals, lambda_scale, checks={"jacobi_residual": worst},
-                           failing_identity=_first_worst_triple(algebra, entries, worst))
+                           failing_identity=lie_algebra._first_worst_triple(algebra, entries, worst))
 
 
 def _brackets(f, new_in_old, left, right):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import EXACT, _rational
-from .lie_algebra import LieAlgebra, _table
+from . import lie_algebra  # read only by the table builders, so the wave data never runs it
 from .tensor_core import DOWN, Tensor, _frozen, _map_slot
 
 
@@ -96,10 +96,10 @@ def _wave_table(f, h):
     # the boost block 2H - F - F^2 of [U, X_i]
     parts += [({(0, 2 + i, 2 + n + j): c * v for (i, j), v in t.nums}, t.den)
               for t, c in ((h, 2), (f, -1), (f2, -1))]
-    return _table(parts, 2 * n + 2)
+    return lie_algebra._table(parts, 2 * n + 2)
 
 
 def pw_isometry_algebra(pw):
     """Exact bracket table on (U, V, X_i, Xb_i), dimension 2n + 2 (see _wave_table)."""
     labels = ("U", "V", *(f"X{i+1}" for i in range(pw.n)), *(f"Xb{i+1}" for i in range(pw.n)))
-    return LieAlgebra._antisymmetric(labels, _wave_table(_matrix(pw.F), _matrix(pw.H)))
+    return lie_algebra.LieAlgebra._antisymmetric(labels, _wave_table(_matrix(pw.F), _matrix(pw.H)))

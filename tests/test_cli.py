@@ -453,6 +453,35 @@ class TestBoundaryChecks:
         self.assert_one_line_error(code, out, err, "zero denominator in scalar '1/0'")
 
 
+class TestUnreadableInput:
+    """An input file that cannot be read or decoded exits 2 with one error line."""
+
+    COMMANDS = {"jacobi": (), "classify": (), "reduce": ("--case", "deg")}
+
+    @staticmethod
+    def write(tmp_path, kind):
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not UTF-8":
+            path.write_bytes(b'{"dim": \xff}')
+        else:  # nested deeper than the decoder's recursion limit
+            path.write_text("[" * 200_000 + "]" * 200_000)
+        return str(path)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("kind, text", [
+        ("directory", "cannot read ([Errno"),
+        ("not UTF-8", "cannot read ('utf-8' codec can't decode byte 0xff"),
+        ("nested", "cannot read (maximum recursion depth exceeded"),
+    ])
+    def test_exits_two_with_one_line(self, tmp_path, capsys, command, kind, text):
+        path = self.write(tmp_path, kind)
+        code, out, err = run(capsys, command, path, *self.COMMANDS[command])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: {text}") and err.count("\n") == 1
+
+
 class TestVerifyFloatRange:
     """planewave verify runs on float64: nan never passes, and out-of-range input is malformed."""
 

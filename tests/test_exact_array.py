@@ -123,9 +123,16 @@ def fraction_array(rng, shape, dens, fill=0.6):
     return np.array(out, dtype=object).reshape(shape)
 
 
+def fractions(q):
+    """A QArray's entries as an object array of Fractions (one Fraction for a scalar num)."""
+    if not isinstance(q.num, np.ndarray):
+        return Fraction(q.num, q.den)
+    return np.array([Fraction(v, q.den) for v in q.num.ravel().tolist()], dtype=object).reshape(q.shape)
+
+
 def qeinsum(spec, *ops, **kw):
     """The kernel on the QArrays of Fraction operands, converted back to Fractions."""
-    return einsum(spec, *map(QArray.of, ops), **kw).fractions()
+    return fractions(einsum(spec, *map(QArray.of, ops), **kw))
 
 
 def assert_same(got, want):
@@ -155,7 +162,7 @@ def test_einsum_matches_fraction_einsum(spec, kw, dens):
 def test_matmul_matches_fraction_matmul(a_shape, b_shape, dens):
     rng = random.Random(f"{a_shape}{b_shape}:{dens[-1]}")
     a, b = fraction_array(rng, a_shape, dens), fraction_array(rng, b_shape, dens)
-    assert_same((QArray.of(a) @ QArray.of(b)).fractions(), a @ b)
+    assert_same(fractions(QArray.of(a) @ QArray.of(b)), a @ b)
 
 
 def test_all_zero_and_all_int_operands():
@@ -163,7 +170,7 @@ def test_all_zero_and_all_int_operands():
     ints = np.array([[-4, -3, -2], [-1, 0, 1], [2, 3, 4]], dtype=object)
     for a, b in ((zero, zero), (ints, ints), (zero, ints)):
         assert_same(qeinsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b))
-        assert_same((QArray.of(a) @ QArray.of(b)).fractions(), a @ b)
+        assert_same(fractions(QArray.of(a) @ QArray.of(b)), a @ b)
 
 
 def test_size_zero_axis():
@@ -171,7 +178,7 @@ def test_size_zero_axis():
     a = fraction_array(rng, (3, 0), LARGE)
     b = fraction_array(rng, (0, 2), LARGE)
     assert_same(qeinsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b))
-    assert_same((QArray.of(a) @ QArray.of(b)).fractions(), a @ b)
+    assert_same(fractions(QArray.of(a) @ QArray.of(b)), a @ b)
     assert_same(qeinsum("ij,jk->ik", b.T, a.T), np.einsum("ij,jk->ik", b.T, a.T))
     # an empty output
     assert_same(qeinsum("ij,ik->jk", a, a), np.einsum("ij,ik->jk", a, a))
@@ -233,7 +240,7 @@ def test_tensordot_matches_fraction_tensordot(shapes, axes, dens):
     a, b = (fraction_array(rng, shape, dens) for shape in shapes)
     got = tensordot(QArray.of(a), QArray.of(b), axes)
     assert isinstance(got, QArray)
-    assert_same(got.fractions(), np.tensordot(a, b, axes))
+    assert_same(fractions(got), np.tensordot(a, b, axes))
 
 
 def test_tensordot_float_input_is_numpy_tensordot():

@@ -22,10 +22,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_exact_array import fractions
+from test_exact_kernel import ref_span_coordinates
 
 from homkit import reduction
 from homkit._exact_array import _GCD_BOUND, QArray
-from homkit.exact import row_reduce, solve_in_span, span_coordinates
+from homkit.exact import row_reduce, solve_in_span
 from homkit.lie_algebra import LieAlgebra
 from homkit.plane_wave import PlaneWaveData
 from homkit.reduction import (
@@ -123,7 +125,7 @@ def coords(rot, mats):
     k = len(rot)
     if not k:
         return zeros((len(mats), 0))
-    rows = span_coordinates(rot.reshape(k, -1).tolist(), [m.reshape(-1).tolist() for m in mats])
+    rows = ref_span_coordinates(rot.reshape(k, -1).tolist(), [m.reshape(-1).tolist() for m in mats])
     return np.array(rows, dtype=object).reshape(len(mats), k)
 
 
@@ -427,7 +429,7 @@ def test_operations_match_fraction_arithmetic(seed):
 
 
 def qarray_fractions(q):
-    out = q.fractions()
+    out = fractions(q)
     assert all(type(v) is Fraction for v in out.ravel())
     return out.tolist()
 

@@ -1,22 +1,37 @@
 """The integer elimination kernel against the Fraction loops it replaced.
 
-``row_reduce``, ``solve_in_span``, ``span_coordinates`` and exact
-``mat_inverse`` all run on ``exact._echelon``, which keeps primitive
-integer rows.  Each is compared here with a plain Gauss-Jordan on
-``Fraction``s, kept as a test-local reference, on random matrices with
-zero, duplicate and dependent rows, negative pivots and denominators up
-to 10**9 + 7; ``reduction._span_closure``, which inserts one row at a
-time, is compared with a full re-reduction after every addition.
+``row_reduce``, ``solve_in_span``, ``span_coordinates``, exact
+``mat_inverse`` and the integer inverse ``_inverse_numerators`` (which
+``plane_wave._inverse`` runs on QArray numerators) all run on
+``exact._echelon``, which keeps primitive integer rows.  Each is
+compared here with a plain Gauss-Jordan on ``Fraction``s, kept as a
+test-local reference, on random matrices with zero, duplicate and
+dependent rows, singular and rank-deficient ones, negative pivots and
+denominators up to 10**9 + 7; ``span_coordinates`` and the integer
+inverse take and give integer rows, so their results are read back as
+Fractions first.  ``reduction._span_closure``, which inserts one row at
+a time, is compared with a full re-reduction after every addition.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_exact_array import fractions
 
 from homkit._exact_array import QArray
-from homkit.exact import EXACT, mat_inverse, row_reduce, solve_in_span, span_coordinates
+from homkit.exact import (
+    EXACT,
+    _inverse_numerators,
+    integer_numerators,
+    mat_inverse,
+    row_reduce,
+    solve_in_span,
+    span_coordinates,
+)
+from homkit.plane_wave import _inverse
 from homkit.reduction import _array, _freeze, _span_closure
 
 BIG = 10**9 + 7
@@ -157,6 +172,17 @@ def test_solve_in_span_matches_the_fraction_loop(seed, m, n):
     assert solve_in_span([], [], [Fraction(0)] * n) == []
 
 
+def fraction_coordinates(vectors, targets):
+    """span_coordinates on Fraction rows scaled to integers by one common
+    factor, which leaves every coefficient as it is; read back as Fractions."""
+    *rows, _ = integer_numerators(*vectors, *targets)
+    got = span_coordinates(rows[: len(vectors)], rows[len(vectors) :])
+    for coeffs, den in filter(None, got):
+        assert all(type(x) is int for x in coeffs) and type(den) is int
+        assert den > 0 and math.gcd(den, *coeffs) == 1
+    return [row and [Fraction(x, row[1]) for x in row[0]] for row in got]
+
+
 @pytest.mark.parametrize("seed,k,n", [(s, k, n) for s in range(4) for k, n in ((0, 3), (1, 1), (2, 4), (4, 4), (3, 7))])
 def test_span_coordinates_matches_the_fraction_loop(seed, k, n):
     rng = random.Random(seed * 100 + k * 10 + n)
@@ -167,9 +193,24 @@ def test_span_coordinates_matches_the_fraction_loop(seed, k, n):
             vectors.append(v)
     targets = [combine([scalar(rng) for _ in range(k)], vectors, n) for _ in range(3)]
     targets += [[scalar(rng) for _ in range(n)] for _ in range(3)]
+    assert fraction_coordinates(vectors, targets) == ref_span_coordinates(vectors, targets)
+
+
+@pytest.mark.parametrize("seed,k,n", [(s, k, n) for s in range(4) for k, n in ((1, 2), (2, 3), (3, 5))])
+def test_span_coordinates_on_integer_rows(seed, k, n):
+    rng = random.Random(seed * 100 + k * 10 + n + 7)
+    vectors = []
+    while len(vectors) < k:
+        v = [rng.choice((0, 0, rng.randint(-BIG, BIG))) for _ in range(n)]
+        if len(ref_row_reduce(vectors + [v])[0]) > len(vectors):
+            vectors.append(v)
+    targets = [[sum(c * v[i] for c, v in zip(cs, vectors)) for i in range(n)]
+               for cs in ([rng.randint(-9, 9) for _ in vectors] for _ in range(3))]
+    targets += [[rng.randint(-9, 9) for _ in range(n)] for _ in range(3)]
+    want = ref_span_coordinates([list(map(Fraction, v)) for v in vectors], [list(map(Fraction, t)) for t in targets])
     got = span_coordinates(vectors, targets)
-    assert got == ref_span_coordinates(vectors, targets)
-    assert all(type(x) is Fraction for row in got if row for x in row)
+    assert [row and [Fraction(x, row[1]) for x in row[0]] for row in got] == want
+    assert all(math.gcd(den, *coeffs) == 1 for coeffs, den in filter(None, got))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -177,7 +218,7 @@ def test_dependent_vectors_raise_alike(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 5)
     vectors = messy_rows(rng, n + 1, n)  # n + 1 vectors in n dimensions are dependent
-    for fn in (span_coordinates, ref_span_coordinates):
+    for fn in (fraction_coordinates, ref_span_coordinates):
         with pytest.raises(ValueError, match="^vectors are linearly dependent$"):
             fn(vectors, [[Fraction(0)] * n])
 
@@ -214,12 +255,61 @@ def test_mat_inverse_negative_pivots_and_empty():
     assert mat_inverse([], EXACT) == []
 
 
+def square(rng, n, rank):
+    """A random n x n Fraction matrix whose rows past the first rank combine those."""
+    a = [[scalar(rng, 0.3) for _ in range(n)] for _ in range(rank)]
+    a += [combine([scalar(rng) for _ in range(rank)], a[:rank], n) for _ in range(n - rank)]
+    rng.shuffle(a)
+    return a
+
+
+# full rank, singular and rank-deficient (rank n - 2, or zero)
+INVERSE_CASES = [(seed, n, rank) for seed in range(5) for n in (1, 2, 3, 4, 6) for rank in {n, n - 1, max(n - 2, 0)}]
+
+
+@pytest.mark.parametrize("seed,n,rank", INVERSE_CASES)
+def test_inverse_numerators_match_the_fraction_loop(seed, n, rank):
+    rng = random.Random(seed * 100 + n * 10 + rank)
+    a = square(rng, n, rank)
+    *rows, scale = integer_numerators(*a)
+    try:
+        want = ref_mat_inverse(a)
+    except ValueError as err:
+        assert str(err) == "singular matrix"
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            _inverse_numerators(rows, scale)
+        return
+    assert rank == n
+    got, den = _inverse_numerators(rows, scale)
+    assert den > 0 and all(type(x) is int for row in got for x in row)
+    assert [[Fraction(x, den) for x in row] for row in got] == want
+
+
+@pytest.mark.parametrize("seed,n,rank", INVERSE_CASES)
+def test_qarray_inverse_matches_the_fraction_loop(seed, n, rank):
+    rng = random.Random(seed * 100 + n * 10 + rank + 5)
+    # denominators near 10**9 + 7 on top of the ones scalar draws
+    q = QArray.of(square(rng, n, rank)) * Fraction(rng.choice((1, -1)) * rng.randint(1, 9), BIG - rng.randint(0, 2))
+    try:
+        want = ref_mat_inverse(fractions(q).tolist())
+    except ValueError as err:
+        assert str(err) == "singular matrix"
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            _inverse(q)
+        return
+    assert rank == n
+    got = _inverse(q)
+    assert isinstance(got, QArray) and got.den > 0
+    assert all(type(x) is int for x in got.num.ravel().tolist())
+    assert fractions(got).tolist() == want
+
+
 def ref_span_closure(seeds):
     """Closure basis with every row reduced again from scratch after each addition."""
     basis, rows = [], []
 
     def add(m):
-        flat = [Fraction(x) for x in np.ravel(m.fractions())]
+        flat = [Fraction(x) for x in np.ravel(fractions(m))]
         if len(ref_row_reduce(rows + [flat])[0]) == len(rows):  # rows stay independent
             return False
         basis.append(m)
@@ -243,9 +333,9 @@ def test_span_closure_matches_full_re_reduction(seed, n):
     rng = random.Random(seed * 10 + n)
     seeds = [QArray.of([[scalar(rng, 0.7) for _ in range(n)] for _ in range(n)]) for _ in range(2)]
     seeds.append(seeds[0] * Fraction(-3, BIG))
-    rot = _span_closure([_array(m.tolist(), (n, n), "seed") for m in seeds])
+    rot = _span_closure([_array(fractions(m).tolist(), (n, n), "seed") for m in seeds])
     want = ref_span_closure(seeds)
     assert len(rot) == len(want)
-    assert [_freeze(m, list) for m in rot] == [m.tolist() for m in want]
-    flat = lambda ms: [[Fraction(x) for x in np.ravel(m.fractions())] for m in ms]
+    assert [_freeze(m, list) for m in rot] == [fractions(m).tolist() for m in want]
+    flat = lambda ms: [[Fraction(x) for x in np.ravel(fractions(m))] for m in ms]
     assert ref_row_reduce([list(m.components) for m in rot]) == ref_row_reduce(flat(want))

@@ -19,7 +19,7 @@ from homkit import plane_wave
 from homkit._exact_array import QArray
 from homkit.exact import EXACT, mat_inverse
 from homkit.wave_table import PlaneWaveData
-from test_exact_array import LARGE, SMALL, assert_same, fraction_array
+from test_exact_array import LARGE, SMALL, assert_same, fraction_array, fractions
 
 S_SPEC = "abc,am,bn,cs->mns"
 DS_SPECS = ("abc,kam,bn,cs->kmns", "abc,am,kbn,cs->kmns", "abc,am,bn,kcs->kmns")
@@ -55,8 +55,8 @@ def test_exact_structure_matches_fraction_einsum(d, dens):
     sf, e, de = (fraction_array(rng, shape, dens) for shape in ((d,) * 3, (d, d), (d,) * 3))
     got_s, got_ds = plane_wave._coordinate_structure(*map(QArray.of, (sf, e, de)))
     want_s, want_ds = einsum_structure(sf, e, de)
-    assert_same(got_s.fractions(), want_s)
-    assert_same(got_ds.fractions(), want_ds)
+    assert_same(fractions(got_s), want_s)
+    assert_same(fractions(got_ds), want_ds)
 
 
 @pytest.mark.parametrize("dens", [SMALL, LARGE])
@@ -69,7 +69,7 @@ def test_exact_frame_form_matches_fraction_einsum(d, dens):
     rbar = fraction_array(rng, (d,) * 4, dens)
     theta = np.array(mat_inverse(e.tolist(), EXACT), dtype=object)
     want = np.einsum("cr,rtmn,td,ma,nb->abcd", e, rbar, theta, theta, theta)
-    assert_same(plane_wave._frame_form(QArray.of(e), QArray.of(rbar)).fractions(), want)
+    assert_same(fractions(plane_wave._frame_form(QArray.of(e), QArray.of(rbar))), want)
 
 
 def test_sweep_plans_no_contraction(monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from homkit.exact import FLOAT
+from homkit.exact import EXACT, FLOAT
 from homkit.hom_structure import (
     CurvatureAtPoint,
     HomogeneousStructure,
@@ -292,6 +292,16 @@ class TestBuildIsometryAlgebra:
         g = FrameMetric.euclidean(2)
         with pytest.raises(ValueError, match="metric-antisymmetric"):
             CurvatureAtPoint(Tensor.zeros(2, (DOWN, DOWN, UP, DOWN)), (((1, 0), (0, 0)),), g)
+
+    @pytest.mark.parametrize("rbar_tag, metric_tag", [(FLOAT, EXACT), (EXACT, FLOAT)])
+    def test_mixed_tags_rejected(self, rbar_tag, metric_tag):
+        rbar = Tensor.from_entries(2, (DOWN, DOWN, UP, DOWN), {(0, 1, 0, 1): 1, (1, 0, 0, 1): -1}, rbar_tag)
+        g = FrameMetric.euclidean(2, tag=metric_tag)
+        # refused before h_basis is cast: "x" is no scalar in either tag
+        for h_basis in ((), (((0, -1), (1, 0)),), ((("x", 0), (0, 0)),)):
+            with pytest.raises(ValueError) as exc:
+                CurvatureAtPoint(rbar, h_basis, g)
+            assert str(exc.value) == "Rbar and metric tags differ"
 
     def test_wave_reconstruction_passes_jacobi(self):
         from homkit.plane_wave import exact_curvature

@@ -2,9 +2,11 @@
 
 ``build_isometry_algebra`` sums its table from integer numerator parts
 through ``lie_algebra``.  Here it is checked on randomized data against
-a copy of the earlier assembly: Fraction ``mat_mul`` commutators, one
-``span_coordinates`` call on flattened matrices, and a Fraction bracket
-dict handed to ``LieAlgebra.from_brackets``.  The inputs are random
+a copy of the earlier assembly: curvature values read off
+``Rbar.entries()``, Fraction ``mat_mul`` commutators, one Fraction
+Gauss-Jordan solve for span coordinates on flattened matrices (the
+reference loop of ``test_exact_kernel``), and a Fraction bracket dict
+handed to ``LieAlgebra.from_brackets``.  The inputs are random
 closed isotropy spans with a curvature valued in them, the plane-wave
 closing loop at n = 1..4, broken variants of both (dependent, unclosed
 or missed spans, several faults at once), and float structures with an
@@ -16,8 +18,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_exact_kernel import ref_span_coordinates
 
-from homkit.exact import EXACT, FLOAT, mat_mul, row_reduce, span_coordinates
+from homkit.exact import EXACT, FLOAT, mat_mul, row_reduce, scalar_zero
 from homkit.hom_structure import CurvatureAtPoint, HomogeneousStructure, SpanError, build_isometry_algebra
 from homkit.lie_algebra import LieAlgebra, jacobi_residual
 from homkit.plane_wave import PlaneWaveData, exact_curvature, frame_structure
@@ -39,12 +42,13 @@ def old_build(hs, curv, m_labels=None, h_labels=None):
     flat = lambda m: [x for row in m for x in row]
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
     h_pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
-    targets = [flat(curv.operator(a, b)) for a, b in pairs]
+    entries, zero = curv.Rbar.entries(), scalar_zero(curv.Rbar.tag)
+    targets = [[entries.get((a, b, r, c), zero) for r in range(d) for c in range(d)] for a, b in pairs]
     for p, q in h_pairs:
         pq, qp = flat(mat_mul(h[p], h[q], tag)), flat(mat_mul(h[q], h[p], tag))
         targets.append([x - y for x, y in zip(pq, qp)])
     try:
-        coords = span_coordinates([flat(m) for m in h], targets)
+        coords = ref_span_coordinates([flat(m) for m in h], targets)
     except ValueError:
         raise ValueError("h_basis matrices are linearly dependent") from None
     outside = "value outside span(h_basis)" if k else "curvature value outside empty isotropy span"

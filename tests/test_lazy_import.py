@@ -92,7 +92,9 @@ print(json.dumps({"steps": steps, "code": code, "registered": registered}))
 
 CORE = {"exact", "tensor_core"}
 TABLE = CORE | {"lie_algebra"}
-REDUCE = TABLE | {"wave_table", "reduction"}
+# gen and a reduce refused before assembly build no table
+ANSATZ = CORE | {"wave_table", "reduction"}
+REDUCE = TABLE | ANSATZ
 # the library modules each command runs
 LOADS = {
     "classify": CORE | {"hom_structure"},
@@ -104,14 +106,15 @@ LOADS = {
     "jacobi truncated JSON": set(),
     # --n is checked against the tensor cap before a matrix is read
     "planewave non-square F": CORE,
-    "gen deg": REDUCE,
-    "gen nondeg": REDUCE,
+    "gen deg": ANSATZ,
+    "gen nondeg": ANSATZ,
     "reduce deg": REDUCE,
     "reduce nondeg": REDUCE,
     "reduce inconsistent": REDUCE,
-    "reduce bad entry": REDUCE,
+    "reduce bad entry": ANSATZ,
     "planewave algebra": TABLE | {"wave_table"},
-    "planewave verify": TABLE | {"wave_table", "hom_structure", "plane_wave", "_exact_array"},
+    # the float sweep builds no structure and no table
+    "planewave verify": CORE | {"wave_table", "plane_wave", "_exact_array"},
 }
 SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}}
 NOT_LIE = {(0, 1): {2: 1}, (0, 2): {0: 1}}

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_exact_array import fractions
 from test_exact_carrier import count_fractions
 
 from homkit import hom_structure, plane_wave
@@ -28,7 +29,7 @@ from homkit.hom_structure import (
     decompose,
     trace_one_form,
 )
-from homkit.lie_algebra import LieAlgebra, change_basis
+from homkit.lie_algebra import LieAlgebra, _algebra, change_basis
 from homkit.plane_wave import (
     PlaneWaveData,
     boost_block,
@@ -36,7 +37,6 @@ from homkit.plane_wave import (
     frame_structure,
     pw_isometry_algebra,
 )
-from homkit.reduction import _algebra
 from homkit.wave_table import _matrix, _wave_table
 from homkit.tensor_core import (
     DOWN,
@@ -476,7 +476,7 @@ class TestFrameStructureOnce:
         dense = np.array([float(v) for v in s.components]).reshape((s.dim,) * 3)
         assert plane_wave._frame_array(s, 0.0).tobytes() == dense.tobytes()
         exact = plane_wave._frame_array(s, plane_wave.QArray.of(0))
-        assert exact.fractions().tolist() == np.reshape(s.components, (s.dim,) * 3).tolist()
+        assert fractions(exact).tolist() == np.reshape(s.components, (s.dim,) * 3).tolist()
 
     def test_split_numerators_match_decompose(self):
         hs = dense_structure(5)

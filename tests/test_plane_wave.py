@@ -26,7 +26,6 @@ from homkit.plane_wave import (
     as_residuals,
     boost_block,
     christoffel,
-    coframe_at,
     connection_jet,
     exact_curvature,
     expm,
@@ -203,7 +202,7 @@ class TestStructureAt:
         eta[2, 2] = eta[3, 3] = 1.0
         for pt in sample_points(2, 5, seed=21):
             jet = metric_jet(GENERIC, pt)
-            e, _ = coframe_at(GENERIC, pt)
+            _, e = structure_at(GENERIC, pt)
             assert np.max(np.abs(e.T @ eta @ e - jet.g)) < 1e-12
 
     def test_frame_components_classify_as_null_type_13(self):

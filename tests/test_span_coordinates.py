@@ -3,7 +3,9 @@
 ``exact.span_coordinates`` is checked on randomized exact data against
 what it must return by construction: the coefficients a target was
 built from, or None for a target that raises the rank (decided
-independently through ``row_reduce``).  ``lie_algebra._coords``, which
+independently through ``row_reduce``).  It takes and gives integer
+rows, so the Fraction data is scaled to integers by one common factor
+first and the (coefficients, den) rows are read back as Fractions.  ``lie_algebra._coords``, which
 the reductions and ``hom_structure.build_isometry_algebra`` share, is
 checked to eliminate its basis once per call (one call of the integer
 kernel ``exact._echelon``), and the reconstruction to keep its error
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_exact_kernel import fraction_coordinates
 
 import homkit.exact as exact
 import homkit.reduction as reduction
@@ -28,7 +31,8 @@ from homkit.hom_structure import (
     SpanError,
     build_isometry_algebra,
 )
-from homkit.reduction import _array, _coords, _span_closure
+from homkit.lie_algebra import _coords
+from homkit.reduction import _array, _span_closure
 from homkit.tensor_core import DOWN, UP, FrameMetric, Tensor
 
 
@@ -66,9 +70,7 @@ class TestSpanCoordinates:
         vectors = independent(rng, k, n)
         coeffs = [[rand_scalar(rng) for _ in range(k)] for _ in range(6)]
         targets = [combine(c, vectors, n) for c in coeffs]
-        got = span_coordinates(vectors, targets)
-        assert got == coeffs
-        assert all(isinstance(x, Fraction) for row in got for x in row)
+        assert fraction_coordinates(vectors, targets) == coeffs
 
     @pytest.mark.parametrize("seed,n,k", CASES)
     def test_non_members_return_none(self, seed, n, k):
@@ -85,7 +87,7 @@ class TestSpanCoordinates:
             else:
                 targets.append([x + rand_scalar(rng, 0.7) for x in member])
         outside = 0
-        for t, got in zip(targets, span_coordinates(vectors, targets)):
+        for t, got in zip(targets, fraction_coordinates(vectors, targets)):
             if rank(vectors + [t]) == k + 1:
                 outside += 1
                 assert got is None
@@ -96,8 +98,7 @@ class TestSpanCoordinates:
 
     def test_empty_basis(self):
         assert span_coordinates([], []) == []
-        zero, one = Fraction(0), Fraction(1)
-        assert span_coordinates([], [[zero, zero], [zero, one], [0.0, 0.0]]) == [[], None, []]
+        assert span_coordinates([], [[0, 0], [0, 1], [0, 0]]) == [([], 1), None, ([], 1)]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_dependent_basis_raises(self, seed):
@@ -111,8 +112,8 @@ class TestSpanCoordinates:
             list(vectors[rng.randrange(k)]),
         ][seed % 3]
         vectors.insert(rng.randint(0, k), extra)
-        with pytest.raises(ValueError, match="linearly dependent"):
-            span_coordinates(vectors, [[Fraction(0)] * n])
+        with pytest.raises(ValueError, match="^vectors are linearly dependent$"):
+            fraction_coordinates(vectors, [[Fraction(0)] * n])
 
     def test_one_elimination_for_many_targets(self, monkeypatch):
         calls = []
@@ -125,7 +126,7 @@ class TestSpanCoordinates:
         vectors = independent(rng, 3, 5)
         targets = [combine([rand_scalar(rng) for _ in range(3)], vectors, 5) for _ in range(20)]
         monkeypatch.setattr(exact, "_echelon", counting)
-        span_coordinates(vectors, targets)
+        fraction_coordinates(vectors, targets)
         assert calls == [3]
 
 
