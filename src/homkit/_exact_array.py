@@ -10,9 +10,8 @@ denominator grows past _GCD_BOUND.  Python ints do not overflow, so
 every result is exact, and no Fraction is built: a caller reads num and
 den.  einsum and tensordot contract QArrays on their numerators and
 multiply their denominators; they refuse Fraction object arrays, which
-would pay the gcd per term again.  float64 operands go straight to numpy
-with the same arguments, so float results are bit-identical to plain
-np.einsum and np.tensordot.
+would pay the gcd per term again.  Float64 einsum runs np.einsum, and
+float64 tensordot the one np.dot call np.tensordot makes: the bits are numpy's.
 """
 
 from __future__ import annotations
@@ -118,19 +117,39 @@ def _numeric(name, ops):
     return ops
 
 
+def _tensordot(a, b, axes):
+    """np.tensordot's one np.dot call: a's summed axes moved last, b's first, each made 2-D."""
+    try:
+        axes_a, axes_b = axes
+    except TypeError:  # an int N pairs a's last N axes with b's first N
+        axes_a, axes_b = range(-axes, 0), range(axes)
+    ra, rb = range(a.ndim), range(b.ndim)  # ra[k] refuses k out of range, counts k < 0 from the end
+    axes_a = [ra[axes_a]] if hasattr(axes_a, "__index__") else [ra[k] for k in axes_a]
+    axes_b = [rb[axes_b]] if hasattr(axes_b, "__index__") else [rb[k] for k in axes_b]
+    at = a.transpose([k for k in ra if k not in axes_a] + axes_a)
+    bt = b.transpose(axes_b + [k for k in rb if k not in axes_b])
+    free_a, free_b = at.shape[: a.ndim - len(axes_a)], bt.shape[len(axes_b) :]
+    if at.shape[len(free_a) :] != bt.shape[: len(axes_b)]:
+        raise ValueError("shape-mismatch for sum")
+    n = math.prod(bt.shape[: len(axes_b)])
+    at, bt = at.reshape(math.prod(free_a), n), bt.reshape(n, math.prod(free_b))
+    return np.dot(at, bt).reshape(free_a + free_b)
+
+
 def tensordot(a, b, axes):
     """np.tensordot; on integer numerators, giving a QArray, when both operands are QArrays."""
     if isinstance(a, QArray) and isinstance(b, QArray):
-        return QArray(np.tensordot(a.num, b.num, axes), a.den * b.den)
-    return np.tensordot(*_numeric("tensordot", (a, b)), axes)
+        return QArray(_tensordot(a.num, b.num, axes), a.den * b.den)
+    return _tensordot(*_numeric("tensordot", (a, b)), axes)
 
 
 def einsum(spec, *ops):
     """np.einsum; on integer numerators, giving a QArray, when every operand is a QArray.
 
     QArrays do not mix with numeric arrays, and object arrays are refused."""
-    if all(type(op) is np.ndarray and not op.dtype.hasobject for op in ops):
-        return np.einsum(spec, *ops)
-    if all(isinstance(op, QArray) for op in ops):
-        return QArray(np.einsum(spec, *(op.num for op in ops)), math.prod(op.den for op in ops))
-    return np.einsum(spec, *_numeric("einsum", ops))
+    for op in ops:  # a plain loop; all-float operands reach the last line
+        if type(op) is not np.ndarray or op.dtype.hasobject:
+            if all(isinstance(q, QArray) for q in ops):
+                return QArray(np.einsum(spec, *(q.num for q in ops)), math.prod(q.den for q in ops))
+            return np.einsum(spec, *_numeric("einsum", ops))
+    return np.einsum(spec, *ops)

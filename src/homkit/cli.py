@@ -3,7 +3,7 @@
 Reports are JSON with sorted keys on standard output.  Exit codes:
 0 all checks pass, 1 a verification failed (the report names the
 failing check), 2 malformed input, which includes an input file that
-cannot be read or decoded.
+cannot be read or decoded and an --out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -59,8 +59,11 @@ def _parse(path, build, *args):
 def _emit(report, out=None, quiet=False, verdict=None):
     text = json.dumps(report, sort_keys=True, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"{out}: cannot write ({exc})") from None
     if quiet:
         print(verdict if verdict is not None else report.get("verdict", "done"))
     elif not out:

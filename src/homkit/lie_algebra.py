@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .exact import (
     EXACT,
+    _inverse_numerators,
     coerce_scalar,
     format_scalar,
     mat_inverse,
@@ -20,7 +21,8 @@ from .exact import (
     row_reduce,
     span_coordinates,
 )
-from .tensor_core import DOWN, UP, Tensor, _antisymmetry_violations, _contract, _dense, _frozen, _map_slot
+from .tensor_core import (DOWN, UP, Tensor, _antisymmetry_violations, _contract, _dense, _frozen,
+                          _map_slot, _scaled)
 
 
 def _default_labels(n):
@@ -290,11 +292,13 @@ def change_basis(algebra, p, labels=None):
     if len(p) != n or any(len(row) != n for row in p):
         raise ValueError("P has the wrong shape")
     p = [[coerce_scalar(x, algebra.tag) for x in row] for row in p]
-    p_inv_t = list(zip(*mat_inverse(p, algebra.tag)))  # raises on singular P
+    exact = algebra.tag == EXACT  # P^-1 as int rows over one den, floats over 1; raises if singular
+    p_inv, den = _inverse_numerators(*_scaled(p, EXACT)) if exact else (mat_inverse(p, algebra.tag), 1)
+    p_inv_t = list(zip(*p_inv))
     # f'_{ab}^c = sum P^{-1}_{ma} P^{-1}_{nb} P_{ck} f_{mn}^{k}, one slot at a time
     f = algebra.f
-    for slot, m in ((0, p_inv_t), (1, p_inv_t), (2, p)):
-        f = _map_slot(f, slot, m, f.valence)
+    for slot, m, scale in ((0, p_inv_t, den), (1, p_inv_t, den), (2, p, None)):
+        f = _map_slot(f, slot, m, f.valence, scale)
     return LieAlgebra(tuple(labels) if labels else algebra.labels, f)
 
 

@@ -85,18 +85,17 @@ def expm(a):
     round-off after scaling the 1-norm below 1/2.
     """
     a = np.asarray(a, dtype=float)
-    # the 1-norm as np.linalg.norm(a, 1) sums it, without its dispatch
-    norm = np.abs(a).sum(axis=0).max()
+    norm = np.maximum.reduce(np.add.reduce(np.abs(a), 0))  # the 1-norm, as .sum(0).max()
     squarings = 0
     if norm > 0.5:
         squarings = int(np.ceil(np.log2(norm / 0.5)))
         a = a / (2.0 ** squarings)
-    result = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
+    result = term = np.eye(a.shape[0])  # never written in place
     for k in range(1, 40):
         term = term @ a / k
         result = result + term
-        if np.abs(term).sum(axis=0).max() <= 1e-16 * np.abs(result).sum(axis=0).max():
+        sums = np.add.reduce(np.abs(term), 0), np.add.reduce(np.abs(result), 0)
+        if np.maximum.reduce(sums[0]) <= 1e-16 * np.maximum.reduce(sums[1]):
             break
     for _ in range(squarings):
         result = result @ result
@@ -121,8 +120,7 @@ def profile_jet(pw, z):
     signs used by pw_isometry_algebra.  Flipping the sign of F flips
     the orientation, so the family of geometries is unchanged.
     """
-    f = np.array([[float(v) for v in row] for row in pw.F])
-    h = np.array([[float(v) for v in row] for row in pw.H])
+    f, h = np.array(pw.F, dtype=float), np.array(pw.H, dtype=float)  # float(v) per entry
     e = expm(-z * f)
     return _commutator_jet(e @ h @ e.T, f)  # exp(zF) = exp(-zF)^T for antisymmetric F
 
@@ -150,7 +148,7 @@ class GeometryJet:
 
 def _full(shape, zero):
     """A zero-filled array in zero's backend."""
-    return QArray(np.zeros(shape, object)) if isinstance(zero, QArray) else np.full(shape, zero)
+    return QArray(np.zeros(shape, object)) if isinstance(zero, QArray) else np.zeros(shape)
 
 
 def _inverse(a):
@@ -197,7 +195,7 @@ def metric_jet(pw, pt):
 def _gamma_lower(dg):
     # Gamma_{mn,s} = (d_m g_{ns} + d_n g_{ms} - d_s g_{mn}) / 2 on the last
     # three axes, so it serves dg, ddg and dddg alike
-    return (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)) / 2
+    return (dg + dg.swapaxes(-3, -2) - dg.transpose(*range(dg.ndim - 3), -2, -1, -3)) / 2
 
 
 def christoffel(jet):
@@ -363,7 +361,6 @@ def _point_residuals(pw, pt, sf_array):
 
     # metric parallelism
     nabla_g = jet.dg - einsum("lkm,ln->kmn", gbar, jet.g) - einsum("lkn,ml->kmn", gbar, jet.g)
-    r_g = float(np.max(np.abs(nabla_g)))
 
     # torsion-tensor parallelism
     nabla_s = (
@@ -372,7 +369,6 @@ def _point_residuals(pw, pt, sf_array):
         - einsum("lkn,mls->kmns", gbar, s_coord)
         - einsum("lks,mnl->kmns", gbar, s_coord)
     )
-    r_s = float(np.max(np.abs(nabla_s)))
 
     # curvature parallelism, on the all-lower Levi-Civita Riemann tensor
     mixed = _riemann_from_connection(gamma, dgamma)
@@ -392,11 +388,10 @@ def _point_residuals(pw, pt, sf_array):
         - einsum("lkm,rsln->krsmn", gbar, r_low)
         - einsum("lkn,rsml->krsmn", gbar, r_low)
     )
-    r_r = float(np.max(np.abs(nabla_r)))
 
-    # geodesic residual for xi = d/ds (coordinate index 1)
-    r_geo = float(np.max(np.abs(gamma[:, 1, 1])))
-    return {"r_g": r_g, "r_S": r_s, "r_R": r_r, "r_geo": r_geo}
+    # r_geo is the geodesic residual of xi = d/ds; each is max |entry|, and a nan stays nan
+    worst = {"r_g": nabla_g, "r_S": nabla_s, "r_R": nabla_r, "r_geo": gamma[:, 1, 1]}
+    return {key: float(np.maximum.reduce(np.abs(a), None)) for key, a in worst.items()}
 
 
 def as_residuals(pw, pts, frame_s_override=None):
@@ -415,8 +410,7 @@ def as_residuals(pw, pts, frame_s_override=None):
     # an overflowing chart reads as an inf or nan residual, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for pt in pts:
-            res = _point_residuals(pw, pt, sf)
-            for key, v in res.items():
+            for key, v in _point_residuals(pw, pt, sf).items():
                 # max drops a nan (nan > x is false); a residual that is not a number is the worst
                 worst[key] = v if np.isnan(v) else max(worst[key], v)
     return worst

@@ -503,9 +503,9 @@ def raise_lower(t, slot, metric):
     return _map_slot(t, slot, pairing, tuple(new_valence))
 
 
-def _map_slot(t, slot, m, valence):
-    """t with slot index z sent to sum_i m[i][z] e_i, under the given valence."""
-    m, scale = _scaled(m, t.tag)
+def _map_slot(t, slot, m, valence, scale=None):
+    """t with slot index z sent to sum_i m[i][z] e_i, under valence; m is over scale if given."""
+    m, scale = (m, scale) if scale else _scaled(m, t.tag)
     # the nonzero m[i][z] for each z
     columns = [[(i, row[z]) for i, row in enumerate(m) if row[z] != 0] for z in range(t.dim)]
     out = {}

@@ -482,6 +482,31 @@ class TestUnreadableInput:
         assert err.startswith(f"error: {path}: {text}") and err.count("\n") == 1
 
 
+class TestUnwritableOutput:
+    """An --out file that cannot be written exits 2 with one error line, after the work."""
+
+    @staticmethod
+    def argv(tmp_path, wave_files, command):
+        if command == "gen":
+            return ["gen", "--case", "deg", "--n", "2", "--seed", "1"]
+        if command == "reduce":
+            ansatz = tmp_path / "ansatz.json"
+            ansatz.write_text(json.dumps(generate_instance("deg", 2, 1).to_json()))
+            return ["reduce", str(ansatz), "--case", "deg"]
+        f, h = wave_files
+        return ["planewave", "--n", "2", "--F", f, "--H", h, "algebra"]
+
+    @pytest.mark.parametrize("command", ["gen", "reduce", "planewave algebra"])
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_exits_two_with_one_line(self, tmp_path, wave_files, capsys, command, target):
+        out_path = tmp_path / "no" / "such" / "a.json" if target == "missing directory" else tmp_path
+        for quiet in ((), ("--quiet",)):
+            argv = self.argv(tmp_path, wave_files, command) + ["--out", str(out_path), *quiet]
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {out_path}: cannot write ([Errno") and err.count("\n") == 1
+
+
 class TestVerifyFloatRange:
     """planewave verify runs on float64: nan never passes, and out-of-range input is malformed."""
 

@@ -230,6 +230,11 @@ TENSORDOT_CASES = [
     (((4, 2), (2, 5)), 1),
     (((3,), (3,)), 1),
     (((3, 0), (0, 2)), (1, 0)),
+    (((3, 4, 2), (2, 4, 5)), ((-2, -1), (1, 0))),
+    (((3, 2), (2, 3)), (-1, -2)),
+    (((2, 3), (4,)), 0),
+    (((2, 3, 4), (3, 4, 5)), 2),
+    (((3, 0, 2), (2, 0, 4)), ((1, 2), (1, 0))),
 ]
 
 
@@ -250,6 +255,22 @@ def test_tensordot_float_input_is_numpy_tensordot():
         got, want = tensordot(a, b, axes), np.tensordot(a, b, axes)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shapes,axes", [
+    (((3, 4), (4, 3)), ((0, 1), (0, 1))),  # equal sizes in total, not axis by axis
+    (((3, 3), (3, 3)), ((0, 1), (0,))),
+    (((3, 3), (3, 3)), (2, 0)),
+    (((3, 3), (3, 3)), (0, -3)),
+    (((3, 3), (3, 3)), ((0, 0), (0, 1))),
+    (((3, 3), (3, 3)), 3),
+])
+def test_tensordot_refuses_what_numpy_refuses(shapes, axes):
+    a, b = (np.ones(shape) for shape in shapes)
+    with pytest.raises(Exception) as want:
+        np.tensordot(a, b, axes)
+    with pytest.raises(type(want.value)):
+        tensordot(a, b, axes)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])

@@ -1,0 +1,118 @@
+"""The float sweep's helpers against the numpy wrappers they replaced, bit for bit.
+
+plane_wave calls numpy's kernels without numpy's Python wrappers:
+_gamma_lower transposes with ndarray methods instead of np.swapaxes and
+np.moveaxis, expm reduces its 1-norms with np.add.reduce and
+np.maximum.reduce instead of .sum(axis=0).max(), profile_jet converts F
+and H with one np.array call, and the float zeros are np.zeros.  Each
+must give the bytes (or, on QArrays, the numerators and denominator)
+of the formula it replaced, and expm must stop after as many Taylor
+terms as the old loop did.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from homkit import plane_wave
+from homkit._exact_array import QArray
+from homkit.wave_table import PlaneWaveData
+from test_exact_array import SMALL, fraction_array
+
+
+def old_gamma_lower(dg):
+    return (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)) / 2
+
+
+def old_expm(a):
+    """expm as it was written with ndarray .sum and .max; also returns its Taylor terms."""
+    a = np.asarray(a, dtype=float)
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = 0
+    if norm > 0.5:
+        squarings = int(np.ceil(np.log2(norm / 0.5)))
+        a = a / (2.0 ** squarings)
+    result = np.eye(a.shape[0])
+    term = np.eye(a.shape[0])
+    for k in range(1, 40):
+        term = term @ a / k
+        result = result + term
+        if np.abs(term).sum(axis=0).max() <= 1e-16 * np.abs(result).sum(axis=0).max():
+            break
+    for _ in range(squarings):
+        result = result @ result
+    return result, k
+
+
+class CountingNumpy:
+    """numpy, counting the np.abs calls made through this name."""
+
+    def __init__(self):
+        self.abs_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def abs(self, x):
+        self.abs_calls += 1
+        return np.abs(x)
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_gamma_lower_is_the_swapaxes_moveaxis_formula(rank):
+    rng = np.random.default_rng(rank)
+    for d in (1, 3, 4):
+        dg = rng.standard_normal((d,) * rank)
+        assert plane_wave._gamma_lower(dg).tobytes() == old_gamma_lower(dg).tobytes()
+        q = QArray.of(fraction_array(random.Random(rank * 10 + d), (d,) * rank, SMALL))
+        got, want = plane_wave._gamma_lower(q), old_gamma_lower(q)
+        assert got.den == want.den and (got.num == want.num).all()
+
+
+def random_antisymmetric(rng, n, scale):
+    a = rng.standard_normal((n, n)) * scale
+    return a - a.T
+
+
+def test_expm_is_the_old_loop(monkeypatch):
+    rng = np.random.default_rng(8)
+    counting = CountingNumpy()
+    monkeypatch.setattr(plane_wave, "np", counting)
+    for n in range(1, 9):
+        cases = [np.zeros((n, n))]
+        cases += [random_antisymmetric(rng, n, scale) for scale in (1e-3, 0.1, 0.7, 3.0, 20.0)]
+        for a in cases:
+            counting.abs_calls = 0
+            got = plane_wave.expm(a)
+            want, terms = old_expm(a)
+            assert got.tobytes() == want.tobytes()
+            # one np.abs for the norm of a, then two per Taylor term
+            assert counting.abs_calls == 1 + 2 * terms
+
+
+def test_profile_jet_converts_each_entry_as_float_does():
+    rng = random.Random(3)
+    for n in (1, 2, 5):
+        f = [[Fraction(0)] * n for _ in range(n)]
+        h = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                v = Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**rng.randint(1, 25)))
+                f[i][j], f[j][i] = (v, -v) if i != j else (0, 0)
+                h[i][j] = h[j][i] = Fraction(rng.randint(-99, 99), rng.randint(1, 7))
+        pw = PlaneWaveData(n, tuple(map(tuple, f)), tuple(map(tuple, h)))
+        old_f = np.array([[float(v) for v in row] for row in pw.F])
+        old_h = np.array([[float(v) for v in row] for row in pw.H])
+        e = old_expm(-0.75 * old_f)[0]
+        want = plane_wave._commutator_jet(e @ old_h @ e.T, old_f)
+        for got_m, want_m in zip(plane_wave.profile_jet(pw, 0.75), want):
+            assert got_m.tobytes() == want_m.tobytes()
+
+
+def test_float_zeros_are_np_full_zeros():
+    for shape in ((3, 3), (4,) * 5, (0, 2)):
+        got = plane_wave._full(shape, 0.0)
+        want = np.full(shape, 0.0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -1,8 +1,9 @@
 """tools/kind_profile.py runs end to end on one round.
 
-It prints the per-pass time of every exact_proofs check kind and the
-call counts of Fraction.__new__ and exact.integer_numerators.  No number
-is asserted beyond their presence.
+It prints the per-pass time of every check kind, the call counts of
+the functions it names and all the function calls of one pass.  On
+exact_proofs no number is asserted beyond their presence; on
+float_sweep the sweep must call no numpy wrapper it has replaced.
 """
 
 import os
@@ -25,7 +26,7 @@ def test_one_round_prints_every_kind_and_count():
     assert re.match(r"exact_proofs seed 3, 1 rounds: 42 checks, [\d.]+ ms per pass\n", out)
     for kind in KINDS:
         assert re.search(rf"^  {kind} +[\d.]+ ms +[\d.]+%$", out, re.M), kind
-    for name in ("Fraction.__new__", "exact.integer_numerators"):
+    for name in ("Fraction.__new__", "exact.integer_numerators", "all function calls"):
         assert re.search(rf"^  {re.escape(name)} +[1-9]\d* calls per pass$", out, re.M), name
 
 
@@ -45,3 +46,10 @@ def test_float_sweep_round_shows_no_planning_and_the_pairwise_products():
     assert re.search(r"^  _exact_array\.tensordot +[1-9]\d* calls per pass$", out, re.M)
     assert re.search(r"^  plane_wave\._point_residuals +[1-9]\d* calls per pass$", out, re.M)
     assert re.search(r"^  tensordot per chart point +9\.0$", out, re.M)
+    assert re.search(r"^  all function calls +[1-9]\d* calls per pass$", out, re.M)
+    # numpy's kernels run without these wrappers around them
+    for name in ("numpy.tensordot", "numpy.moveaxis", "numpy.full"):
+        assert re.search(rf"^  {re.escape(name)} +0 calls per pass$", out, re.M), name
+        assert re.search(rf"^  {re.escape(name)} per chart point +0\.0$", out, re.M), name
+    for name in ("numpy._methods._sum", "numpy._methods._amax"):
+        assert re.search(rf"^  {re.escape(name)} per chart point +[\d.]+$", out, re.M), name

@@ -433,6 +433,23 @@ class TestSparseReaders:
             expected = dense_change_basis(dense_table(algebra), p, p_inv)
             assert change_basis(algebra, p).f == from_table(expected, EXACT).f
 
+    def test_exact_change_basis_builds_no_fraction(self, monkeypatch):
+        # P^-1 is read as integer rows over one denominator, not as Fractions
+        algebra = assemble_algebra(generate_instance("deg", 3, 1))
+        n = algebra.dim
+        p = [[Fraction(int(i == j) + (j == i + 1), 1 + (i == j)) for j in range(n)] for i in range(n)]
+        want = change_basis(algebra, p)
+        built, real = [], Fraction.__new__
+
+        def counted(cls, *args, **kw):
+            built.append(args)
+            return real(cls, *args, **kw)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        got = change_basis(algebra, p)
+        monkeypatch.undo()
+        assert built == [] and got.f == want.f
+
     @pytest.mark.parametrize(
         "dim, entries, where",
         [

@@ -11,8 +11,11 @@ prints the milliseconds per pass and each kind's share.  One more pass
 runs under cProfile and the call counts in it are printed: for
 exact_proofs, ``Fraction.__new__`` and ``exact.integer_numerators``;
 for float_sweep, numpy's ``einsum_path`` (contraction planning),
-``_exact_array.tensordot`` and ``plane_wave._point_residuals`` (chart
-points swept), followed by the tensordot calls per chart point.
+``_exact_array.tensordot``, ``plane_wave._point_residuals`` (chart
+points swept) and the numpy Python wrappers the sweep used to run
+(``numpy.tensordot``, ``_methods._sum`` and ``_amax``, ``moveaxis`` and
+``full``), followed by each of those per chart point.  Both end with
+every function call cProfile saw in the pass, Python and built-in.
 perfbench/run.py and perfbench/workloads.py are imported as they are;
 no file is written.
 """
@@ -39,8 +42,16 @@ COUNTED = {
         "_exact_array.tensordot": (os.path.join("homkit", "_exact_array.py"), "tensordot"),
         "plane_wave._point_residuals": (os.path.join("homkit", "plane_wave.py"),
                                         "_point_residuals"),
+        "numpy.tensordot": (os.path.join("_core", "numeric.py"), "tensordot"),
+        "numpy._methods._sum": (os.path.join("_core", "_methods.py"), "_sum"),
+        "numpy._methods._amax": (os.path.join("_core", "_methods.py"), "_amax"),
+        "numpy.moveaxis": (os.path.join("_core", "numeric.py"), "moveaxis"),
+        "numpy.full": (os.path.join("_core", "numeric.py"), "full"),
     },
 }
+# the float_sweep counts printed again per chart point swept
+PER_POINT = ("_exact_array.tensordot", "numpy.tensordot", "numpy._methods._sum",
+             "numpy._methods._amax", "numpy.moveaxis", "numpy.full")
 
 
 def build(workload, rounds, seed):
@@ -69,18 +80,19 @@ def kind_times(checks):
 
 
 def call_counts(checks, counted):
-    """{counted name: calls} over one profiled pass."""
+    """({counted name: calls}, all function calls) over one profiled pass."""
     profile = cProfile.Profile()
     profile.enable()
     for check in checks:
         check.run()
     profile.disable()
+    stats = pstats.Stats(profile)
     counts = dict.fromkeys(counted, 0)
-    for (path, _, func), (_, calls, *_) in pstats.Stats(profile).stats.items():
+    for (path, _, func), (_, calls, *_) in stats.stats.items():
         for name, (suffix, want) in counted.items():
             if func == want and path.endswith(suffix):
                 counts[name] += calls
-    return counts
+    return counts, stats.total_calls
 
 
 def main(argv=None):
@@ -98,12 +110,15 @@ def main(argv=None):
           f"{wall / PASSES * 1e3:.1f} ms per pass")
     for kind, seconds in sorted(totals.items(), key=lambda kv: -kv[1]):
         print(f"  {kind:20s} {seconds / PASSES * 1e3:9.1f} ms {seconds / wall:7.1%}")
-    counts = call_counts(checks, COUNTED[args.workload])
+    counts, total = call_counts(checks, COUNTED[args.workload])
     for name, calls in counts.items():
         print(f"  {name:28s} {calls:9d} calls per pass")
+    print(f"  {'all function calls':28s} {total:9d} calls per pass")
     if args.workload == "float_sweep":
-        per_point = counts["_exact_array.tensordot"] / counts["plane_wave._point_residuals"]
-        print(f"  {'tensordot per chart point':28s} {per_point:9.1f}")
+        points = counts["plane_wave._point_residuals"]
+        for name in PER_POINT:
+            label = "tensordot" if name == "_exact_array.tensordot" else name
+            print(f"  {label + ' per chart point':36s} {counts[name] / points:9.1f}")
     return 0
 
 
