@@ -3,7 +3,8 @@
 Reports are JSON with sorted keys on standard output.  Exit codes:
 0 all checks pass, 1 a verification failed (the report names the
 failing check), 2 malformed input, which includes an input file that
-cannot be read or decoded and an --out file that cannot be written.
+cannot be read or decoded, and an --out file or a standard output
+(full, a closed pipe or descriptor) that cannot be written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -56,7 +58,8 @@ def _parse(path, build, *args):
         raise InputError(f"{path}: {exc}")
 
 
-def _emit(report, out=None, quiet=False, verdict=None):
+def _emit(report, verdict, out=None, quiet=False):
+    """The report into out if given; on stdout, the verdict if quiet, else the report if no out."""
     text = json.dumps(report, sort_keys=True, indent=2)
     if out:
         try:
@@ -64,10 +67,20 @@ def _emit(report, out=None, quiet=False, verdict=None):
                 fh.write(text + "\n")
         except OSError as exc:
             raise InputError(f"{out}: cannot write ({exc})") from None
-    if quiet:
-        print(verdict if verdict is not None else report.get("verdict", "done"))
-    elif not out:
-        print(text)
+    if quiet or not out:
+        if sys.stdout is None:  # descriptor 1 was closed at start-up
+            raise InputError("<stdout>: cannot write (closed)")
+        try:
+            print(verdict if quiet else text)
+            sys.stdout.flush()
+        except OSError as exc:
+            try:  # so the exit-time flush writes what is left into devnull, not a second error
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            except OSError:  # a stream with no descriptor
+                pass
+            raise InputError(f"<stdout>: cannot write ({exc})") from None
 
 
 def _cmd_classify(args):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import EXACT, format_scalar, integer_numerators, scalar_zero
+from .exact import EXACT, format_scalar, integer_numerators
 from . import lie_algebra  # read only by build_isometry_algebra, so classify never runs it
 from .tensor_core import (
     DOWN,
@@ -123,19 +123,9 @@ def trace_one_form(hs):
 
 
 def vectorial_part(metric, alpha):
-    """S1_{XYZ} = g_{XY} alpha_Z - g_{XZ} alpha_Y.
-
-    Only nonzero g and alpha entries are multiplied.  Where both products
-    are nonzero the value is their difference in that order, and -p equals
-    0 - p, so every float value is bit-identical to the dense formula.
-    """
-    g = [(x, y, v) for x, row in enumerate(metric.g) for y, v in enumerate(row) if v != 0]
-    a = [(z, v) for (z,), v in alpha.items]
-    out = {(x, y, z): gv * av for x, y, gv in g for z, av in a}
-    for x, z, gv in g:
-        for y, av in a:
-            key = (x, y, z)
-            out[key] = out[key] - gv * av if key in out else -(gv * av)
+    """S1_{XYZ} = g_{XY} alpha_Z - g_{XZ} alpha_Y."""
+    g, a, r = metric.g, alpha.components, range(metric.dim)
+    out = {(x, y, z): g[x][y] * a[z] - g[x][z] * a[y] for x in r for y in r for z in r}
     return Tensor.from_entries(metric.dim, (DOWN, DOWN, DOWN), out, metric.tag)
 
 
@@ -225,26 +215,15 @@ def classify(hs):
 def _is_metric_antisymmetric(metric, m):
     """g(AX, Y) + g(X, AY) = 0 for the action matrix A.
 
-    Exact sums run on integer numerators.  Each float (X, Y) sum runs in
-    k order over the rows where column X or Y of A is nonzero; every
-    other term is zero, so float verdicts match a sum over all k.
+    Exact g and A are read as integer rows over one common denominator,
+    a positive scale that leaves every zero test as it was.
     """
-    d = metric.dim
-    g = metric.g
+    d, g = metric.dim, metric.g
     if metric.tag == EXACT:
-        gn, mn, _ = integer_numerators((x for row in g for x in row), (x for row in m for x in row))
-        return not any(
-            sum(gn[k * d + y] * mn[k * d + x] + gn[x * d + k] * mn[k * d + y] for k in range(d))
-            for x in range(d) for y in range(d))
-    support = [{k for k in range(d) if m[k][x] != 0} for x in range(d)]
-    for x in range(d):
-        for y in range(d):
-            s = scalar_zero(metric.tag)
-            for k in sorted(support[x] | support[y]):
-                s += g[k][y] * m[k][x] + g[x][k] * m[k][y]
-            if s != 0:
-                return False
-    return True
+        *rows, _ = integer_numerators(*g, *m)
+        g, m = rows[:d], rows[d:]
+    return not any(sum(g[k][y] * m[k][x] + g[x][k] * m[k][y] for k in range(d))
+                   for x in range(d) for y in range(d))
 
 
 @_frozen

@@ -23,7 +23,6 @@ table in the old basis.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import random
@@ -400,6 +399,10 @@ class DegenerateAnsatz:
         )
 
 
+# the power of the scale t (see _at_scale) of each degenerate field; the others keep their values
+_DEG_POWERS = {"F": 1, "aleph2": -1, "h": 2, "A": 2, "R": 1, "S3": 1}
+
+
 def _at_scale(ansatz, lam):
     """The same degenerate data presented at eigenvalue lam.
 
@@ -411,15 +414,13 @@ def _at_scale(ansatz, lam):
     t = lam / ansatz.lam
     if t == 1:
         return ansatz
-    q = ansatz._carriers
-    # the fields are validated already and scaling keeps their symmetries,
-    # so the copy takes the scaled Tensors as carriers instead of parsing again
-    scaled = copy.copy(ansatz)
-    # the copy carries the instance dict along, so drop the span cached at ansatz.lam
-    vars(scaled).pop("_rotations", None)
-    _store(scaled, dict(F=q["F"].scale(t), aleph2=q["aleph2"].scale(1 / t), h=q["h"].scale(t**2),
-                        A=q["A"].scale(t**2), R=q["R"].scale(t), S3=q["S3"].scale(t)), lam=lam)
-    return scaled
+    return _deg_at(ansatz.n, lam, ansatz.occupancy, ansatz._carriers, t)
+
+
+def _deg_at(n, lam, occ, fields, t):
+    """DegenerateAnsatz at lam of the carriers in fields, each times t to its _DEG_POWERS."""
+    scaled = {k: fields[k].scale(t**p) for k, p in _DEG_POWERS.items()} if t != 1 else {}
+    return DegenerateAnsatz(n=n, lam=lam, occupancy=occ, **{**fields, **scaled})
 
 
 # ---------------------------------------------------------------------------
@@ -815,14 +816,7 @@ def ansatz_from_plane_wave(pw, lam=Fraction(1)):
     """
     n = pw.n
     f, hh = _array(pw.F, (n, n), "F"), _array(pw.H, (n, n), "H")
-    a_mat = hh.scale(2) - _contract(f, f)
-    base = DegenerateAnsatz(
-        n=n, lam=Fraction(1), occupancy=tuple(range(n)), W=_zeros(n, 1), F=f.scale(2),
-        aleph2=_zeros(n, 2), C=_zeros(n, 3), h=(a_mat + _perm(a_mat, 1, 0)).scale(_HALF) - f,
-        A=a_mat, Y=_zeros(n, 2), R=_zeros(n, 3), S3=_zeros(n, 3), N=_zeros(n, 4),
-    )
-    # undo the unit-eigenvalue scaling to present the data at scale lam
-    return _at_scale(base, lam)
+    return _from_unit(n, lam, tuple(range(n)), f.scale(2), hh.scale(2) - _contract(f, f))
 
 
 def _rand_fraction(rng, bound=2, den=3):
@@ -925,13 +919,15 @@ def _generate_deg(rng, n):
         for a in occ:
             a_mat[i, a] = a_mat[a, i] = f.get((a, i), 0) * _HALF
 
-    f, a_mat = _tensor(n, 2, f), _tensor(n, 2, a_mat)
-    base = DegenerateAnsatz(
-        n=n, lam=Fraction(1), occupancy=occ, W=_zeros(n, 1), F=f,
-        aleph2=_zeros(n, 2), C=c, h=(a_mat + _perm(a_mat, 1, 0) - f).scale(_HALF), A=a_mat,
-        Y=_zeros(n, 2), R=r, S3=_zeros(n, 3), N=nmat,
-    )
-    return _at_scale(base, lam)
+    return _from_unit(n, lam, occ, _tensor(n, 2, f), _tensor(n, 2, a_mat), C=c, R=r, N=nmat)
+
+
+def _from_unit(n, lam, occ, f, a_mat, **given):
+    """The DegenerateAnsatz at eigenvalue lam of unit-eigenvalue data: F = f, A = a_mat,
+    h = (A + A^T - F) / 2, W, aleph2, Y and S3 zero, and C, R and N zero unless given."""
+    lam, h = _nonzero_lam(lam), (a_mat + _perm(a_mat, 1, 0) - f).scale(_HALF)
+    zeros = {k: _zeros(n, _FIELDS[k][0]) for k in set(_DEG_ARRAYS) - {*given, "F", "A", "h"}}
+    return _deg_at(n, lam, occ, dict(zeros, F=f, A=a_mat, h=h, **given), lam)
 
 
 def ansatz_from_json(data):

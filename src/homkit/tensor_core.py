@@ -454,35 +454,19 @@ def antisymmetrize(t, slots):
         _check_slot(t, s)
     if len({t.valence[s] for s in slots}) > 1:
         raise ValueError("cannot antisymmetrize slots of mixed valence")
-    perms = list(itertools.permutations(range(len(slots))))
-    # an exact sum is divided once, by den * k!; a float one is weighted per output
-    weight, den = (1, t.den * len(perms)) if t.tag == EXACT else (1.0 / len(perms), 1)
-    # per permutation: the slot each output slot reads, and its parity
-    signed = []
-    for perm in perms:
+    # the signed copies are added in permutation order, so each float output
+    # adds its nonzero terms in that order and is weighted once
+    total, count = None, math.factorial(len(slots))
+    for perm in itertools.permutations(range(len(slots))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        # output slot slots[perm[pos]] reads input slot slots[pos]
         src = list(range(t.rank))
         for pos, s in enumerate(slots):
-            src[s] = slots[perm[pos]]
-        even = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
-        signed.append((src, even))
-    entries = dict(t.nums)
-
-    def signed_sum(idx):
-        # an int zero leaves every float sum bit-identical to one from 0.0
-        total = 0
-        for src, even in signed:
-            v = entries.get(tuple(map(idx.__getitem__, src)), 0)
-            total = total + v if even else total - v
-        return total
-
-    # the permutations form a group, so the outputs that read a nonzero
-    # entry are the orbits of the support; each sums in permutation order
-    out = {}
-    for idx in entries:
-        if idx not in out:
-            out.update((m, weight * signed_sum(m))
-                       for m in (tuple(map(idx.__getitem__, src)) for src, _ in signed))
-    return Tensor._sparse(t.dim, t.valence, out, t.tag, den)
+            src[slots[perm[pos]]] = s
+        moved = {tuple(map(idx.__getitem__, src)): sign * v for idx, v in t.nums}
+        copy = Tensor._sparse(t.dim, t.valence, moved, t.tag, t.den)
+        total = copy if total is None else total + copy
+    return total.scale(Fraction(1, count) if t.tag == EXACT else 1.0 / count)
 
 
 def raise_lower(t, slot, metric):

@@ -1,5 +1,6 @@
 """Exit codes, report shapes, and determinism of the command line."""
 
+import io
 import json
 import os
 import subprocess
@@ -505,6 +506,61 @@ class TestUnwritableOutput:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
             assert err.startswith(f"error: {out_path}: cannot write ([Errno") and err.count("\n") == 1
+
+
+class BrokenStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestUnwritableStdout:
+    """A stdout that cannot take the report exits 2 with one error line, after the work."""
+
+    @staticmethod
+    def argv(tmp_path, command):
+        if command == "classify":
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps(frame_structure(WAVE).to_json()))
+            return ["classify", str(path)]
+        return ["gen", "--case", "deg", "--n", "3", "--seed", "1"]
+
+    @pytest.mark.parametrize("command", ["gen", "classify"])
+    @pytest.mark.parametrize("quiet", [(), ("--quiet",)], ids=["report", "quiet"])
+    def test_broken_pipe_in_process(self, tmp_path, capsys, monkeypatch, command, quiet):
+        argv = self.argv(tmp_path, command) + list(quiet)
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: <stdout>: cannot write ([Errno 32] Broken pipe)\n"
+
+    def test_closed_descriptor_in_process(self, capsys, monkeypatch):
+        # with descriptor 1 closed at start-up, Python sets sys.stdout to None
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["gen", "--case", "deg", "--n", "1"]) == 2
+        assert capsys.readouterr().err == "error: <stdout>: cannot write (closed)\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["gen", "classify"])
+    @pytest.mark.parametrize("quiet", [(), ("--quiet",)], ids=["report", "quiet"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_dev_full_in_a_child(self, tmp_path, command, quiet, unbuffered):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(homkit.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        # a buffered stdout is flushed again at exit, which must not fail a second time
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        cmd = [sys.executable, "-m", "homkit.cli", *self.argv(tmp_path, command), *quiet]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert proc.returncode == 2
+        # one line: no traceback, and no "Exception ignored" from the exit-time flush
+        assert proc.stderr.startswith("error: <stdout>: cannot write ([Errno 28] ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestVerifyFloatRange:

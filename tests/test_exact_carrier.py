@@ -497,6 +497,12 @@ def test_parsing_builds_few_fractions(monkeypatch, case):
 # ---------------------------------------------------------------------------
 
 
+WAVE = PlaneWaveData(
+    3, ((0, Fraction(1, 2), 0), (Fraction(-1, 2), 0, 0), (0, 0, 0)),
+    ((1, Fraction(1, 3), 0), (Fraction(1, 3), -2, 0), (0, 0, Fraction(3, 4))),
+)
+
+
 def carrier_cases():
     """(id, ansatz) pairs built every way an ansatz comes about."""
     out = list(CASES)  # generated, bumped, large-denominator and empty-span
@@ -506,11 +512,8 @@ def carrier_cases():
         if case == "deg":
             out.append((f"deg-n{n}-rescaled", a.rescaled()))
             out.append((f"deg-n{n}-at-5/3", reduction._at_scale(a, Fraction(5, 3))))
-    f = ((0, Fraction(1, 2), 0), (Fraction(-1, 2), 0, 0), (0, 0, 0))
-    h = ((1, Fraction(1, 3), 0), (Fraction(1, 3), -2, 0), (0, 0, Fraction(3, 4)))
-    wave = PlaneWaveData(3, f, h)
     for lam in (Fraction(1), Fraction(7, 3)):
-        out.append((f"wave-lam{lam}", reduction.ansatz_from_plane_wave(wave, lam)))
+        out.append((f"wave-lam{lam}", reduction.ansatz_from_plane_wave(WAVE, lam)))
     return out
 
 
@@ -534,6 +537,19 @@ def test_each_array_field_has_one_integer_carrier(ansatz):
             assert math.gcd(t.den, *(v for _, v in t.nums)) == 1
         assert _freeze(q) == getattr(ansatz, name)
         assert fractions_of(q) == np.array(getattr(ansatz, name), dtype=object).tolist()
+
+
+def test_rescale_round_trip_restores_the_ansatz():
+    # _at_scale builds through the constructor, so scaling there and back gives the same ansatz
+    generated = [generate_instance("deg", n, seed) for n in (1, 2, 3, 4) for seed in range(3)]
+    for lam in (Fraction(5, 3), Fraction(-7, 2), Fraction(10**9, 7)):
+        for a in [*generated, reduction.ansatz_from_plane_wave(WAVE, lam)]:
+            there = reduction._at_scale(a, lam)
+            back = reduction._at_scale(there, a.lam)
+            assert there.lam == lam and back == a
+            assert back._carriers == a._carriers
+            assert back.to_json() == a.to_json()
+            assert back._rotations[2] == a._rotations[2]
 
 
 def test_a_qarray_field_is_taken_as_is_and_still_checked():

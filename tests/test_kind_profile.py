@@ -1,9 +1,10 @@
 """tools/kind_profile.py runs end to end on one round.
 
 It prints the per-pass time of every check kind, the call counts of
-the functions it names and all the function calls of one pass.  On
-exact_proofs no number is asserted beyond their presence; on
-float_sweep the sweep must call no numpy wrapper it has replaced.
+the functions it names, all the function calls of one pass and the
+homkit functions the pass never called.  On exact_proofs no number is
+asserted beyond their presence; on float_sweep the sweep must call no
+numpy wrapper it has replaced.
 """
 
 import os
@@ -28,6 +29,14 @@ def test_one_round_prints_every_kind_and_count():
         assert re.search(rf"^  {kind} +[\d.]+ ms +[\d.]+%$", out, re.M), kind
     for name in ("Fraction.__new__", "exact.integer_numerators", "all function calls"):
         assert re.search(rf"^  {re.escape(name)} +[1-9]\d* calls per pass$", out, re.M), name
+    idle = dict(re.findall(r"^  never called in (\w+): (.*)$", out, re.M))
+    # one line per module of src/homkit
+    assert set(idle) == {name[:-3] for name in os.listdir(os.path.join(ROOT, "src", "homkit"))
+                         if name.endswith(".py")}
+    # exact verdicts split S on numerators, so the float-only helpers see no traffic
+    assert "antisymmetrize" in idle["tensor_core"].split(", ")
+    assert "vectorial_part" in idle["hom_structure"].split(", ")
+    assert "jacobi_residual" not in idle["lie_algebra"].split(", ")
 
 
 def test_float_sweep_round_shows_no_planning_and_the_pairwise_products():

@@ -464,7 +464,7 @@ class TestAgainstDenseLoops:
 
 @pytest.mark.parametrize("dim", [6, 7, 8])
 def test_exact_rank3_antisymmetrize_past_the_dense_cases(dim):
-    # the orbit sums of the exact path, at sizes TestAgainstDenseLoops skips
+    # the exact signed sums, at sizes TestAgainstDenseLoops skips
     rng = random.Random(f"antisym3-D{dim}")
     tensors = [random_tensor(rng, dim, (DOWN,) * 3, EXACT, fill) for fill in (0.05, 0.3)]
     big = {
@@ -474,6 +474,16 @@ def test_exact_rank3_antisymmetrize_past_the_dense_cases(dim):
     }
     tensors.append(Tensor.from_entries(dim, (DOWN,) * 3, big))
     for t in tensors:
+        for slots in [(0, 1, 2), (2, 0, 1), (1, 2), (2, 0)]:
+            assert_same(antisymmetrize(t, slots), dense_antisymmetrize(t, slots))
+
+
+@pytest.mark.parametrize("dim", [6, 7, 8])
+def test_float_rank3_antisymmetrize_past_the_dense_cases(dim):
+    # the float sums bit for bit, at sizes TestAgainstDenseLoops skips
+    rng = random.Random(f"antisym3-float-D{dim}")
+    for fill in (0.05, 0.3, 1.0):
+        t = random_tensor(rng, dim, (DOWN,) * 3, FLOAT, fill)
         for slots in [(0, 1, 2), (2, 0, 1), (1, 2), (2, 0)]:
             assert_same(antisymmetrize(t, slots), dense_antisymmetrize(t, slots))
 

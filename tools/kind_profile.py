@@ -14,8 +14,10 @@ for float_sweep, numpy's ``einsum_path`` (contraction planning),
 ``_exact_array.tensordot``, ``plane_wave._point_residuals`` (chart
 points swept) and the numpy Python wrappers the sweep used to run
 (``numpy.tensordot``, ``_methods._sum`` and ``_amax``, ``moveaxis`` and
-``full``), followed by each of those per chart point.  Both end with
-every function call cProfile saw in the pass, Python and built-in.
+``full``), followed by each of those per chart point.  Both then give
+every function call cProfile saw in the pass, Python and built-in, and
+list, one line per module, the module-level functions of ``src/homkit``
+that the pass never called.
 perfbench/run.py and perfbench/workloads.py are imported as they are;
 no file is written.
 """
@@ -24,6 +26,9 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import glob
+import importlib
+import inspect
 import os
 import pstats
 import sys
@@ -80,7 +85,7 @@ def kind_times(checks):
 
 
 def call_counts(checks, counted):
-    """({counted name: calls}, all function calls) over one profiled pass."""
+    """({counted name: calls}, all function calls, never_called) over one profiled pass."""
     profile = cProfile.Profile()
     profile.enable()
     for check in checks:
@@ -92,7 +97,20 @@ def call_counts(checks, counted):
         for name, (suffix, want) in counted.items():
             if func == want and path.endswith(suffix):
                 counts[name] += calls
-    return counts, stats.total_calls
+    return counts, stats.total_calls, never_called(stats.stats)
+
+
+def never_called(stats):
+    """{module: sorted names} of the module-level homkit functions absent from cProfile's stats."""
+    idle = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "homkit", "*.py"))):
+        stem = os.path.basename(path)[:-3]
+        module = importlib.import_module("homkit" if stem == "__init__" else f"homkit.{stem}")
+        code = [f.__code__ for f in map(inspect.unwrap, vars(module).values())
+                if inspect.isfunction(f) and f.__module__ == module.__name__]
+        idle[stem] = sorted(c.co_name for c in code
+                            if (c.co_filename, c.co_firstlineno, c.co_name) not in stats)
+    return idle
 
 
 def main(argv=None):
@@ -110,10 +128,12 @@ def main(argv=None):
           f"{wall / PASSES * 1e3:.1f} ms per pass")
     for kind, seconds in sorted(totals.items(), key=lambda kv: -kv[1]):
         print(f"  {kind:20s} {seconds / PASSES * 1e3:9.1f} ms {seconds / wall:7.1%}")
-    counts, total = call_counts(checks, COUNTED[args.workload])
+    counts, total, idle = call_counts(checks, COUNTED[args.workload])
     for name, calls in counts.items():
         print(f"  {name:28s} {calls:9d} calls per pass")
     print(f"  {'all function calls':28s} {total:9d} calls per pass")
+    for module, names in idle.items():
+        print(f"  never called in {module}: {', '.join(names) or '-'}")
     if args.workload == "float_sweep":
         points = counts["plane_wave._point_residuals"]
         for name in PER_POINT:
