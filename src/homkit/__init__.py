@@ -28,8 +28,9 @@ def _lazy(name):
 
 
 # every submodule runs on first use; of them only plane_wave loads numpy
-exact, tensor_core, lie_algebra, hom_structure, wave_table, reduction, plane_wave = map(
-    _lazy, "exact tensor_core lie_algebra hom_structure wave_table reduction plane_wave".split())
+exact, tensor_core, lie_algebra, hom_structure, wave_table, wave_curvature, reduction, plane_wave = map(
+    _lazy, "exact tensor_core lie_algebra hom_structure wave_table wave_curvature reduction plane_wave"
+    .split())
 
 _LAZY_NAMES = {
     name: module
@@ -40,8 +41,8 @@ _LAZY_NAMES = {
         (hom_structure, "CurvatureAtPoint HomogeneousStructure SpanError StructureClass "
                         "build_isometry_algebra classify decompose trace_one_form"),
         (wave_table, "PlaneWaveData pw_isometry_algebra"),
-        (plane_wave, "ChartPoint as_residuals christoffel exact_curvature frame_structure "
-                     "metric_jet riemann sample_points structure_at"),
+        (wave_curvature, "exact_curvature frame_structure"),
+        (plane_wave, "ChartPoint as_residuals christoffel metric_jet riemann sample_points structure_at"),
         (reduction, "DegenerateAnsatz NondegenerateAnsatz ReductionReport ansatz_from_plane_wave "
                     "assemble_algebra degenerate_reduce f_derivation generate_instance "
                     "nondegenerate_reduce verify_constraints"),

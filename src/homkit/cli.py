@@ -97,6 +97,9 @@ def _cmd_classify(args):
 def _cmd_jacobi(args):
     data = _load_json(args.algebra)
     algebra = _parse(args.algebra, lie_algebra.LieAlgebra.from_json, data)
+    if (products := lie_algebra.jacobi_products(algebra)) > (cap := lie_algebra._MAX_JACOBI_PRODUCTS):
+        raise InputError(f"{args.algebra}: too large: the Jacobi sum would take {products} products, "
+                         f"over {cap}")
     entries, worst = lie_algebra.jacobi_residual(algebra)
     ok = worst == 0
     report = {

@@ -196,6 +196,18 @@ def _rotation_brackets(rot, m0, acted, images):
     return [*parts, (coords, den)], outside
 
 
+# most inner products a Jacobi sum may take; a dense table of dimension D takes D^3 (D - 1)^2
+_MAX_JACOBI_PRODUCTS = 2**24
+
+
+def jacobi_products(algebra):
+    """The products f_ab^e f_ec^d of the Jacobi sum over all rows, from row sizes (exact sums take half)."""
+    per_first = {}
+    for (e, _), row in algebra._rows.items():
+        per_first[e] = per_first.get(e, 0) + len(row)
+    return sum(per_first.get(e, 0) for row in algebra._rows.values() for e in row)
+
+
 def jacobi_residual(algebra):
     """Nonzero components of the cyclic double-bracket residual J_{abc}^d.
 

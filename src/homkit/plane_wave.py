@@ -19,34 +19,33 @@ convention is fixed once:
                         + Gamma^rho_{mu lam} Gamma^lam_{nu sigma}
                         - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}.
 
-The connection chain (metric jet -> Christoffel -> Gamma - S ->
-curvature -> frame) is written once and runs on two scalar backends.
-The float backend uses float64 arrays at any z and serves the residual
-sweeps.  The exact backend uses QArrays (Python int numerators over one
-denominator, see _exact_array) at z = 0, where the profile jet H, [H,F],
-[[H,F],F], ... is rational, and serves the bracket-table reconstruction.
-The backends differ only in the profile jet, the zero-filled arrays and
-the matrix inverse; every exact sum, product and contraction runs on
-integer numerators, and Fractions are built once, for the result.
+The connection chain (metric jet -> Christoffel -> Gamma - S -> curvature
+-> frame) is written once, in wave_curvature, for two array backends: NUMPY
+here, float64 at any z, for the residual sweeps, and wave_curvature's exact
+SparseArrays at z = 0, for exact_curvature and frame_structure, which run
+without numpy there and are served here too.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import random
-from fractions import Fraction
+from types import SimpleNamespace
 
 # the numpy-free modules before numpy: a lazy module compiles on first read,
 # and compiled on the smaller heap its parse adds nothing to the peak RSS
-from .exact import EXACT, FLOAT, _inverse_numerators
+from .exact import FLOAT
 from . import hom_structure
-from .tensor_core import DOWN, UP, FrameMetric, Tensor, _frozen
+from .tensor_core import DOWN, FrameMetric, Tensor, _frozen
 # the wave data and its bracket table are numpy-free; they are served here too
 from .wave_table import PlaneWaveData, boost_block, pw_isometry_algebra
+# the connection chain; the exact route's public names are served here too
+from .wave_curvature import (_coframe, _commutator_jet, _connection, _coordinate_structure, _frame_tensor,
+                             _gamma_lower, _metric_jet, _paired_axes, _raised_structure,
+                             _riemann_from_connection, exact_curvature, frame_metric, frame_structure,
+                             null_boost_basis)
 
 import numpy as np
-
-from ._exact_array import QArray, einsum, tensordot
 
 
 @_frozen
@@ -102,14 +101,6 @@ def expm(a):
     return result
 
 
-def _commutator_jet(m0, f):
-    """M and its derivatives M^(k+1) = M^(k) F - F M^(k), in the scalars of m0."""
-    m1 = m0 @ f - f @ m0
-    m2 = m1 @ f - f @ m1
-    m3 = m2 @ f - f @ m2
-    return m0, m1, m2, m3
-
-
 def profile_jet(pw, z):
     """M(z) and its first three z-derivatives as float arrays.
 
@@ -120,19 +111,32 @@ def profile_jet(pw, z):
     signs used by pw_isometry_algebra.  Flipping the sign of F flips
     the orientation, so the family of geometries is unchanged.
     """
-    f, h = np.array(pw.F, dtype=float), np.array(pw.H, dtype=float)  # float(v) per entry
+    return _profile_jet(np.array(pw.F, dtype=float), np.array(pw.H, dtype=float), z)  # float(v) per entry
+
+
+def _profile_jet(f, h, z):
     e = expm(-z * f)
     return _commutator_jet(e @ h @ e.T, f)  # exp(zF) = exp(-zF)^T for antisymmetric F
 
 
-# ---------------------------------------------------------------------------
-# metric jet and connection, generic in the scalar backend
-# ---------------------------------------------------------------------------
-#
-# The private builders take the profile jet, s and x as arrays plus the
-# backend's zero: 0.0 for float64 arrays, or a 0-d QArray for exact
-# arrays.  Everything downstream is array arithmetic and the einsum of
-# _exact_array, which keep the backend they are given.
+# the float backend: numpy's einsum and np.tensordot's np.dot, so the bits are numpy's
+
+
+def _tensordot(a, b, axes):
+    """np.tensordot's one np.dot call: a's summed axes moved last, b's first, each made 2-D."""
+    axes_a, axes_b = _paired_axes(axes, a.ndim, b.ndim)
+    at = a.transpose([k for k in range(a.ndim) if k not in axes_a] + axes_a)
+    bt = b.transpose(axes_b + [k for k in range(b.ndim) if k not in axes_b])
+    free_a, free_b = at.shape[: a.ndim - len(axes_a)], bt.shape[len(axes_b) :]
+    if at.shape[len(free_a) :] != bt.shape[: len(axes_b)]:
+        raise ValueError("shape-mismatch for sum")
+    n = math.prod(bt.shape[: len(axes_b)])
+    at, bt = at.reshape(math.prod(free_a), n), bt.reshape(n, math.prod(free_b))
+    return np.dot(at, bt).reshape(free_a + free_b)
+
+
+# LAPACK's inverse: float reports are compared bit for bit, and a closed form moves low bits
+NUMPY = SimpleNamespace(zeros=np.zeros, inverse=np.linalg.inv, einsum=np.einsum, tensordot=_tensordot)
 
 
 @_frozen
@@ -146,201 +150,57 @@ class GeometryJet:
     dddg: np.ndarray    # dddg[k, l, p, m, n]
 
 
-def _full(shape, zero):
-    """A zero-filled array in zero's backend."""
-    return QArray(np.zeros(shape, object)) if isinstance(zero, QArray) else np.zeros(shape)
-
-
-def _inverse(a):
-    # floats keep LAPACK's inverse: the float reports are compared bit for
-    # bit across versions, and a closed-form inverse moves their low bits
-    if isinstance(a, QArray):
-        rows, den = _inverse_numerators(a.num.tolist(), a.den)
-        return QArray(np.array(rows, dtype=object), den)
-    return np.linalg.inv(a)
-
-
-def _metric_jet(prof, s, x, zero):
-    m0, m1, m2, m3 = prof
-    d = len(x) + 2
-    one, t = zero + 1, np.arange(2, d)
-
-    g = _full((d, d), zero)
-    g[0, 0] = 2 * (x @ m0 @ x + s)
-    g[0, 1] = g[1, 0] = one
-    g[t, t] = one
-
-    dg = _full((d,) * 3, zero)
-    dg[0, 0, 0] = 2 * (x @ m1 @ x)
-    dg[1, 0, 0] = 2 * one
-    dg[2:, 0, 0] = 4 * (m0 @ x)
-
-    ddg = _full((d,) * 4, zero)
-    ddg[0, 0, 0, 0] = 2 * (x @ m2 @ x)
-    ddg[0, 2:, 0, 0] = ddg[2:, 0, 0, 0] = 4 * (m1 @ x)
-    ddg[2:, 2:, 0, 0] = 4 * m0
-
-    dddg = _full((d,) * 5, zero)
-    dddg[0, 0, 0, 0, 0] = 2 * (x @ m3 @ x)
-    dddg[0, 0, 2:, 0, 0] = dddg[0, 2:, 0, 0, 0] = dddg[2:, 0, 0, 0, 0] = 4 * (m2 @ x)
-    dddg[0, 2:, 2:, 0, 0] = dddg[2:, 0, 2:, 0, 0] = dddg[2:, 2:, 0, 0, 0] = 4 * m1
-
-    return GeometryJet(g, _inverse(g), dg, ddg, dddg)
-
-
 def metric_jet(pw, pt):
-    return _metric_jet(profile_jet(pw, pt.z), pt.s, np.array(pt.x), 0.0)
-
-
-def _gamma_lower(dg):
-    # Gamma_{mn,s} = (d_m g_{ns} + d_n g_{ms} - d_s g_{mn}) / 2 on the last
-    # three axes, so it serves dg, ddg and dddg alike
-    return (dg + dg.swapaxes(-3, -2) - dg.transpose(*range(dg.ndim - 3), -2, -1, -3)) / 2
+    return GeometryJet(*_metric_jet(profile_jet(pw, pt.z), pt.s, np.array(pt.x), NUMPY))
 
 
 def christoffel(jet):
     """Levi-Civita symbols Gamma[r, m, n] = Gamma^r_{mn}."""
-    return einsum("rs,mns->rmn", jet.g_inv, _gamma_lower(jet.dg))
-
-
-def _connection(jet):
-    """Gamma and d Gamma, plus the pieces connection_jet differentiates again."""
-    ginv, dg = jet.g_inv, jet.dg
-    low, dlow = _gamma_lower(dg), _gamma_lower(jet.ddg)
-    gamma = einsum("rs,mns->rmn", ginv, low)
-    dginv = -einsum("ra,kab,bs->krs", ginv, dg, ginv)
-    dgamma = einsum("krs,mns->krmn", dginv, low) + einsum("rs,kmns->krmn", ginv, dlow)
-    return gamma, dgamma, dginv, low, dlow
+    return np.einsum("rs,mns->rmn", jet.g_inv, _gamma_lower(jet.dg))
 
 
 def connection_jet(jet):
     """Gamma, its first and its second coordinate derivatives."""
-    gamma, dgamma, dginv, low, dlow = _connection(jet)
     ginv, dg, ddg = jet.g_inv, jet.dg, jet.ddg
+    gamma, dgamma, dginv, low, dlow = _connection(ginv, dg, ddg, NUMPY)
     ddginv = (
-        -einsum("kra,lab,bs->klrs", dginv, dg, ginv)
-        - einsum("ra,klab,bs->klrs", ginv, ddg, ginv)
-        - einsum("ra,lab,kbs->klrs", ginv, dg, dginv)
+        -np.einsum("kra,lab,bs->klrs", dginv, dg, ginv)
+        - np.einsum("ra,klab,bs->klrs", ginv, ddg, ginv)
+        - np.einsum("ra,lab,kbs->klrs", ginv, dg, dginv)
     )
     ddlow = _gamma_lower(jet.dddg)
     ddgamma = (
-        einsum("klrs,mns->klrmn", ddginv, low)
-        + einsum("krs,lmns->klrmn", dginv, dlow)
-        + einsum("lrs,kmns->klrmn", dginv, dlow)
-        + einsum("rs,klmns->klrmn", ginv, ddlow)
+        np.einsum("klrs,mns->klrmn", ddginv, low)
+        + np.einsum("krs,lmns->klrmn", dginv, dlow)
+        + np.einsum("lrs,kmns->klrmn", dginv, dlow)
+        + np.einsum("rs,klmns->klrmn", ginv, ddlow)
     )
     return gamma, dgamma, ddgamma
 
 
-def _riemann_from_connection(gamma, dgamma):
-    # R[r, s, m, n] = d_m G^r_{ns} - d_n G^r_{ms} + G^r_{ml} G^l_{ns} - G^r_{nl} G^l_{ms}
-    term = einsum("rml,lns->rsmn", gamma, gamma)
-    return (
-        dgamma.transpose(1, 3, 0, 2) - dgamma.transpose(1, 3, 2, 0)
-        + term - term.transpose(0, 1, 3, 2)
-    )
-
-
 def riemann(pw, pt):
     """Mixed Riemann tensor R[r, s, m, n] = R^r_{smn} at a chart point."""
-    gamma, dgamma, *_ = _connection(metric_jet(pw, pt))
-    return _riemann_from_connection(gamma, dgamma)
+    jet = metric_jet(pw, pt)
+    gamma, dgamma, *_ = _connection(jet.g_inv, jet.dg, jet.ddg, NUMPY)
+    return _riemann_from_connection(gamma, dgamma, NUMPY)
 
 
-# ---------------------------------------------------------------------------
-# the homogeneous structure, in frame and in coordinates
-# ---------------------------------------------------------------------------
-
-
-@functools.cache
-def frame_metric(n, tag=EXACT):
-    # FrameMetric is frozen and holds only tuples, so one instance serves every caller
-    return FrameMetric.light_cone(n, tag)
-
-
-def frame_structure(pw):
-    """The constant frame components of S, as an exact structure.
-
-    Nonzero values (frame order +, -, 1..n, antisymmetry in the last
-    two slots implied): S_{++-} = -1, S_{+ij} = F_ij,
-    S_{i+j} = -delta_ij - F_ij.
-    """
-    return hom_structure.HomogeneousStructure(frame_metric(pw.n, EXACT), _frame_tensor(pw))
-
-
-def _frame_tensor(pw):
-    """The S of frame_structure, built without the structure's checks."""
-    n = pw.n
-    # _sparse drops the zeros
-    entries = {(0, 0, 1): -1, (0, 1, 0): 1}
-    for i in range(n):
-        for j in range(n):
-            v = -int(i == j) - pw.F[i][j]
-            entries[(0, 2 + i, 2 + j)] = pw.F[i][j]
-            entries[(2 + i, 0, 2 + j)], entries[(2 + i, 2 + j, 0)] = v, -v
-    return Tensor._sparse(pw.dim, (DOWN, DOWN, DOWN), entries, EXACT)
-
-
-def _frame_array(s, zero):
-    """The components of a rank-3 frame tensor as an array in zero's backend.
-
-    A float entry is its numerator divided by den, as float(Fraction) rounds it."""
-    exact = isinstance(zero, QArray)
-    out = np.zeros((s.dim,) * 3, object if exact else float)
+def _frame_array(s):
+    """A rank-3 frame tensor as a float64 array, each entry num / den as float(Fraction) rounds it."""
+    out = np.zeros((s.dim,) * 3)
     for idx, v in s.nums:
-        out[idx] = v if exact else v / s.den
-    return QArray(out, s.den) if exact else out
-
-
-def _coframe(prof, s, x, zero):
-    m0, m1 = prof[:2]
-    d = len(x) + 2
-    one, t = zero + 1, np.arange(2, d)
-    e = _full((d, d), zero)
-    e[0, 0] = e[1, 1] = one
-    e[1, 0] = x @ m0 @ x + s
-    e[t, t] = one
-    de = _full((d,) * 3, zero)
-    de[0, 1, 0] = x @ m1 @ x
-    de[1, 1, 0] = one
-    de[2:, 1, 0] = 2 * (m0 @ x)
-    return e, de
-
-
-def _coordinate_structure(sf, e, de=None):
-    """Coordinate S_{mns} from frame S and the coframe; given dE, also d_k S_{mns}.
-
-    S = "abc,am,bn,cs->mns" and the three terms of dS run as the pairwise
-    products of numpy's greedy einsum, so float results keep its bits; the
-    products they share are built once.  Summed in one pass, the exact
-    backend would pay for every index combination."""
-    x1 = tensordot(sf, e, (0, 0))  # [b, c, m]
-    x2 = tensordot(x1, e, (0, 0))  # [c, m, n]
-    s_coord = tensordot(x2, e, (0, 0))  # [m, n, s]
-    if de is None:
-        return s_coord, None
-    y2 = tensordot(tensordot(sf, e, (1, 0)), e, (1, 0))  # [a, n, s]
-    ds_coord = (
-        tensordot(y2, de, (0, 1)).transpose(2, 3, 0, 1)
-        + tensordot(tensordot(x1, e, (1, 0)), de, (0, 1)).transpose(2, 0, 3, 1)
-        + tensordot(x2, de, (0, 1)).transpose(2, 0, 1, 3)
-    )
-    return s_coord, ds_coord
-
-
-def _raised_structure(s_coord, ginv):
-    """S^r_{mn} as [r, m, n], the part the torsion connection subtracts."""
-    return einsum("mns,rs->mnr", s_coord, ginv).transpose(2, 0, 1)
+        out[idx] = v / s.den
+    return out
 
 
 def structure_at(pw, pt):
     """Coordinate-component structure at a point plus the coframe matrix."""
-    # one profile jet serves the metric jet and the coframe
+    # one profile jet serves the metric and the coframe
     prof, x = profile_jet(pw, pt.z), np.array(pt.x)
-    jet = _metric_jet(prof, pt.s, x, 0.0)
-    e, _ = _coframe(prof, pt.s, x, 0.0)
-    s_coord, _ = _coordinate_structure(_frame_array(_frame_tensor(pw), 0.0), e)
-    metric = FrameMetric.from_matrix(jet.g.tolist())
+    g = _metric_jet(prof, pt.s, x, NUMPY)[0]
+    e, _ = _coframe(prof, pt.s, x, NUMPY)
+    s_coord, _ = _coordinate_structure(_frame_array(_frame_tensor(pw)), e, NUMPY)
+    metric = FrameMetric.from_matrix(g.tolist())
     s = Tensor(pw.dim, (DOWN, DOWN, DOWN), tuple(s_coord.reshape(-1).tolist()), FLOAT)
     return hom_structure.HomogeneousStructure(metric, s), e
 
@@ -350,43 +210,43 @@ def structure_at(pw, pt):
 # ---------------------------------------------------------------------------
 
 
-def _point_residuals(pw, pt, sf_array):
+def _point_residuals(fh, pt, sf_array):
     # one profile jet serves the metric jet and the coframe
-    prof, x = profile_jet(pw, pt.z), np.array(pt.x)
-    jet = _metric_jet(prof, pt.s, x, 0.0)
+    prof, x = _profile_jet(*fh, pt.z), np.array(pt.x)
+    jet = GeometryJet(*_metric_jet(prof, pt.s, x, NUMPY))
     gamma, dgamma, ddgamma = connection_jet(jet)
-    e, de = _coframe(prof, pt.s, x, 0.0)
-    s_coord, ds_coord = _coordinate_structure(sf_array, e, de)
-    gbar = gamma - _raised_structure(s_coord, jet.g_inv)
+    e, de = _coframe(prof, pt.s, x, NUMPY)
+    s_coord, ds_coord = _coordinate_structure(sf_array, e, NUMPY, de)
+    gbar = gamma - _raised_structure(s_coord, jet.g_inv, NUMPY)
 
     # metric parallelism
-    nabla_g = jet.dg - einsum("lkm,ln->kmn", gbar, jet.g) - einsum("lkn,ml->kmn", gbar, jet.g)
+    nabla_g = jet.dg - np.einsum("lkm,ln->kmn", gbar, jet.g) - np.einsum("lkn,ml->kmn", gbar, jet.g)
 
     # torsion-tensor parallelism
     nabla_s = (
         ds_coord
-        - einsum("lkm,lns->kmns", gbar, s_coord)
-        - einsum("lkn,mls->kmns", gbar, s_coord)
-        - einsum("lks,mnl->kmns", gbar, s_coord)
+        - np.einsum("lkm,lns->kmns", gbar, s_coord)
+        - np.einsum("lkn,mls->kmns", gbar, s_coord)
+        - np.einsum("lks,mnl->kmns", gbar, s_coord)
     )
 
     # curvature parallelism, on the all-lower Levi-Civita Riemann tensor
-    mixed = _riemann_from_connection(gamma, dgamma)
+    mixed = _riemann_from_connection(gamma, dgamma, NUMPY)
     dmixed = (
         ddgamma.transpose(0, 2, 4, 1, 3) - ddgamma.transpose(0, 2, 4, 3, 1)
-        + einsum("krml,lns->krsmn", dgamma, gamma)
-        + einsum("rml,klns->krsmn", gamma, dgamma)
-        - einsum("krnl,lms->krsmn", dgamma, gamma)
-        - einsum("rnl,klms->krsmn", gamma, dgamma)
+        + np.einsum("krml,lns->krsmn", dgamma, gamma)
+        + np.einsum("rml,klns->krsmn", gamma, dgamma)
+        - np.einsum("krnl,lms->krsmn", dgamma, gamma)
+        - np.einsum("rnl,klms->krsmn", gamma, dgamma)
     )
-    r_low = einsum("rl,lsmn->rsmn", jet.g, mixed)
-    dr_low = einsum("krl,lsmn->krsmn", jet.dg, mixed) + einsum("rl,klsmn->krsmn", jet.g, dmixed)
+    r_low = np.einsum("rl,lsmn->rsmn", jet.g, mixed)
+    dr_low = np.einsum("krl,lsmn->krsmn", jet.dg, mixed) + np.einsum("rl,klsmn->krsmn", jet.g, dmixed)
     nabla_r = (
         dr_low
-        - einsum("lkr,lsmn->krsmn", gbar, r_low)
-        - einsum("lks,rlmn->krsmn", gbar, r_low)
-        - einsum("lkm,rsln->krsmn", gbar, r_low)
-        - einsum("lkn,rsml->krsmn", gbar, r_low)
+        - np.einsum("lkr,lsmn->krsmn", gbar, r_low)
+        - np.einsum("lks,rlmn->krsmn", gbar, r_low)
+        - np.einsum("lkm,rsln->krsmn", gbar, r_low)
+        - np.einsum("lkn,rsml->krsmn", gbar, r_low)
     )
 
     # r_geo is the geodesic residual of xi = d/ds; each is max |entry|, and a nan stays nan
@@ -405,78 +265,13 @@ def as_residuals(pw, pts, frame_s_override=None):
     if not pts:
         raise ValueError("at least one chart point is required")
     source = _frame_tensor(pw) if frame_s_override is None else frame_s_override
-    sf = _frame_array(source, 0.0)
+    # F and H are converted once per call, not once per chart point
+    sf, fh = _frame_array(source), (np.array(pw.F, dtype=float), np.array(pw.H, dtype=float))
     worst = {"r_g": 0.0, "r_S": 0.0, "r_R": 0.0, "r_geo": 0.0}
     # an overflowing chart reads as an inf or nan residual, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for pt in pts:
-            for key, v in _point_residuals(pw, pt, sf).items():
+            for key, v in _point_residuals(fh, pt, sf).items():
                 # max drops a nan (nan > x is false); a residual that is not a number is the worst
                 worst[key] = v if np.isnan(v) else max(worst[key], v)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# exact curvature at z = 0 and the bracket-table reconstruction
-# ---------------------------------------------------------------------------
-
-
-def _frame_curvature(pw, prof, s, x, zero):
-    """Frame components Rbar[a, b, c, d] of the curvature of nabla - S at (s, x)."""
-    jet = _metric_jet(prof, s, x, zero)
-    gamma, dgamma, dginv, _, _ = _connection(jet)
-    e, de = _coframe(prof, s, x, zero)
-    s_coord, ds_coord = _coordinate_structure(_frame_array(_frame_tensor(pw), zero), e, de)
-
-    gbar = gamma - _raised_structure(s_coord, jet.g_inv)
-    ds_up = einsum("kmns,rs->kmnr", ds_coord, jet.g_inv) + einsum("mns,krs->kmnr", s_coord, dginv)
-    dgbar = dgamma - ds_up.transpose(0, 3, 1, 2)
-    return _frame_form(e, _riemann_from_connection(gbar, dgbar))
-
-
-def _frame_form(e, rbar):
-    """Coordinate rbar[r, t, m, n] in the frame of e: "cr,rtmn,td,ma,nb->abcd".
-
-    Form slots take frame vectors, the endomorphism is conjugated by the
-    coframe; theta[mu, A] holds the frame vectors as columns."""
-    theta = _inverse(e)
-    frame = tensordot(e, rbar, (1, 0))  # [c, t, m, n]
-    for _ in range(3):
-        frame = tensordot(frame, theta, (1, 0))
-    return frame.transpose(2, 3, 0, 1)  # [c, d, a, b] -> [a, b, c, d]
-
-
-def exact_curvature(pw, s, x):
-    """Frame components of the curvature of nabla - S at (z=0, s, x).
-
-    Returns a CurvatureAtPoint whose operator tensor follows the sign
-    convention fixed at the top of this module, together with the
-    null-boost action matrices spanning the reachable isotropy.  The
-    chain is the float one run on QArrays, where the profile jet at
-    z = 0 is H, [H,F], [[H,F],F], ..., so the result is exact.
-    """
-    x = [Fraction(v) for v in x]
-    if len(x) != pw.n:
-        raise ValueError("x must have n components")
-    prof = _commutator_jet(QArray.of(pw.H), QArray.of(pw.F))
-    frame = _frame_curvature(pw, prof, QArray.of(Fraction(s)), QArray.of(x), QArray.of(0))
-    # the nonzero numerators, read in index order
-    entries = {idx: v for idx, v in np.ndenumerate(frame.num) if v}
-    rbar = Tensor._sparse(pw.dim, (DOWN, DOWN, UP, DOWN), entries, EXACT, frame.den)
-    return hom_structure.CurvatureAtPoint(rbar, null_boost_basis(pw.n), frame_metric(pw.n, EXACT))
-
-
-def null_boost_basis(n):
-    """Frame action matrices of the n null boosts.
-
-    Boost j sends E_+ to -E_j and E_j to E_-; rotations never enter the
-    reachable isotropy of this geometry.
-    """
-    d = n + 2
-    out = []
-    for j in range(n):
-        m = [[Fraction(0)] * d for _ in range(d)]
-        m[2 + j][0] = Fraction(-1)
-        m[1][2 + j] = Fraction(1)
-        out.append(tuple(tuple(row) for row in m))
-    return tuple(out)

@@ -1,11 +1,11 @@
 """Multi-index tensors over exact rationals or binary64 floats.
 
 A tensor stores its nonzero components as (index, int numerator) pairs
-in lexicographic index order over one positive denominator, the QArray
-convention in coordinate-list form; floats sit over 1.  Fractions are
-built only where values leave (items, components, to_json).  All values
-are immutable and every operation is a pure function, so tensors are
-safe to share between threads.
+in lexicographic index order over one positive denominator, as
+wave_curvature's SparseArray holds them in a dict; floats sit over 1.
+Fractions are built only where values leave (items, components,
+to_json).  All values are immutable and every operation is a pure
+function, so tensors are safe to share between threads.
 """
 
 from __future__ import annotations

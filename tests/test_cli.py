@@ -13,7 +13,7 @@ import pytest
 import homkit
 import homkit.cli
 from homkit.cli import main
-from homkit.lie_algebra import LieAlgebra, jacobi_residual
+from homkit.lie_algebra import _MAX_JACOBI_PRODUCTS, LieAlgebra, jacobi_products, jacobi_residual
 from homkit.plane_wave import PlaneWaveData, frame_structure, pw_isometry_algebra
 from homkit.reduction import generate_instance
 
@@ -112,6 +112,46 @@ class TestJacobi:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "dim 102 and rank 3" in err
         assert "Traceback" not in err
+
+
+def dense_brackets(d):
+    """A table with every bracket of a < b holding all d components, none zero."""
+    return {(a, b): {c: 1 + (7 * a + 3 * b + c) % 5 for c in range(d)} for a in range(d) for b in range(a + 1, d)}
+
+
+class TestJacobiWorkCap:
+    def test_products_are_counted_from_the_row_sizes(self):
+        for d in range(1, 7):
+            assert jacobi_products(LieAlgebra.from_brackets(d, dense_brackets(d))) == d**3 * (d - 1) ** 2
+        so3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}})
+        # each of the 6 ordered brackets meets the 2 rows that start at its value
+        assert jacobi_products(so3) == 12
+        assert jacobi_products(LieAlgebra.from_brackets(4, {})) == 0
+
+    def test_cap_admits_dense_dim_16_and_refuses_dense_dim_48(self):
+        rows = lambda d: type("Rows", (), {"_rows": {(a, b): dict.fromkeys(range(d), 1)
+                                                     for a in range(d) for b in range(d) if a != b}})
+        assert jacobi_products(rows(16)) == 16**3 * 15**2 <= _MAX_JACOBI_PRODUCTS
+        assert jacobi_products(rows(48)) == 48**3 * 47**2 > _MAX_JACOBI_PRODUCTS
+
+    @pytest.mark.parametrize("d", [16, 4])
+    def test_table_within_the_cap_is_summed(self, tmp_path, capsys, monkeypatch, d):
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(LieAlgebra.from_brackets(d, dense_brackets(d)).to_json()))
+        calls = []
+        monkeypatch.setattr(homkit.lie_algebra, "jacobi_residual", lambda algebra: calls.append(algebra) or ({}, 0))
+        code, out, err = run(capsys, "jacobi", str(path))
+        assert (code, err, len(calls)) == (0, "", 1) and json.loads(out)["is_lie_algebra"]
+
+    def test_table_over_the_cap_is_refused_before_the_sum(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(LieAlgebra.from_brackets(5, dense_brackets(5)).to_json()))
+        # a cap below the 5**3 * 4**2 = 2000 products of a dense dim-5 table
+        monkeypatch.setattr(homkit.lie_algebra, "_MAX_JACOBI_PRODUCTS", 1999)
+        monkeypatch.setattr(homkit.lie_algebra, "jacobi_residual", lambda algebra: pytest.fail("summed"))
+        code, out, err = run(capsys, "jacobi", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: too large: the Jacobi sum would take 2000 products, over 1999\n"
 
 
 class TestReductive:

@@ -52,7 +52,8 @@ def test_each_form_names_the_modules_it_compiles():
     modules = {name: set(mods.split()) for name, _, mods in rows if mods}
     # the float sweep builds no table or structure, and gen assembles no table
     assert modules == {
-        "planewave_verify": {"homkit", "cli", "exact", "tensor_core", "wave_table", "plane_wave", "_exact_array"},
+        "planewave_verify": {"homkit", "cli", "exact", "tensor_core", "wave_table", "plane_wave",
+                             "wave_curvature"},
         "gen": {"homkit", "cli", "exact", "tensor_core", "wave_table", "reduction"},
     }
 

@@ -1,14 +1,18 @@
-"""The integer-numerator contraction kernel against plain Fraction numpy.
+"""The sparse exact array and its contractions against plain Fraction numpy.
 
-Every einsum spec that plane_wave contracts (and those reduction used
-to) is run on fixed-seed Fraction arrays, as QArrays through the kernel
-and through np.einsum on the Fractions themselves; the two must agree entry for
-entry, and the kernel's result must convert to Fractions only.  float64
-input must come back with the bytes np.einsum gives, and a Fraction
-object array is refused.
+Every einsum spec that the connection chain and plane_wave contract (and
+those reduction used to) is run on fixed-seed Fraction arrays, as
+SparseArrays through wave_curvature's pairwise joins and through
+np.einsum on the Fractions themselves; the two must agree entry for
+entry, and every result must hold only nonzero Python int numerators,
+inside its shape, over a positive int denominator.  So must @, every
+tensordot axes form, the arithmetic and the int/slice assignment the
+chain uses.  The float backend must give the bytes numpy gives, and
+numpy arrays are refused beside SparseArrays.
 """
 
 import ast
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +21,8 @@ import numpy as np
 import pytest
 
 import homkit
-from homkit._exact_array import QArray, einsum, tensordot
+from homkit import plane_wave, wave_curvature
+from homkit.wave_curvature import SparseArray, einsum, tensordot
 
 P1, P2 = 1_000_000_007, 999_999_937
 SMALL = (1, 2, 3, 4, 6)
@@ -70,39 +75,47 @@ SPECS = [
 ]
 
 
-def library_contractions(module):
-    """(spec, keyword arguments) of every einsum call in a homkit module."""
+def named_calls(module, name):
+    """(function text, call node) of every call of a function called name in a homkit module."""
     tree = ast.parse(Path(homkit.__file__).with_name(f"{module}.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "einsum":
-                kw = {k.arg: ast.literal_eval(k.value) for k in node.keywords}
-                yield ast.unparse(func), node.args[0].value, kw
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                yield ast.unparse(func), node
 
 
-@pytest.mark.parametrize("module", ["plane_wave", "reduction"])
+def library_contractions(module):
+    """(function, spec, keyword arguments) of every einsum call with a literal spec in a module."""
+    for func, node in named_calls(module, "einsum"):
+        if isinstance(node.args[0], ast.Constant):  # tensordot passes the spec it spells
+            kw = {k.arg: ast.literal_eval(k.value) for k in node.keywords}
+            yield func, node.args[0].value, kw
+
+
+@pytest.mark.parametrize("module", ["plane_wave", "reduction", "wave_curvature"])
 def test_specs_cover_every_library_contraction(module):
     calls = list(library_contractions(module))
     # reduction contracts on sparse Tensor numerators and calls no einsum;
     # the specs it used stay below as kernel cases
-    assert bool(calls) is (module == "plane_wave")
+    assert bool(calls) is (module != "reduction")
+    # the shared chain contracts through its backend, and plane_wave's
+    # float-only derivatives through numpy itself
+    want = {"plane_wave": "np.einsum", "wave_curvature": "be.einsum"}.get(module)
     for func, spec, kw in calls:
-        assert func == "einsum", "contractions go through the integer kernel"
+        assert func == want
         assert (spec, kw) in SPECS
 
 
 def test_every_tensordot_in_plane_wave_goes_through_the_kernel():
-    tree = ast.parse(Path(homkit.__file__).with_name("plane_wave.py").read_text())
-    funcs = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    calls = [ast.unparse(f) for f in funcs
-             if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "tensordot"]
-    # S, dS and the exact frame conversion each run as a tensordot chain
-    assert len(calls) >= 3
-    assert set(calls) == {"tensordot"}, "contractions go through the integer kernel"
-    from homkit import _exact_array, plane_wave
-    assert plane_wave.tensordot is _exact_array.tensordot
+    # S, dS and the frame conversion each run as a tensordot chain, on the backend the chain is given
+    chain = [func for func, _ in named_calls("wave_curvature", "tensordot")]
+    assert chain.count("be.tensordot") >= 9
+    # the rest is @ on SparseArrays
+    assert set(chain) == {"be.tensordot", "tensordot"} and chain.count("tensordot") == 1
+    assert not list(named_calls("plane_wave", "tensordot"))
+    assert plane_wave.NUMPY.tensordot is plane_wave._tensordot
+    assert wave_curvature.SPARSE.tensordot is tensordot
 
 
 def operand_shapes(spec, size):
@@ -123,16 +136,36 @@ def fraction_array(rng, shape, dens, fill=0.6):
     return np.array(out, dtype=object).reshape(shape)
 
 
+def sparse(a):
+    """The SparseArray of a numpy object array (keeping its shape when an axis is empty) or of lists."""
+    if not isinstance(a, np.ndarray):
+        return SparseArray.of(a)
+    q = SparseArray.of(a.tolist())
+    return SparseArray(q.nums, q.den, a.shape)
+
+
 def fractions(q):
-    """A QArray's entries as an object array of Fractions (one Fraction for a scalar num)."""
-    if not isinstance(q.num, np.ndarray):
-        return Fraction(q.num, q.den)
-    return np.array([Fraction(v, q.den) for v in q.num.ravel().tolist()], dtype=object).reshape(q.shape)
+    """A SparseArray's entries as an object array of Fractions (a Fraction for shape ()).
+
+    Checks that q holds only nonzero Python int numerators at indices
+    inside its shape, over a positive Python int denominator."""
+    assert isinstance(q, SparseArray) and type(q.den) is int and q.den > 0
+    assert type(q.shape) is tuple and all(type(n) is int for n in q.shape)
+    for idx, v in q.nums.items():
+        assert type(v) is int and v != 0
+        assert type(idx) is tuple and len(idx) == len(q.shape)
+        assert all(type(i) is int and 0 <= i < n for i, n in zip(idx, q.shape))
+    if q.shape == ():
+        return Fraction(q.nums.get((), 0), q.den)
+    out = np.full(q.shape, Fraction(0), dtype=object)
+    for idx, v in q.nums.items():
+        out[idx] = Fraction(v, q.den)
+    return out
 
 
 def qeinsum(spec, *ops, **kw):
-    """The kernel on the QArrays of Fraction operands, converted back to Fractions."""
-    return fractions(einsum(spec, *map(QArray.of, ops), **kw))
+    """The sparse einsum on the SparseArrays of Fraction operands, converted back to Fractions."""
+    return fractions(einsum(spec, *map(sparse, ops), **kw))
 
 
 def assert_same(got, want):
@@ -155,14 +188,23 @@ def test_einsum_matches_fraction_einsum(spec, kw, dens):
 @pytest.mark.parametrize("a_shape,b_shape", [
     ((3, 3), (3, 3)),
     ((3, 3, 3), (3, 3)),
-    ((3, 3), (3, 3, 3)),
+    ((3,), (3, 3)),
     ((2, 3, 3, 3), (3, 3)),
     ((4, 2), (2, 5)),
+    ((3, 3), (3,)),
+    ((3,), (3,)),
 ])
 def test_matmul_matches_fraction_matmul(a_shape, b_shape, dens):
     rng = random.Random(f"{a_shape}{b_shape}:{dens[-1]}")
     a, b = fraction_array(rng, a_shape, dens), fraction_array(rng, b_shape, dens)
-    assert_same(fractions(QArray.of(a) @ QArray.of(b)), a @ b)
+    assert_same(fractions(sparse(a) @ sparse(b)), a @ b)
+
+
+def test_matmul_refuses_a_stack_on_the_right():
+    # numpy would broadcast a stack of matrices; the chain multiplies vectors and matrices only
+    a, b = (sparse(np.ones(shape, dtype=int).astype(object)) for shape in ((3, 3), (3, 3, 3)))
+    with pytest.raises(ValueError, match="vector or a matrix"):
+        a @ b
 
 
 def test_all_zero_and_all_int_operands():
@@ -170,7 +212,7 @@ def test_all_zero_and_all_int_operands():
     ints = np.array([[-4, -3, -2], [-1, 0, 1], [2, 3, 4]], dtype=object)
     for a, b in ((zero, zero), (ints, ints), (zero, ints)):
         assert_same(qeinsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b))
-        assert_same(fractions(QArray.of(a) @ QArray.of(b)), a @ b)
+        assert_same(fractions(sparse(a) @ sparse(b)), a @ b)
 
 
 def test_size_zero_axis():
@@ -178,7 +220,7 @@ def test_size_zero_axis():
     a = fraction_array(rng, (3, 0), LARGE)
     b = fraction_array(rng, (0, 2), LARGE)
     assert_same(qeinsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b))
-    assert_same(fractions(QArray.of(a) @ QArray.of(b)), a @ b)
+    assert_same(fractions(sparse(a) @ sparse(b)), a @ b)
     assert_same(qeinsum("ij,jk->ik", b.T, a.T), np.einsum("ij,jk->ik", b.T, a.T))
     # an empty output
     assert_same(qeinsum("ij,ik->jk", a, a), np.einsum("ij,ik->jk", a, a))
@@ -194,18 +236,18 @@ def test_full_contraction_keeps_numpy_return_kind():
 def test_entry_that_is_not_int_or_fraction_raises(bad):
     a = np.array([[Fraction(1, 3), bad], [1, Fraction(2)]], dtype=object)
     with pytest.raises(TypeError, match="not an int or a Fraction"):
-        QArray.of(a)
+        SparseArray.of(a.tolist())
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
 def test_numeric_operand_beside_an_exact_one_raises(dtype):
     fractions = np.full((2, 2), Fraction(1, 3), dtype=object)
     numeric = np.ones((2, 2), dtype=dtype)
-    with pytest.raises(TypeError, match=f"QArray, dtype {np.dtype(dtype)}"):
-        einsum("ij,jk->ik", QArray.of(fractions), numeric)
-    # a Fraction object array is refused outright, beside anything
+    with pytest.raises(TypeError, match="needs SparseArrays, not SparseArray, ndarray"):
+        einsum("ij,jk->ik", sparse(fractions), numeric)
+    # a Fraction object array is refused too, beside anything
     for ops in ((fractions, numeric), (numeric, fractions), (fractions, fractions)):
-        with pytest.raises(TypeError, match="dtype object"):
+        with pytest.raises(TypeError, match="not ndarray, ndarray"):
             einsum("ij,jk->ik", *ops)
 
 
@@ -214,7 +256,7 @@ def test_float_input_is_bit_identical_to_numpy():
     for spec, kw in SPECS:
         ops = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
                for shape in operand_shapes(spec, 3)]
-        got, want = einsum(spec, *ops, **kw), np.einsum(spec, *ops, **kw)
+        got, want = plane_wave.NUMPY.einsum(spec, *ops, **kw), np.einsum(spec, *ops, **kw)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
 
@@ -243,16 +285,18 @@ TENSORDOT_CASES = [
 def test_tensordot_matches_fraction_tensordot(shapes, axes, dens):
     rng = random.Random(f"{shapes}{axes}:{dens[-1]}")
     a, b = (fraction_array(rng, shape, dens) for shape in shapes)
-    got = tensordot(QArray.of(a), QArray.of(b), axes)
-    assert isinstance(got, QArray)
-    assert_same(fractions(got), np.tensordot(a, b, axes))
+    got = tensordot(sparse(a), sparse(b), axes)
+    assert isinstance(got, SparseArray)
+    want = np.tensordot(a, b, axes)
+    # a full contraction reads as a scalar, as einsum's does
+    assert_same(fractions(got), want[()] if want.shape == () else want)
 
 
 def test_tensordot_float_input_is_numpy_tensordot():
     rng = np.random.default_rng(4)
     for (a_shape, b_shape), axes in TENSORDOT_CASES:
         a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
-        got, want = tensordot(a, b, axes), np.tensordot(a, b, axes)
+        got, want = plane_wave._tensordot(a, b, axes), np.tensordot(a, b, axes)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
 
@@ -270,17 +314,105 @@ def test_tensordot_refuses_what_numpy_refuses(shapes, axes):
     with pytest.raises(Exception) as want:
         np.tensordot(a, b, axes)
     with pytest.raises(type(want.value)):
-        tensordot(a, b, axes)
+        plane_wave._tensordot(a, b, axes)
+    exact = [sparse(np.ones(shape, dtype=int).astype(object)) for shape in shapes]
+    with pytest.raises(type(want.value)):
+        tensordot(*exact, axes)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
 def test_tensordot_refuses_mixed_and_object_operands(dtype):
     fractions = np.full((2, 2), Fraction(1, 3), dtype=object)
     numeric = np.ones((2, 2), dtype=dtype)
-    for ops, kinds in (((QArray.of(fractions), numeric), f"QArray, dtype {np.dtype(dtype)}"),
-                       ((numeric, QArray.of(fractions)), f"dtype {np.dtype(dtype)}, QArray")):
-        with pytest.raises(TypeError, match=f"tensordot operands .* not {kinds}"):
+    for ops, kinds in (((sparse(fractions), numeric), "SparseArray, ndarray"),
+                       ((numeric, sparse(fractions)), "ndarray, SparseArray")):
+        with pytest.raises(TypeError, match=f"needs SparseArrays, not {kinds}"):
             tensordot(*ops, 1)
     for ops in ((fractions, numeric), (numeric, fractions), (fractions, fractions)):
-        with pytest.raises(TypeError, match="dtype object"):
+        with pytest.raises(TypeError, match="not ndarray, ndarray"):
             tensordot(*ops, 1)
+
+
+@pytest.mark.parametrize("dens", [SMALL, LARGE])
+def test_arithmetic_matches_fraction_arrays(dens):
+    rng = random.Random(f"arithmetic:{dens[-1]}")
+    for shape in ((), (3,), (2, 3), (3, 0), (2, 3, 4)):
+        # all Fractions, so numpy's / stays exact
+        a, b = (fraction_array(rng, shape, dens) + Fraction(0) for _ in range(2))
+        qa, qb = sparse(a), sparse(b)
+        assert_same(fractions(qa + qb), a + b)
+        assert_same(fractions(qa - qb), a - b)
+        assert_same(fractions(qa - qa), a - a)
+        assert_same(fractions(-qa), -a)
+        for k in (0, 1, -3, 4, Fraction(-2, P1)):
+            assert_same(fractions(k * qa), k * a)
+            assert_same(fractions(qa * k), a * k)
+            if k:
+                assert_same(fractions(qa / k), a / k)
+        with pytest.raises(ZeroDivisionError):
+            qa / 0
+    with pytest.raises(ValueError, match="shapes"):
+        sparse([1, 2]) + sparse([1, 2, 3])
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (1, 2, 3, 2)])
+def test_transpose_matches_numpy(shape):
+    rng = random.Random(f"transpose:{shape}")
+    a = fraction_array(rng, shape, LARGE)
+    q = sparse(a)
+    for perm in itertools.permutations(range(len(shape))):
+        assert_same(fractions(q.transpose(*perm)), a.transpose(*perm))
+        negative = [k - len(shape) for k in perm]
+        assert_same(fractions(q.transpose(*negative)), a.transpose(*negative))
+    with pytest.raises(ValueError, match="permute"):
+        q.transpose(*[0] * len(shape)) if len(shape) > 1 else q.transpose(0, 0)
+
+
+def test_setitem_matches_fraction_arrays():
+    # the int and slice regions the metric jet and the coframe fill, over
+    # old values and with values on other denominators
+    rng = random.Random(5)
+    a = fraction_array(rng, (4, 4, 4), LARGE)
+    q = sparse(a)
+    for idx, shape in [((0, 0, 0), ()), ((1, 2), (4,)), ((slice(2, None), 0, 0), (2,)),
+                       ((slice(1, 3), slice(2, None), 1), (2, 2)), ((-1,), (4, 4)),
+                       ((slice(None), 3), (4, 4)), ((2, slice(0, 0)), (0, 4))]:
+        for value in (fraction_array(rng, shape, LARGE), fraction_array(rng, shape, SMALL, fill=0.0)):
+            a[idx] = value
+            q[idx] = sparse(value) if shape else value[()]
+            assert_same(fractions(q), a)
+    for v in (0, 7, Fraction(-3, P2)):
+        a[3, 1, 2] = v
+        q[3, 1, 2] = v
+        assert_same(fractions(q), a)
+    with pytest.raises(ValueError, match="region"):
+        q[0] = sparse([1, 2, 3, 4])
+    with pytest.raises(IndexError):
+        q[4, 0, 0] = 1
+    with pytest.raises(ValueError):
+        q[0, 0, 0, 0] = 1
+
+
+def test_of_reads_nested_lists():
+    assert SparseArray.of(Fraction(2, 6)).shape == () and fractions(SparseArray.of(Fraction(2, 6))) == Fraction(1, 3)
+    assert fractions(SparseArray.of(0)) == 0 and SparseArray.of(0).nums == {}
+    nested = ((Fraction(1, 2), 0), (3, Fraction(-5, 7)))
+    q = SparseArray.of(nested)
+    assert q.shape == (2, 2) and q.den == 14 and q.nums == {(0, 0): 7, (1, 0): 42, (1, 1): -10}
+    assert SparseArray.of(q) is q
+    assert SparseArray.of([[[], []], [[], []]]).shape == (2, 2, 0)
+    assert SparseArray.of([[], []]).shape == (2, 0)
+
+
+def test_plans_are_cached_per_spec_and_shapes():
+    wave_curvature._plan.cache_clear()
+    a, b = sparse(np.ones((2, 3), dtype=int).astype(object)), sparse([1, 2, 3])
+    for _ in range(3):
+        einsum("ij,j->i", a, b)
+    assert wave_curvature._plan.cache_info().misses == 1
+    with pytest.raises(ValueError, match="shape-mismatch"):
+        einsum("ij,i->j", a, b)
+    with pytest.raises(ValueError, match="shape-mismatch"):
+        einsum("ii,i->i", a, b)
+    with pytest.raises(ValueError, match="shape-mismatch"):
+        einsum("ij->ji", a)

@@ -22,11 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_exact_array import fractions
+from test_exact_array import fractions, sparse
 from test_exact_kernel import ref_span_coordinates
 
 from homkit import reduction
-from homkit._exact_array import _GCD_BOUND, QArray
+from homkit.wave_curvature import _GCD_BOUND, SparseArray, einsum
 from homkit.exact import row_reduce, solve_in_span
 from homkit.lie_algebra import LieAlgebra
 from homkit.plane_wave import PlaneWaveData
@@ -428,21 +428,19 @@ def test_operations_match_fraction_arithmetic(seed):
     assert fractions_of(qa + big) == (a + b * Fraction(1, P2)).tolist()
 
 
-def qarray_fractions(q):
-    out = fractions(q)
-    assert all(type(v) is Fraction for v in out.ravel())
-    return out.tolist()
-
-
 def test_large_denominators_are_reduced_past_the_bound():
-    q = QArray.of([Fraction(1, P1 * P2), Fraction(2, 3)])
-    assert qarray_fractions(q * q * q) == [Fraction(1, P1 * P2) ** 3, Fraction(8, 27)]
+    # the exact curvature chain's SparseArrays multiply denominators, and
+    # reduce them by the gcd of all entries only past the bound
+    q = sparse([Fraction(1, P1 * P2), Fraction(2, 3)])
+    cube = einsum("i,i,i->i", q, q, q)
+    assert cube.den > _GCD_BOUND
+    assert fractions(cube).tolist() == [Fraction(1, P1 * P2) ** 3, Fraction(8, 27)]
     # a denominator that cancels against every numerator comes back down
-    # once it passes the bound
-    ones = QArray.of([Fraction(P1 * P2), Fraction(0)]) * QArray.of([Fraction(1, P1 * P2)] * 2)
+    # once it passes the bound, and not before
+    ones = einsum("i,i->i", sparse([Fraction(P1 * P2), 0]), sparse([Fraction(1, P1 * P2)] * 2))
     assert ones.den == P1 * P2 < _GCD_BOUND
-    square = ones * ones
-    assert square.den == 1 and qarray_fractions(square) == [1, 0]
+    square = einsum("i,i->i", ones, ones)
+    assert square.den == 1 and fractions(square).tolist() == [1, 0]
 
 
 # ---------------------------------------------------------------------------

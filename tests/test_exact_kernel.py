@@ -2,7 +2,7 @@
 
 ``row_reduce``, ``solve_in_span``, ``span_coordinates``, exact
 ``mat_inverse`` and the integer inverse ``_inverse_numerators`` (which
-``plane_wave._inverse`` runs on QArray numerators) all run on
+``wave_curvature._inverse`` runs on SparseArray numerators) all run on
 ``exact._echelon``, which keeps primitive integer rows.  Each is
 compared here with a plain Gauss-Jordan on ``Fraction``s, kept as a
 test-local reference, on random matrices with zero, duplicate and
@@ -19,9 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_exact_array import fractions
+from test_exact_array import fractions, sparse
 
-from homkit._exact_array import QArray
 from homkit.exact import (
     EXACT,
     _inverse_numerators,
@@ -31,7 +30,7 @@ from homkit.exact import (
     solve_in_span,
     span_coordinates,
 )
-from homkit.plane_wave import _inverse
+from homkit.wave_curvature import SparseArray, _inverse
 from homkit.reduction import _array, _freeze, _span_closure
 
 BIG = 10**9 + 7
@@ -289,7 +288,7 @@ def test_inverse_numerators_match_the_fraction_loop(seed, n, rank):
 def test_qarray_inverse_matches_the_fraction_loop(seed, n, rank):
     rng = random.Random(seed * 100 + n * 10 + rank + 5)
     # denominators near 10**9 + 7 on top of the ones scalar draws
-    q = QArray.of(square(rng, n, rank)) * Fraction(rng.choice((1, -1)) * rng.randint(1, 9), BIG - rng.randint(0, 2))
+    q = sparse(square(rng, n, rank)) * Fraction(rng.choice((1, -1)) * rng.randint(1, 9), BIG - rng.randint(0, 2))
     try:
         want = ref_mat_inverse(fractions(q).tolist())
     except ValueError as err:
@@ -299,8 +298,8 @@ def test_qarray_inverse_matches_the_fraction_loop(seed, n, rank):
         return
     assert rank == n
     got = _inverse(q)
-    assert isinstance(got, QArray) and got.den > 0
-    assert all(type(x) is int for x in got.num.ravel().tolist())
+    assert isinstance(got, SparseArray) and got.shape == q.shape
+    # fractions checks for nonzero int numerators over a positive int den
     assert fractions(got).tolist() == want
 
 
@@ -331,7 +330,7 @@ def ref_span_closure(seeds):
 @pytest.mark.parametrize("seed,n", [(s, n) for s in range(4) for n in (2, 3)])
 def test_span_closure_matches_full_re_reduction(seed, n):
     rng = random.Random(seed * 10 + n)
-    seeds = [QArray.of([[scalar(rng, 0.7) for _ in range(n)] for _ in range(n)]) for _ in range(2)]
+    seeds = [sparse([[scalar(rng, 0.7) for _ in range(n)] for _ in range(n)]) for _ in range(2)]
     seeds.append(seeds[0] * Fraction(-3, BIG))
     rot = _span_closure([_array(fractions(m).tolist(), (n, n), "seed") for m in seeds])
     want = ref_span_closure(seeds)

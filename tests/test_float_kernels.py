@@ -5,9 +5,10 @@ _gamma_lower transposes with ndarray methods instead of np.swapaxes and
 np.moveaxis, expm reduces its 1-norms with np.add.reduce and
 np.maximum.reduce instead of .sum(axis=0).max(), profile_jet converts F
 and H with one np.array call, and the float zeros are np.zeros.  Each
-must give the bytes (or, on QArrays, the numerators and denominator)
-of the formula it replaced, and expm must stop after as many Taylor
-terms as the old loop did.
+must give the bytes (or, on SparseArrays, the exact values) of the
+formula it replaced, and expm must stop after as many Taylor terms as
+the old loop did.  as_residuals converts F and H once per call, not
+once per chart point.
 """
 
 import random
@@ -17,9 +18,9 @@ import numpy as np
 import pytest
 
 from homkit import plane_wave
-from homkit._exact_array import QArray
+from homkit.wave_curvature import SparseArray
 from homkit.wave_table import PlaneWaveData
-from test_exact_array import SMALL, fraction_array
+from test_exact_array import SMALL, assert_same, fraction_array, fractions, sparse
 
 
 def old_gamma_lower(dg):
@@ -66,9 +67,9 @@ def test_gamma_lower_is_the_swapaxes_moveaxis_formula(rank):
     for d in (1, 3, 4):
         dg = rng.standard_normal((d,) * rank)
         assert plane_wave._gamma_lower(dg).tobytes() == old_gamma_lower(dg).tobytes()
-        q = QArray.of(fraction_array(random.Random(rank * 10 + d), (d,) * rank, SMALL))
-        got, want = plane_wave._gamma_lower(q), old_gamma_lower(q)
-        assert got.den == want.den and (got.num == want.num).all()
+        # all Fractions, so numpy's / 2 stays exact
+        a = fraction_array(random.Random(rank * 10 + d), (d,) * rank, SMALL) + Fraction(0)
+        assert_same(fractions(plane_wave._gamma_lower(sparse(a))), old_gamma_lower(a))
 
 
 def random_antisymmetric(rng, n, scale):
@@ -113,6 +114,26 @@ def test_profile_jet_converts_each_entry_as_float_does():
 
 def test_float_zeros_are_np_full_zeros():
     for shape in ((3, 3), (4,) * 5, (0, 2)):
-        got = plane_wave._full(shape, 0.0)
+        got = plane_wave.NUMPY.zeros(shape)
         want = np.full(shape, 0.0)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_sweep_converts_the_profile_once_per_call(monkeypatch):
+    pw = PlaneWaveData(2, ((0, Fraction(1, 3)), (Fraction(-1, 3), 0)), ((1, Fraction(1, 7)), (Fraction(1, 7), -1)))
+    pts = plane_wave.sample_points(2, 4, seed=3)
+    want = plane_wave.as_residuals(pw, pts)
+    conversions = []
+    real = Fraction.__float__
+    monkeypatch.setattr(Fraction, "__float__", lambda v: conversions.append(v) or real(v))
+    got = plane_wave.as_residuals(pw, pts)
+    # the 2 x 2 F and H once, not once per each of the 4 points
+    assert len(conversions) == 8
+    assert got == want
+    # profile_jet still converts on each call, with the bits of the converted sweep
+    conversions.clear()
+    f, h = np.array(pw.F, dtype=float), np.array(pw.H, dtype=float)
+    for pt in pts:
+        for got_m, want_m in zip(plane_wave.profile_jet(pw, pt.z), plane_wave._profile_jet(f, h, pt.z)):
+            assert got_m.tobytes() == want_m.tobytes()
+    assert len(conversions) == 8 * (len(pts) + 1)

@@ -1,12 +1,13 @@
 """The frame contractions as pairwise tensordot chains, against einsum.
 
-plane_wave._coordinate_structure runs S = "abc,am,bn,cs->mns" and the
-three terms of d_k S as the pairwise products of numpy's greedy einsum,
-sharing the partial products.  On float64 input its results must carry
-the bytes of the four einsum(..., optimize="greedy") calls it replaces;
-on QArrays they must equal the plain Fraction einsum.  The exact frame
-conversion _frame_form must equal "cr,rtmn,td,ma,nb->abcd" on Fractions,
-and a sweep must plan no contraction at call time.
+wave_curvature._coordinate_structure runs S = "abc,am,bn,cs->mns" and
+the three terms of d_k S as the pairwise products of numpy's greedy
+einsum, sharing the partial products.  On plane_wave's float64 backend
+its results must carry the bytes of the four einsum(..., optimize="greedy")
+calls it replaces; on SparseArrays they must equal the plain Fraction
+einsum.  The exact frame conversion _frame_form must equal
+"cr,rtmn,td,ma,nb->abcd" on Fractions, and a sweep must plan no
+contraction at call time.
 """
 
 import random
@@ -16,10 +17,10 @@ import numpy as np
 import pytest
 
 from homkit import plane_wave
-from homkit._exact_array import QArray
 from homkit.exact import EXACT, mat_inverse
+from homkit.wave_curvature import SPARSE, SparseArray, _coordinate_structure, _frame_form
 from homkit.wave_table import PlaneWaveData
-from test_exact_array import LARGE, SMALL, assert_same, fraction_array, fractions
+from test_exact_array import LARGE, SMALL, assert_same, fraction_array, fractions, sparse
 
 S_SPEC = "abc,am,bn,cs->mns"
 DS_SPECS = ("abc,kam,bn,cs->kmns", "abc,am,kbn,cs->kmns", "abc,am,bn,kcs->kmns")
@@ -42,10 +43,10 @@ def test_float_structure_has_greedy_einsum_bits(d):
         sf = rng.standard_normal((d,) * 3) * scale
         e, de = rng.standard_normal((d, d)), rng.standard_normal((d,) * 3)
         want_s, want_ds = einsum_structure(sf, e, de, optimize="greedy")
-        got_s, got_ds = plane_wave._coordinate_structure(sf, e, de)
+        got_s, got_ds = _coordinate_structure(sf, e, plane_wave.NUMPY, de)
         assert got_s.tobytes() == want_s.tobytes()
         assert got_ds.shape == want_ds.shape and got_ds.tobytes() == want_ds.tobytes()
-        assert plane_wave._coordinate_structure(sf, e)[0].tobytes() == want_s.tobytes()
+        assert _coordinate_structure(sf, e, plane_wave.NUMPY)[0].tobytes() == want_s.tobytes()
 
 
 @pytest.mark.parametrize("dens", [SMALL, LARGE])
@@ -53,7 +54,7 @@ def test_float_structure_has_greedy_einsum_bits(d):
 def test_exact_structure_matches_fraction_einsum(d, dens):
     rng = random.Random(f"structure:{d}:{dens[-1]}")
     sf, e, de = (fraction_array(rng, shape, dens) for shape in ((d,) * 3, (d, d), (d,) * 3))
-    got_s, got_ds = plane_wave._coordinate_structure(*map(QArray.of, (sf, e, de)))
+    got_s, got_ds = _coordinate_structure(sparse(sf), sparse(e), SPARSE, sparse(de))
     want_s, want_ds = einsum_structure(sf, e, de)
     assert_same(fractions(got_s), want_s)
     assert_same(fractions(got_ds), want_ds)
@@ -69,7 +70,7 @@ def test_exact_frame_form_matches_fraction_einsum(d, dens):
     rbar = fraction_array(rng, (d,) * 4, dens)
     theta = np.array(mat_inverse(e.tolist(), EXACT), dtype=object)
     want = np.einsum("cr,rtmn,td,ma,nb->abcd", e, rbar, theta, theta, theta)
-    assert_same(fractions(plane_wave._frame_form(QArray.of(e), QArray.of(rbar))), want)
+    assert_same(fractions(_frame_form(sparse(e), sparse(rbar), SPARSE)), want)
 
 
 def test_sweep_plans_no_contraction(monkeypatch):

@@ -1,6 +1,6 @@
 """``import homkit`` runs no submodule; each command runs only the modules it reads.
 
-All seven submodules are registered for lazy loading: they are in
+All eight submodules are registered for lazy loading: they are in
 ``sys.modules`` as soon as the package is imported, the package serves
 their public names on attribute access, and each runs only when one of
 its names is read.  So each command, run as a fresh child process,
@@ -23,7 +23,8 @@ import pytest
 import homkit
 from homkit.lie_algebra import LieAlgebra
 
-LAZY_MODULES = ("exact", "tensor_core", "lie_algebra", "hom_structure", "wave_table", "reduction", "plane_wave")
+LAZY_MODULES = ("exact", "tensor_core", "lie_algebra", "hom_structure", "wave_table", "wave_curvature",
+                "reduction", "plane_wave")
 PUBLIC_NAMES = {
     "exact": ("EXACT", "FLOAT"),
     "tensor_core": ("FrameMetric", "Tensor", "antisymmetrize", "contract", "raise_lower"),
@@ -39,12 +40,11 @@ PUBLIC_NAMES = {
         "trace_one_form",
     ),
     "wave_table": ("PlaneWaveData", "pw_isometry_algebra"),
+    "wave_curvature": ("exact_curvature", "frame_structure"),
     "plane_wave": (
         "ChartPoint",
         "as_residuals",
         "christoffel",
-        "exact_curvature",
-        "frame_structure",
         "metric_jet",
         "riemann",
         "sample_points",
@@ -113,8 +113,8 @@ LOADS = {
     "reduce inconsistent": REDUCE,
     "reduce bad entry": ANSATZ,
     "planewave algebra": TABLE | {"wave_table"},
-    # the float sweep builds no structure and no table
-    "planewave verify": CORE | {"wave_table", "plane_wave", "_exact_array"},
+    # the float sweep builds no structure and no table; it runs the chain wave_curvature holds
+    "planewave verify": CORE | {"wave_table", "plane_wave", "wave_curvature"},
 }
 SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}}
 NOT_LIE = {(0, 1): {2: 1}, (0, 2): {0: 1}}
@@ -236,8 +236,9 @@ def test_every_public_name_is_served():
 @pytest.mark.parametrize(
     "module, name",
     [(m, n) for m, names in PUBLIC_NAMES.items() for n in names]
-    # plane_wave serves the wave table's names too
-    + [("plane_wave", "PlaneWaveData"), ("plane_wave", "pw_isometry_algebra")],
+    # plane_wave serves the wave table's names and the exact curvature's too
+    + [("plane_wave", "PlaneWaveData"), ("plane_wave", "pw_isometry_algebra"),
+       ("plane_wave", "exact_curvature"), ("plane_wave", "frame_structure")],
 )
 def test_lazy_name_is_the_defining_modules_object(module, name):
     defined = getattr(sys.modules[f"homkit.{module}"], name)
@@ -271,3 +272,33 @@ def test_no_module_imports_dataclasses():
             imports.setdefault(path.name, set()).update(n.split(".")[0] for n in names)
     assert "tensor_core.py" in imports
     assert {name: sorted(mods) for name, mods in imports.items() if "dataclasses" in mods} == {}
+
+
+# Rebuilds an n = 2 wave's isometry algebra from its structure and exact
+# curvature, as the closeloop check does, in a fresh child process, and
+# prints which homkit modules ran and whether numpy was imported.
+CLOSELOOP = r"""
+import importlib.util, json, sys
+from fractions import Fraction
+import homkit
+
+pw = homkit.PlaneWaveData(2, ((0, Fraction(1, 2)), (Fraction(-1, 2), 0)), ((1, 0), (0, Fraction(-1, 2))))
+hs = homkit.frame_structure(pw)
+curv = homkit.exact_curvature(pw, Fraction(1, 3), (Fraction(1, 2), Fraction(-2)))
+algebra, residual = homkit.build_isometry_algebra(hs, curv, ["P+", "P-", "P1", "P2"], ["B1", "B2"])
+ran = [name[len("homkit."):] for name, module in list(sys.modules.items())
+       if name.startswith("homkit.") and type(module) is not importlib.util._LazyModule]
+print(json.dumps({"ran": sorted(ran), "numpy": "numpy" in sys.modules, "residual": str(residual),
+                  "dim": algebra.dim}))
+"""
+
+
+def test_the_exact_curvature_route_never_imports_numpy():
+    src = str(Path(homkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", CLOSELOOP], capture_output=True, text=True, env=env,
+                          check=True)
+    out = json.loads(proc.stdout)
+    # the wave data is read from wave_table; plane_wave and numpy never load
+    assert out == {"ran": ["exact", "hom_structure", "lie_algebra", "tensor_core", "wave_curvature", "wave_table"],
+                   "numpy": False, "residual": "0", "dim": 6}

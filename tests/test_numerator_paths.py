@@ -21,7 +21,7 @@ import pytest
 from test_exact_array import fractions
 from test_exact_carrier import count_fractions
 
-from homkit import hom_structure, plane_wave
+from homkit import hom_structure, plane_wave, wave_curvature
 from homkit.exact import EXACT, FLOAT, integer_numerators, mat_identity, mat_inverse, scalar_zero
 from homkit.hom_structure import (
     CurvatureAtPoint,
@@ -37,6 +37,7 @@ from homkit.plane_wave import (
     frame_structure,
     pw_isometry_algebra,
 )
+from homkit.wave_curvature import SparseArray
 from homkit.wave_table import _matrix, _wave_table
 from homkit.tensor_core import (
     DOWN,
@@ -471,12 +472,16 @@ class TestFrameStructureOnce:
         assert built == [1]
 
     @pytest.mark.parametrize("n", (1, 2, 3, 6))
-    def test_frame_arrays_match_the_dense_view(self, n):
+    def test_frame_arrays_match_the_dense_view(self, n, monkeypatch):
         s = frame_structure(wave(n)).S
         dense = np.array([float(v) for v in s.components]).reshape((s.dim,) * 3)
-        assert plane_wave._frame_array(s, 0.0).tobytes() == dense.tobytes()
-        exact = plane_wave._frame_array(s, plane_wave.QArray.of(0))
-        assert fractions(exact).tolist() == np.reshape(s.components, (s.dim,) * 3).tolist()
+        assert plane_wave._frame_array(s).tobytes() == dense.tobytes()
+        # the frame S that exact_curvature hands its chain
+        seen, chain = [], wave_curvature._frame_curvature
+        monkeypatch.setattr(wave_curvature, "_frame_curvature", lambda sf, *args: seen.append(sf) or chain(sf, *args))
+        exact_curvature(wave(n), Fraction(1, 3), [Fraction(1, 2)] * n)
+        assert isinstance(seen[0], SparseArray)
+        assert fractions(seen[0]).tolist() == np.reshape(s.components, (s.dim,) * 3).tolist()
 
     def test_split_numerators_match_decompose(self):
         hs = dense_structure(5)

@@ -1,7 +1,7 @@
 """Static guard: the exact core imports neither numpy nor the numpy-backed modules.
 
 The core is the scalar, tensor, Lie algebra and structure layers, the
-reductions and the wave bracket table.
+reductions, the wave bracket table and the wave's exact curvature.
 
 The files are parsed, not imported, so the guard holds for every
 import path in the source, not only the ones a given run happens to
@@ -15,7 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "homkit"
 CORE = ("exact.py", "tensor_core.py", "lie_algebra.py", "hom_structure.py", "reduction.py",
-        "wave_table.py")
+        "wave_table.py", "wave_curvature.py")
 FORBIDDEN = {"numpy", "_exact_array", "plane_wave", "reduction"}
 
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from homkit import plane_wave
-from homkit._exact_array import QArray
 from homkit.exact import EXACT, mat_inverse
 from homkit.hom_structure import build_isometry_algebra, classify
 from homkit.lie_algebra import jacobi_residual
@@ -21,8 +20,7 @@ from homkit.plane_wave import (
     ChartPoint,
     PlaneWaveData,
     _commutator_jet,
-    _frame_curvature,
-    _metric_jet,
+    _frame_array,
     as_residuals,
     boost_block,
     christoffel,
@@ -39,6 +37,7 @@ from homkit.plane_wave import (
     structure_at,
 )
 from homkit.tensor_core import DOWN, FrameMetric, Tensor
+from homkit.wave_curvature import SPARSE, SparseArray, _frame_curvature, _frame_tensor, _metric_jet
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -264,12 +263,16 @@ class TestResiduals:
 
     def test_one_profile_jet_per_point(self, monkeypatch):
         calls = []
-        jet = plane_wave.profile_jet
-        monkeypatch.setattr(plane_wave, "profile_jet", lambda *args: calls.append(1) or jet(*args))
+        # the sweep converts F and H once and takes one profile jet per point from them
+        sweep_jet = plane_wave._profile_jet
+        monkeypatch.setattr(plane_wave, "_profile_jet", lambda *args: calls.append(1) or sweep_jet(*args))
         for k in (1, 5):
             calls.clear()
             as_residuals(GENERIC, sample_points(2, k, seed=k))
             assert len(calls) == k
+        monkeypatch.undo()
+        jet = plane_wave.profile_jet
+        monkeypatch.setattr(plane_wave, "profile_jet", lambda *args: calls.append(1) or jet(*args))
         for pt in sample_points(2, 3, seed=2):
             calls.clear()
             plane_wave.structure_at(GENERIC, pt)
@@ -406,8 +409,9 @@ def rational_point(rng, n):
 def fraction_curvature(pw, s, x):
     """Rbar[a, b, c, d] from the connection chain on Fraction object arrays.
 
-    The exact backend before it moved to QArrays: every sum and product
-    on Fractions, every contraction a plain np.einsum of Fractions.
+    The exact backend before it moved to integer numerators: every sum
+    and product on Fractions, every contraction a plain np.einsum of
+    Fractions.
     """
     d, t = pw.n + 2, np.arange(2, pw.n + 2)
     x = np.array(x, dtype=object)
@@ -463,19 +467,21 @@ def fraction_curvature(pw, s, x):
 
 
 def exact_inputs(pw, s, x):
-    """(profile jet, s, x, zero) as exact_curvature hands them to the chain."""
-    prof = _commutator_jet(QArray.of(pw.H), QArray.of(pw.F))
-    return prof, QArray.of(s), QArray.of(x), QArray.of(0)
+    """(frame S, profile jet, s, x) as exact_curvature hands them to the chain."""
+    prof = _commutator_jet(SparseArray.of(pw.H), SparseArray.of(pw.F), order=2)
+    frame = _frame_tensor(pw)
+    return SparseArray(dict(frame.nums), frame.den, (pw.dim,) * 3), prof, SparseArray.of(s), SparseArray.of(x)
 
 
 def assert_python_int_numerators(q):
-    assert isinstance(q, QArray)
+    assert isinstance(q, SparseArray)
     assert type(q.den) is int and q.den > 0
-    assert all(type(v) is int for v in np.ravel(q.num).tolist())
+    assert all(type(v) is int and v != 0 for v in q.nums.values())
+    assert all(len(idx) == len(q.shape) and all(0 <= i < k for i, k in zip(idx, q.shape)) for idx in q.nums)
 
 
 class TestScalarBackends:
-    """The one connection chain, on float64 arrays and on QArrays."""
+    """The one connection chain, on float64 arrays and on SparseArrays."""
 
     def test_float_chain_matches_exact_curvature(self):
         rng = random.Random(31)
@@ -483,9 +489,8 @@ class TestScalarBackends:
             for _ in range(3):
                 pw = random_wave(rng, n)
                 s, x = rational_point(rng, n)
-                got = _frame_curvature(
-                    pw, profile_jet(pw, 0.0), float(s), np.array([float(v) for v in x]), 0.0
-                )
+                got = _frame_curvature(_frame_array(_frame_tensor(pw)), profile_jet(pw, 0.0), float(s),
+                                       np.array([float(v) for v in x]), plane_wave.NUMPY)
                 assert got.dtype == np.float64
                 want = exact_curvature(pw, s, x).Rbar
                 want = np.array([float(v) for v in want.components]).reshape(got.shape)
@@ -496,10 +501,8 @@ class TestScalarBackends:
         for n in (1, 2, 3):
             pw = random_wave(rng, n)
             s, x = rational_point(rng, n)
-            args = exact_inputs(pw, s, x)
-            jet = _metric_jet(*args)
-            for q in (*args[0], jet.g, jet.g_inv, jet.dg, jet.ddg, jet.dddg,
-                      _frame_curvature(pw, *args)):
+            sf, prof, *point = args = exact_inputs(pw, s, x)
+            for q in (sf, *prof, *point, *_metric_jet(prof, *point, SPARSE), _frame_curvature(*args, SPARSE)):
                 assert_python_int_numerators(q)
             curv = exact_curvature(pw, s, x)
             assert all(type(v) is Fraction for v in curv.Rbar.components)
@@ -522,3 +525,14 @@ class TestScalarBackends:
             got = exact_curvature(pw, s, x).Rbar.components
             assert any(v.denominator > 10**9 for v in got)
             assert got == tuple(want.reshape(-1))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sparse_curvature_matches_fraction_chain_at_random_points(self, seed):
+        # the SparseArray route against the same chain on numpy object arrays of Fractions
+        rng = random.Random(f"sparse:{seed}")
+        for n in (1, 2, 3, 4):
+            pw = random_wave(rng, n)
+            s, x = rational_point(rng, n)
+            curv = exact_curvature(pw, s, x)
+            assert curv.Rbar.components == tuple(fraction_curvature(pw, s, x).reshape(-1))
+            assert all(v for _, v in curv.Rbar.nums)

@@ -11,13 +11,15 @@ prints the milliseconds per pass and each kind's share.  One more pass
 runs under cProfile and the call counts in it are printed: for
 exact_proofs, ``Fraction.__new__`` and ``exact.integer_numerators``;
 for float_sweep, numpy's ``einsum_path`` (contraction planning),
-``_exact_array.tensordot``, ``plane_wave._point_residuals`` (chart
-points swept) and the numpy Python wrappers the sweep used to run
-(``numpy.tensordot``, ``_methods._sum`` and ``_amax``, ``moveaxis`` and
-``full``), followed by each of those per chart point.  Both then give
-every function call cProfile saw in the pass, Python and built-in, and
-list, one line per module, the module-level functions of ``src/homkit``
-that the pass never called.
+``plane_wave._tensordot``, ``plane_wave._point_residuals`` (chart
+points swept), ``Fraction.__float__`` and the numpy Python wrappers the
+sweep used to run (``numpy.tensordot``, ``_methods._sum`` and ``_amax``,
+``moveaxis`` and ``full``), followed by each of those per chart point.
+Both then give every function call cProfile saw in the pass, Python and
+built-in, the process's peak RSS (``ru_maxrss``) after the passes and
+whether the workload's checks imported numpy, and list, one line per
+module, the module-level functions of ``src/homkit`` that the pass never
+called (that listing imports every module, numpy too, so it comes last).
 perfbench/run.py and perfbench/workloads.py are imported as they are;
 no file is written.
 """
@@ -31,6 +33,7 @@ import importlib
 import inspect
 import os
 import pstats
+import resource
 import sys
 import time
 
@@ -44,7 +47,7 @@ COUNTED = {
     },
     "float_sweep": {
         "numpy.einsum_path": ("einsumfunc.py", "einsum_path"),
-        "_exact_array.tensordot": (os.path.join("homkit", "_exact_array.py"), "tensordot"),
+        "plane_wave._tensordot": (os.path.join("homkit", "plane_wave.py"), "_tensordot"),
         "plane_wave._point_residuals": (os.path.join("homkit", "plane_wave.py"),
                                         "_point_residuals"),
         "numpy.tensordot": (os.path.join("_core", "numeric.py"), "tensordot"),
@@ -52,10 +55,11 @@ COUNTED = {
         "numpy._methods._amax": (os.path.join("_core", "_methods.py"), "_amax"),
         "numpy.moveaxis": (os.path.join("_core", "numeric.py"), "moveaxis"),
         "numpy.full": (os.path.join("_core", "numeric.py"), "full"),
+        "Fraction.__float__": ("numbers.py", "__float__"),
     },
 }
 # the float_sweep counts printed again per chart point swept
-PER_POINT = ("_exact_array.tensordot", "numpy.tensordot", "numpy._methods._sum",
+PER_POINT = ("plane_wave._tensordot", "numpy.tensordot", "numpy._methods._sum",
              "numpy._methods._amax", "numpy.moveaxis", "numpy.full")
 
 
@@ -85,7 +89,7 @@ def kind_times(checks):
 
 
 def call_counts(checks, counted):
-    """({counted name: calls}, all function calls, never_called) over one profiled pass."""
+    """({counted name: calls}, all function calls, cProfile's stats) over one profiled pass."""
     profile = cProfile.Profile()
     profile.enable()
     for check in checks:
@@ -97,7 +101,7 @@ def call_counts(checks, counted):
         for name, (suffix, want) in counted.items():
             if func == want and path.endswith(suffix):
                 counts[name] += calls
-    return counts, stats.total_calls, never_called(stats.stats)
+    return counts, stats.total_calls, stats.stats
 
 
 def never_called(stats):
@@ -128,16 +132,19 @@ def main(argv=None):
           f"{wall / PASSES * 1e3:.1f} ms per pass")
     for kind, seconds in sorted(totals.items(), key=lambda kv: -kv[1]):
         print(f"  {kind:20s} {seconds / PASSES * 1e3:9.1f} ms {seconds / wall:7.1%}")
-    counts, total, idle = call_counts(checks, COUNTED[args.workload])
+    counts, total, stats = call_counts(checks, COUNTED[args.workload])
     for name, calls in counts.items():
         print(f"  {name:28s} {calls:9d} calls per pass")
     print(f"  {'all function calls':28s} {total:9d} calls per pass")
-    for module, names in idle.items():
+    # ru_maxrss is in KiB on Linux
+    print(f"  {'peak RSS':28s} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:9.1f} MB")
+    print(f"  numpy imported by the checks: {'yes' if 'numpy' in sys.modules else 'no'}")
+    for module, names in never_called(stats).items():
         print(f"  never called in {module}: {', '.join(names) or '-'}")
     if args.workload == "float_sweep":
         points = counts["plane_wave._point_residuals"]
         for name in PER_POINT:
-            label = "tensordot" if name == "_exact_array.tensordot" else name
+            label = "tensordot" if name == "plane_wave._tensordot" else name
             print(f"  {label + ' per chart point':36s} {counts[name] / points:9.1f}")
     return 0
 
