@@ -37,9 +37,8 @@ from types import SimpleNamespace
 from .exact import FLOAT
 from . import hom_structure
 from .tensor_core import DOWN, FrameMetric, Tensor, _frozen
-# the wave data and its bracket table are numpy-free; they are served here too
+# the wave data, its bracket table and the connection chain are numpy-free; served here too
 from .wave_table import PlaneWaveData, boost_block, pw_isometry_algebra
-# the connection chain; the exact route's public names are served here too
 from .wave_curvature import (_coframe, _commutator_jet, _connection, _coordinate_structure, _frame_tensor,
                              _gamma_lower, _metric_jet, _paired_axes, _raised_structure,
                              _riemann_from_connection, exact_curvature, frame_metric, frame_structure,
@@ -116,7 +115,8 @@ def profile_jet(pw, z):
 
 def _profile_jet(f, h, z):
     e = expm(-z * f)
-    return _commutator_jet(e @ h @ e.T, f)  # exp(zF) = exp(-zF)^T for antisymmetric F
+    m0, m1, m2 = _commutator_jet(e @ h @ e.T, f)  # exp(zF) = exp(-zF)^T for antisymmetric F
+    return m0, m1, m2, m2 @ f - f @ m2
 
 
 # the float backend: numpy's einsum and np.tensordot's np.dot, so the bits are numpy's
@@ -151,7 +151,16 @@ class GeometryJet:
 
 
 def metric_jet(pw, pt):
-    return GeometryJet(*_metric_jet(profile_jet(pw, pt.z), pt.s, np.array(pt.x), NUMPY))
+    return _geometry_jet(profile_jet(pw, pt.z), pt.s, np.array(pt.x))
+
+
+def _geometry_jet(prof, s, x):
+    """The chain's metric jet at (s, x), with the dddg that only connection_jet reads."""
+    dddg = np.zeros((x.shape[0] + 2,) * 5)
+    dddg[0, 0, 0, 0, 0] = 2 * (x @ prof[3] @ x)
+    dddg[0, 0, 2:, 0, 0] = dddg[0, 2:, 0, 0, 0] = dddg[2:, 0, 0, 0, 0] = 4 * (prof[2] @ x)
+    dddg[0, 2:, 2:, 0, 0] = dddg[2:, 0, 2:, 0, 0] = dddg[2:, 2:, 0, 0, 0] = 4 * prof[1]
+    return GeometryJet(*_metric_jet(prof, s, x, NUMPY), dddg)
 
 
 def christoffel(jet):
@@ -213,7 +222,7 @@ def structure_at(pw, pt):
 def _point_residuals(fh, pt, sf_array):
     # one profile jet serves the metric jet and the coframe
     prof, x = _profile_jet(*fh, pt.z), np.array(pt.x)
-    jet = GeometryJet(*_metric_jet(prof, pt.s, x, NUMPY))
+    jet = _geometry_jet(prof, pt.s, x)
     gamma, dgamma, ddgamma = connection_jet(jet)
     e, de = _coframe(prof, pt.s, x, NUMPY)
     s_coord, ds_coord = _coordinate_structure(sf_array, e, NUMPY, de)

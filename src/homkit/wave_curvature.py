@@ -27,8 +27,7 @@ _GCD_BOUND = 1 << 64  # a larger denominator is first reduced by the gcd of all 
 def _index(positions):
     """The function taking an index tuple to the tuple of its entries at positions (a tuple)."""
     if len(positions) == 1:
-        p = positions[0]
-        return lambda idx: (idx[p],)
+        return lambda idx, p=positions[0]: (idx[p],)
     return itemgetter(*positions) if positions else lambda idx: ()
 
 
@@ -80,8 +79,7 @@ class SparseArray:
         if value.shape != tuple(len(s) for s in at if type(s) is range):
             raise ValueError(f"cannot set a region of {self.shape} to an array of shape {value.shape}")
         lcm = math.lcm(self.den, value.den)
-        if lcm != self.den:
-            self.nums, self.den = {k: v * (lcm // self.den) for k, v in self.nums.items()}, lcm
+        self.nums, self.den = {k: v * (lcm // self.den) for k, v in self.nums.items()}, lcm
         for key in itertools.product(*(s if type(s) is range else (s,) for s in at)):
             self.nums.pop(key, None)
         for vidx, v in value.nums.items():
@@ -90,7 +88,6 @@ class SparseArray:
 
     __neg__ = lambda self: SparseArray({k: -v for k, v in self.nums.items()}, self.den, self.shape)
     __sub__ = lambda self, other: self + -other
-    __truediv__ = lambda self, x: self * Fraction(1, x)  # Fraction(1, 0) refuses a division by zero
 
     def __add__(self, other):
         if other.shape != self.shape:
@@ -107,6 +104,13 @@ class SparseArray:
         return SparseArray({k: v * p for k, v in self.nums.items()} if p else {}, self.den * q, self.shape)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, x):
+        p, q = x.as_integer_ratio()  # times q / p, on the numerators and den alone
+        if not p:
+            raise ZeroDivisionError(f"division of an exact array by {x!r}")
+        q = q if p > 0 else -q
+        return SparseArray({k: v * q for k, v in self.nums.items()}, self.den * abs(p), self.shape)
 
     def __matmul__(self, other):
         if other.ndim > 2:
@@ -201,16 +205,14 @@ SPARSE = SimpleNamespace(zeros=lambda shape: SparseArray({}, 1, shape), inverse=
 # the connection chain: the profile jet, s and x are arrays of the backend be
 
 
-def _commutator_jet(m0, f, order=3):
-    """M and its derivatives M^(k+1) = M^(k) F - F M^(k) up to order, in the scalars of m0."""
-    jet = [m0]
-    for _ in range(order):
-        jet.append(jet[-1] @ f - f @ jet[-1])
-    return tuple(jet)
+def _commutator_jet(m0, f):
+    """M, M' and M'', each M^(k+1) = M^(k) F - F M^(k), in the scalars of m0."""
+    m1 = m0 @ f - f @ m0
+    return m0, m1, m1 @ f - f @ m1
 
 
 def _metric_jet(prof, s, x, be):
-    """g, g^-1, dg[k, m, n] = d_k g_{mn}, ddg[k, l, m, n] and, given M^(3), dddg at (s, x)."""
+    """g, g^-1, dg[k, m, n] = d_k g_{mn} and ddg[k, l, m, n] at (s, x), from M, M' and M''."""
     m0, m1, m2 = prof[:3]
     d = x.shape[0] + 2
     g = be.zeros((d, d))
@@ -226,13 +228,7 @@ def _metric_jet(prof, s, x, be):
     ddg[0, 0, 0, 0] = 2 * (x @ m2 @ x)
     ddg[0, 2:, 0, 0] = ddg[2:, 0, 0, 0] = 4 * (m1 @ x)
     ddg[2:, 2:, 0, 0] = 4 * m0
-    if len(prof) == 3:  # only the float sweep's connection_jet reads dddg
-        return g, be.inverse(g), dg, ddg
-    dddg = be.zeros((d,) * 5)
-    dddg[0, 0, 0, 0, 0] = 2 * (x @ prof[3] @ x)
-    dddg[0, 0, 2:, 0, 0] = dddg[0, 2:, 0, 0, 0] = dddg[2:, 0, 0, 0, 0] = 4 * (m2 @ x)
-    dddg[0, 2:, 2:, 0, 0] = dddg[2:, 0, 2:, 0, 0] = dddg[2:, 2:, 0, 0, 0] = 4 * m1
-    return g, be.inverse(g), dg, ddg, dddg
+    return g, be.inverse(g), dg, ddg
 
 
 def _gamma_lower(dg):
@@ -254,10 +250,7 @@ def _connection(ginv, dg, ddg, be):
 def _riemann_from_connection(gamma, dgamma, be):
     # R[r, s, m, n] = d_m G^r_{ns} - d_n G^r_{ms} + G^r_{ml} G^l_{ns} - G^r_{nl} G^l_{ms}
     term = be.einsum("rml,lns->rsmn", gamma, gamma)
-    return (
-        dgamma.transpose(1, 3, 0, 2) - dgamma.transpose(1, 3, 2, 0)
-        + term - term.transpose(0, 1, 3, 2)
-    )
+    return dgamma.transpose(1, 3, 0, 2) - dgamma.transpose(1, 3, 2, 0) + term - term.transpose(0, 1, 3, 2)
 
 
 def _coframe(prof, s, x, be):
@@ -302,7 +295,7 @@ def _raised_structure(s_coord, ginv, be):
 
 def _frame_curvature(sf, prof, s, x, be):
     """Frame components Rbar[a, b, c, d] of the curvature of nabla - S at (s, x), S framed as sf."""
-    _, ginv, dg, ddg, *_ = _metric_jet(prof, s, x, be)
+    _, ginv, dg, ddg = _metric_jet(prof, s, x, be)
     gamma, dgamma, dginv, _, _ = _connection(ginv, dg, ddg, be)
     e, de = _coframe(prof, s, x, be)
     s_coord, ds_coord = _coordinate_structure(sf, e, be, de)
@@ -361,7 +354,7 @@ def exact_curvature(pw, s, x):
     x = [Fraction(v) for v in x]
     if len(x) != pw.n:
         raise ValueError("x must have n components")
-    prof = _commutator_jet(SparseArray.of(pw.H), SparseArray.of(pw.F), order=2)
+    prof = _commutator_jet(SparseArray.of(pw.H), SparseArray.of(pw.F))
     s_frame = _frame_tensor(pw)
     sf = SparseArray(dict(s_frame.nums), s_frame.den, (pw.dim,) * 3)
     frame = _frame_curvature(sf, prof, SparseArray.of(Fraction(s)), SparseArray.of(x), SPARSE)
@@ -375,9 +368,8 @@ def null_boost_basis(n):
     Boost j sends E_+ to -E_j and E_j to E_-; rotations never enter the
     reachable isotropy of this geometry.
     """
-    d, out = n + 2, []
-    for j in range(n):
-        m = [[Fraction(0)] * d for _ in range(d)]
+    d = n + 2
+    boosts = [[[Fraction(0)] * d for _ in range(d)] for _ in range(n)]
+    for j, m in enumerate(boosts):
         m[2 + j][0], m[1][2 + j] = Fraction(-1), Fraction(1)
-        out.append(tuple(map(tuple, m)))
-    return tuple(out)
+    return tuple(tuple(map(tuple, m)) for m in boosts)

@@ -85,26 +85,37 @@ def named_calls(module, name):
                 yield ast.unparse(func), node
 
 
-def library_contractions(module):
-    """(function, spec, keyword arguments) of every einsum call with a literal spec in a module."""
-    for func, node in named_calls(module, "einsum"):
-        if isinstance(node.args[0], ast.Constant):  # tensordot passes the spec it spells
-            kw = {k.arg: ast.literal_eval(k.value) for k in node.keywords}
-            yield func, node.args[0].value, kw
+def spelled_contractions(module):
+    """(enclosing function, call text) of every einsum call in a module whose spec is not a literal."""
+    tree = ast.parse(Path(homkit.__file__).with_name(f"{module}.py").read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("einsum")
+                        and not isinstance(node.args[0], ast.Constant)):
+                    yield fn.name, ast.unparse(node)
+
+
+# the one einsum whose spec is computed: the sparse tensordot runs the einsum its axes spell
+SPELLED = ("tensordot", "einsum(_tensordot_spec(a.ndim, b.ndim, axes), a, b)")
 
 
 @pytest.mark.parametrize("module", ["plane_wave", "reduction", "wave_curvature"])
 def test_specs_cover_every_library_contraction(module):
-    calls = list(library_contractions(module))
+    calls = list(named_calls(module, "einsum"))
     # reduction contracts on sparse Tensor numerators and calls no einsum;
     # the specs it used stay below as kernel cases
     assert bool(calls) is (module != "reduction")
+    assert list(spelled_contractions(module)) == ([SPELLED] if module == "wave_curvature" else [])
     # the shared chain contracts through its backend, and plane_wave's
     # float-only derivatives through numpy itself
     want = {"plane_wave": "np.einsum", "wave_curvature": "be.einsum"}.get(module)
-    for func, spec, kw in calls:
+    for func, node in calls:
+        if ast.unparse(node) == SPELLED[1]:  # checked above
+            continue
         assert func == want
-        assert (spec, kw) in SPECS
+        kw = {k.arg: ast.literal_eval(k.value) for k in node.keywords}
+        assert (node.args[0].value, kw) in SPECS
 
 
 def test_every_tensordot_in_plane_wave_goes_through_the_kernel():
@@ -349,10 +360,21 @@ def test_arithmetic_matches_fraction_arrays(dens):
             assert_same(fractions(qa * k), a * k)
             if k:
                 assert_same(fractions(qa / k), a / k)
-        with pytest.raises(ZeroDivisionError):
-            qa / 0
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                qa / zero
     with pytest.raises(ValueError, match="shapes"):
         sparse([1, 2]) + sparse([1, 2, 3])
+
+
+def test_division_runs_on_integers(monkeypatch):
+    # the chain's / 2 scales the numerators and the den, with no Fraction built
+    q = sparse([Fraction(1, 3), 0, Fraction(-5, 7)])
+    monkeypatch.setattr(wave_curvature, "Fraction", None)
+    for k, den, nums in ((2, 42, {(0,): 7, (2,): -15}), (-2, 42, {(0,): -7, (2,): 15}),
+                         (Fraction(-4, 3), 84, {(0,): -21, (2,): 45})):
+        got = q / k
+        assert (got.den, got.nums, got.shape) == (den, nums, (3,))
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (1, 2, 3, 2)])

@@ -415,7 +415,7 @@ def fraction_curvature(pw, s, x):
     """
     d, t = pw.n + 2, np.arange(2, pw.n + 2)
     x = np.array(x, dtype=object)
-    m0, m1, m2, _ = _commutator_jet(np.array(pw.H, dtype=object), np.array(pw.F, dtype=object))
+    m0, m1, m2 = _commutator_jet(np.array(pw.H, dtype=object), np.array(pw.F, dtype=object))
 
     def zeros(rank):
         return np.full((d,) * rank, Fraction(0), dtype=object)
@@ -468,7 +468,7 @@ def fraction_curvature(pw, s, x):
 
 def exact_inputs(pw, s, x):
     """(frame S, profile jet, s, x) as exact_curvature hands them to the chain."""
-    prof = _commutator_jet(SparseArray.of(pw.H), SparseArray.of(pw.F), order=2)
+    prof = _commutator_jet(SparseArray.of(pw.H), SparseArray.of(pw.F))
     frame = _frame_tensor(pw)
     return SparseArray(dict(frame.nums), frame.den, (pw.dim,) * 3), prof, SparseArray.of(s), SparseArray.of(x)
 
