@@ -4,7 +4,8 @@ Reports are JSON with sorted keys on standard output.  Exit codes:
 0 all checks pass, 1 a verification failed (the report names the
 failing check), 2 malformed input, which includes an input file that
 cannot be read or decoded, and an --out file or a standard output
-(full, a closed pipe or descriptor) that cannot be written.
+(full, a closed pipe or descriptor) that cannot be written.  Inputs too large to
+check are malformed: `planewave verify` refuses --points x (n + 2)**6 over 2**28.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from fractions import Fraction
 
 # modules, not names: each command runs only the modules it reads
 from . import hom_structure, lie_algebra, plane_wave, reduction, tensor_core, wave_table
+
+
+# most points x (n + 2)**6, the size of a chart point's contractions, a sweep may take
+_MAX_SWEEP_WORK = 2**28
 
 
 class InputError(Exception):
@@ -164,6 +169,9 @@ def _cmd_planewave_verify(args):
             float(max(abs(v) for row in rows for v in row))
         except OverflowError:
             raise InputError(f"{path}: an entry of {name} is beyond float range") from None
+    if (work := args.points * (pw.n + 2) ** 6) > _MAX_SWEEP_WORK:
+        raise InputError(f"--points {args.points} is too large at --n {pw.n}: the sweep would take "
+                         f"{work} terms, over {_MAX_SWEEP_WORK}")
     pts = plane_wave.sample_points(pw.n, args.points, args.seed)
     res = plane_wave.as_residuals(pw, pts)
     # a nan residual is not below any tolerance

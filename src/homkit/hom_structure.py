@@ -33,6 +33,7 @@ from .tensor_core import (
     Tensor,
     _antisymmetry_violations,
     _frozen,
+    _sum,
     antisymmetrize,
     contract,
     raise_lower,
@@ -143,7 +144,7 @@ def _split(hs, alpha):
     if hs.tag != EXACT:
         s1 = vectorial_part(hs.metric, alpha)
         s3 = antisymmetrize(hs.S, (0, 1, 2))
-        return s1, hs.S - s1 - s3, s3
+        return s1, _sum((hs.S,), (s1, s3)), s3
     *parts, den = _split_numerators(hs, alpha)
     # each pair antisymmetric in the last two slots is summed once, its mirror negated
     mirrored = ({**p, **{(x, z, y): -v for (x, y, z), v in p.items()}} for p in parts)

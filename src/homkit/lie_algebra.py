@@ -310,7 +310,7 @@ def change_basis(algebra, p, labels=None):
     # f'_{ab}^c = sum P^{-1}_{ma} P^{-1}_{nb} P_{ck} f_{mn}^{k}, one slot at a time
     f = algebra.f
     for slot, m, scale in ((0, p_inv_t, den), (1, p_inv_t, den), (2, p, None)):
-        f = _map_slot(f, slot, m, f.valence, scale)
+        f = _map_slot(f, (slot,), m, f.valence, scale)
     return LieAlgebra(tuple(labels) if labels else algebra.labels, f)
 
 

@@ -12,13 +12,13 @@ Everything is exact rational: "forced to vanish" always means an exact
 zero, and a Jacobi residual of zero is a proof.  Every exact array here
 is an all-lower Tensor of dimension n (a stack of matrices is a tuple of
 them): each ansatz field is parsed once into a checked Tensor, its
-carrier, and stored as nested tuples of Fractions frozen from it, and
-sums, contractions, residuals and bracket tables run on the nonzero
-integer numerators.  The two reduce operations mechanize the generator
-redefinitions that bring a consistent table to symmetric-space or
-plane-wave normal form, and verify the expected bracket pattern exactly
-on the brackets of the redefined generators, read off the assembled
-table in the old basis.
+carrier, from which the public field, nested tuples of Fractions, is
+frozen when first read; sums (each built once), contractions, residuals
+and bracket tables run on the nonzero integer numerators.  The two
+reduce operations mechanize the generator redefinitions that bring a
+consistent table to symmetric-space or plane-wave normal form, and
+verify the expected bracket pattern exactly on the brackets of the
+redefined generators, read off the assembled table in the old basis.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from fractions import Fraction
 
 from .exact import EXACT, _echelon, _eliminate, _rational, format_scalar
 from . import lie_algebra  # read only when a table is assembled, so gen never runs it
-from .tensor_core import DOWN, Tensor, _antisymmetry_violations, _contract, _dense, _frozen, _map_slot
+from .tensor_core import (DOWN, Tensor, _antisymmetry_violations, _contract, _dense, _frozen, _map_slot,
+                          _sum)
 from .wave_table import PlaneWaveData, _wave_table
 
 # Levi-Civita symbol on three indices: the sign of each permutation
@@ -111,19 +112,29 @@ def _fmt(t):
 
 
 def _store(obj, carriers, **values):
-    """Set fields of a frozen ansatz: each carrier (a Tensor, or a tuple of
-    them) as the nested tuples frozen from it, then the plain values."""
-    for name, v in {**{k: _freeze(c) for k, c in carriers.items()}, **values}.items():
-        object.__setattr__(obj, name, v)
-    object.__setattr__(obj, "_carriers", {**vars(obj).get("_carriers", {}), **carriers})
+    """Set the plain values of a frozen ansatz and the carrier (a Tensor, or a tuple
+    of them) of each array field, which the field is frozen from on first read."""
+    vars(obj).update(values, _carriers={**vars(obj).get("_carriers", {}), **carriers})
+    for name in carriers:
+        vars(obj).pop(name, None)
 
 
-def _blocks(t, k):
-    """{index of the first k slots: Tensor of the remaining slots}, for every index in order."""
-    rows = {lead: {} for lead in itertools.product(range(t.dim), repeat=k)}
+def _frozen_fields(cls):
+    """cls, a _frozen ansatz, with each array field read once as the nested tuples of Fractions
+    frozen from its carrier; applied after _frozen, so h_basis = () stays an __init__ default."""
+    for name in {*_FIELDS, "h_basis"}.intersection(cls._fields):
+        setattr(cls, name, functools.cached_property(lambda self, k=name: _freeze(self._carriers[k])))
+        getattr(cls, name).__set_name__(cls, name)
+    return cls
+
+
+def _blocks(t, leads):
+    """[(lead, the matrix Tensor t[*lead, :, :])] for each given index of t's leading slots."""
+    rows = {lead: {} for lead in leads}
     for idx, v in t.nums:
-        rows[idx[:k]][idx[k:]] = v
-    return {lead: _tensor(t.dim, t.rank - k, e, t.den) for lead, e in rows.items()}
+        if (row := rows.get(idx[:-2])) is not None:
+            row[idx[-2:]] = v
+    return [(lead, _tensor(t.dim, 2, e, t.den)) for lead, e in rows.items()]
 
 
 def _eta(t, aleph, *slots):
@@ -143,8 +154,7 @@ def _derivation(m, t, slots=None):
     With m = omega^T this is the rotation omega acting on an all-lower
     array, which vanishes exactly when the array is invariant.
     """
-    first, *rest = [_map_slot(t, s, m, t.valence) for s in slots or range(t.rank)]
-    return sum(rest, first)
+    return _map_slot(t, slots or range(t.rank), m, t.valence)
 
 
 def f_derivation(f, c):
@@ -161,8 +171,11 @@ def f_derivation(f, c):
 
 def _cyclic(t):
     """t[i, j, k, ..] + t[j, k, i, ..] + t[k, i, j, ..]."""
-    rest = tuple(range(3, t.rank))
-    return t + _perm(t, 2, 0, 1, *rest) + _perm(t, 1, 2, 0, *rest)
+    out = {}
+    for (i, j, k, *rest), v in t.nums:  # read at [i, j, k, ..], [k, i, j, ..] and [j, k, i, ..]
+        for key in ((i, j, k, *rest), (k, i, j, *rest), (j, k, i, *rest)):
+            out[key] = out.get(key, 0) + v
+    return _tensor(t.dim, t.rank, out, t.den)
 
 
 def _max_abs(*ts, keep=lambda idx: True):
@@ -207,8 +220,9 @@ def _span_closure(seeds):
 def _images(sigmas, hats, z0):
     """[((0, z0 + i), sigma_i)] then [((z0 + i, z0 + j), hat_ij)] for i < j, in row
     order: each image keyed by the table slot of [e_0, Z_i] or [Z_i, Z_j], Z_i at z0 + i."""
-    upper = (((z0 + i, z0 + j), m) for (i, j), m in _blocks(hats, 2).items() if i < j)
-    return [*(((0, z0 + i), m) for (i,), m in _blocks(sigmas, 1).items()), *upper]
+    n = sigmas.dim
+    return [*(((0, z0 + i), m) for (i,), m in _blocks(sigmas, [(i,) for i in range(n)])),
+            *(((z0 + i, z0 + j), m) for (i, j), m in _blocks(hats, itertools.combinations(range(n), 2)))]
 
 
 def _nondeg_rotations(ansatz):
@@ -275,6 +289,7 @@ def _nonzero_lam(lam):
     return lam
 
 
+@_frozen_fields
 @_frozen
 class NondegenerateAnsatz:
     """Bracket data for a space- or time-like defining vector.
@@ -331,6 +346,7 @@ class NondegenerateAnsatz:
         )
 
 
+@_frozen_fields
 @_frozen
 class DegenerateAnsatz:
     """Bracket data for a null defining vector.
@@ -553,7 +569,7 @@ def _verify_nondeg(ansatz):
     r_low = _eta(r, aleph, 1, 2)
     return {
         "F": _max_abs(f),
-        "C_from_R": _max_abs(c.scale(lam / 2) - (r_low - _perm(r_low, 1, 0, 2))),
+        "C_from_R": _max_abs(_sum((c.scale(lam / 2), _perm(r_low, 1, 0, 2)), (r_low,))),
         "S_from_CR": _max_abs(s.scale(2 * lam) - _contract(_eta(c, aleph, 2), r)),
         "rotation_equivariance": _max_abs(*_equivariance(rot, sigmas, f, c)),
     }
@@ -573,7 +589,7 @@ def _verify_deg(work):
         "W": _max_abs(w),
         "aleph2": _max_abs(al),
         "uv_rotation": _max_abs(y),
-        "h_split": _max_abs(h - (a + _perm(a, 1, 0) - f).scale(_HALF)),
+        "h_split": _max_abs(h - _sum((a, _perm(a, 1, 0)), (f,)).scale(_HALF)),
         "unoccupied_F": _max_abs(f, keep=occ.isdisjoint),
         "occupied_C": _max_abs(c, keep=occupied),
         "occupied_S_R": _max_abs(s3 - r, keep=lambda idx: idx[1] in occ),
@@ -584,7 +600,7 @@ def _verify_deg(work):
         "S3_from_FC": _max_abs(s3.scale(3) - dfc),
         "zz_boost": _max_abs(_contract(c, h) - _derivation(fpd, s3, (0, 1))),
         "zz_rotation": _max_abs(_contract(c, r).scale(_HALF) - _derivation(fpd, nn, (0, 1))),
-        "zz_vector": _max_abs(s3 + r - _perm(r, 1, 0, 2) - dfc - c),
+        "zz_vector": _max_abs(_sum((s3, r), (_perm(r, 1, 0, 2), dfc, c))),
         "cyclic_CS": _max_abs(_cyclic(_contract(c, s3, 1))),
         "cyclic_CN": _max_abs(_cyclic(_contract(c, nn, 1))),
         "cyclic_CC_N": _max_abs(_cyclic(_contract(c, c, 1) + nn.scale(2))),
@@ -637,7 +653,7 @@ def _brackets(f, new_in_old, left, right):
     # each slot of f maps through the rows of new_in_old^T it keeps
     rows = lambda keep: _tensor(f.dim, 2, {(x, m): v for (m, x), v in new_in_old.nums if x in keep},
                                 new_in_old.den)
-    return _map_slot(_map_slot(f, 0, rows(left), f.valence), 1, rows(right), f.valence)
+    return _map_slot(_map_slot(f, (0,), rows(left), f.valence), (1,), rows(right), f.valence)
 
 
 def _bracket_pattern(f, new_in_old, gens, lam, m0):
@@ -777,7 +793,7 @@ def degenerate_reduce(ansatz):
     present = {x: p for p, x in enumerate([*range(2 + n), *(2 + n + a for a in occ)])}
     on_present = {tuple(map(present.get, i)): v for i, v in wave.nums if present.keys() >= set(i)}
     want = Tensor._sparse(algebra.dim, wave.valence, on_present, EXACT, wave.den)
-    want = _map_slot(want, 2, b2, want.valence)
+    want = _map_slot(want, (2,), b2, want.valence)
     checks["matches_wave_table"] = _brackets(algebra.f, b2, range(m0), range(m0)) == want
     # the wave table is a Lie algebra for every antisymmetric F and
     # symmetric H, which PlaneWaveData enforces: every bracket without U

@@ -145,17 +145,18 @@ class Tensor:
     def _sparse(cls, dim, valence, entries, tag, den=None):
         """A tensor from checked {index: value}, or int numerators over den > 0; zeros dropped.
 
-        The one place values become numerators, over the lcm of their denominators."""
+        The one place values become numerators, over the lcm of their denominators.  Only the
+        nonzero keys are sorted (they are unique), and a den > 1 is reduced by one gcd."""
         t = cls.__new__(cls)
-        pairs = [p for p in sorted(entries.items()) if p[1] != 0]
+        keys = sorted([idx for idx, v in entries.items() if v != 0])
+        values = list(map(entries.__getitem__, keys))
         if tag != EXACT:
             den = 1
         elif den is None:
-            nums, den = integer_numerators(v for _, v in pairs)
-            pairs = [(idx, v) for (idx, _), v in zip(pairs, nums)]
-        elif (g := math.gcd(den, *(v for _, v in pairs))) > 1:
-            den, pairs = den // g, [(idx, v // g) for idx, v in pairs]
-        vars(t).update(dim=dim, valence=valence, nums=tuple(pairs), den=den, tag=tag)
+            values, den = integer_numerators(values)
+        elif den != 1 and (g := math.gcd(den, *entries.values())) > 1:
+            den, values = den // g, [v // g for v in values]
+        vars(t).update(dim=dim, valence=valence, nums=tuple(zip(keys, values)), den=den, tag=tag)
         return t
 
     @property
@@ -226,23 +227,10 @@ class Tensor:
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other):
-        """The sum over the lcm of the denominators; an entry absent from self takes other's as is."""
-        if not isinstance(other, Tensor):
-            raise TypeError("expected a Tensor")
-        if (self.dim, self.valence) != (other.dim, other.valence):
-            raise ValueError("tensor shapes differ")
-        if self.tag != other.tag:
-            raise ValueError(f"mixed scalar tags {self.tag!r} and {other.tag!r}")
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = {idx: a * v for idx, v in self.nums}
-        for idx, v in other.nums:
-            out[idx] = out[idx] + b * v if idx in out else b * v
-        return self._sparse(self.dim, self.valence, out, self.tag, den)
+        return _sum((self, other))
 
     def __sub__(self, other):
-        # x - v is x + (-v) bit for bit, so subtracting adds the negation
-        return self + -other
+        return _sum((self,), (other,))
 
     def __neg__(self):
         return self._sparse(self.dim, self.valence, {idx: -v for idx, v in self.nums}, self.tag, self.den)
@@ -374,6 +362,26 @@ class FrameMetric:
 # ---------------------------------------------------------------------------
 
 
+def _sum(plus, minus=()):
+    """The tensors in plus less those in minus, of one shape and tag, built once over the lcm of
+    their dens.  Each entry adds its terms in order, a subtracted v as + (-1) v, so a float sum is
+    bit for bit the chain of + and - it replaces (IEEE 754 leaves the sign of a nan open)."""
+    first, terms = plus[0], [*((t, 1) for t in plus), *((t, -1) for t in minus)]
+    for t, _ in terms:
+        if not isinstance(t, Tensor):
+            raise TypeError("expected a Tensor")
+        if (t.dim, t.valence) != (first.dim, first.valence):
+            raise ValueError("tensor shapes differ")
+        if t.tag != first.tag:
+            raise ValueError(f"mixed scalar tags {first.tag!r} and {t.tag!r}")
+    den, out = math.lcm(*(t.den for t, _ in terms)), {}
+    for t, sign in terms:
+        b = sign * (den // t.den)
+        for idx, v in t.nums:
+            out[idx] = out[idx] + b * v if idx in out else b * v
+    return Tensor._sparse(first.dim, first.valence, out, first.tag, den)
+
+
 def _check_slot(t, slot):
     if not 0 <= slot < t.rank:
         raise ValueError(f"slot {slot} out of range for rank {t.rank}")
@@ -435,12 +443,9 @@ def contract(t, slot_a, slot_b, metric=None):
 
 
 def _scaled(m, tag):
-    """(rows, L): an exact matrix m (nested lists or a Tensor) as int rows over L; a float m over 1."""
+    """(rows, L): an exact matrix m (nested lists) as int rows over L; a float m over 1."""
     if tag != EXACT:
         return m, 1
-    if isinstance(m, Tensor):
-        entries = dict(m.nums)
-        return [[entries.get((i, j), 0) for j in range(m.dim)] for i in range(m.dim)], m.den
     *rows, scale = integer_numerators(*m)
     return rows, scale
 
@@ -484,20 +489,27 @@ def raise_lower(t, slot, metric):
     pairing = metric.g if lowering else metric.g_inv
     new_valence = list(t.valence)
     new_valence[slot] = DOWN if lowering else UP
-    return _map_slot(t, slot, pairing, tuple(new_valence))
+    return _map_slot(t, (slot,), pairing, tuple(new_valence))
 
 
-def _map_slot(t, slot, m, valence, scale=None):
-    """t with slot index z sent to sum_i m[i][z] e_i, under valence; m is over scale if given."""
-    m, scale = (m, scale) if scale else _scaled(m, t.tag)
-    # the nonzero m[i][z] for each z
-    columns = [[(i, row[z]) for i, row in enumerate(m) if row[z] != 0] for z in range(t.dim)]
+def _map_slot(t, slots, m, valence, scale=None):
+    """The sum over the given slots of t with that slot's index z sent to
+    sum_i m[i][z] e_i, under valence; m is a matrix Tensor, or rows over scale if given."""
+    # the nonzero m[i][z] for each z, in i order
+    if isinstance(m, Tensor):
+        columns, scale = [[] for _ in range(t.dim)], m.den
+        for (i, z), c in m.nums:
+            columns[z].append((i, c))
+    else:
+        m, scale = (m, scale) if scale else _scaled(m, t.tag)
+        columns = [[(i, row[z]) for i, row in enumerate(m) if row[z] != 0] for z in range(t.dim)]
     out = {}
-    # entries come in index order, so each output adds its terms in z order
-    for idx, v in t.nums:
-        for i, c in columns[idx[slot]]:
-            key = idx[:slot] + (i,) + idx[slot + 1 :]
-            out[key] = out.get(key, 0) + c * v
+    # entries come in index order, so each output adds its terms of one slot in z order
+    for slot in slots:
+        for idx, v in t.nums:
+            for i, c in columns[idx[slot]]:
+                key = idx[:slot] + (i,) + idx[slot + 1 :]
+                out[key] = out.get(key, 0) + c * v
     return Tensor._sparse(t.dim, valence, out, t.tag, t.den * scale)
 
 

@@ -85,7 +85,7 @@ def _wave_table(f, h):
     [X_i,Xb_j] = -delta_ij V,
     [U,X_i] = (2H - F - F^2)_ij Xb_j + (delta + 2F)_ij X_j.
     """
-    n, f2 = f.dim, _map_slot(f, 0, f, f.valence)
+    n, f2 = f.dim, _map_slot(f, (0,), f, f.valence)
     canonical = {(0, 1, 1): 1}
     for i in range(n):
         canonical[0, 2 + i, 2 + i] = canonical[0, 2 + n + i, 2 + i] = 1

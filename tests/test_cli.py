@@ -203,6 +203,48 @@ class TestPlanewave:
         assert err.count("\n") == 1 and "--points must be at least 1" in err
         assert "Traceback" not in err
 
+    def test_verify_over_the_work_cap_is_refused_before_sampling(self, wave_files, capsys, monkeypatch):
+        # 200000 points x 4**6 terms at n = 2: refused before any point is allocated
+        monkeypatch.setattr(homkit.plane_wave, "sample_points", lambda *a: pytest.fail("sampled"))
+        f, h = wave_files
+        code, out, err = run(
+            capsys, "planewave", "--n", "2", "--F", f, "--H", h, "verify", "--points", "200000",
+        )
+        assert code == 2 and out == ""
+        assert err == ("error: --points 200000 is too large at --n 2: the sweep would take "
+                       f"{200000 * 4**6} terms, over {2**28}\n")
+
+    @pytest.mark.parametrize("n, points", [(2, 10), (6, 1000), (2, 2**16), (6, 2**10)])
+    def test_work_cap_admits_the_documented_sizes(self, tmp_path, capsys, monkeypatch, n, points):
+        class Sampled(Exception):
+            pass
+
+        def sample_points(*args):
+            raise Sampled
+
+        # the cap is passed once the sweep samples its points
+        monkeypatch.setattr(homkit.plane_wave, "sample_points", sample_points)
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps([["0"] * n] * n))
+        with pytest.raises(Sampled):
+            main(["planewave", "--n", str(n), "--F", str(zero), "--H", str(zero), "verify",
+                  "--points", str(points)])
+
+    def test_an_oversized_n_is_named_before_the_work_cap(self, tmp_path, capsys):
+        # 10 points at n = 16 are over both caps; the chart jets' cap on n is the one named
+        zero = tmp_path / "z.json"
+        zero.write_text(json.dumps([["0"] * 16] * 16))
+        code, _, err = run(capsys, "planewave", "--n", "16", "--F", str(zero), "--H", str(zero),
+                           "verify")
+        assert code == 2 and err.startswith("error: --n 16 is too large")
+
+    def test_work_cap_is_one_point_past_the_limit(self, wave_files, capsys, monkeypatch):
+        monkeypatch.setattr(homkit.plane_wave, "sample_points", lambda *a: pytest.fail("sampled"))
+        f, h = wave_files
+        code, _, err = run(capsys, "planewave", "--n", "2", "--F", f, "--H", h, "verify",
+                           "--points", str(2**16 + 1))
+        assert code == 2 and err.startswith("error: --points 65537 is too large at --n 2")
+
     def test_algebra_output_matches_library(self, wave_files, tmp_path, capsys):
         f, h = wave_files
         out_path = tmp_path / "alg.json"

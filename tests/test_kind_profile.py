@@ -28,7 +28,8 @@ def test_one_round_prints_every_kind_and_count():
     assert re.match(r"exact_proofs seed 3, 1 rounds: 42 checks, [\d.]+ ms per pass\n", out)
     for kind in KINDS:
         assert re.search(rf"^  {kind} +[\d.]+ ms +[\d.]+%$", out, re.M), kind
-    for name in ("Fraction.__new__", "exact.integer_numerators", "all function calls"):
+    for name in ("Fraction.__new__", "exact.integer_numerators", "tensor_core.Tensor._sparse",
+                 "reduction._freeze", "all function calls"):
         assert re.search(rf"^  {re.escape(name)} +[1-9]\d* calls per pass$", out, re.M), name
     assert re.search(r"^  peak RSS +[1-9][\d.]* MB$", out, re.M)
     # the exact checks, the closing of the loop included, run without numpy

@@ -9,7 +9,10 @@ Builds ``--rounds`` rounds of the benchmark's ``--workload`` checks
 untimed to warm, then times each check kind over three passes and
 prints the milliseconds per pass and each kind's share.  One more pass
 runs under cProfile and the call counts in it are printed: for
-exact_proofs, ``Fraction.__new__`` and ``exact.integer_numerators``;
+exact_proofs, ``Fraction.__new__``, ``exact.integer_numerators``,
+``tensor_core.Tensor._sparse`` (exact carriers built) and
+``reduction._freeze`` (array fields and report matrices frozen into
+nested tuples);
 for float_sweep, numpy's ``einsum_path`` (contraction planning),
 ``plane_wave._tensordot``, ``plane_wave._point_residuals`` (chart
 points swept), ``Fraction.__float__`` and the numpy Python wrappers the
@@ -44,6 +47,8 @@ COUNTED = {
     "exact_proofs": {
         "Fraction.__new__": ("fractions.py", "__new__"),
         "exact.integer_numerators": (os.path.join("homkit", "exact.py"), "integer_numerators"),
+        "tensor_core.Tensor._sparse": (os.path.join("homkit", "tensor_core.py"), "_sparse"),
+        "reduction._freeze": (os.path.join("homkit", "reduction.py"), "_freeze"),
     },
     "float_sweep": {
         "numpy.einsum_path": ("einsumfunc.py", "einsum_path"),
