@@ -32,6 +32,7 @@ from .tensor_core import (
     FrameMetric,
     Tensor,
     _antisymmetry_violations,
+    _dense,
     _frozen,
     _sum,
     antisymmetrize,
@@ -88,7 +89,12 @@ class HomogeneousStructure:
             raise ValueError("structure must be a JSON object")
         if not isinstance(data.get("S", {}), dict):
             raise ValueError("S must be a JSON object")
-        return cls(FrameMetric.from_json(data["metric"]), Tensor.from_json(data["S"]))
+        s, rows = Tensor.from_json(data["S"]), data["metric"]
+        # S first, so that a square metric of another size is refused before it is inverted
+        if isinstance(rows, list) and len(rows) != s.dim and all(
+                isinstance(row, list) and len(row) == len(rows) for row in rows):
+            raise ValueError("S and metric dimensions differ")
+        return cls(FrameMetric.from_json(rows), s)
 
 
 @_frozen
@@ -161,10 +167,8 @@ def _split_numerators(hs, alpha):
     3 p q r the numerators are 3 p (G A - G A) for S1, q r (N + N + N)
     for S3 and S2 = 3 q r N - 3 p (G A - G A) - q r (N + N + N).
     """
-    s, p = dict(hs.S.nums), hs.S.den
-    g = [(x, y, v) for x, row in enumerate(hs.metric.g) for y, v in enumerate(row) if v != 0]
-    g_nums, q = integer_numerators(v for *_, v in g)
-    g = [(x, y, 3 * p * v) for (x, y, _), v in zip(g, g_nums)]
+    s, p, q = dict(hs.S.nums), hs.S.den, hs.metric._g.den
+    g = [(x, y, 3 * p * v) for (x, y), v in hs.metric._g.nums]
     a = [(z, v) for (z,), v in alpha.nums]
     scale = q * alpha.den
     s1 = {}
@@ -214,16 +218,12 @@ def classify(hs):
 
 
 def _is_metric_antisymmetric(metric, m):
-    """g(AX, Y) + g(X, AY) = 0 for the action matrix A.
-
-    Exact g and A are read as integer rows over one common denominator,
-    a positive scale that leaves every zero test as it was.
-    """
-    d, g = metric.dim, metric.g
+    """g(AX, Y) + g(X, AY) = 0 for the action matrix A (rows), read on g's numerators and, when
+    exact, on A's integer rows over one denominator: positive scales that keep every zero test."""
+    d, g = metric.dim, _dense(metric._g)
     if metric.tag == EXACT:
-        *rows, _ = integer_numerators(*g, *m)
-        g, m = rows[:d], rows[d:]
-    return not any(sum(g[k][y] * m[k][x] + g[x][k] * m[k][y] for k in range(d))
+        *m, _ = integer_numerators(*m)
+    return not any(sum(g[k * d + y] * m[k][x] + g[x * d + k] * m[k][y] for k in range(d))
                    for x in range(d) for y in range(d))
 
 

@@ -16,13 +16,14 @@ from .exact import (
     _inverse_numerators,
     coerce_scalar,
     format_scalar,
+    integer_numerators,
     mat_inverse,
     parse_scalar,
     row_reduce,
     span_coordinates,
 )
 from .tensor_core import (DOWN, UP, Tensor, _antisymmetry_violations, _contract, _dense, _frozen,
-                          _map_slot, _scaled)
+                          _map_slot, _matrix)
 
 
 def _default_labels(n):
@@ -300,17 +301,18 @@ def change_basis(algebra, p, labels=None):
     old basis.  A table with zero Jacobi residual keeps it, for every
     invertible P.
     """
-    n = algebra.dim
+    n, tag = algebra.dim, algebra.tag
     if len(p) != n or any(len(row) != n for row in p):
         raise ValueError("P has the wrong shape")
-    p = [[coerce_scalar(x, algebra.tag) for x in row] for row in p]
-    exact = algebra.tag == EXACT  # P^-1 as int rows over one den, floats over 1; raises if singular
-    p_inv, den = _inverse_numerators(*_scaled(p, EXACT)) if exact else (mat_inverse(p, algebra.tag), 1)
-    p_inv_t = list(zip(*p_inv))
+    p = [[coerce_scalar(x, tag) for x in row] for row in p]
+    # P and P^-1 as int rows over one den each, floats over 1; raises if singular
+    *p, scale = integer_numerators(*p) if tag == EXACT else (*p, 1)
+    p_inv, den = _inverse_numerators(p, scale) if tag == EXACT else (mat_inverse(p, tag), 1)
+    p, p_inv_t = _matrix(p, tag, scale, (UP, DOWN)), _matrix(list(zip(*p_inv)), tag, den, (UP, DOWN))
     # f'_{ab}^c = sum P^{-1}_{ma} P^{-1}_{nb} P_{ck} f_{mn}^{k}, one slot at a time
     f = algebra.f
-    for slot, m, scale in ((0, p_inv_t, den), (1, p_inv_t, den), (2, p, None)):
-        f = _map_slot(f, (slot,), m, f.valence, scale)
+    for slot, m in ((0, p_inv_t), (1, p_inv_t), (2, p)):
+        f = _map_slot(f, (slot,), m, f.valence)
     return LieAlgebra(tuple(labels) if labels else algebra.labels, f)
 
 

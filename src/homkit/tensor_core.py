@@ -23,9 +23,7 @@ from .exact import (
     coerce_scalar,
     format_scalar,
     integer_numerators,
-    mat_identity,
     mat_inverse,
-    mat_mul,
     parse_scalar,
     scalar_one,
     scalar_zero,
@@ -60,13 +58,13 @@ def _frozen(cls):
     object.__setattr__ and cached_property still write the instance dict.
     """
     names = cls._fields = tuple(cls.__annotations__)
-    known, defaults = set(names), {k: vars(cls)[k] for k in names if k in vars(cls)}
+    defaults = cls._defaults = {k: vars(cls)[k] for k in names if k in vars(cls)}
     values, post, set_field = operator.attrgetter(*names), hasattr(cls, "__post_init__"), object.__setattr__
 
     def bind(args, kwargs):
         fields = dict(zip(names, args), **kwargs)
         # an extra positional argument or a repeated one leaves fields short
-        if len(fields) < len(args) + len(kwargs) or not known >= fields.keys():
+        if len(fields) < len(args) + len(kwargs) or fields.keys() - names:
             raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated argument")
         for k in names[len(args):]:
             if k not in fields:
@@ -278,7 +276,11 @@ class Tensor:
 
 @_frozen
 class FrameMetric:
-    """A constant invertible symmetric bilinear form and its inverse."""
+    """A constant invertible symmetric bilinear form and its inverse, as rows of values.
+
+    Each is also built once into a private matrix Tensor, _g (d, d) and _g_inv (u, u): int
+    numerators over one den, floats over 1.  These are not fields: ==, hash, repr and to_json
+    read the rows, and every contraction, raise, split and check reads the matrix Tensors."""
 
     dim: int
     g: tuple
@@ -293,15 +295,13 @@ class FrameMetric:
         object.__setattr__(self, "g_inv", ginv)
         if any(len(m) != self.dim or any(len(row) != self.dim for row in m) for m in (g, ginv)):
             raise ValueError(f"g and g_inv must be {self.dim} x {self.dim}")
-        # exact entries must agree, float ones to within 1e-13; testing !=
-        # first spares an exact subtraction where they agree
+        vars(self).update(_g=_matrix(g, self.tag), _g_inv=_matrix(ginv, self.tag, valence=(UP, UP)))
+        # exact numerators must agree, float entries to within 1e-13
         tol = 0 if self.tag == EXACT else 1e-13
-        pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
-        if any(g[i][j] != g[j][i] and abs(g[i][j] - g[j][i]) > tol for i, j in pairs):
+        if _differ(dict(self._g.nums), {(j, i): v for (i, j), v in self._g.nums}, tol):
             raise ValueError("metric is not symmetric")
-        prod = mat_mul(g, ginv, self.tag)
-        ident = mat_identity(self.dim, self.tag)
-        if any(prod[i][j] != ident[i][j] and abs(prod[i][j] - ident[i][j]) > tol for i, j in pairs):
+        prod = _contract(self._g, self._g_inv)
+        if prod.den != 1 or _differ(dict(prod.nums), {(i, i): 1 for i in range(self.dim)}, tol):
             raise ValueError("g_inv is not the inverse of g")
 
     @classmethod
@@ -312,9 +312,15 @@ class FrameMetric:
         return cls(len(g), tuple(map(tuple, g)), tuple(map(tuple, mat_inverse(g, tag))), tag)
 
     @classmethod
+    def _self_inverse(cls, dim, ones, tag):
+        """The metric whose rows hold 1 at the index pairs in ones and 0 elsewhere, its own inverse."""
+        one, zero = scalar_one(tag), scalar_zero(tag)
+        rows = tuple(tuple(one if (i, j) in ones else zero for j in range(dim)) for i in range(dim))
+        return cls(dim, rows, rows, tag)
+
+    @classmethod
     def euclidean(cls, dim, tag=EXACT):
-        ident = mat_identity(dim, tag)
-        return cls(dim, tuple(map(tuple, ident)), tuple(map(tuple, ident)), tag)
+        return cls._self_inverse(dim, {(i, i) for i in range(dim)}, tag)
 
     @classmethod
     def light_cone(cls, n, tag=EXACT):
@@ -323,22 +329,12 @@ class FrameMetric:
         The two null directions pair to 1 and the n transverse directions
         are orthonormal, so the matrix is its own inverse.
         """
-        one, zero = scalar_one(tag), scalar_zero(tag)
-        d = n + 2
-        rows = [[zero] * d for _ in range(d)]
-        rows[0][1] = rows[1][0] = one
-        for i in range(n):
-            rows[2 + i][2 + i] = one
-        rows = tuple(map(tuple, rows))
-        return cls(d, rows, rows, tag)
+        return cls._self_inverse(n + 2, {(0, 1), (1, 0), *((i, i) for i in range(2, n + 2))}, tag)
 
     @classmethod
     def diagonal(cls, entries, tag=EXACT):
         d = len(entries)
-        rows = mat_identity(d, tag)
-        for i, s in enumerate(entries):
-            rows[i][i] = coerce_scalar(s, tag)
-        return cls.from_matrix(rows, tag)
+        return cls.from_matrix([[s if i == j else 0 for j in range(d)] for i, s in enumerate(entries)], tag)
 
     def to_json(self):
         return [[format_scalar(x) for x in row] for row in self.g]
@@ -380,6 +376,17 @@ def _sum(plus, minus=()):
         for idx, v in t.nums:
             out[idx] = out[idx] + b * v if idx in out else b * v
     return Tensor._sparse(first.dim, first.valence, out, first.tag, den)
+
+
+def _matrix(rows, tag=EXACT, den=None, valence=(DOWN, DOWN)):
+    """The Tensor of a square matrix given as rows of values, or of int numerators over den."""
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    return Tensor._sparse(len(rows), valence, entries, tag, den)
+
+
+def _differ(a, b, tol):
+    """Whether {index: value} a and b differ at an index by more than tol (!= tested first)."""
+    return any((v := a.get(k, 0)) != (w := b.get(k, 0)) and abs(v - w) > tol for k in a.keys() | b.keys())
 
 
 def _check_slot(t, slot):
@@ -426,28 +433,19 @@ def contract(t, slot_a, slot_b, metric=None):
             raise ValueError("metric and tensor tags differ")
         if metric.dim != t.dim:
             raise ValueError("metric dimension mismatch")
-        pairing = metric.g_inv if va == DOWN else metric.g
+        pairing = metric._g_inv if va == DOWN else metric._g
     else:
-        pairing = mat_identity(t.dim, t.tag)
+        pairing = Tensor.delta(t.dim, t.tag)
     new_valence = tuple(v for k, v in enumerate(t.valence) if k not in (slot_a, slot_b))
-    pairing, scale = _scaled(pairing, t.tag)
-    out = {}
+    pairs, out = dict(pairing.nums), {}
     # entries come in index order, so each output adds its terms in (p, q)
     # order; zero terms are skipped, and an int 0 adds to a float as 0.0 does
     for idx, v in t.nums:
-        c = pairing[idx[slot_a]][idx[slot_b]]
+        c = pairs.get((idx[slot_a], idx[slot_b]), 0)
         if c != 0:
             key = idx[:slot_a] + idx[slot_a + 1 : slot_b] + idx[slot_b + 1 :]
             out[key] = out.get(key, 0) + c * v
-    return Tensor._sparse(t.dim, new_valence, out, t.tag, t.den * scale)
-
-
-def _scaled(m, tag):
-    """(rows, L): an exact matrix m (nested lists) as int rows over L; a float m over 1."""
-    if tag != EXACT:
-        return m, 1
-    *rows, scale = integer_numerators(*m)
-    return rows, scale
+    return Tensor._sparse(t.dim, new_valence, out, t.tag, t.den * pairing.den)
 
 
 def antisymmetrize(t, slots):
@@ -486,31 +484,26 @@ def raise_lower(t, slot, metric):
     if metric.dim != t.dim:
         raise ValueError("metric dimension mismatch")
     lowering = t.valence[slot] == UP
-    pairing = metric.g if lowering else metric.g_inv
+    pairing = metric._g if lowering else metric._g_inv
     new_valence = list(t.valence)
     new_valence[slot] = DOWN if lowering else UP
     return _map_slot(t, (slot,), pairing, tuple(new_valence))
 
 
-def _map_slot(t, slots, m, valence, scale=None):
-    """The sum over the given slots of t with that slot's index z sent to
-    sum_i m[i][z] e_i, under valence; m is a matrix Tensor, or rows over scale if given."""
-    # the nonzero m[i][z] for each z, in i order
-    if isinstance(m, Tensor):
-        columns, scale = [[] for _ in range(t.dim)], m.den
-        for (i, z), c in m.nums:
-            columns[z].append((i, c))
-    else:
-        m, scale = (m, scale) if scale else _scaled(m, t.tag)
-        columns = [[(i, row[z]) for i, row in enumerate(m) if row[z] != 0] for z in range(t.dim)]
-    out = {}
+def _map_slot(t, slots, m, valence):
+    """The sum over the given slots of t with that slot's index z sent to sum_i m[i, z] e_i,
+    under valence; m is a matrix Tensor of t's tag, so the result is over t.den * m.den."""
+    # the nonzero m[i, z] for each z, in i order
+    columns, out = [[] for _ in range(t.dim)], {}
+    for (i, z), c in m.nums:
+        columns[z].append((i, c))
     # entries come in index order, so each output adds its terms of one slot in z order
     for slot in slots:
         for idx, v in t.nums:
             for i, c in columns[idx[slot]]:
                 key = idx[:slot] + (i,) + idx[slot + 1 :]
                 out[key] = out.get(key, 0) + c * v
-    return Tensor._sparse(t.dim, valence, out, t.tag, t.den * scale)
+    return Tensor._sparse(t.dim, valence, out, t.tag, t.den * m.den)
 
 
 def _contract(a, b, slot=0):

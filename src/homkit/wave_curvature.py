@@ -319,7 +319,7 @@ def _frame_form(e, rbar, be):
 
 @functools.cache
 def frame_metric(n, tag=EXACT):
-    # FrameMetric is frozen and holds only tuples, so one instance serves every caller
+    # a FrameMetric, its rows and its matrix Tensors are frozen, so one instance serves every caller
     return FrameMetric.light_cone(n, tag)
 
 

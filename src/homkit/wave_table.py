@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import EXACT, _rational
+from .exact import _rational
 from . import lie_algebra  # read only by the table builders, so the wave data never runs it
-from .tensor_core import DOWN, Tensor, _frozen, _map_slot
+from .tensor_core import _frozen, _map_slot, _matrix
 
 
 @_frozen
@@ -57,12 +57,6 @@ class PlaneWaveData:
     def from_json(cls, data):
         # __post_init__ reads each entry into a Fraction
         return cls(data["n"], data["F"], data["H"])
-
-
-def _matrix(rows):
-    """The exact Tensor of a square matrix given as rows of Fractions."""
-    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
-    return Tensor._sparse(len(rows), (DOWN, DOWN), entries, EXACT)
 
 
 def boost_block(pw):

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ from homkit.cli import main
 from homkit.lie_algebra import _MAX_JACOBI_PRODUCTS, LieAlgebra, jacobi_products, jacobi_residual
 from homkit.plane_wave import PlaneWaveData, frame_structure, pw_isometry_algebra
 from homkit.reduction import generate_instance
+from homkit.tensor_core import FrameMetric
 
 WAVE = PlaneWaveData(
     2,
@@ -71,6 +73,24 @@ class TestClassify:
         code, out, err = run(capsys, "classify", str(path))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "dim 102 and rank 3" in err
+
+    @pytest.mark.parametrize("s_dim, message", [(3, "S and metric dimensions differ"),
+                                                (200, "dim 200 and rank 3 exceeds")])
+    def test_oversized_metric_is_refused_before_it_is_inverted(self, tmp_path, capsys, monkeypatch,
+                                                               s_dim, message):
+        # a dense 200 x 200 exact metric took over 80 s to invert before either refusal
+        def inverted(*args, **kwargs):
+            raise AssertionError("the metric was inverted")
+
+        monkeypatch.setattr(FrameMetric, "from_matrix", inverted)
+        rng = random.Random(0)
+        metric = [[f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}" for _ in range(200)] for _ in range(200)]
+        s = {"dim": s_dim, "rank": 3, "valence": ["d", "d", "d"], "entries": {"0,1,2": "1", "0,2,1": "-1"}}
+        path = tmp_path / "big_metric.json"
+        path.write_text(json.dumps({"metric": metric, "S": s}))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and message in err
 
 
 class TestJacobi:

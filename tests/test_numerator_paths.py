@@ -89,7 +89,7 @@ def old_raise_lower(t, slot, metric):
 
 
 def old_change_basis(algebra, p):
-    p_inv_t = list(zip(*mat_inverse(p, EXACT)))
+    p_inv_t = list(zip(*mat_inverse(p, algebra.tag)))
     f = algebra.f
     for slot, m in ((0, p_inv_t), (1, p_inv_t), (2, p)):
         f = Tensor.from_entries(f.dim, f.valence, dict(old_map_slot(f, slot, m)), f.tag)
@@ -263,6 +263,24 @@ class TestAgainstFractionLoops:
         assert got.f.items == old_change_basis(algebra, p)
         back = change_basis(got, mat_inverse(p, EXACT))
         assert back.f.items == algebra.f.items
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_change_basis_float(self, dim):
+        rng = random.Random(200 + dim)
+        brackets = {}
+        for a, b in itertools.combinations(range(dim), 2):
+            row = {c: rng.randint(-8, 8) / 4 for c in range(dim) if rng.random() < 0.3}
+            if row:
+                brackets[(a, b)] = row
+        algebra = LieAlgebra.from_brackets(dim, brackets, tag=FLOAT)
+        # unit upper triangular with dyadic entries: P^-1 and every sum are exact in binary64,
+        # so the new table is exactly antisymmetric, as LieAlgebra requires of a float table
+        p = [[1.0 if i == j else rng.randint(-4, 4) / 4 if j > i and rng.random() < 0.4 else 0.0
+              for j in range(dim)] for i in range(dim)]
+        p[-1][0] = -0.0
+        got = change_basis(algebra, p)
+        assert items_repr(got.f.items) == items_repr(old_change_basis(algebra, p))
+        assert change_basis(got, mat_inverse(p, FLOAT)).f.items == algebra.f.items
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_wave_table(self, n):
