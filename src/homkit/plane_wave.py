@@ -20,10 +20,12 @@ convention is fixed once:
                         - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}.
 
 The connection chain (metric jet -> Christoffel -> Gamma - S -> curvature
--> frame) is written once, in wave_curvature, for two array backends: NUMPY
-here, float64 at any z, for the residual sweeps, and wave_curvature's exact
-SparseArrays at z = 0, for exact_curvature and frame_structure, which run
-without numpy there and are served here too.
+-> frame) is written once, in wave_curvature, for two array backends that
+build each array from an {index: value} dict: NUMPY here, float64 at any
+z, for the residual sweeps (np.zeros filled one entry at a time, so each
+float keeps the bits region assignment gave it), and wave_curvature's
+exact SparseArrays at z = 0, for exact_curvature and frame_structure,
+which run without numpy there and are served here too.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from . import hom_structure
 from .tensor_core import DOWN, FrameMetric, Tensor, _frozen
 # the wave data, its bracket table and the connection chain are numpy-free; served here too
 from .wave_table import PlaneWaveData, boost_block, pw_isometry_algebra
-from .wave_curvature import (_coframe, _commutator_jet, _connection, _coordinate_structure, _frame_tensor,
-                             _gamma_lower, _metric_jet, _paired_axes, _raised_structure,
+from .wave_curvature import (_chart_jet, _commutator_jet, _connection, _coordinate_structure, _frame_tensor,
+                             _gamma_lower, _paired_axes, _raised_structure,
                              _riemann_from_connection, exact_curvature, frame_metric, frame_structure,
                              null_boost_basis)
 
@@ -135,8 +137,16 @@ def _tensordot(a, b, axes):
     return np.dot(at, bt).reshape(free_a + free_b)
 
 
+def _array(shape, entries):
+    """np.zeros(shape), then one assignment per {index: value}, as region assignment wrote the floats."""
+    out = np.zeros(shape)
+    for idx, v in entries.items():
+        out[idx] = v
+    return out
+
+
 # LAPACK's inverse: float reports are compared bit for bit, and a closed form moves low bits
-NUMPY = SimpleNamespace(zeros=np.zeros, inverse=np.linalg.inv, einsum=np.einsum, tensordot=_tensordot)
+NUMPY = SimpleNamespace(array=_array, inverse=np.linalg.inv, einsum=np.einsum, tensordot=_tensordot)
 
 
 @_frozen
@@ -151,16 +161,17 @@ class GeometryJet:
 
 
 def metric_jet(pw, pt):
-    return _geometry_jet(profile_jet(pw, pt.z), pt.s, np.array(pt.x))
+    return _geometry_jet(profile_jet(pw, pt.z), pt.s, np.array(pt.x))[0]
 
 
 def _geometry_jet(prof, s, x):
-    """The chain's metric jet at (s, x), with the dddg that only connection_jet reads."""
+    """(GeometryJet, coframe jet) at (s, x): the chain's jets and the dddg only connection_jet reads."""
     dddg = np.zeros((x.shape[0] + 2,) * 5)
     dddg[0, 0, 0, 0, 0] = 2 * (x @ prof[3] @ x)
     dddg[0, 0, 2:, 0, 0] = dddg[0, 2:, 0, 0, 0] = dddg[2:, 0, 0, 0, 0] = 4 * (prof[2] @ x)
     dddg[0, 2:, 2:, 0, 0] = dddg[2:, 0, 2:, 0, 0] = dddg[2:, 2:, 0, 0, 0] = 4 * prof[1]
-    return GeometryJet(*_metric_jet(prof, s, x, NUMPY), dddg)
+    metric, coframe = _chart_jet(prof, s, x, NUMPY)
+    return GeometryJet(*metric, dddg), coframe
 
 
 def christoffel(jet):
@@ -189,25 +200,19 @@ def connection_jet(jet):
 
 def riemann(pw, pt):
     """Mixed Riemann tensor R[r, s, m, n] = R^r_{smn} at a chart point."""
-    jet = metric_jet(pw, pt)
-    gamma, dgamma, *_ = _connection(jet.g_inv, jet.dg, jet.ddg, NUMPY)
+    (_, ginv, dg, ddg), _ = _chart_jet(profile_jet(pw, pt.z), pt.s, np.array(pt.x), NUMPY)
+    gamma, dgamma, *_ = _connection(ginv, dg, ddg, NUMPY)
     return _riemann_from_connection(gamma, dgamma, NUMPY)
 
 
 def _frame_array(s):
     """A rank-3 frame tensor as a float64 array, each entry num / den as float(Fraction) rounds it."""
-    out = np.zeros((s.dim,) * 3)
-    for idx, v in s.nums:
-        out[idx] = v / s.den
-    return out
+    return _array((s.dim,) * 3, {idx: v / s.den for idx, v in s.nums})
 
 
 def structure_at(pw, pt):
     """Coordinate-component structure at a point plus the coframe matrix."""
-    # one profile jet serves the metric and the coframe
-    prof, x = profile_jet(pw, pt.z), np.array(pt.x)
-    g = _metric_jet(prof, pt.s, x, NUMPY)[0]
-    e, _ = _coframe(prof, pt.s, x, NUMPY)
+    (g, *_), (e, _) = _chart_jet(profile_jet(pw, pt.z), pt.s, np.array(pt.x), NUMPY)
     s_coord, _ = _coordinate_structure(_frame_array(_frame_tensor(pw)), e, NUMPY)
     metric = FrameMetric.from_matrix(g.tolist())
     s = Tensor(pw.dim, (DOWN, DOWN, DOWN), tuple(s_coord.reshape(-1).tolist()), FLOAT)
@@ -220,11 +225,8 @@ def structure_at(pw, pt):
 
 
 def _point_residuals(fh, pt, sf_array):
-    # one profile jet serves the metric jet and the coframe
-    prof, x = _profile_jet(*fh, pt.z), np.array(pt.x)
-    jet = _geometry_jet(prof, pt.s, x)
+    jet, (e, de) = _geometry_jet(_profile_jet(*fh, pt.z), pt.s, np.array(pt.x))
     gamma, dgamma, ddgamma = connection_jet(jet)
-    e, de = _coframe(prof, pt.s, x, NUMPY)
     s_coord, ds_coord = _coordinate_structure(sf_array, e, NUMPY, de)
     gbar = gamma - _raised_structure(s_coord, jet.g_inv, NUMPY)
 

@@ -1,8 +1,9 @@
 """Multi-index tensors over exact rationals or binary64 floats.
 
 A tensor stores its nonzero components as (index, int numerator) pairs
-in lexicographic index order over one positive denominator, as
-wave_curvature's SparseArray holds them in a dict; floats sit over 1.
+in lexicographic index order over one positive denominator (the
+curvature chain's SparseArray holds the same in an unsorted dict, built
+once from its entries and never written); floats sit over 1.
 Fractions are built only where values leave (items, components,
 to_json).  All values are immutable and every operation is a pure
 function, so tensors are safe to share between threads.
@@ -296,12 +297,9 @@ class FrameMetric:
         if any(len(m) != self.dim or any(len(row) != self.dim for row in m) for m in (g, ginv)):
             raise ValueError(f"g and g_inv must be {self.dim} x {self.dim}")
         vars(self).update(_g=_matrix(g, self.tag), _g_inv=_matrix(ginv, self.tag, valence=(UP, UP)))
-        # exact numerators must agree, float entries to within 1e-13
-        tol = 0 if self.tag == EXACT else 1e-13
-        if _differ(dict(self._g.nums), {(j, i): v for (i, j), v in self._g.nums}, tol):
-            raise ValueError("metric is not symmetric")
+        _check_symmetric(self._g)
         prod = _contract(self._g, self._g_inv)
-        if prod.den != 1 or _differ(dict(prod.nums), {(i, i): 1 for i in range(self.dim)}, tol):
+        if prod.den != 1 or _differ(dict(prod.nums), {(i, i): 1 for i in range(self.dim)}, self.tag):
             raise ValueError("g_inv is not the inverse of g")
 
     @classmethod
@@ -309,6 +307,8 @@ class FrameMetric:
         if tag is None:
             tag = FLOAT if any(isinstance(x, float) for row in rows for x in row) else EXACT
         g = [[coerce_scalar(x, tag) for x in row] for row in rows]
+        if all(len(row) == len(g) for row in g):  # asymmetry is refused before the inverse
+            _check_symmetric(_matrix(g, tag))
         return cls(len(g), tuple(map(tuple, g)), tuple(map(tuple, mat_inverse(g, tag))), tag)
 
     @classmethod
@@ -384,9 +384,15 @@ def _matrix(rows, tag=EXACT, den=None, valence=(DOWN, DOWN)):
     return Tensor._sparse(len(rows), valence, entries, tag, den)
 
 
-def _differ(a, b, tol):
-    """Whether {index: value} a and b differ at an index by more than tol (!= tested first)."""
+def _differ(a, b, tag):
+    """Whether {index: value} a and b differ at an index, floats by more than 1e-13 (!= tested first)."""
+    tol = 0 if tag == EXACT else 1e-13
     return any((v := a.get(k, 0)) != (w := b.get(k, 0)) and abs(v - w) > tol for k in a.keys() | b.keys())
+
+
+def _check_symmetric(g):
+    if _differ(dict(g.nums), {(j, i): v for (i, j), v in g.nums}, g.tag):
+        raise ValueError("metric is not symmetric")
 
 
 def _check_slot(t, slot):

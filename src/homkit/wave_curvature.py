@@ -1,10 +1,11 @@
 """The connection chain of a plane wave, and its exact curvature without numpy.
 
 The chain of plane_wave's chart (metric jet -> Christoffel -> Gamma - S ->
-curvature -> frame) is coded once and takes its array backend.  plane_wave
-runs it on float64 arrays; exact_curvature on SparseArrays at z = 0, where
-the profile jet is rational: nonzero int numerators over one denominator,
-contracted as pairwise joins planned once per einsum spec and shapes.
+curvature -> frame) is coded once and takes its array backend, which builds
+each jet from an {index: value} dict.  plane_wave runs it on float64 arrays;
+exact_curvature on immutable SparseArrays at z = 0, where the profile jet is
+rational: nonzero int numerators over one denominator, contracted as
+pairwise joins planned once per einsum spec and shapes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 
 from . import hom_structure
-from .exact import EXACT, _inverse_numerators, integer_numerators
+from .exact import EXACT, _inverse_numerators, _rational
 from .tensor_core import DOWN, UP, FrameMetric, Tensor
 
 _GCD_BOUND = 1 << 64  # a larger denominator is first reduced by the gcd of all entries
@@ -32,7 +33,7 @@ def _index(positions):
 
 
 class SparseArray:
-    """An exact array: nonzero {index tuple: int numerator} over one positive int den."""
+    """An exact array, never written: nonzero {index tuple: int numerator} over one positive int den."""
 
     __slots__ = ("nums", "den", "shape")
 
@@ -40,26 +41,6 @@ class SparseArray:
         if den > _GCD_BOUND and (g := math.gcd(den, *nums.values())) > 1:
             nums, den = {k: v // g for k, v in nums.items()}, den // g
         self.nums, self.den, self.shape = nums, den, shape
-
-    @classmethod
-    def of(cls, a):
-        """The SparseArray of an int, a Fraction, or nested lists or tuples of them."""
-        if isinstance(a, cls):
-            return a
-        if type(a) is int:
-            return cls({(): a} if a else {}, 1, ())
-        lengths, entries, stack = {}, [], [((), a)]
-        while stack:
-            idx, v = stack.pop()
-            if isinstance(v, (list, tuple)):
-                lengths.setdefault(len(idx), len(v))
-                stack += [(idx + (i,), w) for i, w in enumerate(v)]
-            elif type(v) not in (int, Fraction):
-                raise TypeError(f"exact array entry {v!r} is not an int or a Fraction")
-            else:
-                entries.append((idx, v))
-        nums, den = integer_numerators(v for _, v in entries)
-        return cls({idx: v for (idx, _), v in zip(entries, nums) if v}, den, tuple(lengths.values()))
 
     ndim = property(lambda self: len(self.shape))
 
@@ -70,21 +51,12 @@ class SparseArray:
         move = _index(perm)
         return SparseArray({move(k): v for k, v in self.nums.items()}, self.den, move(self.shape))
 
-    def __setitem__(self, idx, value):
-        """Set the region of ints and slices idx to value: an int, Fraction or array of its shape."""
+    def __getitem__(self, idx):
+        """The 0-d array at a full index of ints, as numpy reads a scalar there."""
         idx = idx if type(idx) is tuple else (idx,)
-        idx += (slice(None),) * (self.ndim - len(idx))
-        at = [range(n)[i] for i, n in zip(idx, self.shape, strict=True)]  # an int or a range per axis
-        value = SparseArray.of(value)
-        if value.shape != tuple(len(s) for s in at if type(s) is range):
-            raise ValueError(f"cannot set a region of {self.shape} to an array of shape {value.shape}")
-        lcm = math.lcm(self.den, value.den)
-        self.nums, self.den = {k: v * (lcm // self.den) for k, v in self.nums.items()}, lcm
-        for key in itertools.product(*(s if type(s) is range else (s,) for s in at)):
-            self.nums.pop(key, None)
-        for vidx, v in value.nums.items():
-            pos = iter(vidx)
-            self.nums[tuple(s[next(pos)] if type(s) is range else s for s in at)] = v * (lcm // value.den)
+        if (v := self.nums.get(idx)) is None:
+            _array(self.shape, {idx: 0})  # refuses an index outside the shape
+        return SparseArray({(): v} if v else {}, self.den, ())
 
     __neg__ = lambda self: SparseArray({k: -v for k, v in self.nums.items()}, self.den, self.shape)
     __sub__ = lambda self, other: self + -other
@@ -197,9 +169,23 @@ def _inverse(a):
     return SparseArray({(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r) if v}, den, a.shape)
 
 
+def _array(shape, entries):
+    """The SparseArray of shape holding {index: an int, a Fraction or a 0-d SparseArray}, over the
+    lcm of their denominators; the zeros are dropped and the rest of the array is 0."""
+    columns = zip(zip(*entries), shape)  # the indices on each axis, and its size
+    if set(map(len, entries)) - {len(shape)} or any(min(c) < 0 or max(c) >= n for c, n in columns):
+        raise IndexError(f"an index of {[*entries]} is outside the shape {shape}")
+    for v in entries.values():  # a bool, a float or a numpy scalar has as_integer_ratio too
+        if not (type(v) in (int, Fraction) or type(v) is SparseArray and not v.shape):
+            raise TypeError(f"exact array entry {v!r} is not an int or a Fraction")
+    ratios = [(v.nums.get((), 0), v.den) if type(v) is SparseArray else v.as_integer_ratio()
+              for v in entries.values()]
+    den = math.lcm(*(q for _, q in ratios))
+    return SparseArray({idx: p * (den // q) for idx, (p, q) in zip(entries, ratios) if p}, den, shape)
+
+
 # the array operations the connection chain takes from its backend
-SPARSE = SimpleNamespace(zeros=lambda shape: SparseArray({}, 1, shape), inverse=_inverse, einsum=einsum,
-                         tensordot=tensordot)
+SPARSE = SimpleNamespace(array=_array, inverse=_inverse, einsum=einsum, tensordot=tensordot)
 
 
 # the connection chain: the profile jet, s and x are arrays of the backend be
@@ -211,24 +197,23 @@ def _commutator_jet(m0, f):
     return m0, m1, m1 @ f - f @ m1
 
 
-def _metric_jet(prof, s, x, be):
-    """g, g^-1, dg[k, m, n] = d_k g_{mn} and ddg[k, l, m, n] at (s, x), from M, M' and M''."""
+def _chart_jet(prof, s, x, be):
+    """The metric jet (g, g^-1, dg, ddg) and the coframe jet (e, de) at (s, x), from M, M' and M''.
+
+    dg[k, m, n] = d_k g_{mn}, ddg[k, l, m, n] = d_k d_l g_{mn} and de[k, a, m] = d_k e^a_m; the
+    products of x with the profile that both jets read are taken once."""
     m0, m1, m2 = prof[:3]
     d = x.shape[0] + 2
-    g = be.zeros((d, d))
-    g[0, 0] = 2 * (x @ m0 @ x + s)
-    g[0, 1] = g[1, 0] = 1
-    for i in range(2, d):
-        g[i, i] = 1
-    dg = be.zeros((d,) * 3)
-    dg[0, 0, 0] = 2 * (x @ m1 @ x)
-    dg[1, 0, 0] = 2
-    dg[2:, 0, 0] = 4 * (m0 @ x)
-    ddg = be.zeros((d,) * 4)
-    ddg[0, 0, 0, 0] = 2 * (x @ m2 @ x)
-    ddg[0, 2:, 0, 0] = ddg[2:, 0, 0, 0] = 4 * (m1 @ x)
-    ddg[2:, 2:, 0, 0] = 4 * m0
-    return g, be.inverse(g), dg, ddg
+    t, q0, q1, u0 = range(2, d), x @ m0 @ x + s, x @ m1 @ x, m0 @ x  # t: the transverse axes
+    v0, v1, w, v = 4 * u0, 4 * (m1 @ x), 4 * m0, 2 * u0
+    g = be.array((d, d), {(0, 0): 2 * q0, (0, 1): 1, (1, 0): 1, **{(i, i): 1 for i in t}})
+    dg = be.array((d,) * 3, {(0, 0, 0): 2 * q1, (1, 0, 0): 2, **{(i, 0, 0): v0[i - 2] for i in t}})
+    ddg = be.array((d,) * 4, {(0, 0, 0, 0): 2 * (x @ m2 @ x),
+                              **{k: v1[i - 2] for i in t for k in ((0, i, 0, 0), (i, 0, 0, 0))},
+                              **{(i, j, 0, 0): w[i - 2, j - 2] for i in t for j in t}})
+    e = be.array((d, d), {(0, 0): 1, (1, 1): 1, (1, 0): q0, **{(i, i): 1 for i in t}})
+    de = be.array((d,) * 3, {(0, 1, 0): q1, (1, 1, 0): 1, **{(i, 1, 0): v[i - 2] for i in t}})
+    return (g, be.inverse(g), dg, ddg), (e, de)
 
 
 def _gamma_lower(dg):
@@ -251,21 +236,6 @@ def _riemann_from_connection(gamma, dgamma, be):
     # R[r, s, m, n] = d_m G^r_{ns} - d_n G^r_{ms} + G^r_{ml} G^l_{ns} - G^r_{nl} G^l_{ms}
     term = be.einsum("rml,lns->rsmn", gamma, gamma)
     return dgamma.transpose(1, 3, 0, 2) - dgamma.transpose(1, 3, 2, 0) + term - term.transpose(0, 1, 3, 2)
-
-
-def _coframe(prof, s, x, be):
-    m0, m1 = prof[:2]
-    d = x.shape[0] + 2
-    e = be.zeros((d, d))
-    e[0, 0] = e[1, 1] = 1
-    e[1, 0] = x @ m0 @ x + s
-    for i in range(2, d):
-        e[i, i] = 1
-    de = be.zeros((d,) * 3)
-    de[0, 1, 0] = x @ m1 @ x
-    de[1, 1, 0] = 1
-    de[2:, 1, 0] = 2 * (m0 @ x)
-    return e, de
 
 
 def _coordinate_structure(sf, e, be, de=None):
@@ -295,9 +265,8 @@ def _raised_structure(s_coord, ginv, be):
 
 def _frame_curvature(sf, prof, s, x, be):
     """Frame components Rbar[a, b, c, d] of the curvature of nabla - S at (s, x), S framed as sf."""
-    _, ginv, dg, ddg = _metric_jet(prof, s, x, be)
+    (_, ginv, dg, ddg), (e, de) = _chart_jet(prof, s, x, be)
     gamma, dgamma, dginv, _, _ = _connection(ginv, dg, ddg, be)
-    e, de = _coframe(prof, s, x, be)
     s_coord, ds_coord = _coordinate_structure(sf, e, be, de)
     gbar = gamma - _raised_structure(s_coord, ginv, be)
     ds_up = be.einsum("kmns,rs->kmnr", ds_coord, ginv) + be.einsum("mns,krs->kmnr", s_coord, dginv)
@@ -351,13 +320,14 @@ def exact_curvature(pw, s, x):
     SparseArrays, where the profile jet at z = 0 is H, [H,F], [[H,F],F],
     so the result is exact.
     """
-    x = [Fraction(v) for v in x]
-    if len(x) != pw.n:
+    s, x, n = _rational(s, "s"), [_rational(v, "x") for v in x], pw.n
+    if len(x) != n:
         raise ValueError("x must have n components")
-    prof = _commutator_jet(SparseArray.of(pw.H), SparseArray.of(pw.F))
+    h, f = (_array((n, n), {(i, j): m[i][j] for i in range(n) for j in range(n)}) for m in (pw.H, pw.F))
     s_frame = _frame_tensor(pw)
     sf = SparseArray(dict(s_frame.nums), s_frame.den, (pw.dim,) * 3)
-    frame = _frame_curvature(sf, prof, SparseArray.of(Fraction(s)), SparseArray.of(x), SPARSE)
+    point = _array((), {(): s}), _array((n,), {(i,): v for i, v in enumerate(x)})
+    frame = _frame_curvature(sf, _commutator_jet(h, f), *point, SPARSE)
     rbar = Tensor._sparse(pw.dim, (DOWN, DOWN, UP, DOWN), frame.nums, EXACT, frame.den)
     return hom_structure.CurvatureAtPoint(rbar, null_boost_basis(pw.n), frame_metric(pw.n, EXACT))
 
@@ -368,8 +338,6 @@ def null_boost_basis(n):
     Boost j sends E_+ to -E_j and E_j to E_-; rotations never enter the
     reachable isotropy of this geometry.
     """
-    d = n + 2
-    boosts = [[[Fraction(0)] * d for _ in range(d)] for _ in range(n)]
-    for j, m in enumerate(boosts):
-        m[2 + j][0], m[1][2 + j] = Fraction(-1), Fraction(1)
-    return tuple(tuple(map(tuple, m)) for m in boosts)
+    d, zero = n + 2, Fraction(0)
+    ones = ({(2 + j, 0): Fraction(-1), (1, 2 + j): Fraction(1)} for j in range(n))
+    return tuple(tuple(tuple(m.get((a, b), zero) for b in range(d)) for a in range(d)) for m in ones)

@@ -6,9 +6,10 @@ SparseArrays through wave_curvature's pairwise joins and through
 np.einsum on the Fractions themselves; the two must agree entry for
 entry, and every result must hold only nonzero Python int numerators,
 inside its shape, over a positive int denominator.  So must @, every
-tensordot axes form, the arithmetic and the int/slice assignment the
-chain uses.  The float backend must give the bytes numpy gives, and
-numpy arrays are refused beside SparseArrays.
+tensordot axes form, the arithmetic and the full-index reads the chain
+uses.  A SparseArray is built once, from an {index: value} dict, and is
+never written after.  The float backend must give the bytes numpy gives,
+and numpy arrays are refused beside SparseArrays.
 """
 
 import ast
@@ -22,7 +23,7 @@ import pytest
 
 import homkit
 from homkit import plane_wave, wave_curvature
-from homkit.wave_curvature import SparseArray, einsum, tensordot
+from homkit.wave_curvature import SPARSE, SparseArray, einsum, tensordot
 
 P1, P2 = 1_000_000_007, 999_999_937
 SMALL = (1, 2, 3, 4, 6)
@@ -148,11 +149,9 @@ def fraction_array(rng, shape, dens, fill=0.6):
 
 
 def sparse(a):
-    """The SparseArray of a numpy object array (keeping its shape when an axis is empty) or of lists."""
-    if not isinstance(a, np.ndarray):
-        return SparseArray.of(a)
-    q = SparseArray.of(a.tolist())
-    return SparseArray(q.nums, q.den, a.shape)
+    """The SparseArray of a numpy object array, nested lists or a scalar, through the sparse constructor."""
+    a = np.asarray(a, dtype=object)
+    return SPARSE.array(a.shape, dict(np.ndenumerate(a)))
 
 
 def fractions(q):
@@ -245,9 +244,65 @@ def test_full_contraction_keeps_numpy_return_kind():
 
 @pytest.mark.parametrize("bad", [0.5, np.float64(0.5), True, np.int64(3), "1/2", None])
 def test_entry_that_is_not_int_or_fraction_raises(bad):
-    a = np.array([[Fraction(1, 3), bad], [1, Fraction(2)]], dtype=object)
+    # a float, a bool and a numpy scalar all have as_integer_ratio, so each is refused by its type
+    entries = {(0, 0): Fraction(1, 3), (0, 1): bad, (1, 0): 1, (1, 1): Fraction(2)}
     with pytest.raises(TypeError, match="not an int or a Fraction"):
-        SparseArray.of(a.tolist())
+        SPARSE.array((2, 2), entries)
+
+
+def test_constructor_reads_zero_dim_arrays_and_refuses_other_shapes_and_indices():
+    third, zero = sparse(Fraction(1, 3)), sparse(Fraction(0))
+    assert third.shape == () and third.nums == {(): 1} and third.den == 3 and zero.nums == {}
+    q = SPARSE.array((2, 3), {(0, 0): third, (0, 2): zero, (1, 1): Fraction(-5, 7), (1, 2): 0, (0, 1): 2})
+    # one lcm of every denominator, the zeros' included, and the zeros dropped
+    assert (q.shape, q.den, q.nums) == ((2, 3), 21, {(0, 0): 7, (1, 1): -15, (0, 1): 42})
+    assert SPARSE.array((0, 2), {}).shape == (0, 2) and SPARSE.array((), {}).den == 1
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        SPARSE.array((2,), {(0,): sparse([1, 2])})
+    for idx in ((2, 0), (0, -1), (0,), (0, 0, 0)):
+        with pytest.raises(IndexError, match="outside the shape"):
+            SPARSE.array((2, 3), {idx: 1})
+
+
+def test_full_index_reads_a_zero_dim_array():
+    a = np.array([[Fraction(1, 3), 0, 7], [Fraction(-2, P1), 5, 0]], dtype=object)
+    q = sparse(a)
+    for idx in itertools.product(range(2), range(3)):
+        got = q[idx]
+        assert isinstance(got, SparseArray) and got.shape == ()
+        assert fractions(got) == a[idx]
+    assert fractions(sparse([4, Fraction(1, 6)])[1]) == Fraction(1, 6)
+    for idx in ((2, 0), (0, 3), (0, -1), (0,), (0, 0, 0)):
+        with pytest.raises(IndexError, match="outside the shape"):
+            q[idx]
+    # only full indices of ints are read, never a region
+    with pytest.raises(TypeError):
+        q[0, slice(None)]
+
+
+def test_arrays_are_never_written():
+    # no region assignment and no nested-list reader: the constructor is the only way in
+    assert not hasattr(SparseArray, "__setitem__") and not hasattr(SparseArray, "of")
+    q = sparse([1, 2])
+    with pytest.raises(TypeError):
+        q[0] = 3
+    for backend in (SPARSE, plane_wave.NUMPY):
+        assert not hasattr(backend, "zeros") and callable(backend.array)
+    # every item assignment in wave_curvature writes a dict its function built itself
+    tree = ast.parse(Path(wave_curvature.__file__).read_text())
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        dicts = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                 and isinstance(node.value, (ast.Dict, ast.DictComp)) for t in node.targets
+                 if isinstance(t, ast.Name)}
+        for node in ast.walk(fn):
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AugAssign) else [])
+            for t in targets:
+                for sub in ast.walk(t):
+                    if isinstance(sub, ast.Subscript):
+                        assert isinstance(sub.value, ast.Name) and sub.value.id in dicts, (fn.name, ast.unparse(t))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
@@ -388,42 +443,6 @@ def test_transpose_matches_numpy(shape):
         assert_same(fractions(q.transpose(*negative)), a.transpose(*negative))
     with pytest.raises(ValueError, match="permute"):
         q.transpose(*[0] * len(shape)) if len(shape) > 1 else q.transpose(0, 0)
-
-
-def test_setitem_matches_fraction_arrays():
-    # the int and slice regions the metric jet and the coframe fill, over
-    # old values and with values on other denominators
-    rng = random.Random(5)
-    a = fraction_array(rng, (4, 4, 4), LARGE)
-    q = sparse(a)
-    for idx, shape in [((0, 0, 0), ()), ((1, 2), (4,)), ((slice(2, None), 0, 0), (2,)),
-                       ((slice(1, 3), slice(2, None), 1), (2, 2)), ((-1,), (4, 4)),
-                       ((slice(None), 3), (4, 4)), ((2, slice(0, 0)), (0, 4))]:
-        for value in (fraction_array(rng, shape, LARGE), fraction_array(rng, shape, SMALL, fill=0.0)):
-            a[idx] = value
-            q[idx] = sparse(value) if shape else value[()]
-            assert_same(fractions(q), a)
-    for v in (0, 7, Fraction(-3, P2)):
-        a[3, 1, 2] = v
-        q[3, 1, 2] = v
-        assert_same(fractions(q), a)
-    with pytest.raises(ValueError, match="region"):
-        q[0] = sparse([1, 2, 3, 4])
-    with pytest.raises(IndexError):
-        q[4, 0, 0] = 1
-    with pytest.raises(ValueError):
-        q[0, 0, 0, 0] = 1
-
-
-def test_of_reads_nested_lists():
-    assert SparseArray.of(Fraction(2, 6)).shape == () and fractions(SparseArray.of(Fraction(2, 6))) == Fraction(1, 3)
-    assert fractions(SparseArray.of(0)) == 0 and SparseArray.of(0).nums == {}
-    nested = ((Fraction(1, 2), 0), (3, Fraction(-5, 7)))
-    q = SparseArray.of(nested)
-    assert q.shape == (2, 2) and q.den == 14 and q.nums == {(0, 0): 7, (1, 0): 42, (1, 1): -10}
-    assert SparseArray.of(q) is q
-    assert SparseArray.of([[[], []], [[], []]]).shape == (2, 2, 0)
-    assert SparseArray.of([[], []]).shape == (2, 0)
 
 
 def test_plans_are_cached_per_spec_and_shapes():

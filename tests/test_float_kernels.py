@@ -4,13 +4,15 @@ plane_wave calls numpy's kernels without numpy's Python wrappers:
 _gamma_lower transposes with ndarray methods instead of np.swapaxes and
 np.moveaxis, expm reduces its 1-norms with np.add.reduce and
 np.maximum.reduce instead of .sum(axis=0).max(), profile_jet converts F
-and H with one np.array call, and the float zeros are np.zeros.  Each
+and H with one np.array call, and each backend's array constructor is
+zeros and then one fill per entry.  Each
 must give the bytes (or, on SparseArrays, the exact values) of the
 formula it replaced, and expm must stop after as many Taylor terms as
 the old loop did.  as_residuals converts F and H once per call, not
 once per chart point.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from homkit import plane_wave
-from homkit.wave_curvature import SparseArray
+from homkit.wave_curvature import SPARSE, SparseArray
 from homkit.wave_table import PlaneWaveData
 from test_exact_array import SMALL, assert_same, fraction_array, fractions, sparse
 
@@ -113,11 +115,26 @@ def test_profile_jet_converts_each_entry_as_float_does():
             assert got_m.tobytes() == want_m.tobytes()
 
 
-def test_float_zeros_are_np_full_zeros():
-    for shape in ((3, 3), (4,) * 5, (0, 2)):
-        got = plane_wave.NUMPY.zeros(shape)
-        want = np.full(shape, 0.0)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+@pytest.mark.parametrize("shape", [(3, 3), (4,) * 5, (0, 2), (5,), ()])
+def test_backend_arrays_are_zeros_then_filled(shape):
+    rng = random.Random(f"array:{shape}")
+    every = list(itertools.product(*map(range, shape)))
+    at = rng.sample(every, min(len(every), 9))
+    # floats: signed zeros, inf and nan among finite values; numpy scalars as the chain hands them
+    floats = {idx: rng.choice((rng.uniform(-1e3, 1e3), -0.0, 0.0, np.inf, -np.nan, np.float64(1 / 3)))
+              for idx in at}
+    want = np.full(shape, 0.0)
+    for idx, v in floats.items():
+        want[idx] = v
+    got = plane_wave.NUMPY.array(shape, floats)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    # exact: ints, Fractions and 0-d SparseArrays, zeros among them
+    exact = {idx: rng.choice((0, -3, Fraction(2, 7), Fraction(-5, 10**9 + 7), sparse(Fraction(1, 6)),
+                              sparse(0))) for idx in at}
+    want = np.full(shape, Fraction(0), dtype=object)
+    for idx, v in exact.items():
+        want[idx] = fractions(v) if isinstance(v, SparseArray) else v
+    assert_same(fractions(SPARSE.array(shape, exact)), want[()] if shape == () else want)
 
 
 def test_sweep_converts_the_profile_once_per_call(monkeypatch):

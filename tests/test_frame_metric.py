@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from homkit import exact
+from homkit import exact, tensor_core
 from homkit.exact import EXACT, FLOAT, mat_identity, mat_inverse, mat_mul
 from homkit.hom_structure import HomogeneousStructure, classify, decompose, trace_one_form
 from homkit.tensor_core import DOWN, UP, FrameMetric, Tensor
@@ -103,6 +103,26 @@ def test_self_inverse_metrics_keep_their_rows(tag):
         assert FrameMetric.light_cone(n, tag) == FrameMetric(n + 2, rows, rows, tag)
     assert FrameMetric.diagonal([2, -1, 4], tag).g_inv == ((one / 2, zero, zero), (zero, -one, zero),
                                                           (zero, zero, one / 4))
+
+
+@pytest.mark.parametrize("tag", (EXACT, FLOAT))
+def test_asymmetric_metric_is_refused_before_it_is_inverted(monkeypatch, tag):
+    def no_inverse(*args):
+        raise AssertionError("inverted")
+
+    monkeypatch.setattr(tensor_core, "mat_inverse", no_inverse)
+    rng = random.Random(f"asymmetric-{tag}")
+    rows = symmetric(rng, 60, tag)
+    # a float entry within 1e-13 of its mirror passes, as the construction check lets it
+    rows[5][2] += 1e-15 if tag == FLOAT else 0
+    with pytest.raises(AssertionError, match="inverted"):
+        FrameMetric.from_matrix(rows, tag)
+    rows[3][7] += Fraction(1, 10**9) if tag == EXACT else 2e-13
+    with pytest.raises(ValueError, match="metric is not symmetric"):
+        FrameMetric.from_matrix(rows, tag)
+    # a matrix that is not square is still refused by the inverse, not as asymmetric
+    with pytest.raises(AssertionError, match="inverted"):
+        FrameMetric.from_matrix([[1, 2, 3], [4, 5, 6]], tag)
 
 
 def dense_structure(dim):

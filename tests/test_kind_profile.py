@@ -29,7 +29,8 @@ def test_one_round_prints_every_kind_and_count():
     for kind in KINDS:
         assert re.search(rf"^  {kind} +[\d.]+ ms +[\d.]+%$", out, re.M), kind
     for name in ("Fraction.__new__", "exact.integer_numerators", "tensor_core.Tensor._sparse",
-                 "reduction._freeze", "all function calls"):
+                 "reduction._freeze", "wave_curvature.SparseArray.__init__", "wave_curvature._join",
+                 "all function calls"):
         assert re.search(rf"^  {re.escape(name)} +[1-9]\d* calls per pass$", out, re.M), name
     assert re.search(r"^  peak RSS +[1-9][\d.]* MB$", out, re.M)
     # the exact checks, the closing of the loop included, run without numpy

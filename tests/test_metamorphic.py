@@ -13,6 +13,14 @@ part of the pulled-back structure is the pullback of the part.  The
 pullbacks and P are built here from Fraction loops, one slot at a time,
 and both frames carry dense, non-diagonal metrics that are not their own
 inverses.
+
+closeloop under a rotation of the transverse plane: for a rational
+orthogonal O (the Cayley transform (I - A)(I + A)^-1 of a random
+rational antisymmetric A), the wave (OFO^T, OHO^T) is the wave (F, H) in
+the coordinates x' = Ox, whose frame is the old one with O applied to the
+transverse legs.  So the exact curvature of nabla - S at (s, Ox) is Rbar at
+(s, x) with O applied to every transverse frame index, the upper one
+included, since O^-T = O.
 """
 
 import itertools
@@ -23,6 +31,8 @@ import pytest
 
 from homkit.hom_structure import CLASS_NAMES, HomogeneousStructure, classify, decompose
 from homkit.tensor_core import DOWN, FrameMetric, Tensor
+from homkit.wave_curvature import exact_curvature
+from homkit.wave_table import PlaneWaveData
 
 
 def small(rng):
@@ -110,3 +120,65 @@ def test_classify_and_decompose_are_natural_under_a_frame_change(case):
         assert (before.degeneracy == "null") == null
     for part, moved_part in zip(decompose(hs), decompose(moved)):
         assert moved_part.entries() == pullback(part.entries(), p)
+
+
+def matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def transpose(a):
+    return [list(row) for row in zip(*a)]
+
+
+def cayley(rng, n):
+    """(I - A)(I + A)^-1 for a random rational antisymmetric A, by Gauss-Jordan on Fractions."""
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        a[i][j] = small(rng)
+        a[j][i] = -a[i][j]
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    work = [[eye[i][j] + a[i][j] for j in range(n)] + list(eye[i]) for i in range(n)]
+    for col in range(n):  # I + A is invertible: its eigenvalues are 1 + i lambda
+        pivot = next(r for r in range(col, n) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [v / work[col][col] for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                work[r] = [v - work[r][col] * w for v, w in zip(work[r], work[col])]
+    inverse = [row[n:] for row in work]
+    return matmul([[eye[i][j] - a[i][j] for j in range(n)] for i in range(n)], inverse)
+
+
+def random_wave(rng, n):
+    f = [[Fraction(0)] * n for _ in range(n)]
+    h = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        h[i][j] = h[j][i] = small(rng) or Fraction(1)
+        if i != j:
+            f[i][j] = small(rng)
+            f[j][i] = -f[i][j]
+    return f, h
+
+
+WAVES = [(n, seed) for n in (1, 2, 3, 4) for seed in range(3)]
+
+
+@pytest.mark.parametrize("case", WAVES, ids="n{0[0]}-s{0[1]}".format)
+def test_closeloop_curvature_is_natural_under_a_transverse_rotation(case):
+    n, seed = case
+    rng = random.Random(f"rotation-{n}-{seed}")
+    f, h = random_wave(rng, n)
+    o = cayley(rng, n)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert matmul(o, transpose(o)) == eye and (n == 1 or o != eye)
+    s, x = small(rng), [small(rng) for _ in range(n)]
+    rbar = exact_curvature(PlaneWaveData(n, f, h), s, x).Rbar.entries()
+    rotated = PlaneWaveData(n, matmul(matmul(o, f), transpose(o)), matmul(matmul(o, h), transpose(o)))
+    moved = exact_curvature(rotated, s, [row[0] for row in matmul(o, [[v] for v in x])]).Rbar.entries()
+    assert rbar
+    # the frame change fixes the two null legs and sends the transverse index j to i with O[i][j]:
+    # P[2 + j][2 + i] = O[i][j], so pullback's sum over P[a][b] T[a] is sum_j O[i][j] T[j]
+    p = [[Fraction(int(a == b)) for b in range(n + 2)] for a in range(n + 2)]
+    for i, j in itertools.product(range(n), repeat=2):
+        p[2 + j][2 + i] = o[i][j]
+    assert moved == pullback(rbar, p)

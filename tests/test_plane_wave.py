@@ -37,7 +37,7 @@ from homkit.plane_wave import (
     structure_at,
 )
 from homkit.tensor_core import DOWN, FrameMetric, Tensor
-from homkit.wave_curvature import SPARSE, SparseArray, _frame_curvature, _frame_tensor, _metric_jet
+from homkit.wave_curvature import SPARSE, SparseArray, _chart_jet, _frame_curvature, _frame_tensor
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -192,6 +192,27 @@ class TestRiemann:
             + term - term.transpose(0, 1, 3, 2)
         )
         assert np.max(np.abs(fd - got)) < 1e-6
+
+    def test_riemann_skips_the_third_derivative_bit_for_bit(self, monkeypatch):
+        def old_riemann(pw, pt):  # through metric_jet, which also builds dddg
+            jet = metric_jet(pw, pt)
+            gamma, dgamma, *_ = plane_wave._connection(jet.g_inv, jet.dg, jet.ddg, plane_wave.NUMPY)
+            return plane_wave._riemann_from_connection(gamma, dgamma, plane_wave.NUMPY)
+
+        # at |x| < 0.7 the metric of H = 1e308 stays finite while its second derivatives overflow
+        huge = PlaneWaveData(1, ((Fraction(0),),), ((Fraction(10**308),),))
+        cases = [(pw, pt) for pw in (GENERIC, FLAT) for pt in sample_points(pw.n, 4, seed=23)]
+        cases += [(huge, ChartPoint(pt.z, pt.s, (pt.x[0] / 4,))) for pt in sample_points(1, 4, seed=24)]
+        cases += [(huge, ChartPoint(0.2, -1.5, (0.5,))), (huge, ChartPoint(0.0, -0.0, (-0.0,)))]
+        with np.errstate(all="ignore"):
+            for pw, pt in cases:
+                assert riemann(pw, pt).tobytes() == old_riemann(pw, pt).tobytes()
+            assert not np.isfinite(riemann(*cases[-2])).all()
+        # and builds no GeometryJet: neither metric_jet nor _geometry_jet is called
+        want = old_riemann(*cases[0])
+        monkeypatch.setattr(plane_wave, "metric_jet", None)
+        monkeypatch.setattr(plane_wave, "_geometry_jet", None)
+        assert riemann(*cases[0]).tobytes() == want.tobytes()
 
 
 class TestStructureAt:
@@ -395,6 +416,22 @@ class TestClosingTheLoop:
                 assert curv.metric is hs.metric is frame_metric(pw.n, EXACT)
         assert builds == [(2, EXACT), (1, EXACT)]
 
+    @pytest.mark.parametrize("s,x,name", [
+        (0.1, (Fraction(1),), "s"), (Fraction(1), (0.1,), "x"),
+        (True, (Fraction(1),), "s"), (Fraction(1), (False,), "x"),
+        (float("nan"), (Fraction(1),), "s"), (Fraction(1), (float("nan"),), "x"),
+    ])
+    def test_exact_curvature_refuses_floats_bools_and_nans(self, s, x, name):
+        with pytest.raises(ValueError, match=f"^{name}: .* is not a rational number"):
+            exact_curvature(FLAT, s, x)
+
+    def test_exact_curvature_reads_its_point_as_wave_data_reads_entries(self):
+        # ints, Fractions and "p/q" strings, as PlaneWaveData reads F and H
+        want = exact_curvature(GENERIC, Fraction(1, 3), (Fraction(1, 2), Fraction(2)))
+        assert exact_curvature(GENERIC, "1/3", ("1/2", 2)).Rbar == want.Rbar
+        with pytest.raises(ValueError, match="x must have n components"):
+            exact_curvature(GENERIC, 1, (1,))
+
     def test_frame_curvature_is_point_independent(self):
         a = exact_curvature(GENERIC, Fraction(1, 3), (Fraction(1, 2), Fraction(-2, 5)))
         b = exact_curvature(GENERIC, Fraction(-2), (Fraction(0), Fraction(5, 7)))
@@ -468,9 +505,10 @@ def fraction_curvature(pw, s, x):
 
 def exact_inputs(pw, s, x):
     """(frame S, profile jet, s, x) as exact_curvature hands them to the chain."""
-    prof = _commutator_jet(SparseArray.of(pw.H), SparseArray.of(pw.F))
-    frame = _frame_tensor(pw)
-    return SparseArray(dict(frame.nums), frame.den, (pw.dim,) * 3), prof, SparseArray.of(s), SparseArray.of(x)
+    n, frame = pw.n, _frame_tensor(pw)
+    h, f = (SPARSE.array((n, n), {(i, j): m[i][j] for i in range(n) for j in range(n)}) for m in (pw.H, pw.F))
+    point = SPARSE.array((), {(): s}), SPARSE.array((n,), {(i,): v for i, v in enumerate(x)})
+    return SparseArray(dict(frame.nums), frame.den, (pw.dim,) * 3), _commutator_jet(h, f), *point
 
 
 def assert_python_int_numerators(q):
@@ -502,7 +540,8 @@ class TestScalarBackends:
             pw = random_wave(rng, n)
             s, x = rational_point(rng, n)
             sf, prof, *point = args = exact_inputs(pw, s, x)
-            for q in (sf, *prof, *point, *_metric_jet(prof, *point, SPARSE), _frame_curvature(*args, SPARSE)):
+            metric, coframe = _chart_jet(prof, *point, SPARSE)
+            for q in (sf, *prof, *point, *metric, *coframe, _frame_curvature(*args, SPARSE)):
                 assert_python_int_numerators(q)
             curv = exact_curvature(pw, s, x)
             assert all(type(v) is Fraction for v in curv.Rbar.components)

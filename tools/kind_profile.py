@@ -10,9 +10,11 @@ untimed to warm, then times each check kind over three passes and
 prints the milliseconds per pass and each kind's share.  One more pass
 runs under cProfile and the call counts in it are printed: for
 exact_proofs, ``Fraction.__new__``, ``exact.integer_numerators``,
-``tensor_core.Tensor._sparse`` (exact carriers built) and
+``tensor_core.Tensor._sparse`` (exact carriers built),
 ``reduction._freeze`` (array fields and report matrices frozen into
-nested tuples);
+nested tuples), ``wave_curvature.SparseArray.__init__`` (the curvature
+chain's exact arrays built) and ``wave_curvature._join`` (its pairwise
+contractions);
 for float_sweep, numpy's ``einsum_path`` (contraction planning),
 ``plane_wave._tensordot``, ``plane_wave._point_residuals`` (chart
 points swept), ``Fraction.__float__`` and the numpy Python wrappers the
@@ -49,6 +51,8 @@ COUNTED = {
         "exact.integer_numerators": (os.path.join("homkit", "exact.py"), "integer_numerators"),
         "tensor_core.Tensor._sparse": (os.path.join("homkit", "tensor_core.py"), "_sparse"),
         "reduction._freeze": (os.path.join("homkit", "reduction.py"), "_freeze"),
+        "wave_curvature.SparseArray.__init__": (os.path.join("homkit", "wave_curvature.py"), "__init__"),
+        "wave_curvature._join": (os.path.join("homkit", "wave_curvature.py"), "_join"),
     },
     "float_sweep": {
         "numpy.einsum_path": ("einsumfunc.py", "einsum_path"),
@@ -139,10 +143,10 @@ def main(argv=None):
         print(f"  {kind:20s} {seconds / PASSES * 1e3:9.1f} ms {seconds / wall:7.1%}")
     counts, total, stats = call_counts(checks, COUNTED[args.workload])
     for name, calls in counts.items():
-        print(f"  {name:28s} {calls:9d} calls per pass")
-    print(f"  {'all function calls':28s} {total:9d} calls per pass")
+        print(f"  {name:36s} {calls:9d} calls per pass")
+    print(f"  {'all function calls':36s} {total:9d} calls per pass")
     # ru_maxrss is in KiB on Linux
-    print(f"  {'peak RSS':28s} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:9.1f} MB")
+    print(f"  {'peak RSS':36s} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:9.1f} MB")
     print(f"  numpy imported by the checks: {'yes' if 'numpy' in sys.modules else 'no'}")
     for module, names in never_called(stats).items():
         print(f"  never called in {module}: {', '.join(names) or '-'}")
