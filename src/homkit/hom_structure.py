@@ -4,7 +4,8 @@ A structure is a pair (g, S) with S all-lower and antisymmetric in its
 last two slots.  The module splits S into its three orthogonal pieces
 (vectorial, traceless cyclic-free, totally antisymmetric), classifies
 the result, and rebuilds the transitive isometry algebra from S plus a
-curvature operator with values in a given isotropy span.
+curvature operator with values in a given isotropy span, each of whose
+matrices CurvatureAtPoint parses once into the Tensor every check reads.
 
 Conventions fixed here and used everywhere else:
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import EXACT, format_scalar, integer_numerators
+from .exact import EXACT, format_scalar
 from . import lie_algebra  # read only by build_isometry_algebra, so classify never runs it
 from .tensor_core import (
     DOWN,
@@ -32,8 +33,9 @@ from .tensor_core import (
     FrameMetric,
     Tensor,
     _antisymmetry_violations,
-    _dense,
+    _contract,
     _frozen,
+    _matrix,
     _sum,
     antisymmetrize,
     contract,
@@ -217,23 +219,13 @@ def classify(hs):
 # ---------------------------------------------------------------------------
 
 
-def _is_metric_antisymmetric(metric, m):
-    """g(AX, Y) + g(X, AY) = 0 for the action matrix A (rows), read on g's numerators and, when
-    exact, on A's integer rows over one denominator: positive scales that keep every zero test."""
-    d, g = metric.dim, _dense(metric._g)
-    if metric.tag == EXACT:
-        *m, _ = integer_numerators(*m)
-    return not any(sum(g[k * d + y] * m[k][x] + g[x * d + k] * m[k][y] for k in range(d))
-                   for x in range(d) for y in range(d))
-
-
 @_frozen
 class CurvatureAtPoint:
     """Curvature operator data at a point.
 
-    Rbar has valence (d, d, u, d): slots 0,1 are the 2-form arguments and
-    slots 2,3 the endomorphism (row, column).  h_basis lists the
-    isotropy generators as metric-antisymmetric action matrices.
+    Rbar has valence (d, d, u, d): slots 0,1 are the 2-form arguments and slots 2,3 the
+    endomorphism (row, column).  h_basis lists the isotropy generators as metric-antisymmetric
+    action matrices, and _h, not a field, each as a (u, d) matrix Tensor built once.
     """
 
     Rbar: Tensor
@@ -247,17 +239,21 @@ class CurvatureAtPoint:
             raise ValueError("Rbar and metric dimensions differ")
         if self.Rbar.tag != self.metric.tag:
             raise ValueError("Rbar and metric tags differ")
-        d = self.metric.dim
-        cast = float if self.Rbar.tag != EXACT else lambda x: x if type(x) is Fraction else Fraction(x)
+        d, tag = self.metric.dim, self.Rbar.tag
+        cast = float if tag != EXACT else lambda x: x if type(x) is Fraction else Fraction(x)
         h_basis = tuple(tuple(tuple(map(cast, row)) for row in m) for m in self.h_basis)
-        object.__setattr__(self, "h_basis", h_basis)
         if _antisymmetry_violations(dict(self.Rbar.nums), 0, 1):
             raise ValueError("Rbar is not antisymmetric in its form slots")
+        h = []
         for m in h_basis:
             if len(m) != d or any(len(row) != d for row in m):
                 raise ValueError("h_basis matrices must be D x D")
-            if not _is_metric_antisymmetric(self.metric, m):
+            h.append(_matrix(m, tag, valence=(UP, DOWN)))
+            # A is metric-antisymmetric iff g A is antisymmetric; v + w refuses inf beside -inf
+            ga = dict(_contract(self.metric._g, h[-1]).nums)
+            if any(v + ga.get((j, i), 0) for (i, j), v in ga.items()):
                 raise ValueError("h_basis matrix is not metric-antisymmetric")
+        vars(self).update(h_basis=h_basis, _h=tuple(h))
 
 
 class SpanError(ValueError):
@@ -280,8 +276,7 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
     if hs.metric != curv.metric:
         raise ValueError("structure and curvature use different metrics")
     d = hs.dim
-    tag = hs.tag
-    k = len(curv.h_basis)
+    k = len(curv._h)
     if m_labels is None:
         m_labels = [f"E{i}" for i in range(d)]
     if h_labels is None:
@@ -289,13 +284,10 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
     if len(m_labels) != d or len(h_labels) != k:
         raise ValueError("label counts do not match basis sizes")
 
-    if k and tag != EXACT:
+    if k and hs.tag != EXACT:
         raise ValueError("float-mode reconstruction is not supported; rationalize first")
-    # the isotropy generators, and the image -Rbar(E_a, E_b) of each tangent
-    # pair a < b with a nonzero curvature value, as (u, d) Tensors
-    h = [Tensor.from_entries(d, (UP, DOWN), {(r, c): x for r, row in enumerate(m)
-                                             for c, x in enumerate(row) if x != 0}, tag)
-         for m in curv.h_basis]
+    # the image -Rbar(E_a, E_b) of each tangent pair a < b with a nonzero
+    # curvature value, as a (u, d) Tensor beside the isotropy generators curv._h
     rbar, values = curv.Rbar, {}
     for (a, b, r, c), v in rbar.nums:
         if a < b:
@@ -303,7 +295,7 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
     images = [(key, Tensor._sparse(d, (UP, DOWN), e, rbar.tag, rbar.den)) for key, e in values.items()]
     try:
         # [A, X] = A X, stored as [X, A] = -A X; the images and commutators against one elimination
-        parts, outside = lie_algebra._rotation_brackets(h, d, [(range(d), range(d))], images)
+        parts, outside = lie_algebra._rotation_brackets(curv._h, d, [(range(d), range(d))], images)
     except ValueError:
         raise ValueError("h_basis matrices are linearly dependent") from None
     if outside is not None:
@@ -315,6 +307,6 @@ def build_isometry_algebra(hs, curv, m_labels=None, h_labels=None):
     # raised S: (S_X Y)^C = g^{CZ} S_{XYZ}; the tangent part of [E_a, E_b] is S_a E_b - S_b E_a
     s_up = raise_lower(hs.S, 2, hs.metric)
     parts += [(dict(s_up.nums), s_up.den), ({(b, a, c): -v for (a, b, c), v in s_up.nums}, s_up.den)]
-    algebra = lie_algebra._algebra(parts, [*m_labels, *h_labels], tag)
+    algebra = lie_algebra._algebra(parts, [*m_labels, *h_labels], hs.tag)
     _, residual = lie_algebra.jacobi_residual(algebra)
     return algebra, residual

@@ -830,9 +830,8 @@ def ansatz_from_plane_wave(pw, lam=Fraction(1)):
     and the boost data encodes the profile through the same
     identification the reduction inverts.
     """
-    n = pw.n
-    f, hh = _array(pw.F, (n, n), "F"), _array(pw.H, (n, n), "H")
-    return _from_unit(n, lam, tuple(range(n)), f.scale(2), hh.scale(2) - _contract(f, f))
+    f, hh = pw._F, pw._H
+    return _from_unit(pw.n, lam, tuple(range(pw.n)), f.scale(2), hh.scale(2) - _contract(f, f))
 
 
 def _rand_fraction(rng, bound=2, den=3):

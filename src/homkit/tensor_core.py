@@ -291,12 +291,13 @@ class FrameMetric:
     def __post_init__(self):
         check_tag(self.tag)
         g = tuple(tuple(coerce_scalar(x, self.tag) for x in row) for row in self.g)
-        ginv = tuple(tuple(coerce_scalar(x, self.tag) for x in row) for row in self.g_inv)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "g_inv", ginv)
+        # one rows object for both (as _self_inverse passes) is coerced once; _g_inv shares _g's nums
+        shared = self.g_inv is self.g
+        ginv = g if shared else tuple(tuple(coerce_scalar(x, self.tag) for x in row) for row in self.g_inv)
         if any(len(m) != self.dim or any(len(row) != self.dim for row in m) for m in (g, ginv)):
             raise ValueError(f"g and g_inv must be {self.dim} x {self.dim}")
-        vars(self).update(_g=_matrix(g, self.tag), _g_inv=_matrix(ginv, self.tag, valence=(UP, UP)))
+        vars(self).update(g=g, g_inv=ginv, _g=_matrix(g, self.tag), _g_inv=Tensor.__new__(Tensor))
+        vars(self._g_inv).update(vars(self._g if shared else _matrix(ginv, self.tag)), valence=(UP, UP))
         _check_symmetric(self._g)
         prod = _contract(self._g, self._g_inv)
         if prod.den != 1 or _differ(dict(prod.nums), {(i, i): 1 for i in range(self.dim)}, self.tag):

@@ -11,7 +11,6 @@ pairwise joins planned once per einsum spec and shapes.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
@@ -304,11 +303,11 @@ def frame_structure(pw):
 
 def _frame_tensor(pw):
     """The S of frame_structure, built without the structure's checks."""
-    entries = {(0, 0, 1): -1, (0, 1, 0): 1}  # _sparse drops the zeros
-    for i, j in itertools.product(range(pw.n), repeat=2):
-        v = -int(i == j) - pw.F[i][j]
-        entries.update({(0, 2 + i, 2 + j): pw.F[i][j], (2 + i, 0, 2 + j): v, (2 + i, 2 + j, 0): -v})
-    return Tensor._sparse(pw.dim, (DOWN, DOWN, DOWN), entries, EXACT)
+    q, f = pw._F.den, dict(pw._F.nums)  # the entries are int numerators over F's den
+    entries = {(0, 0, 1): -q, (0, 1, 0): q, **{(0, 2 + i, 2 + j): v for (i, j), v in f.items()}}
+    for (i, j), v in (f | {(i, i): q for i in range(pw.n)}).items():  # delta + F, as F_ii = 0
+        entries.update({(2 + i, 0, 2 + j): -v, (2 + i, 2 + j, 0): v})
+    return Tensor._sparse(pw.dim, (DOWN, DOWN, DOWN), entries, EXACT, q)
 
 
 def exact_curvature(pw, s, x):
@@ -323,9 +322,8 @@ def exact_curvature(pw, s, x):
     s, x, n = _rational(s, "s"), [_rational(v, "x") for v in x], pw.n
     if len(x) != n:
         raise ValueError("x must have n components")
-    h, f = (_array((n, n), {(i, j): m[i][j] for i in range(n) for j in range(n)}) for m in (pw.H, pw.F))
-    s_frame = _frame_tensor(pw)
-    sf = SparseArray(dict(s_frame.nums), s_frame.den, (pw.dim,) * 3)
+    h, f, sf = (SparseArray(dict(t.nums), t.den, (t.dim,) * t.rank)
+                for t in (pw._H, pw._F, _frame_tensor(pw)))
     point = _array((), {(): s}), _array((n,), {(i,): v for i, v in enumerate(x)})
     frame = _frame_curvature(sf, _commutator_jet(h, f), *point, SPARSE)
     rbar = Tensor._sparse(pw.dim, (DOWN, DOWN, UP, DOWN), frame.nums, EXACT, frame.den)

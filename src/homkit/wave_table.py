@@ -1,7 +1,8 @@
 """A singular homogeneous plane wave's data and its isometry bracket table.
 
-The table is one exact Tensor built on the integer numerators of F and
-H, and the one place its formulas are written.  No numpy here.
+PlaneWaveData parses F and H once into the integer matrix Tensors that
+every reader takes.  The table is one exact Tensor built on them, and the
+one place its formulas are written.  No numpy here.
 """
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ from fractions import Fraction
 
 from .exact import _rational
 from . import lie_algebra  # read only by the table builders, so the wave data never runs it
-from .tensor_core import _frozen, _map_slot, _matrix
+from .tensor_core import _antisymmetry_violations, _frozen, _map_slot, _matrix
 
 
 @_frozen
 class PlaneWaveData:
-    """Transverse dimension n, antisymmetric F and symmetric H (exact)."""
+    """Transverse dimension n, antisymmetric F and symmetric H (exact), each also built once
+    into a matrix Tensor, _F and _H: not fields, so ==, hash, repr and to_json read the rows."""
 
     n: int
     F: tuple
@@ -33,14 +35,11 @@ class PlaneWaveData:
                 raise ValueError(f"{name} must be n x n")
         F = tuple(tuple(_rational(x, "F") for x in row) for row in self.F)
         H = tuple(tuple(_rational(x, "H") for x in row) for row in self.H)
-        for i in range(self.n):
-            for j in range(self.n):
-                if F[i][j] != -F[j][i]:
-                    raise ValueError("F must be antisymmetric")
-                if H[i][j] != H[j][i]:
-                    raise ValueError("H must be symmetric")
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "H", H)
+        vars(self).update(F=F, H=H, _F=_matrix(F), _H=_matrix(H))
+        if _antisymmetry_violations(dict(self._F.nums), 0, 1):
+            raise ValueError("F must be antisymmetric")
+        if dict(self._H.nums) != {(j, i): v for (i, j), v in self._H.nums}:
+            raise ValueError("H must be symmetric")
 
     @property
     def dim(self):
@@ -68,7 +67,7 @@ def boost_block(pw):
     agree.  With this block the bracket table below is exactly the
     algebra reconstructed from (S, curvature) of the chart geometry.
     """
-    n, table = pw.n, _wave_table(_matrix(pw.F), _matrix(pw.H)).entries()
+    n, table = pw.n, _wave_table(pw._F, pw._H).entries()
     return [[table.get((0, 2 + i, 2 + n + j), Fraction(0)) for j in range(n)] for i in range(n)]
 
 
@@ -96,4 +95,4 @@ def _wave_table(f, h):
 def pw_isometry_algebra(pw):
     """Exact bracket table on (U, V, X_i, Xb_i), dimension 2n + 2 (see _wave_table)."""
     labels = ("U", "V", *(f"X{i+1}" for i in range(pw.n)), *(f"Xb{i+1}" for i in range(pw.n)))
-    return lie_algebra.LieAlgebra._antisymmetric(labels, _wave_table(_matrix(pw.F), _matrix(pw.H)))
+    return lie_algebra.LieAlgebra._antisymmetric(labels, _wave_table(pw._F, pw._H))

@@ -21,6 +21,14 @@ the coordinates x' = Ox, whose frame is the old one with O applied to the
 transverse legs.  So the exact curvature of nabla - S at (s, Ox) is Rbar at
 (s, x) with O applied to every transverse frame index, the upper one
 included, since O^-T = O.
+
+planewave algebra under the same rotation: the bracket table of
+(OFO^T, OHO^T) is the table of (F, H) written in the frame whose X_i and
+Xb_i are rotated by O, which is change_basis by P = diag(1, 1, O, O).
+
+jacobi under a basis change: a passing wave table and the same table
+with one constant perturbed keep their verdicts, zero and nonzero, under
+change_basis by a random invertible rational P.
 """
 
 import itertools
@@ -30,9 +38,10 @@ from fractions import Fraction
 import pytest
 
 from homkit.hom_structure import CLASS_NAMES, HomogeneousStructure, classify, decompose
-from homkit.tensor_core import DOWN, FrameMetric, Tensor
+from homkit.lie_algebra import LieAlgebra, change_basis, jacobi_residual
+from homkit.tensor_core import DOWN, UP, FrameMetric, Tensor
 from homkit.wave_curvature import exact_curvature
-from homkit.wave_table import PlaneWaveData
+from homkit.wave_table import PlaneWaveData, pw_isometry_algebra
 
 
 def small(rng):
@@ -182,3 +191,46 @@ def test_closeloop_curvature_is_natural_under_a_transverse_rotation(case):
     for i, j in itertools.product(range(n), repeat=2):
         p[2 + j][2 + i] = o[i][j]
     assert moved == pullback(rbar, p)
+
+
+def transverse_rotation(o):
+    """diag(1, 1, O, O): O on the X_i and on the Xb_i of the wave basis (U, V, X_i, Xb_i)."""
+    n = len(o)
+    p = [[Fraction(int(a == b)) for b in range(2 * n + 2)] for a in range(2 * n + 2)]
+    for i, j in itertools.product(range(n), repeat=2):
+        p[2 + i][2 + j] = p[2 + n + i][2 + n + j] = o[i][j]
+    return p
+
+
+@pytest.mark.parametrize("case", WAVES, ids="n{0[0]}-s{0[1]}".format)
+def test_wave_algebra_is_natural_under_a_transverse_rotation(case):
+    n, seed = case
+    rng = random.Random(f"wave-rotation-{n}-{seed}")
+    f, h = random_wave(rng, n)
+    o = cayley(rng, n)
+    def rotate(m, o):
+        return matmul(matmul(o, m), transpose(o))
+
+    table, moved = pw_isometry_algebra(PlaneWaveData(n, f, h)), pw_isometry_algebra(
+        PlaneWaveData(n, rotate(f, o), rotate(h, o)))
+    assert moved == change_basis(table, transverse_rotation(o))
+    # O^T in place of O is off by O^2, so it gives the same table exactly when O^2 fixes F and H
+    o2 = matmul(o, o)
+    fixed = (rotate(f, o2), rotate(h, o2)) == (f, h)
+    assert (moved == change_basis(table, transverse_rotation(transpose(o)))) == fixed
+
+
+@pytest.mark.parametrize("case", WAVES, ids="n{0[0]}-s{0[1]}".format)
+def test_jacobi_verdicts_survive_a_basis_change(case):
+    n, seed = case
+    rng = random.Random(f"jacobi-basis-{n}-{seed}")
+    table = pw_isometry_algebra(PlaneWaveData(n, *random_wave(rng, n)))
+    # [U, X_1] gains 1/1000 X_1, which breaks the Jacobi identity (asserted below)
+    entries = table.f.entries()
+    for key, sign in (((0, 2, 2), 1), ((2, 0, 2), -1)):
+        entries[key] = entries.get(key, 0) + sign * Fraction(1, 1000)
+    perturbed = LieAlgebra(table.labels, Tensor.from_entries(2 * n + 2, (DOWN, DOWN, UP), entries))
+    p = frame_change(rng, 2 * n + 2)
+    for algebra, passes in ((table, True), (perturbed, False)):
+        assert (jacobi_residual(algebra)[1] == 0) == passes
+        assert (jacobi_residual(change_basis(algebra, p))[1] == 0) == passes

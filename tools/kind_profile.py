@@ -11,6 +11,7 @@ prints the milliseconds per pass and each kind's share.  One more pass
 runs under cProfile and the call counts in it are printed: for
 exact_proofs, ``Fraction.__new__``, ``exact.integer_numerators``,
 ``tensor_core.Tensor._sparse`` (exact carriers built),
+``tensor_core._matrix`` (matrix rows parsed into Tensors),
 ``reduction._freeze`` (array fields and report matrices frozen into
 nested tuples), ``wave_curvature.SparseArray.__init__`` (the curvature
 chain's exact arrays built) and ``wave_curvature._join`` (its pairwise
@@ -50,6 +51,7 @@ COUNTED = {
         "Fraction.__new__": ("fractions.py", "__new__"),
         "exact.integer_numerators": (os.path.join("homkit", "exact.py"), "integer_numerators"),
         "tensor_core.Tensor._sparse": (os.path.join("homkit", "tensor_core.py"), "_sparse"),
+        "tensor_core._matrix": (os.path.join("homkit", "tensor_core.py"), "_matrix"),
         "reduction._freeze": (os.path.join("homkit", "reduction.py"), "_freeze"),
         "wave_curvature.SparseArray.__init__": (os.path.join("homkit", "wave_curvature.py"), "__init__"),
         "wave_curvature._join": (os.path.join("homkit", "wave_curvature.py"), "_join"),
